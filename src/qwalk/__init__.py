@@ -49,6 +49,7 @@ from .isomorphism import (
 from .statespace import (
     BasisLabel1D,
     BasisLabel2D,
+    SublatticeState,
     WalkerState,
     localized_state,
     pack_index,
@@ -66,6 +67,7 @@ __all__ = [
     "DefectMap",
     "Distribution",
     "StepReport",
+    "SublatticeState",
     "WalkSpec",
     "WalkSummary",
     "WalkerState",

@@ -1,6 +1,10 @@
 """Observables over walker states: position distributions, marginals,
 1-norm discrepancy, axis variances, recurrence probability, and the
 classical random-walk baseline.
+
+``distribution`` and ``summarize`` accept a dense :class:`WalkerState` or
+a light-cone :class:`SublatticeState`; the latter is summarized on its own
+grid, from the explicit lattice coordinates of its sites.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .statespace import WalkerState
+from .statespace import SublatticeState, WalkerState
 
 __all__ = [
     "Distribution",
@@ -26,6 +30,15 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-10
+
+
+def _check_probs(p: NDArray[np.float64]) -> None:
+    # Written so that NaN fails both tests.
+    if not p.min() >= 0.0:
+        raise ValueError(f"negative probability {p.min()}")
+    total = p.sum()
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -43,11 +56,7 @@ class Distribution:
                 f"probability table shape {p.shape} does not match halfwidth "
                 f"{self.halfwidth}"
             )
-        if p.min() < 0.0:
-            raise ValueError(f"negative probability {p.min()}")
-        total = p.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_probs(p)
         object.__setattr__(self, "probs", p)
 
     @property
@@ -75,9 +84,18 @@ class WalkSummary:
     s_t: float | None = None
 
 
-def distribution(state: WalkerState) -> Distribution:
-    """Position distribution P = sum over coin components of |amplitude|^2."""
-    p = (np.abs(state.amplitudes) ** 2).sum(axis=-1)
+def _site_probs(state: WalkerState | SublatticeState) -> NDArray[np.float64]:
+    return (np.abs(state.amplitudes) ** 2).sum(axis=-1)
+
+
+def distribution(state: WalkerState | SublatticeState) -> Distribution:
+    """Position distribution P = sum over coin components of |amplitude|^2,
+    over the whole (2L+1)^d lattice."""
+    p = _site_probs(state)
+    if isinstance(state, SublatticeState):
+        full = np.zeros((2 * state.halfwidth + 1,) * state.dimensionality)
+        full[state.sites()] = p
+        p = full
     return Distribution(p, state.halfwidth)
 
 
@@ -123,9 +141,13 @@ def variance(p: Distribution, axis: int | str | None = None) -> float:
         if axis is None:
             raise ValueError("2D distribution requires an axis")
         p = marginal(p, axis)
-    xs = p.positions().astype(np.float64)
-    mean = float((xs * p.probs).sum())
-    return float((xs**2 * p.probs).sum() - mean**2)
+    return _variance(p.positions(), p.probs)
+
+
+def _variance(sites: NDArray[np.int64], probs: NDArray[np.float64]) -> float:
+    xs = sites.astype(np.float64)
+    mean = float((xs * probs).sum())
+    return float((xs**2 * probs).sum() - mean**2)
 
 
 def recurrence_probability(p: Distribution) -> float:
@@ -153,17 +175,25 @@ def classical_rw_distribution(t: int) -> Distribution:
 
 
 def summarize(
-    step: int, state: WalkerState, reference: Distribution | None = None
+    step: int,
+    state: WalkerState | SublatticeState,
+    reference: Distribution | None = None,
 ) -> WalkSummary:
-    """WalkSummary for a state: origin probability, variances, optional s_t."""
-    p = distribution(state)
-    if state.dimensionality == 1:
-        rec = p.at(0)
-        var_x = variance(p)
-        var_y = None
+    """WalkSummary for a state: origin probability, variances, optional s_t.
+
+    Works on the sites the state stores, so a light-cone grid is
+    summarized without building the full lattice (except for ``s_t``).
+    """
+    p = _site_probs(state)
+    _check_probs(p)
+    d = state.dimensionality
+    axes = [state.coordinates(a) for a in range(d)]
+    origin = tuple(np.flatnonzero(xs == 0) for xs in axes)
+    rec = float(p[tuple(int(i[0]) for i in origin)]) if all(map(len, origin)) else 0.0
+    if d == 1:
+        var_x, var_y = _variance(axes[0], p), None
     else:
-        rec = p.at(0, 0)
-        var_x = variance(p, "x")
-        var_y = variance(p, "y")
-    s_t = None if reference is None else l1_distance(p, reference)
+        var_x = _variance(axes[0], p.sum(axis=1))
+        var_y = _variance(axes[1], p.sum(axis=0))
+    s_t = None if reference is None else l1_distance(distribution(state), reference)
     return WalkSummary(step, rec, var_x, var_y, s_t)

@@ -57,6 +57,11 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending key."""
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false arrive as bool, a subclass of int; they are not counts.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_angle(value: Any, key: str) -> float:
     """Radians from a number or a 'pi:<multiplier>' string."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -150,13 +155,16 @@ def _parse_initial(cfg: Any, dimensionality: int):
     position = cfg.get("position")
     if position is not None:
         if dimensionality == 1:
-            if not isinstance(position, (int, float)):
+            if not _is_int(position):
                 raise ConfigError("initial.position: expected an integer for 1D")
-            position = int(position)
         else:
-            if not isinstance(position, (list, tuple)) or len(position) != 2:
-                raise ConfigError("initial.position: expected [x, y] for 2D")
-            position = (int(position[0]), int(position[1]))
+            if (
+                not isinstance(position, (list, tuple))
+                or len(position) != 2
+                or not all(map(_is_int, position))
+            ):
+                raise ConfigError("initial.position: expected [x, y] integers for 2D")
+            position = tuple(position)
     coin = cfg.get("coin", "symmetric")
     if coin == "symmetric":
         coin_vec = None  # WalkSpec default
@@ -207,16 +215,18 @@ def _resolve_threads(cfg: dict, args: argparse.Namespace) -> int:
 
 def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
     dimensionality = cfg.get("dimensionality", 2)
-    if dimensionality not in (1, 2):
+    if not _is_int(dimensionality) or dimensionality not in (1, 2):
         raise ConfigError(f"dimensionality: must be 1 or 2, got {dimensionality!r}")
     steps = cfg.get("steps", 10)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
+    if not _is_int(steps) or steps < 0:
         raise ConfigError(f"steps: must be a nonnegative integer, got {steps!r}")
     cap = cfg.get("max_steps", DEFAULT_STEP_CAP)
+    if not _is_int(cap) or cap < 0:
+        raise ConfigError(f"max_steps: must be a nonnegative integer, got {cap!r}")
     if steps > cap:
         raise ConfigError(f"steps: {steps} exceeds the hard cap {cap}")
     halfwidth = cfg.get("halfwidth")
-    if halfwidth is not None and (not isinstance(halfwidth, int) or halfwidth < 1):
+    if halfwidth is not None and (not _is_int(halfwidth) or halfwidth < 1):
         raise ConfigError(f"halfwidth: must be a positive integer, got {halfwidth!r}")
     boundary = cfg.get("boundary", "open")
     if boundary not in ("open", "periodic"):
@@ -273,11 +283,16 @@ def read_distribution_csv(path: str) -> Distribution:
         raise ConfigError(f"reference: {path} must have header 'x,p' or 'x,y,p'")
     dim = len(rows[0]) - 1
     entries = []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        coords = [int(v) for v in row[:dim]]
-        entries.append((coords, float(row[dim])))
+        try:
+            coords = [int(v) for v in row[:dim]]
+            entries.append((coords, float(row[dim])))
+        except (ValueError, IndexError):
+            raise ConfigError(
+                f"reference: {path} line {line}: expected {dim + 1} numbers, got {row!r}"
+            ) from None
     if not entries:
         raise ConfigError(f"reference: {path} contains no data rows")
     halfwidth = max(max(abs(c) for c in coords) for coords, _ in entries)
@@ -292,6 +307,17 @@ def read_distribution_csv(path: str) -> Distribution:
         raise ConfigError(f"reference: {path}: {e}") from None
 
 
+def _echo_defect(defect: DefectMap) -> dict:
+    echo: dict[str, Any] = {"kind": defect.kind, "phi": defect.phi}
+    if defect.kind == "custom":
+        # The config file's form: "x" or "x,y" keys, phases in radians.
+        echo["table"] = {
+            ",".join(map(str, site)) if isinstance(site, tuple) else str(site): float(theta)
+            for site, theta in (defect.table or {}).items()
+        }
+    return echo
+
+
 def _echo_config(cfg: dict, spec: WalkSpec, threads: int) -> dict:
     return {
         "dimensionality": spec.dimensionality,
@@ -299,7 +325,7 @@ def _echo_config(cfg: dict, spec: WalkSpec, threads: int) -> dict:
         "halfwidth": spec.halfwidth,
         "boundary": spec.boundary,
         "coin": cfg.get("coin", "hadamard"),
-        "defect": {"kind": spec.defect.kind, "phi": spec.defect.phi},
+        "defect": _echo_defect(spec.defect),
         "initial": cfg.get("initial", {"position": None, "coin": "symmetric"}),
         "threads": threads,
     }
@@ -326,10 +352,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
-    final_state = spec.initial_state()
+    grid = None
     for report in evolve(spec):
-        final_state = report.state
-        s = summarize(report.step, report.state)
+        grid = report.grid
+        s = summarize(report.step, grid)
         per_step.append(
             {
                 "step": s.step,
@@ -341,11 +367,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         if emit_per_step and "csv" in formats:
             write_distribution_csv(
-                out_dir / f"step_{report.step:04d}.csv", distribution(report.state)
+                out_dir / f"step_{report.step:04d}.csv", distribution(grid)
             )
     elapsed = time.perf_counter() - t0
 
-    final_dist = distribution(final_state)
+    final_dist = distribution(spec.initial_state() if grid is None else grid)
     if "csv" in formats:
         write_distribution_csv(out_dir / "distribution.csv", final_dist)
     final = per_step[-1] if per_step else None
@@ -395,10 +421,10 @@ def _sweep_point(cfg: dict, kind: str, phi_token: Any) -> dict:
     phi = parse_angle(phi_token, "sweep.phi")
     defect = DefectMap.none() if kind == "none" else DefectMap(kind, phi)  # type: ignore[arg-type]
     spec = _build_walk_spec(cfg, defect=defect)
-    final = spec.initial_state()
+    grid = None
     for report in evolve(spec):
-        final = report.state
-    s = summarize(spec.steps, final)
+        grid = report.grid
+    s = summarize(spec.steps, spec.initial_state() if grid is None else grid)
     return {
         "defect": kind,
         "phi": phi_token,
@@ -461,10 +487,12 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
     halfwidth = args.halfwidth if args.halfwidth is not None else cfg.get("halfwidth", 2)
     trials = args.trials if args.trials is not None else cfg.get("trials", 50)
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
-    if not isinstance(halfwidth, int) or halfwidth < 1:
+    if not _is_int(halfwidth) or halfwidth < 1:
         raise ConfigError(f"halfwidth: must be a positive integer, got {halfwidth!r}")
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
     if state_dimension(2, halfwidth) > MAX_MATRIX_DIM:
         raise ConfigError(
             f"halfwidth: matrix dimension {state_dimension(2, halfwidth)} "

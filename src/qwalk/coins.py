@@ -134,7 +134,7 @@ def su4_compose(
         m = np.asarray(m, dtype=np.complex128)
         if m.shape != (2, 2):
             raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-        if unitarity_check(m) > UNITARY_TOL:
+        if not is_unitary(m):
             raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
         mats[name] = m
     bracket = (
@@ -228,7 +228,7 @@ def _validated_coin(mat: NDArray[np.complex128], k: int, what: str) -> NDArray[n
     m = np.asarray(mat, dtype=np.complex128)
     if m.shape != (k, k):
         raise ValueError(f"{what} must be {k}x{k}, got shape {m.shape}")
-    if unitarity_check(m) > UNITARY_TOL:
+    if not is_unitary(m):
         raise ValueError(f"{what} is not unitary within {UNITARY_TOL}")
     return m
 

@@ -12,6 +12,11 @@ Conventions, frozen here and relied on by the matrix builders and tests:
   ``pack(x, y, c, d) = ((x + L)*(2L+1) + (y + L))*4 + 2*c + d``.
 
 State dimensions are ``2*(2L+1)`` in 1D and ``4*(2L+1)**2`` in 2D.
+
+A walker started on one site moves every coordinate by +-1 per step, so
+after t steps its amplitude lives on the sites x = x0 + t (mod 2) per axis
+inside the light cone: a dense (t+1)^d grid with lattice spacing 2,
+stored compactly as a :class:`SublatticeState`.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "BasisLabel1D",
     "BasisLabel2D",
     "WalkerState",
+    "SublatticeState",
     "state_dimension",
     "localized_state",
     "symmetric_coin",
@@ -139,6 +145,65 @@ class WalkerState:
     def copy(self) -> "WalkerState":
         return WalkerState(self.dimensionality, self.halfwidth, self.amplitudes.copy())
 
+    def coordinates(self, axis: int) -> NDArray[np.int64]:
+        """Lattice coordinates of the array entries along ``axis``: -L..L."""
+        return np.arange(-self.halfwidth, self.halfwidth + 1)
+
+
+@dataclass
+class SublatticeState:
+    """Amplitudes on a square grid of lattice sites spaced 2 apart.
+
+    ``amplitudes`` has shape ``(m, 2)`` in 1D and ``(m, m, 4)`` in 2D;
+    entry ``i`` along axis ``a`` is the lattice site ``first[a] + 2*i``.
+    Every other site of the ``(2L+1)^d`` lattice has amplitude 0.  The
+    grid must lie inside the lattice.
+    """
+
+    dimensionality: int
+    halfwidth: int
+    first: tuple[int, ...]
+    amplitudes: NDArray[np.complex128]
+
+    def __post_init__(self) -> None:
+        d = self.dimensionality
+        if d not in (1, 2):
+            raise ValueError(f"dimensionality must be 1 or 2, got {d!r}")
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        m = amps.shape[0] if amps.ndim else 0
+        if m < 1 or amps.shape != (m,) * d + (2 * d,):
+            raise ValueError(
+                f"sublattice table has shape {amps.shape}, expected {(m,) * d + (2 * d,)}"
+            )
+        self.first = tuple(int(f) for f in self.first)
+        L = self.halfwidth
+        if len(self.first) != d or any(
+            f < -L or f + 2 * (m - 1) > L for f in self.first
+        ):
+            raise IndexError(
+                f"sublattice from {self.first} with {m} sites per axis "
+                f"leaves [-{L}, {L}]^{d}"
+            )
+        self.amplitudes = amps
+
+    def coordinates(self, axis: int) -> NDArray[np.int64]:
+        """Lattice coordinates of the array entries along ``axis``."""
+        return self.first[axis] + 2 * np.arange(self.amplitudes.shape[axis])
+
+    def sites(self) -> tuple[slice, ...]:
+        """Index of the grid's sites in a dense ``(2L+1)^d`` lattice array."""
+        L = self.halfwidth
+        m = self.amplitudes.shape[0]
+        return tuple(slice(f + L, f + L + 2 * m - 1, 2) for f in self.first)
+
+    def expand(self) -> WalkerState:
+        """The same amplitudes as a dense :class:`WalkerState`."""
+        n = 2 * self.halfwidth + 1
+        k = self.amplitudes.shape[-1]
+        amps = np.zeros((n,) * self.dimensionality + (k,), dtype=np.complex128)
+        amps[self.sites()] = self.amplitudes
+        return WalkerState(self.dimensionality, self.halfwidth, amps)
+
 
 def as_coin_state(coin: Sequence[complex], dimensionality: int) -> NDArray[np.complex128]:
     """Validate a coin-state vector: length 2 (1D) or 4 (2D), unit norm."""
@@ -149,7 +214,8 @@ def as_coin_state(coin: Sequence[complex], dimensionality: int) -> NDArray[np.co
             f"coin state must have {want} components for a "
             f"{dimensionality}D walk, got shape {vec.shape}"
         )
-    if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+    # Written so that a NaN norm fails the test.
+    if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:
         raise ValueError(f"coin state is not unit-norm: |coin| = {np.linalg.norm(vec)}")
     return vec
 

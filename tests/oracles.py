@@ -8,16 +8,18 @@ source-site phase, coin bit 0 -> +1 shift).
 import numpy as np
 
 
-def brute_force_walk_1d(t, coin, coin0, phase_at=None):
-    """Amplitudes {(x, c): a} after t steps from the origin.
+def brute_force_walk_1d(t, coin, coin0, phase_at=None, start=0):
+    """Amplitudes {(x, c): a} after t steps from ``start``.
 
+    ``coin`` is a 2x2 matrix, or a function of the site returning one.
     ``phase_at`` maps a lattice site to a phase in radians (source-site
     convention), or None for a homogeneous walk.
     """
-    amps = {(0, 0): complex(coin0[0]), (0, 1): complex(coin0[1])}
+    amps = {(start, 0): complex(coin0[0]), (start, 1): complex(coin0[1])}
     for _ in range(t):
         nxt = {}
         for (x, c), a in amps.items():
+            u = coin(x) if callable(coin) else coin
             f = 1.0
             if phase_at is not None:
                 theta = phase_at(x)
@@ -25,19 +27,24 @@ def brute_force_walk_1d(t, coin, coin0, phase_at=None):
                     f = np.exp(1j * theta)
             for cp in (0, 1):
                 key = (x + (1 - 2 * cp), cp)
-                nxt[key] = nxt.get(key, 0.0) + f * coin[cp][c] * a
+                nxt[key] = nxt.get(key, 0.0) + f * u[cp][c] * a
         amps = nxt
     return amps
 
 
-def brute_force_walk_2d(t, coin4, coin0, phase_at=None):
-    """Amplitudes {(x, y, c, d): a} after t steps from the origin."""
+def brute_force_walk_2d(t, coin4, coin0, phase_at=None, start=(0, 0)):
+    """Amplitudes {(x, y, c, d): a} after t steps from ``start``.
+
+    ``coin4`` is a 4x4 matrix, or a function of (x, y) returning one.
+    """
+    x0, y0 = start
     amps = {
-        (0, 0, k >> 1, k & 1): complex(coin0[k]) for k in range(4) if coin0[k] != 0
+        (x0, y0, k >> 1, k & 1): complex(coin0[k]) for k in range(4) if coin0[k] != 0
     }
     for _ in range(t):
         nxt = {}
         for (x, y, c, d), a in amps.items():
+            u = coin4(x, y) if callable(coin4) else coin4
             f = 1.0
             if phase_at is not None:
                 theta = phase_at(x, y)
@@ -47,7 +54,7 @@ def brute_force_walk_2d(t, coin4, coin0, phase_at=None):
             for kp in range(4):
                 cp, dp = kp >> 1, kp & 1
                 key = (x + (1 - 2 * cp), y + (1 - 2 * dp), cp, dp)
-                nxt[key] = nxt.get(key, 0.0) + f * coin4[kp][k] * a
+                nxt[key] = nxt.get(key, 0.0) + f * u[kp][k] * a
         amps = nxt
     return amps
 

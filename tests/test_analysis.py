@@ -250,3 +250,33 @@ def test_summarize_fields():
     final1 = run_walk(WalkSpec(1, 4, H))
     s1 = summarize(4, final1)
     assert s1.variance_y is None and s1.s_t is None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WalkSpec(2, 9, H2, DefectMap.cross_xy(np.pi)),
+        WalkSpec(2, 4, H2, initial_position=(1, 0), halfwidth=6),  # origin off the grid
+        WalkSpec(1, 12, H, DefectMap.point(0.5), initial_position=-1, halfwidth=15),
+    ],
+)
+def test_summaries_of_the_cone_grid_match_the_dense_state(spec):
+    for report in evolve(spec):
+        grid, dense = report.grid, report.state
+        np.testing.assert_array_equal(distribution(grid).probs, distribution(dense).probs)
+        a, b = summarize(report.step, grid), summarize(report.step, dense)
+        assert a.recurrence == b.recurrence
+        assert a.variance_x == pytest.approx(b.variance_x, rel=1e-12, abs=1e-13)
+        if b.variance_y is not None:
+            assert a.variance_y == pytest.approx(b.variance_y, rel=1e-12, abs=1e-13)
+    ref = distribution(dense)
+    assert summarize(spec.steps, grid, ref).s_t == pytest.approx(0.0, abs=1e-15)
+
+
+def test_nan_probabilities_are_rejected():
+    with pytest.raises(ValueError):
+        Distribution(np.array([0.5, np.nan, 0.5]), 1)
+    state = localized_state(2, 2, (0, 0), symmetric_coin(2))
+    state.amplitudes[1, 1, 0] = np.nan
+    with pytest.raises(ValueError):
+        summarize(0, state)

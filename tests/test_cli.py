@@ -206,3 +206,77 @@ def test_unknown_flag_is_validation_error():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_run_rejects_nan_initial_coin(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    nan_coin = [[float("nan"), 0], [0.5, 0], [0.5, 0], [0.5, 0]]
+    write_config(cfg_path, initial={"position": [0, 0], "coin": nan_coin})
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "out" / "distribution.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "rows", ["x,y,p\n0,abc,1\n", "x,y,p\n0,0\n", "x,y,p\n0,0,nan\n"],
+    ids=["non-numeric", "short-row", "nan"],
+)
+def test_run_rejects_malformed_reference(tmp_path, rows):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2)
+    ref = tmp_path / "ref.csv"
+    ref.write_text(rows)
+    assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"halfwidth": True},
+        {"max_steps": True},
+        {"steps": True},
+        {"dimensionality": True, "defect": "none", "initial": {"position": 0}},
+        {"halfwidth": 3, "initial": {"position": [True, 0]}},
+    ],
+    ids=["halfwidth", "max_steps", "steps", "dimensionality", "position"],
+)
+def test_run_rejects_bool_for_integer_keys(tmp_path, overrides):
+    # Each config would be valid with 1 in place of true.
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path, **{"steps": 1, **overrides})
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    cfg_path.write_text(json.dumps(cfg).replace("true", "1"))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+
+
+@pytest.mark.parametrize("key", ["halfwidth", "trials", "seed"])
+def test_isocheck_rejects_bool_config_values(tmp_path, key):
+    cfg_path = tmp_path / "iso.json"
+    cfg_path.write_text(json.dumps({key: True}))
+    assert main(["isocheck", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+def test_custom_defect_echo_reproduces_the_run(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    table = {"0,0": "pi:0.5", "1,-1": 0.25, "-2,2": "pi:1"}
+    write_config(cfg_path, steps=6, defect={"kind": "custom", "table": table})
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    first = tmp_path / "out"
+    echo = json.loads((first / "summary.json").read_text())["config"]
+    assert echo["defect"]["table"] == {
+        "0,0": pytest.approx(np.pi / 2), "1,-1": 0.25, "-2,2": pytest.approx(np.pi)
+    }
+
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps({**echo, "out_dir": str(tmp_path / "again")}))
+    assert main(["run", "--config", str(again)]) == 0
+    assert (tmp_path / "again" / "distribution.csv").read_bytes() == (
+        first / "distribution.csv"
+    ).read_bytes()
+
+
+def test_builtin_defect_echo_has_no_table(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+    assert echo["defect"] == {"kind": "cross_xy", "phi": np.pi}

@@ -155,6 +155,8 @@ def test_su4_compose_rejects_nonunitary():
     bad = np.array([[1, 0], [0, 2]], dtype=complex)
     with pytest.raises(ValueError):
         su4_compose(bad, IDENTITY2, IDENTITY2, IDENTITY2, 0, 0, 0)
+    with pytest.raises(ValueError):
+        su4_compose(IDENTITY2 * np.nan, IDENTITY2, IDENTITY2, IDENTITY2, 0, 0, 0)
 
 
 def test_unitarity_check_values():
@@ -195,3 +197,5 @@ def test_coin_field_rejects_nonunitary_entry():
         CoinField(1, np.array([[1, 0], [0, 2]], dtype=complex))
     with pytest.raises(ValueError):
         CoinField(2, IDENTITY4, {(0, 0): np.ones((4, 4), dtype=complex)})
+    with pytest.raises(ValueError):
+        CoinField(1, np.full((2, 2), np.nan, dtype=complex))

@@ -1,6 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qwalk.analysis import distribution
+from qwalk.cli import write_distribution_csv
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor, unitarity_check
 from qwalk.evolution import (
     MAX_MATRIX_DIM,
@@ -12,9 +19,9 @@ from qwalk.evolution import (
     evolve,
     run_walk,
 )
-from qwalk.statespace import WalkerState, localized_state, symmetric_coin
+from qwalk.statespace import SublatticeState, WalkerState, localized_state, symmetric_coin
 
-from oracles import brute_force_walk_1d, distribution_1d
+from oracles import brute_force_walk_1d, brute_force_walk_2d, distribution_1d
 
 H = hadamard()
 H2 = tensor(H, H)
@@ -291,3 +298,167 @@ def test_step_matrix_dimension_cap():
 def test_step_matrix_rejects_open_boundary():
     with pytest.raises(ValueError):
         build_step_matrix(1, 2, H, boundary="open")
+
+
+# ------------------------------------------- light-cone kernel vs oracle
+
+
+def _random_coin(rng, dim):
+    if dim == 1:
+        return random_su2(rng)
+    return tensor(random_su2(rng), random_su2(rng)) @ fractional_swap(rng.uniform())
+
+
+@st.composite
+def walk_cases(draw):
+    """A small random walk, plus the oracle's view of its coin and defect.
+
+    The lattice always holds the whole light cone, so the open boundary
+    runs the sublattice kernel and the periodic one the full-lattice
+    kernel, and neither walk feels the edge the oracle does not have.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    steps = draw(st.integers(0, 6))
+    start = tuple(draw(st.integers(-2, 2)) for _ in range(dim))
+    L = max(steps + max(map(abs, start)) + draw(st.integers(0, 2)), 1)
+    boundary = draw(st.sampled_from(["open", "periodic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    site = st.integers(-L, L)
+    key = site if dim == 1 else st.tuples(site, site)
+
+    def lookup(table, default):
+        return lambda *s: table.get(s[0] if dim == 1 else s, default)
+
+    coin = oracle_coin = _random_coin(rng, dim)
+    coin_sites = draw(st.lists(key, max_size=4, unique=True))
+    if coin_sites:
+        coins = {s: _random_coin(rng, dim) for s in coin_sites}
+        coin, oracle_coin = CoinField(dim, coin, coins), lookup(coins, coin)
+
+    kinds = ["none", "point", "custom"] + (["line_y", "cross_xy"] if dim == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    phi = float(rng.uniform(-np.pi, np.pi))
+    if kind == "custom":
+        sites = draw(st.lists(key, max_size=5, unique=True))
+        phases = {s: float(rng.uniform(-np.pi, np.pi)) for s in sites}
+        defect = DefectMap.custom(phases)
+        phase_at = lookup(phases, 0.0)
+    else:
+        defect = DefectMap(kind, phi) if kind != "none" else DefectMap.none()
+        phase_at = {
+            "none": None,
+            "point": lambda *s: phi if not any(s) else 0.0,
+            "line_y": lambda x, y: phi if y == 0 else 0.0,
+            "cross_xy": lambda x, y: phi * ((x == 0) + (y == 0)),
+        }[kind]
+
+    coin0 = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+    coin0 = coin0 / np.linalg.norm(coin0)
+    spec = WalkSpec(
+        dim, steps, coin, defect,
+        initial_position=start[0] if dim == 1 else start,
+        initial_coin=coin0, boundary=boundary, halfwidth=L,
+    )
+    return spec, oracle_coin, phase_at, coin0, start
+
+
+def _dense(amps, dim, L):
+    """The oracle's amplitude dict as a dense array of the package's layout."""
+    out = np.zeros((2 * L + 1,) * dim + (2 * dim,), dtype=complex)
+    for key, a in amps.items():
+        if dim == 1:
+            x, c = key
+            out[x + L, c] = a
+        else:
+            x, y, c, d = key
+            out[x + L, y + L, 2 * c + d] = a
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+def test_evolve_matches_oracle(case):
+    spec, oracle_coin, phase_at, coin0, start = case
+    dim, L = spec.dimensionality, spec.halfwidth
+    if dim == 1:
+        amps = brute_force_walk_1d(spec.steps, oracle_coin, coin0, phase_at, start[0])
+    else:
+        amps = brute_force_walk_2d(spec.steps, oracle_coin, coin0, phase_at, start)
+    np.testing.assert_allclose(
+        run_walk(spec).amplitudes, _dense(amps, dim, L), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WalkSpec(2, 20, H2, DefectMap.cross_xy(np.pi)),
+        WalkSpec(1, 30, random_su2(np.random.default_rng(5)), DefectMap.point(0.9)),
+        WalkSpec(
+            2, 8,
+            CoinField(2, H2, {(1, 1): fractional_swap(0.3), (-2, 3): np.eye(4)}),
+            DefectMap.custom({(0, 1): 0.4, (-1, 3): -2.0}),
+            initial_position=(1, -2), halfwidth=12,
+        ),
+    ],
+    ids=["2d-cross", "1d-point-su2", "2d-field-custom-offcentre"],
+)
+def test_cone_kernel_matches_full_lattice_kernel(spec, tmp_path):
+    step = apply_step_1d if spec.dimensionality == 1 else apply_step_2d
+    manual = spec.initial_state()
+    for report in evolve(spec):
+        assert isinstance(report.grid, SublatticeState)
+        manual = step(manual, spec.coin, spec.defect)
+        np.testing.assert_allclose(
+            report.state.amplitudes, manual.amplitudes, rtol=0, atol=1e-13
+        )
+    write_distribution_csv(tmp_path / "cone.csv", distribution(report.grid))
+    write_distribution_csv(tmp_path / "full.csv", distribution(manual))
+    assert (tmp_path / "cone.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_report_state_is_dense_walker_state(boundary):
+    spec = WalkSpec(2, 3, H2, DefectMap.line_y(0.4), halfwidth=7, boundary=boundary)
+    for report in evolve(spec):
+        state = report.state
+        assert isinstance(state, WalkerState)
+        assert state.halfwidth == 7
+        assert state.amplitudes.shape == (15, 15, 4)
+        assert report.state is state  # expanded once, then cached
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    expected = SublatticeState if boundary == "open" else WalkerState
+    assert isinstance(report.grid, expected)
+
+
+def test_held_reports_keep_their_own_amplitudes():
+    spec = WalkSpec(2, 5, H2, DefectMap.cross_xy(0.7))
+    reports = list(evolve(spec))
+    manual = spec.initial_state()
+    for report in reports:
+        manual = apply_step_2d(manual, H2, spec.defect)
+        np.testing.assert_allclose(report.state.amplitudes, manual.amplitudes, atol=1e-13)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_nan_norm_residual_raises(boundary):
+    # A NaN phase poisons the amplitudes; the residual check must fire
+    # rather than let NaN reports through.
+    spec = WalkSpec(2, 3, H2, DefectMap.custom({(1, 1): float("nan")}), boundary=boundary)
+    with pytest.raises(RuntimeError, match="norm residual nan"):
+        run_walk(spec)
+
+
+def test_oracles_share_no_code_with_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        (node.module or "").split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert imported == {"numpy"}

@@ -4,6 +4,7 @@ import pytest
 from qwalk.statespace import (
     BasisLabel1D,
     BasisLabel2D,
+    SublatticeState,
     WalkerState,
     as_coin_state,
     localized_state,
@@ -48,6 +49,8 @@ def test_localized_state_rejects_nonunit_coin():
         localized_state(1, 5, 0, [1, 1])
     with pytest.raises(ValueError):
         as_coin_state([0.5, 0.5, 0.5, 0.6], 2)
+    with pytest.raises(ValueError):
+        as_coin_state([float("nan"), 0.5, 0.5, 0.5], 2)
 
 
 def test_pack_order_1d():
@@ -142,3 +145,28 @@ def test_symmetric_coin_is_unit():
     np.testing.assert_allclose(
         symmetric_coin(2), np.kron(symmetric_coin(1), symmetric_coin(1))
     )
+
+
+def test_sublattice_expand_places_sites_two_apart():
+    with pytest.raises(ValueError):
+        SublatticeState(2, 3, (0, 0), np.zeros((2, 2, 2)))  # 2D needs 4 components
+    amps = np.arange(16, dtype=complex).reshape(2, 2, 4)
+    grid = SublatticeState(2, 3, (-1, 0), amps)
+    dense = grid.expand()
+    assert dense.amplitudes.shape == (7, 7, 4)
+    np.testing.assert_array_equal(grid.coordinates(0), [-1, 1])
+    np.testing.assert_array_equal(grid.coordinates(1), [0, 2])
+    for i, x in enumerate(grid.coordinates(0)):
+        for j, y in enumerate(grid.coordinates(1)):
+            np.testing.assert_array_equal(dense.amplitudes[x + 3, y + 3], amps[i, j])
+    assert np.count_nonzero(dense.amplitudes.sum(axis=-1)) == 4
+
+
+def test_sublattice_must_fit_the_lattice():
+    SublatticeState(1, 2, (-2,), np.zeros((3, 2)))  # sites -2, 0, 2
+    with pytest.raises(IndexError):
+        SublatticeState(1, 2, (-1,), np.zeros((3, 2)))  # would reach x = 3
+    with pytest.raises(IndexError):
+        SublatticeState(2, 2, (0, -3), np.zeros((1, 1, 4)))
+    with pytest.raises(ValueError):
+        SublatticeState(2, 2, (0, 0), np.zeros((1, 2, 4)))  # not square
