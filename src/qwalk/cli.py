@@ -51,6 +51,10 @@ __all__ = ["main"]
 ISO_TOL = 1e-12
 DEFAULT_SEED = 7
 DEFAULT_STEP_CAP = 2000
+# Cap on the lattice sites (2L+1)^d of a run or sweep, checked before
+# anything is allocated.  2^24 admits a 2D walk of DEFAULT_STEP_CAP steps
+# at its default halfwidth (4001^2 sites).
+MAX_LATTICE_SITES = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -228,6 +232,11 @@ def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
     halfwidth = cfg.get("halfwidth")
     if halfwidth is not None and (not _is_int(halfwidth) or halfwidth < 1):
         raise ConfigError(f"halfwidth: must be a positive integer, got {halfwidth!r}")
+    sites = (2 * (halfwidth or max(steps, 1)) + 1) ** dimensionality
+    if sites > MAX_LATTICE_SITES:
+        raise ConfigError(
+            f"halfwidth: the lattice has {sites} sites, above the cap {MAX_LATTICE_SITES}"
+        )
     boundary = cfg.get("boundary", "open")
     if boundary not in ("open", "periodic"):
         raise ConfigError(f"boundary: must be 'open' or 'periodic', got {boundary!r}")

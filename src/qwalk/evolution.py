@@ -12,7 +12,11 @@ only on the coin subspace); applying the phase before or after the shift
 does not, and the source-site choice is part of the contract.
 
 Shift convention: coin bit 0 moves its axis by +1, coin bit 1 by -1; the
-first coin bit steers x, the second steers y.
+first coin bit steers x, the second steers y.  ``_DIAGONAL_MOVES`` writes
+this down once, as the displacement of each coin index, and every shift
+reads it: the full-lattice and light-cone kernels and the dense step
+matrix.  The unit-axis walk of :mod:`qwalk.isomorphism` runs the same
+code with its own table.
 
 Boundaries: ``"open"`` requires halfwidth >= steps so an origin-started
 walker never touches the edge (a step that would push amplitude past the
@@ -36,6 +40,7 @@ lattice.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterator, Literal, Mapping, Sequence
@@ -74,6 +79,10 @@ STEP_NORM_TOL = 1e-10
 
 # Dense step matrices are capped at this total dimension.
 MAX_MATRIX_DIM = 16384
+
+# Coin index -> displacement per axis, by dimensionality; 2D coin indices
+# are k = 2c + d.
+_DIAGONAL_MOVES = {1: ((1,), (-1,)), 2: ((1, 1), (1, -1), (-1, 1), (-1, -1))}
 
 
 @dataclass(frozen=True)
@@ -140,46 +149,52 @@ class DefectMap:
         self, halfwidth: int, dimensionality: int
     ) -> NDArray[np.complex128] | None:
         """Dense per-site phase factors, or None when trivially 1."""
-        self.validate(dimensionality)
-        L = halfwidth
-        n = 2 * L + 1
-        if self.kind == "none":
+        applier = _phase_applier(self, halfwidth, dimensionality)
+        if applier is None:
             return None
-        f = np.exp(1j * self.phi)
-        if dimensionality == 1:
-            grid = np.ones(n, dtype=np.complex128)
-            if self.kind == "point":
-                grid[L] = f
-            elif self.kind == "custom":
-                for x, theta in (self.table or {}).items():  # type: ignore[union-attr]
-                    if abs(int(x)) > L:
-                        raise IndexError(f"custom defect site x={x} outside [-{L}, {L}]")
-                    grid[int(x) + L] = np.exp(1j * theta)
-            else:
-                raise ValueError(f"defect {self.kind!r} is only defined for 2D walks")
-            return grid
-        grid2 = np.ones((n, n), dtype=np.complex128)
-        if self.kind == "line_y":
-            grid2[:, L] *= f
-        elif self.kind == "cross_xy":
-            grid2[L, :] *= f
-            grid2[:, L] *= f
-        elif self.kind == "point":
-            grid2[L, L] = f
-        elif self.kind == "custom":
-            for key, theta in (self.table or {}).items():
-                x, y = key  # type: ignore[misc]
-                if abs(x) > L or abs(y) > L:
-                    raise IndexError(f"custom defect site {key} outside [-{L}, {L}]^2")
-                grid2[x + L, y + L] = np.exp(1j * theta)
-        return grid2
+        shape = (2 * halfwidth + 1,) * dimensionality
+        grid = np.ones(shape + (1,), dtype=np.complex128)
+        applier(grid, (slice(None),) * dimensionality)
+        return grid[..., 0]
+
+
+def _site_index(
+    table: Mapping, halfwidth: int, dimensionality: int, what: str
+) -> NDArray[np.int64]:
+    """Lattice array indices, shape (P, d), of the keys of a site table
+    (ints in 1D, (x, y) tuples in 2D); a site off the lattice raises
+    IndexError, a non-integer coordinate TypeError."""
+    L = halfwidth
+    rows = [[operator.index(v) for v in np.atleast_1d(key)] for key in table]
+    index = np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality)
+    for key, off in zip(table, (np.abs(index) > L).any(axis=1)):
+        if off:
+            raise IndexError(f"{what} site {key} outside [-{L}, {L}]^{dimensionality}")
+    return index + L
+
+
+def _on_sites(
+    index: NDArray[np.int64], sites: tuple[slice, ...], n: int
+) -> tuple[NDArray[np.bool_], tuple[NDArray[np.int64], ...]]:
+    """Which lattice array indices ``index`` (P, d) fall on the array whose
+    sites are ``sites``, and their positions in that array."""
+    keep = np.ones(len(index), dtype=bool)
+    pos = []
+    for i, s in zip(index.T, sites):
+        start, stop, stride = s.indices(n)
+        q, r = np.divmod(i - start, stride)
+        keep &= (r == 0) & (i >= start) & (i < stop)
+        pos.append(q)
+    return keep, tuple(q[keep] for q in pos)
 
 
 # A phase applier multiplies the post-coin array in place by the phase of
 # each source site.  ``sites`` indexes the array's sites in a dense
 # (2L+1)^d lattice array (all of it, or the light-cone sublattice), so one
-# applier serves both kernels; line/cross/point defects touch only their
-# slices, keeping everything else bitwise untouched.
+# applier serves both kernels and, applied to ones, gives the dense
+# ``phase_grid``.  Each defect touches only its own lines or sites, keeping
+# everything else bitwise untouched, and no applier holds a table of the
+# whole lattice.
 _Applier = Callable[[NDArray[np.complex128], tuple[slice, ...]], None]
 
 
@@ -191,34 +206,28 @@ def _phase_applier(
     defect.validate(dimensionality)
     L = halfwidth
     n = 2 * L + 1
-    if defect.kind == "custom":
-        grid = defect.phase_grid(L, dimensionality)
-        assert grid is not None
+    if defect.kind in ("point", "custom"):
+        table = defect.table or {}
+        if defect.kind == "point":
+            table = {(0,) * dimensionality: defect.phi}
+        index = _site_index(table, L, dimensionality, "custom defect")
+        factors = np.array([np.exp(1j * t) for t in table.values()], dtype=np.complex128)
 
-        def apply_custom(m, sites):
-            m *= grid[sites][..., None]
-        return apply_custom
-
-    def zero_index(sites, axis):
-        # Array index of the lattice coordinate 0 along ``axis``, if present.
-        rows = range(n)[sites[axis]]
-        return rows.index(L) if L in rows else None
+        def apply_sites(m, sites):
+            keep, idx = _on_sites(index, sites, n)
+            m[idx] *= factors[keep, None]
+        return apply_sites
 
     f = np.exp(1j * defect.phi)
-    if defect.kind == "point":
-        def apply_point(m, sites):
-            idx = tuple(zero_index(sites, a) for a in range(dimensionality))
-            if None not in idx:
-                m[idx] *= f
-        return apply_point
     # line_y: the line y = 0; cross_xy: x = 0, then y = 0.
     axes = (1,) if defect.kind == "line_y" else (0, 1)
 
     def apply_lines(m, sites):
         for axis in axes:
-            i = zero_index(sites, axis)
-            if i is not None:
-                m[(slice(None),) * axis + (i,)] *= f
+            # Array index of the lattice coordinate 0 along ``axis``, if present.
+            rows = range(n)[sites[axis]]
+            if L in rows:
+                m[(slice(None),) * axis + (rows.index(L),)] *= f
     return apply_lines
 
 
@@ -227,6 +236,8 @@ class _Stepper:
 
     ``step`` advances a dense state on the full lattice (open or periodic
     boundary); ``cone_step`` advances a :class:`SublatticeState`.
+    ``moves[c]`` is the displacement of coin component c, per axis; it
+    defaults to the diagonal walk's ``_DIAGONAL_MOVES``.
     """
 
     def __init__(
@@ -236,20 +247,20 @@ class _Stepper:
         coin: NDArray[np.complex128] | CoinField,
         defect: DefectMap | None,
         boundary: Boundary,
+        moves: Sequence[tuple[int, ...]] | None = None,
     ):
         if boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
         self.dim = dimensionality
         self.halfwidth = halfwidth
         self.boundary = boundary
+        self.moves = _DIAGONAL_MOVES[dimensionality] if moves is None else moves
         fld = as_coin_field(coin, dimensionality)
-        # Uniform coins go through one GEMM; per-site fields use einsum.
-        self.coin_t: NDArray[np.complex128] | None = (
-            fld.default.T.copy() if fld.is_uniform else None
-        )
-        self.stacked: NDArray[np.complex128] | None = (
-            None if fld.is_uniform else fld.stacked(halfwidth)
-        )
+        # Every site is mixed by the default coin in one GEMM; the sites a
+        # per-site field lists are then mixed again with their own coins.
+        self.coin_t = fld.default.T.copy()
+        self.coin_index = _site_index(fld.table, halfwidth, dimensionality, "coin")
+        self.coin_table = np.array(list(fld.table.values()), dtype=np.complex128)
         self.applier = _phase_applier(defect, halfwidth, dimensionality)
 
     def _mixed(
@@ -259,84 +270,61 @@ class _Stepper:
         out: NDArray[np.complex128] | None = None,
     ) -> NDArray[np.complex128]:
         """Coin, then source-site phase, on the lattice sites ``sites``."""
-        if self.coin_t is not None:
-            k = amps.shape[-1]
-            flat = None if out is None else out.reshape(-1, k)
-            mixed = np.matmul(amps.reshape(-1, k), self.coin_t, out=flat)
-            mixed = mixed.reshape(amps.shape)
-        else:
-            mixed = np.einsum("...ij,...j->...i", self.stacked[sites], amps, out=out)
+        k = amps.shape[-1]
+        flat = None if out is None else out.reshape(-1, k)
+        mixed = np.matmul(amps.reshape(-1, k), self.coin_t, out=flat)
+        mixed = mixed.reshape(amps.shape)
+        if len(self.coin_table):
+            keep, idx = _on_sites(self.coin_index, sites, 2 * self.halfwidth + 1)
+            mixed[idx] = np.einsum("pij,pj->pi", self.coin_table[keep], amps[idx])
         if self.applier is not None:
             self.applier(mixed, sites)
         return mixed
 
     def step(self, state: WalkerState) -> WalkerState:
         m = self._mixed(state.amplitudes, (slice(None),) * self.dim)
-        shifted = self._shift_1d(m) if self.dim == 1 else self._shift_2d(m)
-        return WalkerState(self.dim, self.halfwidth, shifted)
+        return WalkerState(self.dim, self.halfwidth, self._shift(m))
 
     def cone_step(
         self, grid: SublatticeState, scratch: NDArray[np.complex128]
     ) -> SublatticeState:
         """One step of a sublattice grid of m sites per axis, giving m + 1.
 
-        ``scratch`` holds at least ``grid.amplitudes.size`` entries.  Coin
-        bit 0 moves site ``first + 2i`` to ``(first - 1) + 2(i + 1)``, so
-        each component lands in the output at offset 1 (bit 0) or 0
-        (bit 1) per axis; the one row it leaves empty is zeroed.
+        ``scratch`` holds at least ``grid.amplitudes.size`` entries.  A
+        move of +1 takes site ``first + 2i`` to ``(first - 1) + 2(i + 1)``,
+        so along each axis a component lands in the output at offset
+        ``(1 + move) // 2``: 1 for a +1 move, 0 for a -1 move; the one row
+        it leaves empty is zeroed.
         """
         a = grid.amplitudes
         m = self._mixed(a, grid.sites(), scratch[: a.size].reshape(a.shape))
         n = a.shape[0]
         out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
-        for c in range(a.shape[-1]):
-            bits = (c,) if self.dim == 1 else (c >> 1, c & 1)
-            out[tuple(slice(1 - b, n + 1 - b) for b in bits) + (c,)] = m[..., c]
-            for axis, b in enumerate(bits):
-                out[(slice(None),) * axis + (n if b else 0, Ellipsis, c)] = 0
+        for c, move in enumerate(self.moves):
+            offsets = [(1 + s) // 2 for s in move]
+            out[tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
+            for axis, o in enumerate(offsets):
+                out[(slice(None),) * axis + ((1 - o) * n, Ellipsis, c)] = 0
         first = tuple(f - 1 for f in grid.first)
         return SublatticeState(self.dim, self.halfwidth, first, out)
 
-    def _shift_1d(self, m: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        if self.boundary == "periodic":
-            out = np.empty_like(m)
-            out[:, 0] = np.roll(m[:, 0], 1)
-            out[:, 1] = np.roll(m[:, 1], -1)
-            return out
-        if m[-1, 0] != 0 or m[0, 1] != 0:
+    def _shift(self, m: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """Move each coin component of the full lattice by its table entry."""
+        out = np.empty_like(m)
+        for c, move in enumerate(self.moves):
+            out[..., c] = np.roll(m[..., c], move, axis=tuple(range(self.dim)))
+        # On the open lattice the slab a roll carries around an edge is the
+        # amplitude the move would push past that edge, so it must be zero.
+        if self.boundary == "open" and any(
+            np.any(out[(slice(None),) * axis + (0 if s > 0 else -1, Ellipsis, c)])
+            for c, move in enumerate(self.moves)
+            for axis, s in enumerate(move)
+            if s
+        ):
             raise IndexError(
                 "step would shift amplitude past the open lattice edge; "
                 "use halfwidth >= steps"
             )
-        out = np.zeros_like(m)
-        out[1:, 0] = m[:-1, 0]
-        out[:-1, 1] = m[1:, 1]
-        return out
-
-    def _shift_2d(self, m: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        if self.boundary == "periodic":
-            out = np.empty_like(m)
-            out[:, :, 0] = np.roll(m[:, :, 0], (1, 1), axis=(0, 1))
-            out[:, :, 1] = np.roll(m[:, :, 1], (1, -1), axis=(0, 1))
-            out[:, :, 2] = np.roll(m[:, :, 2], (-1, 1), axis=(0, 1))
-            out[:, :, 3] = np.roll(m[:, :, 3], (-1, -1), axis=(0, 1))
-            return out
-        edges = (
-            np.any(m[-1, :, 0]) or np.any(m[:, -1, 0])
-            or np.any(m[-1, :, 1]) or np.any(m[:, 0, 1])
-            or np.any(m[0, :, 2]) or np.any(m[:, -1, 2])
-            or np.any(m[0, :, 3]) or np.any(m[:, 0, 3])
-        )
-        if edges:
-            raise IndexError(
-                "step would shift amplitude past the open lattice edge; "
-                "use halfwidth >= steps"
-            )
-        out = np.zeros_like(m)
-        out[1:, 1:, 0] = m[:-1, :-1, 0]   # (c,d)=(0,0): x+1, y+1
-        out[1:, :-1, 1] = m[:-1, 1:, 1]   # (0,1): x+1, y-1
-        out[:-1, 1:, 2] = m[1:, :-1, 2]   # (1,0): x-1, y+1
-        out[:-1, :-1, 3] = m[1:, 1:, 3]   # (1,1): x-1, y-1
         return out
 
 
@@ -510,43 +498,39 @@ def build_step_matrix(
     """
     if boundary != "periodic":
         raise ValueError("build_step_matrix supports only the periodic boundary")
+    return _step_matrix(
+        dimensionality, halfwidth, coin, defect, _DIAGONAL_MOVES[dimensionality]
+    )
+
+
+def _step_matrix(
+    dimensionality: int,
+    halfwidth: int,
+    coin: NDArray[np.complex128] | CoinField,
+    defect: DefectMap | None,
+    moves: Sequence[tuple[int, ...]],
+) -> NDArray[np.complex128]:
+    """Dense periodic step matrix of the walk whose coin component c moves
+    by ``moves[c]``, built by one index scatter.
+
+    Column (site, c) holds phase(site) * coin(site)[:, c], with row c'
+    at site + moves[c'] (mod 2L+1).
+    """
     dim_total = state_dimension(dimensionality, halfwidth)
     if dim_total > MAX_MATRIX_DIM:
         raise ValueError(
             f"step matrix dimension {dim_total} exceeds cap {MAX_MATRIX_DIM}"
         )
-    fld = as_coin_field(coin, dimensionality)
-    defect = defect or DefectMap.none()
-    grid = defect.phase_grid(halfwidth, dimensionality)
-    L = halfwidth
-    n = 2 * L + 1
+    d, k = dimensionality, 2 * dimensionality
+    shape = (2 * halfwidth + 1,) * d
+    blocks = as_coin_field(coin, d).stacked(halfwidth)
+    grid = (defect or DefectMap.none()).phase_grid(halfwidth, d)
+    if grid is not None:
+        blocks = grid[..., None, None] * blocks
+    sites = np.indices(shape).reshape(d, 1, -1)
+    # target[c, s]: flat index of the site that component c of site s moves to.
+    target = np.ravel_multi_index(sites + np.transpose(moves)[..., None], shape, mode="wrap")
+    cols = np.arange(target.shape[1])[:, None] * k + np.arange(k)
     U = np.zeros((dim_total, dim_total), dtype=np.complex128)
-    if dimensionality == 1:
-        for x in range(-L, L + 1):
-            cmat = fld.at(x)
-            phase = 1.0 if grid is None else grid[x + L]
-            col0 = (x + L) * 2
-            for cp in range(2):
-                xp = _wrap(x + (1 - 2 * cp), L)
-                row0 = (xp + L) * 2
-                for c in range(2):
-                    U[row0 + cp, col0 + c] = phase * cmat[cp, c]
-        return U
-    for x in range(-L, L + 1):
-        for y in range(-L, L + 1):
-            cmat = fld.at((x, y))
-            phase = 1.0 if grid is None else grid[x + L, y + L]
-            col0 = ((x + L) * n + (y + L)) * 4
-            for kp in range(4):
-                cp, dp = kp >> 1, kp & 1
-                xp = _wrap(x + (1 - 2 * cp), L)
-                yp = _wrap(y + (1 - 2 * dp), L)
-                row0 = ((xp + L) * n + (yp + L)) * 4
-                for k in range(4):
-                    U[row0 + kp, col0 + k] = phase * cmat[kp, k]
+    U[(target.T * k + np.arange(k))[:, :, None], cols[:, None, :]] = blocks.reshape(-1, k, k)
     return U
-
-
-def _wrap(v: int, halfwidth: int) -> int:
-    n = 2 * halfwidth + 1
-    return (v + halfwidth) % n - halfwidth

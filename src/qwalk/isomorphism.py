@@ -18,9 +18,12 @@ automorphism once composed with halving (2 is invertible mod n, with
 
 Under this bijection the simultaneous two-walker shift maps exactly onto
 unit axis moves: coin (0,0) -> x+1, (0,1) -> y+1, (1,0) -> y-1,
-(1,1) -> x-1.  The verification here is numeric and exact: both step
-matrices are built independently and compared entry by entry after
-conjugation by the basis permutation.
+(1,1) -> x-1.  The verification here is numeric and exact: one index
+scatter builds both step matrices, one from the two walkers' diagonal
+move table and one from the single walker's axis move table, and they are
+compared entry by entry after conjugation by the basis permutation.  The
+scatter and the move tables are checked on their own against the
+independent brute-force walk of the test oracle.
 """
 
 from __future__ import annotations
@@ -37,14 +40,14 @@ from .coins import (
     IDENTITY4,
     PAULI_Z,
     CoinField,
-    as_coin_field,
+    as_coin_field,  # unused here; perfbench/spans.py WRAPPED patches it
     fractional_swap,
     random_su2,
     su4_compose,
     tensor,
 )
-from .evolution import MAX_MATRIX_DIM, DefectMap, build_step_matrix
-from .statespace import WalkerState, as_coin_state, state_dimension
+from .evolution import DefectMap, _step_matrix, _Stepper, build_step_matrix
+from .statespace import WalkerState, localized_state
 
 __all__ = [
     "coordinate_forward",
@@ -72,11 +75,6 @@ def coordinate_forward(x: int, y: int) -> tuple[int, int]:
     return x + y, x - y
 
 
-def _wrap(v: int, halfwidth: int) -> int:
-    n = 2 * halfwidth + 1
-    return (v + halfwidth) % n - halfwidth
-
-
 @dataclass(frozen=True)
 class BasisPermutation:
     """Relabeling of the two-walker packed basis onto the 2D packed basis.
@@ -102,16 +100,10 @@ class BasisPermutation:
         n = 2 * L + 1
         inv2 = (n + 1) // 2
         fwd = pair_map or coordinate_forward
-        idx = np.empty(4 * n * n, dtype=np.int64)
-        for x in range(-L, L + 1):
-            for y in range(-L, L + 1):
-                u, v = fwd(x, y)
-                X = _wrap(inv2 * u, L)
-                Y = _wrap(inv2 * v, L)
-                src = ((x + L) * n + (y + L)) * 4
-                dst = ((X + L) * n + (Y + L)) * 4
-                for k in range(4):
-                    idx[src + k] = dst + k
+        images = [fwd(x, y) for x in range(-L, L + 1) for y in range(-L, L + 1)]
+        # Array indices of the halved images, wrapped onto the lattice.
+        X, Y = (inv2 * np.array(images, dtype=np.int64).T + L) % n
+        idx = ((X * n + Y)[:, None] * 4 + np.arange(4)).ravel()
         if len(np.unique(idx)) != idx.size:
             raise ValueError("pair map does not induce a bijection on the lattice")
         return cls(L, idx)
@@ -135,12 +127,6 @@ class BasisPermutation:
         return k // n - L, k % n - L
 
 
-def _check_cap(halfwidth: int) -> None:
-    dim = state_dimension(2, halfwidth)
-    if dim > MAX_MATRIX_DIM:
-        raise ValueError(f"matrix dimension {dim} exceeds cap {MAX_MATRIX_DIM}")
-
-
 def build_two_walker_matrix(
     halfwidth: int,
     coin4: NDArray[np.complex128] | CoinField,
@@ -153,12 +139,11 @@ def build_two_walker_matrix(
     the single-step 2D walk matrix, which is exactly the point of the
     equivalence.
     """
-    _check_cap(halfwidth)
     return build_step_matrix(2, halfwidth, coin4, defect, "periodic")
 
 
-# Post-coin (c,d) -> unit axis move of the single 2D walker.
-_AXIS_MOVES = {0: (1, 0), 1: (0, 1), 2: (0, -1), 3: (-1, 0)}
+# Post-coin index k = 2c + d -> unit axis move of the single 2D walker.
+_AXIS_MOVES = ((1, 0), (0, 1), (0, -1), (-1, 0))
 
 
 def transformed_step_matrix(
@@ -172,25 +157,7 @@ def transformed_step_matrix(
     :func:`transform_defect` to carry a two-walker defect across).  A
     site-dependent ``CoinField`` is likewise keyed by 2D coordinates.
     """
-    _check_cap(halfwidth)
-    fld = as_coin_field(coin4, 2)
-    grid = (defect or DefectMap.none()).phase_grid(halfwidth, 2)
-    L = halfwidth
-    n = 2 * L + 1
-    dim = 4 * n * n
-    U = np.zeros((dim, dim), dtype=np.complex128)
-    for X in range(-L, L + 1):
-        for Y in range(-L, L + 1):
-            cmat = fld.at((X, Y))
-            phase = 1.0 if grid is None else grid[X + L, Y + L]
-            col0 = ((X + L) * n + (Y + L)) * 4
-            for kp, (dX, dY) in _AXIS_MOVES.items():
-                Xp = _wrap(X + dX, L)
-                Yp = _wrap(Y + dY, L)
-                row0 = ((Xp + L) * n + (Yp + L)) * 4
-                for k in range(4):
-                    U[row0 + kp, col0 + k] = phase * cmat[kp, k]
-    return U
+    return _step_matrix(2, halfwidth, coin4, defect, _AXIS_MOVES)
 
 
 def transform_defect(defect: DefectMap | None, halfwidth: int) -> DefectMap:
@@ -206,13 +173,12 @@ def transform_defect(defect: DefectMap | None, halfwidth: int) -> DefectMap:
     assert grid is not None
     perm = BasisPermutation.build(halfwidth)
     L = halfwidth
-    table: dict[tuple[int, int], float] = {}
-    for x in range(-L, L + 1):
-        for y in range(-L, L + 1):
-            f = grid[x + L, y + L]
-            if f != 1.0:
-                table[perm.site_image(x, y)] = float(np.angle(f))
-    return DefectMap.custom(table)
+    return DefectMap.custom(
+        {
+            perm.site_image(x - L, y - L): float(np.angle(grid[x, y]))
+            for x, y in np.argwhere(grid != 1.0).tolist()
+        }
+    )
 
 
 def verify_isomorphism(
@@ -356,20 +322,11 @@ def axis_walk_state(
     L = halfwidth if halfwidth is not None else max(steps, 1)
     if L < steps:
         raise ValueError(f"halfwidth {L} < steps {steps}")
-    coin = np.asarray(coin4, dtype=np.complex128)
-    vec = as_coin_state(initial_coin, 2)
-    n = 2 * L + 1
-    amps = np.zeros((n, n, 4), dtype=np.complex128)
-    amps[L, L, :] = vec
+    stepper = _Stepper(2, L, coin4, None, "open", _AXIS_MOVES)
+    state = localized_state(2, L, (0, 0), initial_coin)
     for _ in range(steps):
-        mixed = (amps.reshape(-1, 4) @ coin.T).reshape(n, n, 4)
-        out = np.zeros_like(mixed)
-        out[1:, :, 0] = mixed[:-1, :, 0]   # (0,0): x+1
-        out[:, 1:, 1] = mixed[:, :-1, 1]   # (0,1): y+1
-        out[:, :-1, 2] = mixed[:, 1:, 2]   # (1,0): y-1
-        out[:-1, :, 3] = mixed[1:, :, 3]   # (1,1): x-1
-        amps = out
-    return WalkerState(2, L, amps)
+        state = stepper.step(state)
+    return state
 
 
 def map_two_walker_distribution(dist: Distribution) -> Distribution:

@@ -32,10 +32,17 @@ def brute_force_walk_1d(t, coin, coin0, phase_at=None, start=0):
     return amps
 
 
-def brute_force_walk_2d(t, coin4, coin0, phase_at=None, start=(0, 0)):
+# Post-coin (c, d) -> (dx, dy) of the two-walker step, in the order
+# 00, 01, 10, 11: coin bit 0 moves its walker by +1, bit 1 by -1.
+DIAGONAL_MOVES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def brute_force_walk_2d(t, coin4, coin0, phase_at=None, start=(0, 0), moves=DIAGONAL_MOVES):
     """Amplitudes {(x, y, c, d): a} after t steps from ``start``.
 
     ``coin4`` is a 4x4 matrix, or a function of (x, y) returning one.
+    ``moves`` lists the (dx, dy) step of each post-coin pair (c, d), in
+    the order 00, 01, 10, 11.
     """
     x0, y0 = start
     amps = {
@@ -52,8 +59,8 @@ def brute_force_walk_2d(t, coin4, coin0, phase_at=None, start=(0, 0)):
                     f = np.exp(1j * theta)
             k = 2 * c + d
             for kp in range(4):
-                cp, dp = kp >> 1, kp & 1
-                key = (x + (1 - 2 * cp), y + (1 - 2 * dp), cp, dp)
+                dx, dy = moves[kp]
+                key = (x + dx, y + dy, kp >> 1, kp & 1)
                 nxt[key] = nxt.get(key, 0.0) + f * u[kp][k] * a
         amps = nxt
     return amps

@@ -1,11 +1,19 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qwalk.analysis import distribution, marginal, variance
-from qwalk.cli import main, parse_angle, read_distribution_csv, write_distribution_csv
+from qwalk.cli import (
+    DEFAULT_STEP_CAP,
+    MAX_LATTICE_SITES,
+    main,
+    parse_angle,
+    read_distribution_csv,
+    write_distribution_csv,
+)
 from qwalk.coins import hadamard, tensor
 from qwalk.evolution import WalkSpec, run_walk
 
@@ -280,3 +288,21 @@ def test_builtin_defect_echo_has_no_table(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == 0
     echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
     assert echo["defect"] == {"kind": "cross_xy", "phi": np.pi}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_oversize_lattice_exits_1_before_allocating(tmp_path, command):
+    # (2 * 100000 + 1)^2 sites: the full distribution alone would be 320 GB.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, halfwidth=100000, sweep={"phi": ["pi:1"]})
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", str(cfg_path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_lattice_cap_admits_the_default_step_cap():
+    assert (2 * DEFAULT_STEP_CAP + 1) ** 2 <= MAX_LATTICE_SITES

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -462,3 +463,37 @@ def test_oracles_share_no_code_with_the_package():
         if isinstance(node, ast.ImportFrom)
     }
     assert imported == {"numpy"}
+
+
+@pytest.mark.parametrize(
+    "coin, defect",
+    [
+        (CoinField(2, H2, {(0, 0): fractional_swap(0.5)}), DefectMap.none()),
+        (H2, DefectMap.custom({(0, 0): 0.5})),
+    ],
+    ids=["one-site-coin-field", "one-site-custom-defect"],
+)
+def test_cone_walk_holds_no_lattice_sized_tables(coin, defect):
+    # A 36-site cone on a 401^2 lattice: a per-site coin or phase table of
+    # the whole lattice would be 2.5 MB (phases) or 41 MB (coins).
+    spec = WalkSpec(2, 5, coin, defect, halfwidth=200)
+    tracemalloc.start()
+    try:
+        for _ in evolve(spec):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_open_edge_raises_for_every_2d_move():
+    # Component k sits on the edge its move leaves; the same amplitude one
+    # site inside steps cleanly.
+    for k, (dx, dy) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+        for edge in ((dx, 0), (0, dy)):
+            coin = np.eye(4)[k]
+            with pytest.raises(IndexError):
+                apply_step_2d(localized_state(2, 2, (2 * edge[0], 2 * edge[1]), coin), np.eye(4))
+            inside = localized_state(2, 2, (edge[0], edge[1]), coin)
+            assert apply_step_2d(inside, np.eye(4)).norm() == pytest.approx(1.0)

@@ -4,13 +4,14 @@ import pytest
 from qwalk.analysis import distribution
 from qwalk.coins import (
     IDENTITY4,
+    CoinField,
     fractional_swap,
     hadamard,
     random_su2,
     tensor,
     unitarity_check,
 )
-from qwalk.evolution import DefectMap, WalkSpec, run_walk
+from qwalk.evolution import DefectMap, WalkSpec, build_step_matrix, run_walk
 from qwalk.isomorphism import (
     BasisPermutation,
     axis_walk_state,
@@ -26,7 +27,13 @@ from qwalk.isomorphism import (
 )
 from qwalk.statespace import symmetric_coin
 
+from oracles import DIAGONAL_MOVES, brute_force_walk_1d, brute_force_walk_2d
+
 H2 = tensor(hadamard(), hadamard())
+
+# The single 2D walker's unit axis moves, written down apart from the
+# package: (c, d) = 00 -> x+1, 01 -> y+1, 10 -> y-1, 11 -> x-1.
+AXIS_MOVES = ((1, 0), (0, 1), (0, -1), (-1, 0))
 
 
 def test_coordinate_forward_parity():
@@ -200,3 +207,76 @@ def test_axis_walk_norm_and_support():
     occupied = np.argwhere(p.probs > 0)
     for xi, yi in occupied:
         assert abs(xs[xi]) + abs(xs[yi]) <= 5
+
+
+# ------------------------------------- move tables against the oracle
+
+
+def _dense_2d(amps, L):
+    """The 2D oracle's amplitude dict in the package's (x, y, 2c + d) layout."""
+    out = np.zeros((2 * L + 1, 2 * L + 1, 4), dtype=complex)
+    for (x, y, c, d), a in amps.items():
+        out[x + L, y + L, 2 * c + d] = a
+    return out
+
+
+@pytest.mark.parametrize("t", range(7))
+def test_axis_walk_state_matches_oracle(t):
+    rng = np.random.default_rng(60 + t)
+    for _ in range(3):
+        coin = random_shared_coin(rng)
+        coin0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        coin0 /= np.linalg.norm(coin0)
+        state = axis_walk_state(t, coin, coin0)
+        amps = brute_force_walk_2d(t, coin, coin0, moves=AXIS_MOVES)
+        np.testing.assert_allclose(
+            state.amplitudes, _dense_2d(amps, state.halfwidth), rtol=0, atol=1e-13
+        )
+
+
+@pytest.mark.parametrize("walk", ["1d", "two-walker", "axis"])
+def test_step_matrix_interior_columns_match_one_oracle_step(walk):
+    # Each column of a step matrix is one step from a single basis state.
+    # Away from the periodic seam that step is the oracle's, for a
+    # site-dependent coin and phase.
+    rng = np.random.default_rng(9)
+    L = 3
+    n = 2 * L + 1
+    dim = 1 if walk == "1d" else 2
+    k = 2 * dim
+    coin = random_su2(rng) if dim == 1 else random_shared_coin(rng)
+    special = random_su2(rng) if dim == 1 else random_shared_coin(rng)
+    site = 1 if dim == 1 else (1, -1)
+    phases = {0: 0.7, 1: -1.2, -2: 2.5}
+    if dim == 2:
+        phases = {(0, 0): 0.7, (1, -1): -1.2, (-2, 2): 2.5}
+    field, defect = CoinField(dim, coin, {site: special}), DefectMap.custom(phases)
+    if walk == "axis":
+        U = transformed_step_matrix(L, field, defect)
+    else:
+        U = build_step_matrix(dim, L, field, defect)
+
+    def oracle_coin(*s):
+        return special if s == (site if dim == 2 else (site,)) else coin
+
+    def phase_at(*s):
+        return phases.get(s if dim == 2 else s[0], 0.0)
+
+    interior = range(-L + 1, L)
+    sites = [(x,) for x in interior]
+    if dim == 2:
+        sites = [(x, y) for x in interior for y in interior]
+    for s in sites:
+        for c in range(k):
+            e = np.eye(k)[c]
+            if dim == 1:
+                amps = brute_force_walk_1d(1, oracle_coin, e, phase_at, s[0])
+                expected = np.zeros((n, 2), dtype=complex)
+                for (x, cp), a in amps.items():
+                    expected[x + L, cp] = a
+            else:
+                moves = AXIS_MOVES if walk == "axis" else DIAGONAL_MOVES
+                amps = brute_force_walk_2d(1, oracle_coin, e, phase_at, s, moves)
+                expected = _dense_2d(amps, L)
+            col = np.ravel_multi_index(tuple(v + L for v in s), (n,) * dim) * k + c
+            np.testing.assert_allclose(U[:, col], expected.ravel(), rtol=0, atol=1e-15)
