@@ -426,10 +426,7 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["out_dir"] = args.out
 
 
-def _sweep_point(cfg: dict, kind: str, phi_token: Any) -> dict:
-    phi = parse_angle(phi_token, "sweep.phi")
-    defect = DefectMap.none() if kind == "none" else DefectMap(kind, phi)  # type: ignore[arg-type]
-    spec = _build_walk_spec(cfg, defect=defect)
+def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec) -> dict:
     grid = None
     for report in evolve(spec):
         grid = report.grid
@@ -465,13 +462,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if kind not in ("line_y", "cross_xy", "point", "none"):
             raise ConfigError(f"sweep.defect: unknown defect kind {kind!r}")
 
+    # Every point is validated before anything is written or started.
+    points = []
+    for kind in kinds:
+        for phi_token in phis:
+            phi = parse_angle(phi_token, "sweep.phi")
+            defect = DefectMap.none() if kind == "none" else DefectMap(kind, phi)  # type: ignore[arg-type]
+            points.append((kind, phi_token, _build_walk_spec(cfg, defect=defect)))
     out_dir = Path(cfg.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    points = [(kind, phi) for kind in kinds for phi in phis]
     # Points are independent; output order follows the grid regardless of
     # scheduling.
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda kp: _sweep_point(cfg, *kp), points))
+        rows = list(pool.map(lambda point: _sweep_point(*point), points))
 
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -511,10 +511,26 @@ def _step_matrix(
     moves: Sequence[tuple[int, ...]],
 ) -> NDArray[np.complex128]:
     """Dense periodic step matrix of the walk whose coin component c moves
-    by ``moves[c]``, built by one index scatter.
+    by ``moves[c]``: the entries of :func:`_step_entries`, scattered."""
+    rows, cols, values = _step_entries(dimensionality, halfwidth, coin, defect, moves)
+    dim_total = state_dimension(dimensionality, halfwidth)
+    U = np.zeros((dim_total, dim_total), dtype=np.complex128)
+    U[rows, cols] = values
+    return U
+
+
+def _step_entries(
+    dimensionality: int,
+    halfwidth: int,
+    coin: NDArray[np.complex128] | CoinField,
+    defect: DefectMap | None,
+    moves: Sequence[tuple[int, ...]],
+) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.complex128]]:
+    """Every entry of the periodic step matrix that the coin can fill, as
+    flat (row, col, value) arrays: 2·d per column, no (row, col) twice.
 
     Column (site, c) holds phase(site) * coin(site)[:, c], with row c'
-    at site + moves[c'] (mod 2L+1).
+    at site + moves[c'] (mod 2L+1).  Zero coin entries are listed too.
     """
     dim_total = state_dimension(dimensionality, halfwidth)
     if dim_total > MAX_MATRIX_DIM:
@@ -530,7 +546,7 @@ def _step_matrix(
     sites = np.indices(shape).reshape(d, 1, -1)
     # target[c, s]: flat index of the site that component c of site s moves to.
     target = np.ravel_multi_index(sites + np.transpose(moves)[..., None], shape, mode="wrap")
-    cols = np.arange(target.shape[1])[:, None] * k + np.arange(k)
-    U = np.zeros((dim_total, dim_total), dtype=np.complex128)
-    U[(target.T * k + np.arange(k))[:, :, None], cols[:, None, :]] = blocks.reshape(-1, k, k)
-    return U
+    # Entry [s, c', c] sits at row (target[c', s], c') and column (s, c).
+    rows = np.repeat((target.T * k + np.arange(k)).ravel(), k)
+    cols = np.tile(np.arange(dim_total).reshape(-1, k), (1, k)).ravel()
+    return rows, cols, blocks.reshape(-1)

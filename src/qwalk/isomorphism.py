@@ -18,16 +18,22 @@ automorphism once composed with halving (2 is invertible mod n, with
 
 Under this bijection the simultaneous two-walker shift maps exactly onto
 unit axis moves: coin (0,0) -> x+1, (0,1) -> y+1, (1,0) -> y-1,
-(1,1) -> x-1.  The verification here is numeric and exact: one index
-scatter builds both step matrices, one from the two walkers' diagonal
-move table and one from the single walker's axis move table, and they are
-compared entry by entry after conjugation by the basis permutation.  The
-scatter and the move tables are checked on their own against the
-independent brute-force walk of the test oracle.
+(1,1) -> x-1.  The verification here is numeric and exact.  One index
+scatter lists the entries of both step operators, one from the two
+walkers' diagonal move table and one from the single walker's axis move
+table.  The 2D walker's entries are relabeled through the inverse basis
+permutation, and the two entry lists are compared over the union of
+their supports: the same number as the dense max |U_two - P^T U_2d P|,
+without building a dense operator.  The dense builders
+(:func:`build_two_walker_matrix`, :func:`transformed_step_matrix`,
+:meth:`BasisPermutation.conjugate`) remain as the public API and as the
+tests' reference.  The scatter and the move tables are checked on their
+own against the independent brute-force walk of the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +52,14 @@ from .coins import (
     su4_compose,
     tensor,
 )
-from .evolution import DefectMap, _step_matrix, _Stepper, build_step_matrix
+from .evolution import (
+    _DIAGONAL_MOVES,
+    DefectMap,
+    _step_entries,
+    _step_matrix,
+    _Stepper,
+    build_step_matrix,
+)
 from .statespace import WalkerState, localized_state
 
 __all__ = [
@@ -83,6 +96,8 @@ class BasisPermutation:
     coin labels pass through unchanged.  Built from a pair map normalized
     to the odd periodic lattice (see module docstring), so it is a true
     permutation: exactly one 1 per row and column of :meth:`matrix`.
+    :meth:`build` returns ``indices`` read-only, so that one instance can
+    be shared.
     """
 
     halfwidth: int
@@ -106,6 +121,7 @@ class BasisPermutation:
         idx = ((X * n + Y)[:, None] * 4 + np.arange(4)).ravel()
         if len(np.unique(idx)) != idx.size:
             raise ValueError("pair map does not induce a bijection on the lattice")
+        idx.flags.writeable = False
         return cls(L, idx)
 
     def matrix(self) -> NDArray[np.int64]:
@@ -125,6 +141,13 @@ class BasisPermutation:
         n = 2 * L + 1
         k = self.indices[((x + L) * n + (y + L)) * 4] // 4
         return k // n - L, k % n - L
+
+
+@functools.lru_cache(maxsize=4)
+def _permutation(halfwidth: int) -> BasisPermutation:
+    """The pair map's permutation, built once per halfwidth (an isocheck
+    uses one halfwidth for every check)."""
+    return BasisPermutation.build(halfwidth)
 
 
 def build_two_walker_matrix(
@@ -171,7 +194,7 @@ def transform_defect(defect: DefectMap | None, halfwidth: int) -> DefectMap:
         return DefectMap.none()
     grid = defect.phase_grid(halfwidth, 2)
     assert grid is not None
-    perm = BasisPermutation.build(halfwidth)
+    perm = _permutation(halfwidth)
     L = halfwidth
     return DefectMap.custom(
         {
@@ -179,6 +202,40 @@ def transform_defect(defect: DefectMap | None, halfwidth: int) -> DefectMap:
             for x, y in np.argwhere(grid != 1.0).tolist()
         }
     )
+
+
+def _deviation(
+    halfwidth: int,
+    coin4: NDArray[np.complex128] | CoinField,
+    defect: DefectMap | None,
+    pair_map: PairMap | None = None,
+) -> float:
+    """max |U_two - P^T U_2d P|, computed from the two operators' entry
+    lists; no dense operator is built.
+
+    The 2D entries move to the two-walker basis through the inverse of the
+    permutation's ``indices``.  The maximum runs over the union of the two
+    supports: an entry on one side only meets the dense zero and counts at
+    its full modulus.  ``_step_entries`` lists each (row, col) at most once.
+    """
+    rows, cols, values = _step_entries(2, halfwidth, coin4, defect, _DIAGONAL_MOVES[2])
+    rows_2d, cols_2d, values_2d = _step_entries(
+        2, halfwidth, coin4, transform_defect(defect, halfwidth), _AXIS_MOVES
+    )
+    perm = (
+        _permutation(halfwidth)
+        if pair_map is None
+        else BasisPermutation.build(halfwidth, pair_map)
+    )
+    dim = perm.indices.size
+    inverse = np.empty_like(perm.indices)
+    inverse[perm.indices] = np.arange(dim)
+    keys = np.concatenate([rows * dim + cols, inverse[rows_2d] * dim + inverse[cols_2d]])
+    union, slot = np.unique(keys, return_inverse=True)
+    diff = np.zeros(union.size, dtype=np.complex128)
+    diff[slot[: values.size]] = values
+    diff[slot[values.size :]] -= values_2d
+    return float(np.abs(diff).max())
 
 
 def verify_isomorphism(
@@ -192,12 +249,7 @@ def verify_isomorphism(
     Zero (to floating-point identity) whenever the relabeling is correct,
     for any shared coin.
     """
-    u_two = build_two_walker_matrix(halfwidth, coin4, defect)
-    u_2d = transformed_step_matrix(
-        halfwidth, coin4, transform_defect(defect, halfwidth)
-    )
-    perm = BasisPermutation.build(halfwidth)
-    return float(np.abs(u_two - perm.conjugate(u_2d)).max())
+    return _deviation(halfwidth, coin4, defect)
 
 
 def check_translation_equivalence(
@@ -205,10 +257,7 @@ def check_translation_equivalence(
 ) -> float:
     """Compare the two shift operators (identity coin) as permutation
     matrices after relabeling; 0.0 means exact equality."""
-    u_two = build_two_walker_matrix(halfwidth, IDENTITY4)
-    u_2d = transformed_step_matrix(halfwidth, IDENTITY4)
-    perm = BasisPermutation.build(halfwidth, pair_map)
-    return float(np.abs(u_two - perm.conjugate(u_2d)).max())
+    return _deviation(halfwidth, IDENTITY4, None, pair_map)
 
 
 def random_shared_coin(rng: np.random.Generator) -> NDArray[np.complex128]:

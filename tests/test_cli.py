@@ -304,5 +304,20 @@ def test_oversize_lattice_exits_1_before_allocating(tmp_path, command):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"halfwidth": 100000, "sweep": {"phi": ["pi:1"]}},
+        {"sweep": {"phi": ["pi:1", "pi:x"]}},
+    ],
+    ids=["oversize-halfwidth", "malformed-phi"],
+)
+def test_invalid_sweep_exits_1_without_creating_out_dir(tmp_path, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **overrides)
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_lattice_cap_admits_the_default_step_cap():
     assert (2 * DEFAULT_STEP_CAP + 1) ** 2 <= MAX_LATTICE_SITES

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,26 @@ from qwalk.analysis import distribution
 from qwalk.coins import (
     IDENTITY4,
     CoinField,
+    as_coin_field,
     fractional_swap,
     hadamard,
     random_su2,
     tensor,
     unitarity_check,
 )
-from qwalk.evolution import DefectMap, WalkSpec, build_step_matrix, run_walk
+from qwalk.evolution import (
+    _DIAGONAL_MOVES,
+    DefectMap,
+    WalkSpec,
+    _step_entries,
+    build_step_matrix,
+    run_walk,
+)
 from qwalk.isomorphism import (
+    _AXIS_MOVES,
     BasisPermutation,
+    _deviation,
+    _permutation,
     axis_walk_state,
     build_two_walker_matrix,
     check_decomposition_claims,
@@ -280,3 +293,132 @@ def test_step_matrix_interior_columns_match_one_oracle_step(walk):
                 expected = _dense_2d(amps, L)
             col = np.ravel_multi_index(tuple(v + L for v in s), (n,) * dim) * k + c
             np.testing.assert_allclose(U[:, col], expected.ravel(), rtol=0, atol=1e-15)
+
+
+# --------------------------- entry-list comparison against the dense one
+
+
+def _dense_deviation(L, coin, defect, perm):
+    """max |U_two - P^T U_2d P| built from the dense public operators."""
+    u_two = build_two_walker_matrix(L, coin, defect)
+    u_2d = transformed_step_matrix(L, coin, transform_defect(defect, L))
+    return float(np.abs(u_two - perm.conjugate(u_2d)).max())
+
+
+COINS = {
+    "hadamard-pair": H2,
+    "fractional-swap": fractional_swap(0.5),
+    "random": random_shared_coin(np.random.default_rng(12)),
+    # Keyed by the same coordinates on both sides, so the site-dependent
+    # coin breaks the equivalence: a nonzero case under the right map.
+    "coin-field": CoinField(2, H2, {(1, -1): fractional_swap(0.3)}),
+}
+DEFECTS = {
+    "none": None,
+    "line_y": DefectMap.line_y(1.7),
+    "cross_xy": DefectMap.cross_xy(np.pi),
+    "point": DefectMap.point(0.9),
+    "custom": DefectMap.custom({(1, -1): 0.3, (0, 1): -0.8}),
+}
+WRONG_PAIR_MAPS = {
+    "rotated": lambda x, y: (x + y, y - x),
+    "identity": lambda x, y: (x, y),
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize("coin", COINS)
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_entry_deviation_equals_dense_deviation(L, coin, defect):
+    coin, defect = COINS[coin], DEFECTS[defect]
+    dense = _dense_deviation(L, coin, defect, BasisPermutation.build(L))
+    assert verify_isomorphism(L, coin, defect) == dense
+    for pair_map in WRONG_PAIR_MAPS.values():
+        dense = _dense_deviation(L, coin, defect, BasisPermutation.build(L, pair_map))
+        assert dense > 0.0
+        assert _deviation(L, coin, defect, pair_map) == dense
+
+
+@pytest.mark.parametrize("pair_map", WRONG_PAIR_MAPS)
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_translation_deviation_equals_dense_deviation(L, pair_map):
+    perm = BasisPermutation.build(L, WRONG_PAIR_MAPS[pair_map])
+    u_two = build_two_walker_matrix(L, IDENTITY4)
+    dense = float(np.abs(u_two - perm.conjugate(transformed_step_matrix(L, IDENTITY4))).max())
+    assert check_translation_equivalence(L, WRONG_PAIR_MAPS[pair_map]) == dense == 1.0
+
+
+def _loop_step_matrix(dim, L, coin, defect, moves):
+    """Dense step matrix placed block row by block row in a site loop:
+    column (s, c) holds phase(s) * coin(s)[c', c] at row (s + moves[c'], c')."""
+    n, k = 2 * L + 1, 2 * dim
+    shape = (n,) * dim
+    blocks = as_coin_field(coin, dim).stacked(L)
+    grid = (defect or DefectMap.none()).phase_grid(L, dim)
+    if grid is not None:
+        blocks = grid[..., None, None] * blocks
+    U = np.zeros((n**dim * k,) * 2, dtype=complex)
+    for s in np.ndindex(shape):
+        col = np.ravel_multi_index(s, shape) * k
+        for cp, move in enumerate(moves):
+            t = tuple(np.add(s, move) % n)
+            U[np.ravel_multi_index(t, shape) * k + cp, col : col + k] = blocks[s][cp]
+    return U
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_dense_builders_match_a_site_loop_bitwise(L):
+    rng = np.random.default_rng(40 + L)
+    for coin in COINS.values():
+        for defect in DEFECTS.values():
+            for got, moves in (
+                (build_two_walker_matrix(L, coin, defect), _DIAGONAL_MOVES[2]),
+                (transformed_step_matrix(L, coin, defect), _AXIS_MOVES),
+            ):
+                assert got.tobytes() == _loop_step_matrix(2, L, coin, defect, moves).tobytes()
+    for coin in (hadamard(), random_su2(rng), CoinField(1, hadamard(), {1: random_su2(rng)})):
+        for defect in (None, DefectMap.point(0.9), DefectMap.custom({1: 0.3, -1: -0.8})):
+            got = build_step_matrix(1, L, coin, defect)
+            assert got.tobytes() == _loop_step_matrix(1, L, coin, defect, _DIAGONAL_MOVES[1]).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_entries_fill_each_column_once_per_coin_component(dim):
+    L, k = 2, 2 * dim
+    coin = hadamard() if dim == 1 else H2
+    rows, cols, values = _step_entries(dim, L, coin, None, _DIAGONAL_MOVES[dim])
+    dim_total = (2 * L + 1) ** dim * k
+    assert rows.size == cols.size == values.size == dim_total * k
+    assert (np.bincount(cols, minlength=dim_total) == k).all()
+    assert np.unique(rows * dim_total + cols).size == rows.size
+
+
+def test_isocheck_builds_the_permutation_once(monkeypatch):
+    builds = []
+    build = BasisPermutation.build.__func__
+
+    def counted(cls, *args):
+        builds.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(BasisPermutation, "build", classmethod(counted))
+    _permutation.cache_clear()
+    for coin in (H2, fractional_swap(0.5)):
+        assert verify_isomorphism(2, coin, DefectMap.point(0.3)) == 0.0
+    assert check_translation_equivalence(2) == 0.0
+    assert builds == [(2,)]
+    # The shared instance cannot be changed under its other callers.
+    with pytest.raises(ValueError):
+        _permutation(2).indices[0] = 0
+    _permutation.cache_clear()
+
+
+def test_verify_isomorphism_builds_no_dense_operator():
+    # One dense 1156 x 1156 complex operator at L = 8 is 21 MB.
+    tracemalloc.start()
+    try:
+        assert verify_isomorphism(8, fractional_swap(0.5)) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
