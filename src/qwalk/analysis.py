@@ -85,18 +85,19 @@ class WalkSummary:
 
 
 def _site_probs(state: WalkerState | SublatticeState) -> NDArray[np.float64]:
-    return (np.abs(state.amplitudes) ** 2).sum(axis=-1)
+    # ((p0 + p1) + p2) + p3: the bits of .sum(axis=-1), without its slow reduction.
+    planes = np.moveaxis(np.abs(state.amplitudes) ** 2, -1, 0)
+    return sum(planes[1:], planes[0])
 
 
 def distribution(state: WalkerState | SublatticeState) -> Distribution:
     """Position distribution P = sum over coin components of |amplitude|^2,
     over the whole (2L+1)^d lattice."""
-    p = _site_probs(state)
-    if isinstance(state, SublatticeState):
-        full = np.zeros((2 * state.halfwidth + 1,) * state.dimensionality)
-        full[state.sites()] = p
-        p = full
-    return Distribution(p, state.halfwidth)
+    if not isinstance(state, SublatticeState):
+        return Distribution(_site_probs(state), state.halfwidth)
+    full = np.zeros((2 * state.halfwidth + 1,) * state.dimensionality)
+    full[state.sites()] = _site_probs(state)
+    return Distribution(full, state.halfwidth)
 
 
 def _padded(p: Distribution, halfwidth: int) -> NDArray[np.float64]:

@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -259,26 +258,25 @@ def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
         raise ConfigError(f"config: {e}") from None
 
 
+_PRINT_FLOOR = 1e-15  # output-side clamp: smaller probabilities print as 0
+
+
 def _format_prob(p: float) -> str:
-    # Output-side clamp only; internal values are never touched.
-    if p < 1e-15:
-        p = 0.0
-    return f"{p:.12g}"
+    return f"{0.0 if p < _PRINT_FLOOR else p:.12g}"
 
 
 def write_distribution_csv(path: Path, dist: Distribution) -> None:
-    sites = dist.positions()
+    # csv.writer's bytes, one write per x-row; only p >= the floor is formatted.
+    labels = [f"{x}," for x in dist.positions().tolist()]
+    inner = labels if dist.dimensionality == 2 else [""]
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        if dist.dimensionality == 1:
-            w.writerow(["x", "p"])
-            for i, x in enumerate(sites):
-                w.writerow([x, _format_prob(float(dist.probs[i]))])
-        else:
-            w.writerow(["x", "y", "p"])
-            for i, x in enumerate(sites):
-                for j, y in enumerate(sites):
-                    w.writerow([x, y, _format_prob(float(dist.probs[i, j]))])
+        f.write("x,y,p\r\n" if dist.dimensionality == 2 else "x,p\r\n")
+        for x, row in zip(labels, dist.probs.reshape(len(labels), -1)):
+            cells = ["0\r\n"] * len(row)
+            shown = np.flatnonzero(row >= _PRINT_FLOOR)
+            for j, v in zip(shown.tolist(), row[shown].tolist()):
+                cells[j] = f"{v:.12g}\r\n"
+            f.write(x + x.join(map(str.__add__, inner, cells)))  # x,y,p per line
 
 
 def read_distribution_csv(path: str) -> Distribution:
@@ -351,13 +349,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     _apply_overrides(cfg, args)
     threads = _resolve_threads(cfg, args)
     spec = _build_walk_spec(cfg)
+    formats = cfg.get("formats", ["csv", "json"])
+    if not isinstance(formats, list) or not formats or not all(
+        f in ("csv", "json") for f in formats
+    ):
+        raise ConfigError(f"formats: expected a nonempty list of csv/json, got {formats!r}")
+    emit_per_step = cfg.get("emit_per_step", False)
+    if not isinstance(emit_per_step, bool):
+        raise ConfigError(f"emit_per_step: expected true or false, got {emit_per_step!r}")
+    ref_path = getattr(args, "reference", None) or cfg.get("reference")
+    if not isinstance(ref_path, (str, type(None))):
+        raise ConfigError(f"reference: expected a file path, got {ref_path!r}")
+    reference = None if ref_path is None else read_distribution_csv(ref_path)
     out_dir = Path(cfg.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    formats = cfg.get("formats", ["csv", "json"])
-    emit_per_step = bool(cfg.get("emit_per_step", False))
-    reference = None
-    if getattr(args, "reference", None) or cfg.get("reference"):
-        reference = read_distribution_csv(args.reference or cfg["reference"])
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
@@ -443,7 +448,7 @@ def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     _apply_overrides(cfg, args)
-    threads = _resolve_threads(cfg, args)
+    _resolve_threads(cfg, args)  # validated; parallelism comes from BLAS
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: config must contain a 'sweep' object")
@@ -471,10 +476,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             points.append((kind, phi_token, _build_walk_spec(cfg, defect=defect)))
     out_dir = Path(cfg.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Points are independent; output order follows the grid regardless of
-    # scheduling.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda point: _sweep_point(*point), points))
+    rows = [_sweep_point(*point) for point in points]
 
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -570,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--defect", help="override defect kind")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--threads", type=int, help="parallelism cap (or QWALK_THREADS)")
+        p.add_argument("--threads", type=int, help="validated, unused: BLAS does the threading")
     run.add_argument("--reference", help="distribution CSV for the 1-norm discrepancy")
 
     iso.add_argument("--config", help="JSON config path")

@@ -194,14 +194,17 @@ def transform_defect(defect: DefectMap | None, halfwidth: int) -> DefectMap:
         return DefectMap.none()
     grid = defect.phase_grid(halfwidth, 2)
     assert grid is not None
-    perm = _permutation(halfwidth)
     L = halfwidth
-    return DefectMap.custom(
-        {
-            perm.site_image(x - L, y - L): float(np.angle(grid[x, y]))
-            for x, y in np.argwhere(grid != 1.0).tolist()
-        }
-    )
+    sites = np.argwhere(grid != 1.0).tolist()
+    phases = {(x - L, y - L): float(np.angle(grid[x, y])) for x, y in sites}
+    return DefectMap.custom(_carry_sites(phases, L))
+
+
+def _carry_sites(table: dict, halfwidth: int) -> dict:
+    """Re-key a per-site table of the two walkers by the 2D sites that
+    carry them (a defect's phases, a ``CoinField``'s coins)."""
+    perm = _permutation(halfwidth)
+    return {perm.site_image(*site): value for site, value in table.items()}
 
 
 def _deviation(
@@ -219,8 +222,11 @@ def _deviation(
     its full modulus.  ``_step_entries`` lists each (row, col) at most once.
     """
     rows, cols, values = _step_entries(2, halfwidth, coin4, defect, _DIAGONAL_MOVES[2])
+    coin_2d = coin4
+    if isinstance(coin4, CoinField):
+        coin_2d = CoinField(2, coin4.default, _carry_sites(coin4.table, halfwidth))
     rows_2d, cols_2d, values_2d = _step_entries(
-        2, halfwidth, coin4, transform_defect(defect, halfwidth), _AXIS_MOVES
+        2, halfwidth, coin_2d, transform_defect(defect, halfwidth), _AXIS_MOVES
     )
     perm = (
         _permutation(halfwidth)
@@ -247,7 +253,7 @@ def verify_isomorphism(
     permutation-conjugated 2D step matrix.
 
     Zero (to floating-point identity) whenever the relabeling is correct,
-    for any shared coin.
+    for any shared coin; a per-site ``CoinField`` is carried across first.
     """
     return _deviation(halfwidth, coin4, defect)
 

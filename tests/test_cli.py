@@ -321,3 +321,54 @@ def test_invalid_sweep_exits_1_without_creating_out_dir(tmp_path, overrides):
 
 def test_lattice_cap_admits_the_default_step_cap():
     assert (2 * DEFAULT_STEP_CAP + 1) ** 2 <= MAX_LATTICE_SITES
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"formats": ["CSV"]},
+        {"formats": 5},
+        {"formats": "csvjson"},
+        {"formats": []},
+        {"emit_per_step": "false"},
+        {"emit_per_step": 1},
+    ],
+    ids=["upper-case-format", "formats-not-a-list", "formats-string", "no-formats",
+         "emit-per-step-string", "emit-per-step-int"],
+)
+def test_run_rejects_malformed_output_options(tmp_path, overrides, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, **overrides)
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_missing_reference_exits_1_without_creating_out_dir(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2)
+    missing = tmp_path / "missing.csv"
+    assert main(["run", "--config", str(cfg_path), "--reference", str(missing)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reference", [0, 1, True, ""], ids=["0", "1", "true", "empty"])
+def test_run_rejects_a_reference_that_is_not_a_path(tmp_path, reference):
+    # An int would be opened as a file descriptor (1 is stdout), and 0 or ""
+    # used to skip the comparison silently.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, reference=reference)
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "formats, written",
+    [(["csv"], {"distribution.csv"}), (["json"], {"summary.json"}),
+     (["json", "csv"], {"distribution.csv", "summary.json"})],
+)
+def test_run_writes_exactly_the_listed_formats(tmp_path, formats, written):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, formats=formats, emit_per_step=False)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert {p.name for p in (tmp_path / "out").iterdir()} == written

@@ -299,8 +299,16 @@ def test_step_matrix_interior_columns_match_one_oracle_step(walk):
 
 
 def _dense_deviation(L, coin, defect, perm):
-    """max |U_two - P^T U_2d P| built from the dense public operators."""
+    """max |U_two - P^T U_2d P| built from the dense public operators.
+
+    A per-site coin table is carried to the 2D sites through the pair map's
+    ``site_image``, as ``transform_defect`` carries a defect; ``perm`` is
+    only the relabeling that is checked.
+    """
     u_two = build_two_walker_matrix(L, coin, defect)
+    if isinstance(coin, CoinField):
+        image = BasisPermutation.build(L).site_image
+        coin = CoinField(2, coin.default, {image(*s): m for s, m in coin.table.items()})
     u_2d = transformed_step_matrix(L, coin, transform_defect(defect, L))
     return float(np.abs(u_two - perm.conjugate(u_2d)).max())
 
@@ -309,8 +317,8 @@ COINS = {
     "hadamard-pair": H2,
     "fractional-swap": fractional_swap(0.5),
     "random": random_shared_coin(np.random.default_rng(12)),
-    # Keyed by the same coordinates on both sides, so the site-dependent
-    # coin breaks the equivalence: a nonzero case under the right map.
+    # A site off the pair map's fixed point: the coin table must be carried
+    # across, or the deviation is 1.3556 under the right map.
     "coin-field": CoinField(2, H2, {(1, -1): fractional_swap(0.3)}),
 }
 DEFECTS = {
@@ -332,11 +340,32 @@ WRONG_PAIR_MAPS = {
 def test_entry_deviation_equals_dense_deviation(L, coin, defect):
     coin, defect = COINS[coin], DEFECTS[defect]
     dense = _dense_deviation(L, coin, defect, BasisPermutation.build(L))
-    assert verify_isomorphism(L, coin, defect) == dense
+    assert verify_isomorphism(L, coin, defect) == dense == 0.0
     for pair_map in WRONG_PAIR_MAPS.values():
         dense = _dense_deviation(L, coin, defect, BasisPermutation.build(L, pair_map))
         assert dense > 0.0
         assert _deviation(L, coin, defect, pair_map) == dense
+
+
+def _random_u4(rng):
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_disordered_lattice_is_exactly_one_2d_walker(L, defect):
+    # The paper's setting: a different coin at random sites.  Carried
+    # across the pair map, every such lattice is exactly one 2D walker.
+    rng = np.random.default_rng([L, list(DEFECTS).index(defect)])
+    n = 2 * L + 1
+    for _ in range(4):
+        picks = rng.choice(n * n, size=int(rng.integers(1, n * n + 1)), replace=False)
+        table = {(int(i) // n - L, int(i) % n - L): _random_u4(rng) for i in picks}
+        field = CoinField(2, _random_u4(rng), table)
+        assert verify_isomorphism(L, field, DEFECTS[defect]) == 0.0
+        assert _dense_deviation(L, field, DEFECTS[defect], BasisPermutation.build(L)) == 0.0
 
 
 @pytest.mark.parametrize("pair_map", WRONG_PAIR_MAPS)

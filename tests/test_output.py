@@ -1,0 +1,181 @@
+"""Byte identity of the output layer against its csv.writer form.
+
+``reference_write_distribution_csv`` below is the earlier, per-site
+``csv.writer`` implementation of ``qwalk.cli.write_distribution_csv``,
+kept verbatim as the reference for the row-wise writer.  ``_site_probs``
+is held bitwise to the plain ``(np.abs(a) ** 2).sum(axis=-1)``.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qwalk import cli
+from qwalk.analysis import Distribution, _site_probs
+from qwalk.cli import main, write_distribution_csv
+from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor
+from qwalk.evolution import DefectMap, WalkSpec, evolve
+from qwalk.statespace import WalkerState
+
+
+def _format_prob(p: float) -> str:
+    # Output-side clamp only; internal values are never touched.
+    if p < 1e-15:
+        p = 0.0
+    return f"{p:.12g}"
+
+
+def reference_write_distribution_csv(path: Path, dist: Distribution) -> None:
+    sites = dist.positions()
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        if dist.dimensionality == 1:
+            w.writerow(["x", "p"])
+            for i, x in enumerate(sites):
+                w.writerow([x, _format_prob(float(dist.probs[i]))])
+        else:
+            w.writerow(["x", "y", "p"])
+            for i, x in enumerate(sites):
+                for j, y in enumerate(sites):
+                    w.writerow([x, y, _format_prob(float(dist.probs[i, j]))])
+
+
+# Values where the formatting changes: the clamp's edge from both sides,
+# subnormals, and 1e-5, where ".12g" switches to exponent form.
+EDGES = [
+    0.0,
+    1e-15,
+    float(np.nextafter(1e-15, 0)),
+    float(np.nextafter(1e-15, 1)),
+    5e-324,
+    2.5e-310,
+    1e-5,
+    float(np.nextafter(1e-5, 0)),
+    1e-4,
+    0.1,
+    1.0 / 3.0,
+]
+
+
+def _bytes_equal(tmp_path, dist):
+    write_distribution_csv(tmp_path / "fast.csv", dist)
+    reference_write_distribution_csv(tmp_path / "ref.csv", dist)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    return fast
+
+
+def _table(values, filler_at, dim, halfwidth):
+    """A valid probability table holding ``values`` exactly: the site at
+    ``filler_at`` takes what is left of the unit total."""
+    n = 2 * halfwidth + 1
+    flat = np.zeros(n**dim)
+    rest = [i for i in range(flat.size) if i != filler_at % flat.size]
+    flat[rest] = values[: len(rest)]
+    flat[filler_at % flat.size] = 1.0 - flat.sum()
+    return Distribution(flat.reshape((n,) * dim), halfwidth)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_writer_matches_csv_writer_on_every_edge_value(tmp_path, dim):
+    # The edge values, each at a site of its own, then 1.0 with only
+    # values that leave the total within tolerance.
+    halfwidth = 6 if dim == 1 else 2
+    dist = _table(EDGES + [0.0] * 25, 0, dim, halfwidth)
+    text = _bytes_equal(tmp_path, dist).decode()
+    assert ",1e-15\r\n" in text and ",1e-05\r\n" in text
+    tiny = [v for v in EDGES if v <= 1e-15]
+    n = 2 * halfwidth + 1
+    probs = np.zeros((n,) * dim)
+    probs.flat[: len(tiny) + 1] = [1.0] + tiny
+    text = _bytes_equal(tmp_path, Distribution(probs, halfwidth)).decode()
+    assert ",1\r\n" in text
+
+
+@st.composite
+def tables(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    halfwidth = draw(st.integers(0, 3))
+    size = (2 * halfwidth + 1) ** dim
+    entry = st.one_of(st.sampled_from([v for v in EDGES if v < 1e-3]), st.floats(0.0, 1e-3))
+    values = draw(st.lists(entry, min_size=size, max_size=size))
+    return _table(values, draw(st.integers(0, size - 1)), dim, halfwidth)
+
+
+@given(tables())
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_csv_writer_on_random_tables(tmp_path_factory, dist):
+    _bytes_equal(tmp_path_factory.mktemp("csv"), dist)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"dimensionality": 2, "steps": 6, "defect": {"kind": "cross_xy", "phi": "pi:1"}},
+        {"dimensionality": 1, "steps": 7, "defect": {"kind": "point", "phi": 0.9}},
+        {
+            "dimensionality": 2,
+            "steps": 4,
+            "halfwidth": 6,
+            "boundary": "periodic",
+            "coin": {"kind": "fractional_swap", "tau": 0.3},
+            "defect": {"kind": "custom", "table": {"1,-1": 0.4, "0,0": "pi:0.5"}},
+            "initial": {"position": [1, 2], "coin": "symmetric"},
+        },
+    ],
+    ids=["2d-cross", "1d-point", "2d-periodic-custom"],
+)
+def test_run_csvs_match_csv_writer(tmp_path, monkeypatch, cfg):
+    # distribution.csv and every step_NNNN.csv, against the same run
+    # written through the reference writer.
+    def run(out):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "emit_per_step": True, "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        return sorted(out.glob("*.csv"))
+
+    fast = run(tmp_path / "fast")
+    monkeypatch.setattr(cli, "write_distribution_csv", reference_write_distribution_csv)
+    ref = run(tmp_path / "ref")
+    assert [p.name for p in fast] == [p.name for p in ref]
+    assert len(fast) == cfg["steps"] + 1
+    for a, b in zip(fast, ref):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_site_probs_is_bitwise_the_axis_sum_on_random_states(dim):
+    rng = np.random.default_rng(dim)
+    k = 2 * dim
+    for halfwidth in (1, 2, 7, 40):
+        shape = (2 * halfwidth + 1,) * dim + (k,)
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        amps *= 10.0 ** rng.uniform(-8, 0, size=shape)
+        state = WalkerState(dim, halfwidth, amps)
+        expected = (np.abs(amps) ** 2).sum(axis=-1)
+        assert _bitwise_equal(_site_probs(state), expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_site_probs_is_bitwise_the_axis_sum_on_coin_field_walks(dim):
+    rng = np.random.default_rng(10 + dim)
+    if dim == 1:
+        field = CoinField(1, hadamard(), {0: random_su2(rng), -3: random_su2(rng)})
+    else:
+        h2 = tensor(hadamard(), hadamard())
+        field = CoinField(2, h2, {(0, 0): fractional_swap(0.3), (2, -2): fractional_swap(0.7)})
+    for boundary in ("open", "periodic"):
+        spec = WalkSpec(dim, 12, field, DefectMap.point(0.6), boundary=boundary)
+        for report in evolve(spec):
+            for state in (report.grid, report.state):
+                expected = (np.abs(state.amplitudes) ** 2).sum(axis=-1)
+                assert _bitwise_equal(_site_probs(state), expected)
