@@ -150,24 +150,11 @@ def _parse_defect(cfg: Any) -> DefectMap:
     raise ConfigError(f"{key}.kind: unknown defect kind {kind!r}")
 
 
-def _parse_initial(cfg: Any, dimensionality: int):
+def _parse_initial(cfg: Any):
     if cfg is None:
         cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError("initial: expected an object")
-    position = cfg.get("position")
-    if position is not None:
-        if dimensionality == 1:
-            if not _is_int(position):
-                raise ConfigError("initial.position: expected an integer for 1D")
-        else:
-            if (
-                not isinstance(position, (list, tuple))
-                or len(position) != 2
-                or not all(map(_is_int, position))
-            ):
-                raise ConfigError("initial.position: expected [x, y] integers for 2D")
-            position = tuple(position)
     coin = cfg.get("coin", "symmetric")
     if coin == "symmetric":
         coin_vec = None  # WalkSpec default
@@ -180,7 +167,7 @@ def _parse_initial(cfg: Any, dimensionality: int):
             ) from None
     else:
         raise ConfigError("initial.coin: expected 'symmetric' or a list of [re, im] pairs")
-    return position, coin_vec
+    return cfg.get("position"), coin_vec
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -236,13 +223,10 @@ def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
         raise ConfigError(
             f"halfwidth: the lattice has {sites} sites, above the cap {MAX_LATTICE_SITES}"
         )
-    boundary = cfg.get("boundary", "open")
-    if boundary not in ("open", "periodic"):
-        raise ConfigError(f"boundary: must be 'open' or 'periodic', got {boundary!r}")
     coin = _parse_coin(cfg.get("coin"), dimensionality)
     if defect is None:
         defect = _parse_defect(cfg.get("defect"))
-    position, coin_vec = _parse_initial(cfg.get("initial"), dimensionality)
+    position, coin_vec = _parse_initial(cfg.get("initial"))
     try:
         return WalkSpec(
             dimensionality=dimensionality,
@@ -251,7 +235,7 @@ def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
             defect=defect,
             initial_position=position,
             initial_coin=coin_vec,
-            boundary=boundary,
+            boundary=cfg.get("boundary", "open"),
             halfwidth=halfwidth,
         )
     except (ValueError, IndexError) as e:
@@ -338,6 +322,14 @@ def _echo_config(cfg: dict, spec: WalkSpec, threads: int) -> dict:
     }
 
 
+def _make_out_dir(value: Any) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"out_dir: expected a directory path, got {value!r}")
+    out_dir = Path(value)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -361,8 +353,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not isinstance(ref_path, (str, type(None))):
         raise ConfigError(f"reference: expected a file path, got {ref_path!r}")
     reference = None if ref_path is None else read_distribution_csv(ref_path)
-    out_dir = Path(cfg.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg.get("out_dir", "."))
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
@@ -474,8 +465,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             phi = parse_angle(phi_token, "sweep.phi")
             defect = DefectMap.none() if kind == "none" else DefectMap(kind, phi)  # type: ignore[arg-type]
             points.append((kind, phi_token, _build_walk_spec(cfg, defect=defect)))
-    out_dir = Path(cfg.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg.get("out_dir", "."))
     rows = [_sweep_point(*point) for point in points]
 
     path = out_dir / "sweep.csv"
@@ -512,8 +502,7 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
             f"halfwidth: matrix dimension {state_dimension(2, halfwidth)} "
             f"exceeds cap {MAX_MATRIX_DIM}"
         )
-    out_dir = Path(args.out if args.out is not None else cfg.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out if args.out is not None else cfg.get("out_dir", "."))
 
     rng = np.random.default_rng(seed)
     h2 = tensor(hadamard(), hadamard())

@@ -352,6 +352,13 @@ def apply_step_2d(
     return _Stepper(2, state.halfwidth, coin, defect, boundary).step(state)
 
 
+def _integer(value: object, what: str) -> int:
+    # bool is an int subclass, and int() would truncate 0.7 to 0 silently.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class WalkSpec:
     """Complete walk configuration.
@@ -371,13 +378,15 @@ class WalkSpec:
     halfwidth: int | None = None
 
     def __post_init__(self) -> None:
-        if self.dimensionality not in (1, 2):
-            raise ValueError(f"dimensionality must be 1 or 2, got {self.dimensionality!r}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
-            raise ValueError(f"steps must be a nonnegative integer, got {self.steps!r}")
-        self.steps = int(self.steps)
+        self.dimensionality = d = _integer(self.dimensionality, "dimensionality")
+        if d not in (1, 2):
+            raise ValueError(f"dimensionality must be 1 or 2, got {d}")
+        self.steps = _integer(self.steps, "steps")
+        if self.steps < 0:
+            raise ValueError(f"steps must be a nonnegative integer, got {self.steps}")
         if self.halfwidth is None:
             self.halfwidth = max(self.steps, 1)
+        self.halfwidth = _integer(self.halfwidth, "halfwidth")
         if self.halfwidth < 1:
             raise ValueError(f"halfwidth must be >= 1, got {self.halfwidth}")
         if self.boundary not in ("open", "periodic"):
@@ -389,8 +398,15 @@ class WalkSpec:
                 f"open boundary needs halfwidth >= steps "
                 f"({self.halfwidth} < {self.steps})"
             )
-        if self.initial_position is None:
-            self.initial_position = 0 if self.dimensionality == 1 else (0, 0)
+        pos = self.initial_position
+        if pos is None:
+            pos = 0 if d == 1 else (0, 0)
+        if d == 1:
+            self.initial_position = _integer(pos, "initial_position")
+        elif isinstance(pos, (tuple, list)) and len(pos) == 2:
+            self.initial_position = tuple(_integer(v, "initial_position") for v in pos)
+        else:
+            raise ValueError(f"initial_position must be an (x, y) pair, got {pos!r}")
         if self.initial_coin is None:
             self.initial_coin = symmetric_coin(self.dimensionality)
         # Fail fast on bad coins/defects/initial data rather than mid-run.
@@ -409,11 +425,7 @@ class WalkSpec:
         """The start site as a one-site sublattice grid, or None when the
         light cone of the whole run does not fit in an open lattice."""
         d = self.dimensionality
-        start = (
-            (int(self.initial_position),)  # type: ignore[arg-type]
-            if d == 1
-            else tuple(self.initial_position)  # type: ignore[arg-type]
-        )
+        start = (self.initial_position,) if d == 1 else self.initial_position
         if self.boundary != "open" or max(map(abs, start)) + self.steps > self.halfwidth:
             return None
         coin = as_coin_state(self.initial_coin, d)  # type: ignore[arg-type]
@@ -512,41 +524,47 @@ def _step_matrix(
 ) -> NDArray[np.complex128]:
     """Dense periodic step matrix of the walk whose coin component c moves
     by ``moves[c]``: the entries of :func:`_step_entries`, scattered."""
-    rows, cols, values = _step_entries(dimensionality, halfwidth, coin, defect, moves)
+    blocks = _site_blocks(dimensionality, halfwidth, coin, defect)
+    rows, cols, values = _step_entries(blocks, moves)
     dim_total = state_dimension(dimensionality, halfwidth)
     U = np.zeros((dim_total, dim_total), dtype=np.complex128)
     U[rows, cols] = values
     return U
 
 
-def _step_entries(
+def _site_blocks(
     dimensionality: int,
     halfwidth: int,
     coin: NDArray[np.complex128] | CoinField,
     defect: DefectMap | None,
-    moves: Sequence[tuple[int, ...]],
-) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.complex128]]:
-    """Every entry of the periodic step matrix that the coin can fill, as
-    flat (row, col, value) arrays: 2·d per column, no (row, col) twice.
-
-    Column (site, c) holds phase(site) * coin(site)[:, c], with row c'
-    at site + moves[c'] (mod 2L+1).  Zero coin entries are listed too.
-    """
+) -> NDArray[np.complex128]:
+    """phase(site) * coin(site) for every site, shape (2L+1,)*d + (k, k);
+    a step matrix above ``MAX_MATRIX_DIM`` is refused before allocating."""
     dim_total = state_dimension(dimensionality, halfwidth)
     if dim_total > MAX_MATRIX_DIM:
         raise ValueError(
             f"step matrix dimension {dim_total} exceeds cap {MAX_MATRIX_DIM}"
         )
-    d, k = dimensionality, 2 * dimensionality
-    shape = (2 * halfwidth + 1,) * d
-    blocks = as_coin_field(coin, d).stacked(halfwidth)
-    grid = (defect or DefectMap.none()).phase_grid(halfwidth, d)
-    if grid is not None:
-        blocks = grid[..., None, None] * blocks
+    blocks = as_coin_field(coin, dimensionality).stacked(halfwidth)
+    grid = (defect or DefectMap.none()).phase_grid(halfwidth, dimensionality)
+    return blocks if grid is None else grid[..., None, None] * blocks
+
+
+def _step_entries(
+    blocks: NDArray[np.complex128], moves: Sequence[tuple[int, ...]]
+) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.complex128]]:
+    """Every entry of the periodic step matrix that ``blocks`` can fill, as
+    flat (row, col, value) arrays: 2·d per column, no (row, col) twice.
+
+    Column (site, c) holds ``blocks[site][:, c]``, with row c' at
+    site + moves[c'] (mod 2L+1).  Zero entries are listed too.
+    """
+    d, k = len(moves[0]), blocks.shape[-1]
+    shape = blocks.shape[:d]
     sites = np.indices(shape).reshape(d, 1, -1)
     # target[c, s]: flat index of the site that component c of site s moves to.
     target = np.ravel_multi_index(sites + np.transpose(moves)[..., None], shape, mode="wrap")
     # Entry [s, c', c] sits at row (target[c', s], c') and column (s, c).
     rows = np.repeat((target.T * k + np.arange(k)).ravel(), k)
-    cols = np.tile(np.arange(dim_total).reshape(-1, k), (1, k)).ravel()
+    cols = np.tile(np.arange(blocks.size // k).reshape(-1, k), (1, k)).ravel()
     return rows, cols, blocks.reshape(-1)

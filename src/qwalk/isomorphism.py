@@ -18,14 +18,15 @@ automorphism once composed with halving (2 is invertible mod n, with
 
 Under this bijection the simultaneous two-walker shift maps exactly onto
 unit axis moves: coin (0,0) -> x+1, (0,1) -> y+1, (1,0) -> y-1,
-(1,1) -> x-1.  The verification here is numeric and exact.  One index
-scatter lists the entries of both step operators, one from the two
-walkers' diagonal move table and one from the single walker's axis move
-table.  The 2D walker's entries are relabeled through the inverse basis
-permutation, and the two entry lists are compared over the union of
-their supports: the same number as the dense max |U_two - P^T U_2d P|,
-without building a dense operator.  The dense builders
-(:func:`build_two_walker_matrix`, :func:`transformed_step_matrix`,
+(1,1) -> x-1.  The verification here is numeric and exact.  The per-site
+blocks phase * coin are built once and scattered into the entries of
+both step operators: with the two walkers' diagonal move table, and,
+carried to the 2D sites through the site permutation, with the single
+walker's axis move table.  The 2D walker's entries are relabeled through
+the inverse basis permutation, and the two entry lists are compared over
+the union of their supports: the same number as the dense max
+|U_two - P^T U_2d P|, without building a dense operator.  The dense
+builders (:func:`build_two_walker_matrix`, :func:`transformed_step_matrix`,
 :meth:`BasisPermutation.conjugate`) remain as the public API and as the
 tests' reference.  The scatter and the move tables are checked on their
 own against the independent brute-force walk of the test oracle.
@@ -55,6 +56,7 @@ from .coins import (
 from .evolution import (
     _DIAGONAL_MOVES,
     DefectMap,
+    _site_blocks,
     _step_entries,
     _step_matrix,
     _Stepper,
@@ -188,23 +190,22 @@ def transform_defect(defect: DefectMap | None, halfwidth: int) -> DefectMap:
 
     Positions move with the basis permutation; a line defect on y = 0
     becomes a phase table along the image of that line (the diagonal,
-    up to the lattice normalization).
+    up to the lattice normalization).  The table is in radians, so a 2D
+    operator built from it matches the carried blocks only to rounding.
     """
     if defect is None or defect.kind == "none":
         return DefectMap.none()
-    grid = defect.phase_grid(halfwidth, 2)
-    assert grid is not None
     L = halfwidth
+    grid = _carried(defect.phase_grid(L, 2), L)
     sites = np.argwhere(grid != 1.0).tolist()
-    phases = {(x - L, y - L): float(np.angle(grid[x, y])) for x, y in sites}
-    return DefectMap.custom(_carry_sites(phases, L))
+    return DefectMap.custom({(x - L, y - L): float(np.angle(grid[x, y])) for x, y in sites})
 
 
-def _carry_sites(table: dict, halfwidth: int) -> dict:
-    """Re-key a per-site table of the two walkers by the 2D sites that
-    carry them (a defect's phases, a ``CoinField``'s coins)."""
-    perm = _permutation(halfwidth)
-    return {perm.site_image(*site): value for site, value in table.items()}
+def _carried(table: NDArray, halfwidth: int) -> NDArray:
+    """A per-site array of the two walkers, shape (2L+1, 2L+1, ...), with
+    each entry moved to the 2D site that carries it."""
+    site = _permutation(halfwidth).indices[::4] // 4
+    return table.reshape(site.size, -1)[np.argsort(site)].reshape(table.shape)
 
 
 def _deviation(
@@ -216,18 +217,15 @@ def _deviation(
     """max |U_two - P^T U_2d P|, computed from the two operators' entry
     lists; no dense operator is built.
 
-    The 2D entries move to the two-walker basis through the inverse of the
-    permutation's ``indices``.  The maximum runs over the union of the two
+    Both operators scatter the same site blocks (the 2D walker's carried
+    across the pair map); the 2D entries move back through the inverse of
+    ``pair_map``'s ``indices``.  The maximum runs over the union of the two
     supports: an entry on one side only meets the dense zero and counts at
     its full modulus.  ``_step_entries`` lists each (row, col) at most once.
     """
-    rows, cols, values = _step_entries(2, halfwidth, coin4, defect, _DIAGONAL_MOVES[2])
-    coin_2d = coin4
-    if isinstance(coin4, CoinField):
-        coin_2d = CoinField(2, coin4.default, _carry_sites(coin4.table, halfwidth))
-    rows_2d, cols_2d, values_2d = _step_entries(
-        2, halfwidth, coin_2d, transform_defect(defect, halfwidth), _AXIS_MOVES
-    )
+    blocks = _site_blocks(2, halfwidth, coin4, defect)
+    rows, cols, values = _step_entries(blocks, _DIAGONAL_MOVES[2])
+    rows_2d, cols_2d, values_2d = _step_entries(_carried(blocks, halfwidth), _AXIS_MOVES)
     perm = (
         _permutation(halfwidth)
         if pair_map is None
@@ -252,8 +250,9 @@ def verify_isomorphism(
     """Max elementwise deviation between the two-walker step matrix and the
     permutation-conjugated 2D step matrix.
 
-    Zero (to floating-point identity) whenever the relabeling is correct,
-    for any shared coin; a per-site ``CoinField`` is carried across first.
+    Exactly 0.0 whenever the relabeling is correct, for any shared coin,
+    per-site ``CoinField`` and defect: both are carried across as the
+    per-site blocks phase * coin.
     """
     return _deviation(halfwidth, coin4, defect)
 
@@ -389,23 +388,16 @@ def map_two_walker_distribution(dist: Distribution) -> Distribution:
 
     Output site (X, Y) = ((x+y)/2, (x-y)/2) on the same halfwidth; the
     simultaneous shifts keep x and y of equal parity for origin-started
-    walks, so the halving is exact on the support.
+    walks, so on the support the halving is exact: the site permutation.
     """
     if dist.dimensionality != 2:
         raise ValueError("expected a 2D joint distribution")
     L = dist.halfwidth
-    out = np.zeros_like(dist.probs)
-    for xi in range(2 * L + 1):
-        for yi in range(2 * L + 1):
-            p = dist.probs[xi, yi]
-            if p == 0.0:
-                continue
-            x, y = xi - L, yi - L
-            if (x + y) % 2 != 0:
-                raise ValueError(
-                    f"probability {p} on odd-parity site ({x}, {y}); "
-                    "not an origin-started two-walker distribution"
-                )
-            X, Y = (x + y) // 2, (x - y) // 2
-            out[X + L, Y + L] += p
-    return Distribution(out, L)
+    x = dist.positions()
+    odd = np.argwhere((np.add.outer(x, x) % 2 == 1) & (dist.probs != 0.0)) - L
+    if odd.size:
+        raise ValueError(
+            f"probability on odd-parity site {tuple(odd[0].tolist())}; "
+            "not an origin-started two-walker distribution"
+        )
+    return Distribution(_carried(dist.probs, L), L)

@@ -372,3 +372,34 @@ def test_run_writes_exactly_the_listed_formats(tmp_path, formats, written):
     write_config(cfg_path, steps=2, formats=formats, emit_per_step=False)
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert {p.name for p in (tmp_path / "out").iterdir()} == written
+
+
+@pytest.mark.parametrize("out_dir", [5, ["a"], None], ids=["int", "list", "null"])
+@pytest.mark.parametrize("command", ["run", "sweep", "isocheck"])
+def test_non_string_out_dir_exits_1_and_creates_nothing(
+    tmp_path, monkeypatch, capsys, command, out_dir
+):
+    # Bad input, not a runtime error: Path(5) used to raise TypeError (exit 2).
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, out_dir=out_dir)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert "error: out_dir" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"initial": {"position": [0.7, 0]}},
+        {"initial": {"position": [0, 0, 0]}},
+        {"dimensionality": 1, "defect": "none", "initial": {"position": 1.9}},
+        {"boundary": "reflecting"},
+    ],
+    ids=["2d-float", "2d-triple", "1d-float", "boundary"],
+)
+def test_run_rejects_malformed_start_and_boundary(tmp_path, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, **overrides)
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "out").exists()

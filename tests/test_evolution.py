@@ -188,6 +188,38 @@ def test_spec_validation():
     WalkSpec(1, 5, H, halfwidth=3, boundary="periodic")  # fine when periodic
 
 
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((2, True, H2), {}),
+        ((True, 2, H), {}),
+        ((2, 2, H2), {"halfwidth": 3.0}),
+        ((2, 1, H2), {"halfwidth": True}),
+        ((2, 2, H2), {"initial_position": (0.7, 0)}),
+        ((2, 2, H2), {"initial_position": (0, True)}),
+        ((2, 2, H2), {"initial_position": 1}),
+        ((2, 2, H2), {"initial_position": (0, 0, 0)}),
+        ((1, 2, H), {"initial_position": 1.9}),
+        ((1, 2, H), {"initial_position": False}),
+    ],
+    ids=["steps-bool", "dimensionality-bool", "halfwidth-float", "halfwidth-bool",
+         "position-float", "position-bool", "position-2d-scalar", "position-triple",
+         "position-1d-float", "position-1d-bool"],
+)
+def test_spec_rejects_bools_and_non_integral_values(args, kwargs):
+    # Each used to run: a bool as 0 or 1, a float truncated by int().
+    with pytest.raises(ValueError):
+        WalkSpec(*args, **kwargs)
+
+
+def test_spec_accepts_numpy_integers():
+    i = np.int64
+    spec = WalkSpec(i(2), i(3), H2, initial_position=(i(1), i(-1)), halfwidth=i(5))
+    assert (spec.dimensionality, spec.steps, spec.halfwidth) == (2, 3, 5)
+    assert spec.initial_position == (1, -1)
+    assert all(type(v) is int for v in (spec.steps, spec.halfwidth, *spec.initial_position))
+
+
 def test_open_edge_raises():
     s = localized_state(1, 1, 1, [1, 0])  # on the right edge, moving +1
     with pytest.raises(IndexError):

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwalk.analysis import distribution
+from qwalk.analysis import Distribution, distribution
 from qwalk.coins import (
     IDENTITY4,
     CoinField,
@@ -415,7 +417,7 @@ def test_dense_builders_match_a_site_loop_bitwise(L):
 def test_step_entries_fill_each_column_once_per_coin_component(dim):
     L, k = 2, 2 * dim
     coin = hadamard() if dim == 1 else H2
-    rows, cols, values = _step_entries(dim, L, coin, None, _DIAGONAL_MOVES[dim])
+    rows, cols, values = _step_entries(as_coin_field(coin, dim).stacked(L), _DIAGONAL_MOVES[dim])
     dim_total = (2 * L + 1) ** dim * k
     assert rows.size == cols.size == values.size == dim_total * k
     assert (np.bincount(cols, minlength=dim_total) == k).all()
@@ -451,3 +453,68 @@ def test_verify_isomorphism_builds_no_dense_operator():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+# ------------------------------------- exact for every phase and lattice
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    L=st.integers(1, 3),
+    kind=st.sampled_from(list(DEFECTS)),
+    phis=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    coin_field=st.booleans(),
+)
+def test_any_phase_and_disordered_lattice_is_exactly_one_2d_walker(
+    L, kind, phis, seed, coin_field
+):
+    # A phase carried as radians (np.angle, then exp) misses this for about
+    # a third of uniform draws, by a few 1e-16.
+    rng = np.random.default_rng(seed)
+    n = 2 * L + 1
+    sites = [(int(i) // n - L, int(i) % n - L) for i in rng.choice(n * n, n * n, replace=False)]
+    if kind == "custom":
+        defect = DefectMap.custom(dict(zip(sites, phis)))
+    else:
+        defect = None if kind == "none" else DefectMap(kind, phis[0])
+    coin = random_shared_coin(rng)
+    if coin_field:
+        picks = sites[: int(rng.integers(1, n * n + 1))]
+        coin = CoinField(2, coin, {site: _random_u4(rng) for site in picks})
+    assert verify_isomorphism(L, coin, defect) == 0.0
+
+
+def _loop_map_two_walker_distribution(dist):
+    """The site loop that ``map_two_walker_distribution`` replaced, verbatim."""
+    if dist.dimensionality != 2:
+        raise ValueError("expected a 2D joint distribution")
+    L = dist.halfwidth
+    out = np.zeros_like(dist.probs)
+    for xi in range(2 * L + 1):
+        for yi in range(2 * L + 1):
+            p = dist.probs[xi, yi]
+            if p == 0.0:
+                continue
+            x, y = xi - L, yi - L
+            if (x + y) % 2 != 0:
+                raise ValueError(
+                    f"probability {p} on odd-parity site ({x}, {y}); "
+                    "not an origin-started two-walker distribution"
+                )
+            X, Y = (x + y) // 2, (x - y) // 2
+            out[X + L, Y + L] += p
+    return Distribution(out, L)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 6])
+def test_map_two_walker_distribution_equals_the_site_loop_bitwise(L):
+    rng = np.random.default_rng(90 + L)
+    n = 2 * L + 1
+    even = np.add.outer(np.arange(n), np.arange(n)) % 2 == 0
+    for _ in range(5):
+        # Random even-parity tables, some even sites left at zero.
+        probs = rng.random((n, n)) ** 3 * even * (rng.random((n, n)) < 0.8)
+        dist = Distribution(probs / probs.sum(), L)
+        got = map_two_walker_distribution(dist).probs
+        assert got.tobytes() == _loop_map_two_walker_distribution(dist).probs.tobytes()
