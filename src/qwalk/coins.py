@@ -9,6 +9,7 @@ a global phase anyway.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -209,19 +210,28 @@ class CoinField:
         return self.table.get(position, self.default)
 
     def stacked(self, halfwidth: int) -> NDArray[np.complex128]:
-        """Dense per-site array of coins: (n, 2, 2) in 1D, (n, n, 4, 4) in 2D."""
-        L = halfwidth
-        n = 2 * L + 1
-        if self.dimensionality == 1:
-            out = np.broadcast_to(self.default, (n, 2, 2)).copy()
-            for pos, mat in self.table.items():
-                out[int(pos) + L] = mat  # type: ignore[call-overload]
-            return out
-        out = np.broadcast_to(self.default, (n, n, 4, 4)).copy()
-        for pos, mat in self.table.items():
-            x, y = pos  # type: ignore[misc]
-            out[x + L, y + L] = mat
+        """Dense per-site array of coins: (n, 2, 2) in 1D, (n, n, 4, 4) in 2D;
+        a listed site off the lattice raises IndexError."""
+        d, k = self.dimensionality, self.default.shape[0]
+        out = np.broadcast_to(self.default, (2 * halfwidth + 1,) * d + (k, k)).copy()
+        index = _site_index(self.table, halfwidth, d, "coin")
+        out[tuple(index.T)] = np.reshape(list(self.table.values()), (-1, k, k))
         return out
+
+
+def _site_index(
+    table: Mapping, halfwidth: int, dimensionality: int, what: str
+) -> NDArray[np.int64]:
+    """Lattice array indices, shape (P, d), of the keys of a site table
+    (ints in 1D, (x, y) tuples in 2D); a site off the lattice raises
+    IndexError, a non-integer coordinate TypeError."""
+    L = halfwidth
+    rows = [[operator.index(v) for v in np.atleast_1d(key)] for key in table]
+    index = np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality)
+    for key, off in zip(table, (np.abs(index) > L).any(axis=1)):
+        if off:
+            raise IndexError(f"{what} site {key} outside [-{L}, {L}]^{dimensionality}")
+    return index + L
 
 
 def _validated_coin(mat: NDArray[np.complex128], k: int, what: str) -> NDArray[np.complex128]:

@@ -30,17 +30,20 @@ lives only on x = x0 + t, y = y0 + t (mod 2) inside the cone: a dense
 (t+1)^d grid of sites spaced 2 apart (a :class:`SublatticeState`, a
 quarter of the (2t+1)^2 cone window in 2D).  Each step is one coin GEMM
 over that grid, the phase on the grid rows/columns that lie on the
-defect, a shift that writes each coin component into the (t+2)^d output
-at offset 0 or 1, and one ``vdot`` for the norm.  Cost and memory per
-step are O((t+1)^d), independent of the halfwidth; the dense lattice
-state is built only when a caller asks for ``StepReport.state``.  The
-periodic boundary and starts whose cone leaves the lattice step the full
-lattice.
+defect, a shift that writes each coin component as one block of its own
+contiguous (t+2)^d plane, at offset 0 or 1, and one ``vdot`` over the
+planes in memory order for the norm.  The planes go to one of two
+buffers of the final grid's size, which take turns: a buffer is reused
+once no report, grid or view refers to it, and a step whose buffers are
+both held gets a fresh array.  Cost and memory per step are O((t+1)^d),
+independent of the halfwidth; the dense lattice state is built only when
+a caller asks for ``StepReport.state``.  The periodic boundary and starts
+whose cone leaves the lattice step the full lattice.
 """
 
 from __future__ import annotations
 
-import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterator, Literal, Mapping, Sequence
@@ -48,7 +51,7 @@ from typing import Callable, Iterator, Literal, Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import CoinField, as_coin_field
+from .coins import CoinField, _site_index, as_coin_field
 from .statespace import (
     SublatticeState,
     WalkerState,
@@ -156,21 +159,6 @@ class DefectMap:
         grid = np.ones(shape + (1,), dtype=np.complex128)
         applier(grid, (slice(None),) * dimensionality)
         return grid[..., 0]
-
-
-def _site_index(
-    table: Mapping, halfwidth: int, dimensionality: int, what: str
-) -> NDArray[np.int64]:
-    """Lattice array indices, shape (P, d), of the keys of a site table
-    (ints in 1D, (x, y) tuples in 2D); a site off the lattice raises
-    IndexError, a non-integer coordinate TypeError."""
-    L = halfwidth
-    rows = [[operator.index(v) for v in np.atleast_1d(key)] for key in table]
-    index = np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality)
-    for key, off in zip(table, (np.abs(index) > L).any(axis=1)):
-        if off:
-            raise IndexError(f"{what} site {key} outside [-{L}, {L}]^{dimensionality}")
-    return index + L
 
 
 def _on_sites(
@@ -285,21 +273,19 @@ class _Stepper:
         m = self._mixed(state.amplitudes, (slice(None),) * self.dim)
         return WalkerState(self.dim, self.halfwidth, self._shift(m))
 
-    def cone_step(
-        self, grid: SublatticeState, scratch: NDArray[np.complex128]
-    ) -> SublatticeState:
+    def cone_step(self, grid: SublatticeState, buffers: "_Buffers") -> SublatticeState:
         """One step of a sublattice grid of m sites per axis, giving m + 1.
 
-        ``scratch`` holds at least ``grid.amplitudes.size`` entries.  A
+        The output comes from ``buffers``, stored as coin planes.  A
         move of +1 takes site ``first + 2i`` to ``(first - 1) + 2(i + 1)``,
-        so along each axis a component lands in the output at offset
+        so along each axis a component lands in its plane at offset
         ``(1 + move) // 2``: 1 for a +1 move, 0 for a -1 move; the one row
-        it leaves empty is zeroed.
+        it leaves empty is zeroed, as a reused buffer holds old amplitudes.
         """
         a = grid.amplitudes
-        m = self._mixed(a, grid.sites(), scratch[: a.size].reshape(a.shape))
-        n = a.shape[0]
-        out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
+        m = self._mixed(a, grid.sites(), buffers.scratch[: a.size].reshape(a.shape))
+        n, k = a.shape[0], a.shape[-1]
+        out = buffers.take((n + 1,) * self.dim + (k,))
         for c, move in enumerate(self.moves):
             offsets = [(1 + s) // 2 for s in move]
             out[tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
@@ -326,6 +312,25 @@ class _Stepper:
                 "use halfwidth >= steps"
             )
         return out
+
+
+class _Buffers(list):
+    """Scratch for the coin mix, and two output buffers, each reused only
+    when CPython's reference count (numpy's signal for eliding temporaries)
+    says nothing else refers to it: a held buffer is never touched."""
+
+    def __init__(self, steps: int, d: int):
+        super().__init__(np.empty((steps + 1) ** d * 2 * d, dtype=np.complex128) for _ in range(2))
+        self.scratch = np.empty(max(steps, 1) ** d * 2 * d, dtype=np.complex128)
+        self.unheld = sys.getrefcount(self[0])
+        self.planar = np.moveaxis(np.empty((2 * d,) + (2,) * d, dtype=np.complex128), 0, -1)
+
+    def take(self, shape: tuple[int, ...]) -> NDArray[np.complex128]:
+        # ``shape`` (positions, then coin) as coin planes: a free buffer, else fresh.
+        free = [i for i in (0, 1) if sys.getrefcount(self[i]) == self.unheld]
+        if not free:
+            return np.empty_like(self.planar, shape=shape)
+        return np.moveaxis(self[free[0]][: np.prod(shape)].reshape(shape[-1:] + shape[:-1]), 0, -1)
 
 
 def apply_step_1d(
@@ -407,6 +412,8 @@ class WalkSpec:
             self.initial_position = tuple(_integer(v, "initial_position") for v in pos)
         else:
             raise ValueError(f"initial_position must be an (x, y) pair, got {pos!r}")
+        if max(map(abs, np.atleast_1d(self.initial_position))) > (L := self.halfwidth):
+            raise ValueError(f"initial_position {pos!r} outside [-{L}, {L}]^{d}")
         if self.initial_coin is None:
             self.initial_coin = symmetric_coin(self.dimensionality)
         # Fail fast on bad coins/defects/initial data rather than mid-run.
@@ -456,8 +463,9 @@ class StepReport:
 def evolve(spec: WalkSpec) -> Iterator[StepReport]:
     """Run the walk, yielding one report per step (lazily).
 
-    Each report owns a fresh amplitude array, so holding on to reports is
-    safe; materialize with ``list(evolve(spec))`` for small runs.  Raises
+    A report's arrays are never overwritten while anything refers to them
+    (the report, its grid or a view), so holding on to reports is safe;
+    materialize with ``list(evolve(spec))`` for small runs.  Raises
     RuntimeError if the per-step norm residual ever exceeds 1e-10 (or is
     NaN), which would indicate a broken step operator.
     """
@@ -468,23 +476,14 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
         state = spec.initial_state()
         advance = stepper.step
     else:
-        # The coin mix of every step writes into one reused buffer.
-        scratch = np.empty(max(spec.steps, 1) ** d * 2 * d, dtype=np.complex128)
-        advance = partial(stepper.cone_step, scratch=scratch)
+        advance = partial(stepper.cone_step, buffers=_Buffers(spec.steps, d))
     for i in range(1, spec.steps + 1):
         state = advance(state)
-        amps = state.amplitudes
+        amps = state.amplitudes.ravel(order="K")  # memory order: no copy
         residual = abs(1.0 - float(np.vdot(amps, amps).real))
-        _check_residual(residual, i)
+        if not residual <= STEP_NORM_TOL:  # written so that NaN fails too
+            raise RuntimeError(f"norm residual {residual:.3e} at step {i} exceeds {STEP_NORM_TOL}")
         yield StepReport(i, state, residual)
-
-
-def _check_residual(residual: float, step: int) -> None:
-    # Written so that a NaN residual fails the test.
-    if not residual <= STEP_NORM_TOL:
-        raise RuntimeError(
-            f"norm residual {residual:.3e} at step {step} exceeds {STEP_NORM_TOL}"
-        )
 
 
 def run_walk(spec: WalkSpec) -> WalkerState:

@@ -157,7 +157,8 @@ class SublatticeState:
     ``amplitudes`` has shape ``(m, 2)`` in 1D and ``(m, m, 4)`` in 2D;
     entry ``i`` along axis ``a`` is the lattice site ``first[a] + 2*i``.
     Every other site of the ``(2L+1)^d`` lattice has amplitude 0.  The
-    grid must lie inside the lattice.
+    grid must lie inside the lattice.  ``amplitudes`` may be a coin-major
+    view that is not C-contiguous: the light-cone kernel stores planes.
     """
 
     dimensionality: int

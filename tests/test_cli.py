@@ -403,3 +403,20 @@ def test_run_rejects_malformed_start_and_boundary(tmp_path, overrides):
     write_config(cfg_path, steps=2, **overrides)
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"initial": {"position": [100, 0]}},
+        {"initial": {"position": [0, -3]}},
+        {"dimensionality": 1, "defect": "none", "initial": {"position": 3}},
+    ],
+    ids=["2d-far", "2d-one-past-the-edge", "1d"],
+)
+def test_run_start_off_the_lattice_exits_1_and_creates_nothing(tmp_path, overrides, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, **overrides)
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "outside" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

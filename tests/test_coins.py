@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from qwalk.coins import (
     tensor,
     unitarity_check,
 )
+from qwalk.evolution import build_step_matrix
+from qwalk.isomorphism import verify_isomorphism
 
 angles = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -190,6 +194,32 @@ def test_coin_field_uniform_and_table():
     assert stacked.shape == (5, 2, 2)
     np.testing.assert_allclose(stacked[2], fld.at(0))
     np.testing.assert_allclose(stacked[0], h)
+
+
+def test_stacked_places_every_listed_coin_at_its_site():
+    h2 = tensor(hadamard(), hadamard())
+    table = {(1, 0): fractional_swap(0.3), (-2, 2): SWAP, (0, -1): IDENTITY4}
+    stacked = CoinField(2, h2, table).stacked(2)
+    assert stacked.shape == (5, 5, 4, 4)
+    for x in range(-2, 3):
+        for y in range(-2, 3):
+            assert np.array_equal(stacked[x + 2, y + 2], table.get((x, y), h2))
+
+
+@pytest.mark.parametrize(
+    "dim, site", [(2, (-4, 0)), (2, (0, 3)), (2, (3, -3)), (1, -3), (1, 5)]
+)
+def test_stacked_rejects_a_coin_off_the_lattice(dim, site):
+    # A negative site used to wrap silently onto the far edge.
+    default, coin = (hadamard(), PAULI_X) if dim == 1 else (IDENTITY4, fractional_swap(0.3))
+    field = CoinField(dim, default, {site: coin})
+    with pytest.raises(IndexError, match=re.escape(f"coin site {site} outside")):
+        field.stacked(2)
+    with pytest.raises(IndexError):
+        build_step_matrix(dim, 2, field)
+    if dim == 2:
+        with pytest.raises(IndexError):
+            verify_isomorphism(2, field)
 
 
 def test_coin_field_rejects_nonunitary_entry():

@@ -212,6 +212,18 @@ def test_spec_rejects_bools_and_non_integral_values(args, kwargs):
         WalkSpec(*args, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "dim, position", [(1, 3), (1, -3), (2, (3, 0)), (2, (0, -3)), (2, (100, 0))]
+)
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_spec_rejects_a_start_off_the_lattice(dim, position, boundary):
+    coin = H if dim == 1 else H2
+    with pytest.raises(ValueError, match="outside"):
+        WalkSpec(dim, 2, coin, initial_position=position, halfwidth=2, boundary=boundary)
+    edge = 2 if dim == 1 else (2, -2)
+    WalkSpec(dim, 2, coin, initial_position=edge, halfwidth=2, boundary=boundary)
+
+
 def test_spec_accepts_numpy_integers():
     i = np.int64
     spec = WalkSpec(i(2), i(3), H2, initial_position=(i(1), i(-1)), halfwidth=i(5))
