@@ -85,9 +85,16 @@ class WalkSummary:
 
 
 def _site_probs(state: WalkerState | SublatticeState) -> NDArray[np.float64]:
-    # ((p0 + p1) + p2) + p3: the bits of .sum(axis=-1), without its slow reduction.
-    planes = np.moveaxis(np.abs(state.amplitudes) ** 2, -1, 0)
-    return sum(planes[1:], planes[0])
+    # One coin plane at a time, added as ((p0 + p1) + p2) + p3: the bits of
+    # (abs(a) ** 2).sum(axis=-1), in two site-sized arrays (p and one scratch
+    # plane).  A plane is a contiguous block of a light-cone grid and a
+    # strided view of a dense state; both are read in place.
+    planes = np.moveaxis(state.amplitudes, -1, 0)
+    p = np.square(np.abs(planes[0]))
+    tmp = np.empty_like(p)
+    for plane in planes[1:]:
+        p += np.square(np.abs(plane, out=tmp), out=tmp)
+    return p
 
 
 def distribution(state: WalkerState | SublatticeState) -> Distribution:

@@ -194,13 +194,16 @@ def _resolve_threads(cfg: dict, args: argparse.Namespace) -> int:
         raw = os.environ["QWALK_THREADS"]
     else:
         raw = 1
-    try:
-        threads = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"threads: expected an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"threads: must be >= 1, got {threads}")
-    return threads
+    if isinstance(raw, str):  # QWALK_THREADS is text; "2" counts as 2
+        try:
+            raw = int(raw)
+        except ValueError:
+            pass
+    if not _is_int(raw):  # true or 2.7 fails, as for steps
+        raise ConfigError(f"threads: expected an integer, got {raw!r}")
+    if raw < 1:
+        raise ConfigError(f"threads: must be >= 1, got {raw}")
+    return raw
 
 
 def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
@@ -250,17 +253,19 @@ def _format_prob(p: float) -> str:
 
 
 def write_distribution_csv(path: Path, dist: Distribution) -> None:
-    # csv.writer's bytes, one write per x-row; only p >= the floor is formatted.
+    # csv.writer's bytes, one write per x-row: a copy of the all-zero row's
+    # "y,0" tails, with only the sites at or above the floor formatted.
     labels = [f"{x}," for x in dist.positions().tolist()]
     inner = labels if dist.dimensionality == 2 else [""]
+    zeros = [y + "0\r\n" for y in inner]
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("x,y,p\r\n" if dist.dimensionality == 2 else "x,p\r\n")
         for x, row in zip(labels, dist.probs.reshape(len(labels), -1)):
-            cells = ["0\r\n"] * len(row)
+            cells = zeros.copy()
             shown = np.flatnonzero(row >= _PRINT_FLOOR)
             for j, v in zip(shown.tolist(), row[shown].tolist()):
-                cells[j] = f"{v:.12g}\r\n"
-            f.write(x + x.join(map(str.__add__, inner, cells)))  # x,y,p per line
+                cells[j] = f"{inner[j]}{v:.12g}\r\n"
+            f.write(x + x.join(cells))  # x,y,p per line
 
 
 def read_distribution_csv(path: str) -> Distribution:
@@ -278,9 +283,11 @@ def read_distribution_csv(path: str) -> Distribution:
         if not row:
             continue
         try:
+            if len(row) != dim + 1:
+                raise ValueError
             coords = [int(v) for v in row[:dim]]
             entries.append((coords, float(row[dim])))
-        except (ValueError, IndexError):
+        except ValueError:
             raise ConfigError(
                 f"reference: {path} line {line}: expected {dim + 1} numbers, got {row!r}"
             ) from None
@@ -353,6 +360,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not isinstance(ref_path, (str, type(None))):
         raise ConfigError(f"reference: expected a file path, got {ref_path!r}")
     reference = None if ref_path is None else read_distribution_csv(ref_path)
+    if reference is not None and reference.dimensionality != spec.dimensionality:
+        raise ConfigError(
+            f"reference: {ref_path} is {reference.dimensionality}D, the walk is "
+            f"{spec.dimensionality}D"
+        )
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
 
     t0 = time.perf_counter()

@@ -8,6 +8,7 @@ import pytest
 from qwalk.analysis import distribution, marginal, variance
 from qwalk.cli import (
     DEFAULT_STEP_CAP,
+    ConfigError,
     MAX_LATTICE_SITES,
     main,
     parse_angle,
@@ -419,4 +420,78 @@ def test_run_start_off_the_lattice_exits_1_and_creates_nothing(tmp_path, overrid
     write_config(cfg_path, steps=2, **overrides)
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert "outside" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", [True, False, 2.7, 2.0, "2.7", "two", 0],
+                         ids=["true", "false", "2.7", "2.0", "str-2.7", "str-two", "0"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_integer_threads_exit_1_and_create_nothing(tmp_path, capsys, command, threads):
+    # 2.7 used to run as 2 threads and true as 1, echoed as such.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, threads=threads)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert "error: threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_threads_from_the_environment_is_parsed(tmp_path, monkeypatch, command):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]})
+    monkeypatch.setenv("QWALK_THREADS", "2")
+    assert main([command, "--config", str(cfg_path)]) == 0
+    if command == "run":
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config"]["threads"] == 2
+    monkeypatch.setenv("QWALK_THREADS", "2.5")
+    assert main([command, "--config", str(cfg_path)]) == 1
+
+
+def test_config_threads_echo_the_integer(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, threads=3)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["threads"] == 3
+
+
+@pytest.mark.parametrize(
+    "walk_dim, rows",
+    [(2, "x,p\n0,1\n"), (1, "x,y,p\n0,0,1\n")],
+    ids=["1d-reference-on-2d-run", "2d-reference-on-1d-run"],
+)
+def test_reference_of_the_wrong_dimensionality_exits_1_and_creates_nothing(
+    tmp_path, capsys, walk_dim, rows
+):
+    # A 1D reference on a 2D run used to exit 2 after the whole run, with
+    # distribution.csv written and no summary.json.
+    cfg_path = tmp_path / "cfg.json"
+    overrides = {} if walk_dim == 2 else {"dimensionality": 1, "defect": "none",
+                                          "initial": {"position": 0}}
+    write_config(cfg_path, steps=2, **overrides)
+    ref = tmp_path / "ref.csv"
+    ref.write_text(rows)
+    assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
+    assert "error: reference" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["x,y,p\n0,0,1,7\n", "x,y,p\n0,0,1,\n", "x,p\n0,1,0\n", "x,p\n0\n"],
+    ids=["2d-extra-value", "2d-trailing-comma", "1d-extra-value", "1d-short"],
+)
+def test_reference_rows_of_the_wrong_length_exit_1(tmp_path, rows):
+    # The row 0,0,1,7 under x,y,p used to be read as p = 1.
+    ref = tmp_path / "ref.csv"
+    ref.write_text(rows)
+    with pytest.raises(ConfigError, match="expected"):
+        read_distribution_csv(str(ref))
+    cfg_path = tmp_path / "cfg.json"
+    dim = rows.count(",", 0, rows.index("\n"))
+    overrides = {} if dim == 2 else {"dimensionality": 1, "defect": "none",
+                                     "initial": {"position": 0}}
+    write_config(cfg_path, steps=2, **overrides)
+    assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
     assert not (tmp_path / "out").exists()

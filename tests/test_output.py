@@ -8,6 +8,7 @@ is held bitwise to the plain ``(np.abs(a) ** 2).sum(axis=-1)``.
 
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk import cli
-from qwalk.analysis import Distribution, _site_probs
+from qwalk.analysis import Distribution, _site_probs, summarize
 from qwalk.cli import main, write_distribution_csv
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor
 from qwalk.evolution import DefectMap, WalkSpec, evolve
-from qwalk.statespace import WalkerState
+from qwalk.statespace import SublatticeState, WalkerState
 
 
 def _format_prob(p: float) -> str:
@@ -179,3 +180,84 @@ def test_site_probs_is_bitwise_the_axis_sum_on_coin_field_walks(dim):
             for state in (report.grid, report.state):
                 expected = (np.abs(state.amplitudes) ** 2).sum(axis=-1)
                 assert _bitwise_equal(_site_probs(state), expected)
+
+
+def _amplitudes(rng, shape):
+    # Exact zeros, subnormals and magnitudes near 1e-150 and 1e+150, whose
+    # squares underflow to subnormals or zero and reach 1e+300.
+    mags = rng.choice([0.0, 5e-324, 3e-310, 1e-160, 1e-150, 1e-5, 1.0, 1e150, 3e150],
+                      size=shape)
+    amps = mags * (rng.uniform(0.5, 1.0, size=shape) + 1j * rng.uniform(-1.0, 1.0, size=shape))
+    amps[rng.random(shape) < 0.2] = 0.0
+    return amps
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_site_probs_is_bitwise_the_axis_sum_on_extreme_magnitudes(dim):
+    rng = np.random.default_rng(20 + dim)
+    k = 2 * dim
+    for halfwidth in (1, 3, 20):
+        amps = _amplitudes(rng, (2 * halfwidth + 1,) * dim + (k,))
+        planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(amps, -1, 0)), 0, -1)
+        for state, contiguous in (
+            # C order: each coin plane is a strided view.
+            (WalkerState(dim, halfwidth, amps.copy()), False),
+            # Coin-major planes, as the light-cone kernel stores them.
+            (SublatticeState(dim, 2 * halfwidth, (-2 * halfwidth,) * dim, planar), True),
+        ):
+            assert np.moveaxis(state.amplitudes, -1, 0)[1].flags.c_contiguous is contiguous
+            before = state.amplitudes.tobytes()
+            got = _site_probs(state)
+            assert _bitwise_equal(got, (np.abs(amps) ** 2).sum(axis=-1))
+            assert state.amplitudes.tobytes() == before
+        if halfwidth == 20:
+            assert (got == 0.0).any() and (got > 1e299).any()
+            assert ((got > 0.0) & (got < np.finfo(float).tiny)).any()
+
+
+def test_summarize_peaks_at_two_site_arrays():
+    # The final grid of a 200-step 2D walk has N = 201^2 sites; summarize
+    # holds at most the site probabilities and one scratch plane (2N floats),
+    # where the whole-array |a|^2 and plane sums took 1.54 MB.
+    spec = WalkSpec(2, 200, tensor(hadamard(), hadamard()), DefectMap.cross_xy(np.pi))
+    grid = None
+    for report in evolve(spec):
+        grid = report.grid
+    assert isinstance(grid, SublatticeState) and grid.amplitudes.shape == (201, 201, 4)
+    expected = summarize(200, grid)
+    tracemalloc.start()
+    try:
+        summary = summarize(200, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary == expected
+    assert peak <= 1.1 * 2 * 201**2 * 8
+
+
+@pytest.mark.parametrize(
+    "dim, halfwidth, fill",
+    [(2, 3, "zero-rows"), (2, 2, "full-rows"), (1, 9, "full-rows"), (1, 9, "floor"),
+     (2, 3, "floor")],
+)
+def test_writer_matches_csv_writer_on_zero_full_and_floor_rows(tmp_path, dim, halfwidth, fill):
+    n = 2 * halfwidth + 1
+    probs = np.zeros((n,) * dim)
+    if fill == "zero-rows":
+        # Every x-row but the middle one is all zero.
+        probs[halfwidth] = 1.0 / n
+    elif fill == "full-rows":
+        probs[...] = np.arange(1, probs.size + 1).reshape(probs.shape)
+        probs /= probs.sum()
+    else:
+        # Exactly the print floor at every odd site, the largest value below
+        # it at every fourth; the first site holds the rest.
+        below = float(np.nextafter(cli._PRINT_FLOOR, 0))
+        flat = probs.reshape(-1)
+        flat[1::2] = cli._PRINT_FLOOR
+        flat[2::4] = below
+        flat[0] = 1.0 - flat.sum()
+    text = _bytes_equal(tmp_path, Distribution(probs, halfwidth)).decode()
+    assert text.count("\r\n") == n**dim + 1
+    if fill == "floor":
+        assert ",1e-15\r\n" in text and ",0\r\n" in text
