@@ -65,9 +65,13 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_angle(value: Any, key: str) -> float:
     """Radians from a number or a 'pi:<multiplier>' string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_real(value):
         if not math.isfinite(value):
             raise ConfigError(f"{key}: angle must be finite, got {value!r}")
         return float(value)
@@ -113,7 +117,7 @@ def _parse_coin(cfg: Any, dimensionality: int):
         if dimensionality != 2:
             raise ConfigError(f"{key}: 'fractional_swap' is a 2D coin")
         tau = cfg.get("tau")
-        if not isinstance(tau, (int, float)) or isinstance(tau, bool):
+        if not _is_real(tau):
             raise ConfigError(f"{key}.tau: expected a number, got {tau!r}")
         return fractional_swap(float(tau))
     raise ConfigError(f"{key}.kind: unknown coin kind {kind!r}")
@@ -158,15 +162,14 @@ def _parse_initial(cfg: Any):
     coin = cfg.get("coin", "symmetric")
     if coin == "symmetric":
         coin_vec = None  # WalkSpec default
-    elif isinstance(coin, list):
-        try:
-            coin_vec = [complex(c[0], c[1]) for c in coin]
-        except (TypeError, IndexError):
-            raise ConfigError(
-                "initial.coin: expected 'symmetric' or a list of [re, im] pairs"
-            ) from None
+    elif isinstance(coin, list) and all(
+        isinstance(c, list) and len(c) == 2 and all(map(_is_real, c)) for c in coin
+    ):
+        coin_vec = [complex(re, im) for re, im in coin]
     else:
-        raise ConfigError("initial.coin: expected 'symmetric' or a list of [re, im] pairs")
+        raise ConfigError(
+            f"initial.coin: expected 'symmetric' or a list of [re, im] number pairs, got {coin!r}"
+        )
     return cfg.get("position"), coin_vec
 
 
@@ -210,39 +213,35 @@ def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
     dimensionality = cfg.get("dimensionality", 2)
     if not _is_int(dimensionality) or dimensionality not in (1, 2):
         raise ConfigError(f"dimensionality: must be 1 or 2, got {dimensionality!r}")
-    steps = cfg.get("steps", 10)
-    if not _is_int(steps) or steps < 0:
-        raise ConfigError(f"steps: must be a nonnegative integer, got {steps!r}")
     cap = cfg.get("max_steps", DEFAULT_STEP_CAP)
     if not _is_int(cap) or cap < 0:
         raise ConfigError(f"max_steps: must be a nonnegative integer, got {cap!r}")
-    if steps > cap:
-        raise ConfigError(f"steps: {steps} exceeds the hard cap {cap}")
-    halfwidth = cfg.get("halfwidth")
-    if halfwidth is not None and (not _is_int(halfwidth) or halfwidth < 1):
-        raise ConfigError(f"halfwidth: must be a positive integer, got {halfwidth!r}")
-    sites = (2 * (halfwidth or max(steps, 1)) + 1) ** dimensionality
-    if sites > MAX_LATTICE_SITES:
-        raise ConfigError(
-            f"halfwidth: the lattice has {sites} sites, above the cap {MAX_LATTICE_SITES}"
-        )
     coin = _parse_coin(cfg.get("coin"), dimensionality)
     if defect is None:
         defect = _parse_defect(cfg.get("defect"))
     position, coin_vec = _parse_initial(cfg.get("initial"))
     try:
-        return WalkSpec(
+        spec = WalkSpec(
             dimensionality=dimensionality,
-            steps=steps,
+            steps=cfg.get("steps", 10),
             coin=coin,
             defect=defect,
             initial_position=position,
             initial_coin=coin_vec,
             boundary=cfg.get("boundary", "open"),
-            halfwidth=halfwidth,
+            halfwidth=cfg.get("halfwidth"),
         )
     except (ValueError, IndexError) as e:
         raise ConfigError(f"config: {e}") from None
+    # Checked before anything of the lattice is allocated.
+    if spec.steps > cap:
+        raise ConfigError(f"steps: {spec.steps} exceeds the hard cap {cap}")
+    sites = (2 * spec.halfwidth + 1) ** dimensionality  # type: ignore[operator]
+    if sites > MAX_LATTICE_SITES:
+        raise ConfigError(
+            f"halfwidth: the lattice has {sites} sites, above the cap {MAX_LATTICE_SITES}"
+        )
+    return spec
 
 
 _PRINT_FLOOR = 1e-15  # output-side clamp: smaller probabilities print as 0
@@ -295,9 +294,13 @@ def read_distribution_csv(path: str) -> Distribution:
         raise ConfigError(f"reference: {path} contains no data rows")
     halfwidth = max(max(abs(c) for c in coords) for coords, _ in entries)
     n = 2 * halfwidth + 1
-    probs = np.zeros((n,) if dim == 1 else (n, n))
+    probs = np.zeros((n,) * dim)
+    seen = set()
     for coords, p in entries:
         idx = tuple(c + halfwidth for c in coords)
+        if idx in seen:
+            raise ConfigError(f"reference: {path} lists site {tuple(coords)} twice")
+        seen.add(idx)
         probs[idx] = p
     try:
         return Distribution(probs, halfwidth)
@@ -426,6 +429,8 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         base = cfg.get("defect", "none")
         if isinstance(base, str):
             base = {"kind": base}
+        if not isinstance(base, dict):
+            raise ConfigError(f"defect: expected a kind string or an object, got {base!r}")
         if base.get("kind", "none") == "none":
             raise ConfigError("--phi: set a defect kind first (config or --defect)")
         base["phi"] = args.phi
@@ -463,7 +468,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     kinds = sweep.get("defect")
     if kinds is None:
         base = cfg.get("defect", "cross_xy")
-        kinds = [base["kind"] if isinstance(base, dict) else base]
+        kinds = [base.get("kind") if isinstance(base, dict) else base]
     if not isinstance(kinds, list) or not kinds:
         raise ConfigError("sweep.defect: expected a nonempty list of defect kinds")
     for kind in kinds:

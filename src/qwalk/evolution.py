@@ -55,6 +55,7 @@ from .coins import CoinField, _site_index, as_coin_field
 from .statespace import (
     SublatticeState,
     WalkerState,
+    _integer,
     as_coin_state,
     localized_state,
     state_dimension,
@@ -357,13 +358,6 @@ def apply_step_2d(
     return _Stepper(2, state.halfwidth, coin, defect, boundary).step(state)
 
 
-def _integer(value: object, what: str) -> int:
-    # bool is an int subclass, and int() would truncate 0.7 to 0 silently.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class WalkSpec:
     """Complete walk configuration.
@@ -522,13 +516,15 @@ def _step_matrix(
     moves: Sequence[tuple[int, ...]],
 ) -> NDArray[np.complex128]:
     """Dense periodic step matrix of the walk whose coin component c moves
-    by ``moves[c]``: the entries of :func:`_step_entries`, scattered."""
+    by ``moves[c]``: column (s, c) holds ``blocks[s][:, c]``, its entry c'
+    at row (``_targets[c', s]``, c')."""
     blocks = _site_blocks(dimensionality, halfwidth, coin, defect)
-    rows, cols, values = _step_entries(blocks, moves)
-    dim_total = state_dimension(dimensionality, halfwidth)
-    U = np.zeros((dim_total, dim_total), dtype=np.complex128)
-    U[rows, cols] = values
-    return U
+    target = _targets(blocks.shape[:dimensionality], moves)
+    k, sites = target.shape
+    U = np.zeros((sites, k, sites, k), dtype=np.complex128)
+    s, c = np.arange(sites)[:, None, None], np.arange(k)
+    U[target.T[..., None], c[:, None], s, c] = blocks.reshape(sites, k, k)
+    return U.reshape(sites * k, sites * k)
 
 
 def _site_blocks(
@@ -549,21 +545,8 @@ def _site_blocks(
     return blocks if grid is None else grid[..., None, None] * blocks
 
 
-def _step_entries(
-    blocks: NDArray[np.complex128], moves: Sequence[tuple[int, ...]]
-) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.complex128]]:
-    """Every entry of the periodic step matrix that ``blocks`` can fill, as
-    flat (row, col, value) arrays: 2·d per column, no (row, col) twice.
-
-    Column (site, c) holds ``blocks[site][:, c]``, with row c' at
-    site + moves[c'] (mod 2L+1).  Zero entries are listed too.
-    """
-    d, k = len(moves[0]), blocks.shape[-1]
-    shape = blocks.shape[:d]
-    sites = np.indices(shape).reshape(d, 1, -1)
-    # target[c, s]: flat index of the site that component c of site s moves to.
-    target = np.ravel_multi_index(sites + np.transpose(moves)[..., None], shape, mode="wrap")
-    # Entry [s, c', c] sits at row (target[c', s], c') and column (s, c).
-    rows = np.repeat((target.T * k + np.arange(k)).ravel(), k)
-    cols = np.tile(np.arange(blocks.size // k).reshape(-1, k), (1, k)).ravel()
-    return rows, cols, blocks.reshape(-1)
+def _targets(shape: tuple[int, ...], moves: Sequence[tuple[int, ...]]) -> NDArray[np.int64]:
+    """``[c, s]``: flat index of the site that coin component c of site s
+    moves to, periodic on the lattice of ``shape``."""
+    sites = np.indices(shape).reshape(len(shape), 1, -1)
+    return np.ravel_multi_index(sites + np.transpose(moves)[..., None], shape, mode="wrap")

@@ -18,15 +18,16 @@ automorphism once composed with halving (2 is invertible mod n, with
 
 Under this bijection the simultaneous two-walker shift maps exactly onto
 unit axis moves: coin (0,0) -> x+1, (0,1) -> y+1, (1,0) -> y-1,
-(1,1) -> x-1.  The verification here is numeric and exact.  The per-site
-blocks phase * coin are built once and scattered into the entries of
-both step operators: with the two walkers' diagonal move table, and,
-carried to the 2D sites through the site permutation, with the single
-walker's axis move table.  The 2D walker's entries are relabeled through
-the inverse basis permutation, and the two entry lists are compared over
-the union of their supports: the same number as the dense max
-|U_two - P^T U_2d P|, without building a dense operator.  The dense
-builders (:func:`build_two_walker_matrix`, :func:`transformed_step_matrix`,
+(1,1) -> x-1.  The verification here is numeric and exact.  Each step
+operator is one table of per-site blocks phase * coin and one move-target
+table: column (s, c) holds block column c of site s, its component c'
+on the site that component c' of s moves to.  The blocks are built once
+and read by both operators, carried to the 2D sites through the site
+permutation for the single walker.  The check compares the two operators
+column by column, relabeling the 2D walker's target sites through the
+site permutation: the same number as the dense max |U_two - P^T U_2d P|,
+without building a dense operator.  The dense builders
+(:func:`build_two_walker_matrix`, :func:`transformed_step_matrix`,
 :meth:`BasisPermutation.conjugate`) remain as the public API and as the
 tests' reference.  The scatter and the move tables are checked on their
 own against the independent brute-force walk of the test oracle.
@@ -56,13 +57,14 @@ from .coins import (
 from .evolution import (
     _DIAGONAL_MOVES,
     DefectMap,
+    WalkSpec,
     _site_blocks,
-    _step_entries,
     _step_matrix,
     _Stepper,
+    _targets,
     build_step_matrix,
 )
-from .statespace import WalkerState, localized_state
+from .statespace import WalkerState
 
 __all__ = [
     "coordinate_forward",
@@ -121,7 +123,7 @@ class BasisPermutation:
         # Array indices of the halved images, wrapped onto the lattice.
         X, Y = (inv2 * np.array(images, dtype=np.int64).T + L) % n
         idx = ((X * n + Y)[:, None] * 4 + np.arange(4)).ravel()
-        if len(np.unique(idx)) != idx.size:
+        if np.bincount(idx).max() > 1:
             raise ValueError("pair map does not induce a bijection on the lattice")
         idx.flags.writeable = False
         return cls(L, idx)
@@ -214,32 +216,32 @@ def _deviation(
     defect: DefectMap | None,
     pair_map: PairMap | None = None,
 ) -> float:
-    """max |U_two - P^T U_2d P|, computed from the two operators' entry
-    lists; no dense operator is built.
+    """max |U_two - P^T U_2d P|, compared column by column; no dense
+    operator is built.
 
     Both operators scatter the same site blocks (the 2D walker's carried
-    across the pair map); the 2D entries move back through the inverse of
-    ``pair_map``'s ``indices``.  The maximum runs over the union of the two
-    supports: an entry on one side only meets the dense zero and counts at
-    its full modulus.  ``_step_entries`` lists each (row, col) at most once.
+    across the pair map) and hold exactly one entry per column (s, c) and
+    output component c'.  It sits at site ``_targets[c', s]`` for the two
+    walkers and, with tau the site map of ``pair_map``, at
+    tau^-1(``_targets[c', tau(s)]``) for the relabeled 2D walker.  Where
+    the two sites agree the entries meet; elsewhere each meets the dense
+    zero and counts at its full modulus.
     """
     blocks = _site_blocks(2, halfwidth, coin4, defect)
-    rows, cols, values = _step_entries(blocks, _DIAGONAL_MOVES[2])
-    rows_2d, cols_2d, values_2d = _step_entries(_carried(blocks, halfwidth), _AXIS_MOVES)
     perm = (
         _permutation(halfwidth)
         if pair_map is None
         else BasisPermutation.build(halfwidth, pair_map)
     )
-    dim = perm.indices.size
-    inverse = np.empty_like(perm.indices)
-    inverse[perm.indices] = np.arange(dim)
-    keys = np.concatenate([rows * dim + cols, inverse[rows_2d] * dim + inverse[cols_2d]])
-    union, slot = np.unique(keys, return_inverse=True)
-    diff = np.zeros(union.size, dtype=np.complex128)
-    diff[slot[: values.size]] = values
-    diff[slot[values.size :]] -= values_2d
-    return float(np.abs(diff).max())
+    tau = perm.indices[::4] // 4
+    shape = blocks.shape[:2]
+    site = _targets(shape, _DIAGONAL_MOVES[2])
+    site_2d = np.argsort(tau)[_targets(shape, _AXIS_MOVES)[:, tau]]
+    # [s, c', c] -> [c', s, c], beside the [c', s] sites.
+    a = blocks.reshape(tau.size, 4, 4).transpose(1, 0, 2)
+    b = _carried(blocks, halfwidth).reshape(tau.size, 4, 4)[tau].transpose(1, 0, 2)
+    apart = np.maximum(np.abs(a), np.abs(b))
+    return float(np.where((site == site_2d)[..., None], np.abs(a - b), apart).max())
 
 
 def verify_isomorphism(
@@ -372,13 +374,13 @@ def axis_walk_state(
 
     This is the transformed side of the equivalence at state-vector level;
     the plain 2D walk in :mod:`qwalk.evolution` moves diagonally instead.
+    ``steps``, ``halfwidth`` and ``initial_coin`` are resolved and
+    validated by :class:`WalkSpec`.
     """
-    L = halfwidth if halfwidth is not None else max(steps, 1)
-    if L < steps:
-        raise ValueError(f"halfwidth {L} < steps {steps}")
-    stepper = _Stepper(2, L, coin4, None, "open", _AXIS_MOVES)
-    state = localized_state(2, L, (0, 0), initial_coin)
-    for _ in range(steps):
+    spec = WalkSpec(2, steps, coin4, initial_coin=initial_coin, halfwidth=halfwidth)
+    stepper = _Stepper(2, spec.halfwidth, coin4, None, "open", _AXIS_MOVES)
+    state = spec.initial_state()
+    for _ in range(spec.steps):
         state = stepper.step(state)
     return state
 

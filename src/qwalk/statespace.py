@@ -46,6 +46,13 @@ __all__ = [
 NORM_TOL = 1e-12
 
 
+def _integer(value: object, what: str) -> int:
+    # bool is an int subclass, and int() would truncate 0.7 to 0 silently.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_coin_bit(name: str, value: int) -> None:
     if value not in (0, 1):
         raise ValueError(f"coin bit {name} must be 0 or 1, got {value!r}")
@@ -249,7 +256,8 @@ def localized_state(
     halfwidth : int
         Lattice halfwidth L >= 1; sites span -L..L per axis.
     origin : int or (int, int)
-        Starting site; must lie within [-L, L] per axis.
+        Starting site, integer coordinates (ValueError otherwise); must
+        lie within [-L, L] per axis (IndexError otherwise).
     coin : sequence of complex
         Unit-norm coin vector (2 components in 1D, 4 in 2D).
 
@@ -261,21 +269,13 @@ def localized_state(
     if halfwidth < 1:
         raise ValueError(f"halfwidth must be >= 1, got {halfwidth}")
     vec = as_coin_state(coin, dimensionality)
-    n = 2 * halfwidth + 1
-    if dimensionality == 1:
-        x = int(origin)  # type: ignore[arg-type]
-        if abs(x) > halfwidth:
-            raise IndexError(f"origin x={x} outside [-{halfwidth}, {halfwidth}]")
-        amps = np.zeros((n, 2), dtype=np.complex128)
-        amps[x + halfwidth, :] = vec
-    else:
-        x, y = origin  # type: ignore[misc]
-        if abs(x) > halfwidth or abs(y) > halfwidth:
-            raise IndexError(
-                f"origin ({x}, {y}) outside [-{halfwidth}, {halfwidth}]^2"
-            )
-        amps = np.zeros((n, n, 4), dtype=np.complex128)
-        amps[x + halfwidth, y + halfwidth, :] = vec
+    site = tuple(_integer(v, "origin") for v in ((origin,) if dimensionality == 1 else origin))
+    if len(site) != dimensionality:
+        raise ValueError(f"origin must have {dimensionality} coordinates, got {origin!r}")
+    if max(map(abs, site)) > halfwidth:
+        raise IndexError(f"origin {origin!r} outside [-{halfwidth}, {halfwidth}]^{dimensionality}")
+    amps = np.zeros((2 * halfwidth + 1,) * dimensionality + vec.shape, dtype=np.complex128)
+    amps[tuple(v + halfwidth for v in site)] = vec
     return WalkerState(dimensionality, halfwidth, amps)
 
 

@@ -495,3 +495,53 @@ def test_reference_rows_of_the_wrong_length_exit_1(tmp_path, rows):
     write_config(cfg_path, steps=2, **overrides)
     assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_reference_that_lists_a_site_twice_exits_1_and_creates_nothing(tmp_path, capsys):
+    # These rows list a total of 1.5, but were read as p(0,0) = p(1,1) = 0.5.
+    ref = tmp_path / "ref.csv"
+    ref.write_text("x,y,p\n0,0,0.5\n0,0,0.5\n1,1,0.5\n")
+    with pytest.raises(ConfigError, match="twice"):
+        read_distribution_csv(str(ref))
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2)
+    assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
+    assert "error: reference" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("defect", [[1], 7], ids=["list", "number"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_phi_on_a_malformed_defect_exits_1_and_creates_nothing(tmp_path, capsys, command, defect):
+    # This used to exit 2 with AttributeError: 'list' object has no attribute 'get'.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, defect=defect)
+    assert main([command, "--config", str(cfg_path), "--phi", "1"]) == 1
+    assert "error: defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_on_a_defect_object_without_kind_exits_1(tmp_path, capsys):
+    # This used to exit 2 with KeyError: 'kind'.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, defect={"phi": "pi:1"})
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert "error: sweep.defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[1, 0, 9], [True, 0], [1], ["1", 0], 1],
+    ids=["triple", "bool", "single", "string", "number"],
+)
+def test_initial_coin_entries_must_be_two_numbers(tmp_path, capsys, entry):
+    # [1, 0, 9] used to run with the 9 dropped, and [true, 0] as [1, 0].
+    cfg_path = tmp_path / "cfg.json"
+    coin = [entry, [0, 0], [0, 0], [0, 0]]
+    write_config(cfg_path, steps=2, initial={"position": [0, 0], "coin": coin})
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "error: initial.coin" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    write_config(cfg_path, steps=2, initial={"position": [0, 0], "coin": [[1, 0]] + coin[1:]})
+    assert main(["run", "--config", str(cfg_path)]) == 0

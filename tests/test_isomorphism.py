@@ -20,7 +20,7 @@ from qwalk.evolution import (
     _DIAGONAL_MOVES,
     DefectMap,
     WalkSpec,
-    _step_entries,
+    _targets,
     build_step_matrix,
     run_walk,
 )
@@ -214,6 +214,17 @@ def test_map_two_walker_distribution_rejects_odd_support():
         map_two_walker_distribution(Distribution(p, 1))
 
 
+@pytest.mark.parametrize(
+    "steps, halfwidth", [(-1, None), (True, None), (1.0, None), (3, 2), (2, True)]
+)
+def test_axis_walk_state_rejects_what_a_walk_spec_rejects(steps, halfwidth):
+    # steps=-1 used to return the start state, and steps=True to run one step.
+    with pytest.raises(ValueError):
+        WalkSpec(2, steps, H2, halfwidth=halfwidth)
+    with pytest.raises(ValueError):
+        axis_walk_state(steps, H2, symmetric_coin(2), halfwidth)
+
+
 def test_axis_walk_norm_and_support():
     s = axis_walk_state(5, H2, symmetric_coin(2))
     assert abs(s.norm() - 1.0) < 1e-12
@@ -297,7 +308,7 @@ def test_step_matrix_interior_columns_match_one_oracle_step(walk):
             np.testing.assert_allclose(U[:, col], expected.ravel(), rtol=0, atol=1e-15)
 
 
-# --------------------------- entry-list comparison against the dense one
+# ----------------------------- column comparison against the dense one
 
 
 def _dense_deviation(L, coin, defect, perm):
@@ -333,6 +344,7 @@ DEFECTS = {
 WRONG_PAIR_MAPS = {
     "rotated": lambda x, y: (x + y, y - x),
     "identity": lambda x, y: (x, y),
+    "swapped": lambda x, y: (x - y, x + y),
 }
 
 
@@ -347,6 +359,27 @@ def test_entry_deviation_equals_dense_deviation(L, coin, defect):
         dense = _dense_deviation(L, coin, defect, BasisPermutation.build(L, pair_map))
         assert dense > 0.0
         assert _deviation(L, coin, defect, pair_map) == dense
+
+
+def test_an_entry_only_the_relabeled_side_has_counts_in_full():
+    # The pair map is right except on a 4-cycle of sites, and one site of
+    # that cycle has the coin 1 (+) Q.  Its entry 1 lands off the matched
+    # sites only on the 2D side: every two-walker entry off the matched
+    # sites and every matched difference is at most 2/3.
+    u, _, vh = np.linalg.svd(H2[1:, 1:])
+    peaked = np.eye(4, dtype=complex)
+    peaked[1:, 1:] = u @ vh
+    L = 2
+    image = BasisPermutation.build(L).site_image
+    cycle = {(0, 0): (0, -2), (0, -2): (1, 1), (1, 1): (1, -1), (1, -1): (0, 0)}
+
+    def pair_map(x, y):
+        # Twice the image: the mod-n halving gives the image back.
+        return tuple(2 * v for v in image(*cycle.get((x, y), (x, y))))
+
+    field = CoinField(2, H2, {(0, 0): peaked})
+    dense = _dense_deviation(L, field, None, BasisPermutation.build(L, pair_map))
+    assert _deviation(L, field, None, pair_map) == dense == 1.0
 
 
 def _random_u4(rng):
@@ -414,14 +447,12 @@ def test_dense_builders_match_a_site_loop_bitwise(L):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_step_entries_fill_each_column_once_per_coin_component(dim):
-    L, k = 2, 2 * dim
-    coin = hadamard() if dim == 1 else H2
-    rows, cols, values = _step_entries(as_coin_field(coin, dim).stacked(L), _DIAGONAL_MOVES[dim])
-    dim_total = (2 * L + 1) ** dim * k
-    assert rows.size == cols.size == values.size == dim_total * k
-    assert (np.bincount(cols, minlength=dim_total) == k).all()
-    assert np.unique(rows * dim_total + cols).size == rows.size
+def test_targets_move_each_coin_component_by_a_site_permutation(dim):
+    shape = (5,) * dim
+    target = _targets(shape, _DIAGONAL_MOVES[dim])
+    assert target.shape == (2 * dim, 5**dim)
+    for row in target:
+        assert sorted(row) == list(range(5**dim))
 
 
 def test_isocheck_builds_the_permutation_once(monkeypatch):

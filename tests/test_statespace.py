@@ -44,6 +44,15 @@ def test_localized_state_bounds():
         localized_state(2, 5, (0, 6), symmetric_coin(2))
 
 
+@pytest.mark.parametrize(
+    "dim, origin", [(1, 0.7), (1, 1.9), (1, True), (2, (0.5, 0)), (2, (1, True))]
+)
+def test_localized_state_rejects_a_non_integer_origin(dim, origin):
+    # 0.7 used to start at site 0, and 1.9 and true at site 1.
+    with pytest.raises(ValueError, match="origin must be an integer"):
+        localized_state(dim, 3, origin, symmetric_coin(dim))
+
+
 def test_localized_state_rejects_nonunit_coin():
     with pytest.raises(ValueError):
         localized_state(1, 5, 0, [1, 1])
