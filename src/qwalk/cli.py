@@ -65,25 +65,28 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value: Any, key: str) -> float:
+    """A finite float from a JSON number; not a bool, inf, nan, or an
+    integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: integer too large for a float") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return x
 
 
 def parse_angle(value: Any, key: str) -> float:
     """Radians from a number or a 'pi:<multiplier>' string."""
-    if _is_real(value):
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: angle must be finite, got {value!r}")
-        return float(value)
     if isinstance(value, str) and value.startswith("pi:"):
         try:
-            mult = float(value[3:])
-        except ValueError:
+            return _number(float(value[3:]) * math.pi, key)
+        except ValueError:  # no number, or no finite angle
             raise ConfigError(f"{key}: bad pi-multiple {value!r}") from None
-        if not math.isfinite(mult):
-            raise ConfigError(f"{key}: angle must be finite, got {value!r}")
-        return mult * math.pi
-    raise ConfigError(f"{key}: expected a number or 'pi:<x>', got {value!r}")
+    return _number(value, key)
 
 
 def _parse_coin(cfg: Any, dimensionality: int):
@@ -116,10 +119,7 @@ def _parse_coin(cfg: Any, dimensionality: int):
     if kind == "fractional_swap":
         if dimensionality != 2:
             raise ConfigError(f"{key}: 'fractional_swap' is a 2D coin")
-        tau = cfg.get("tau")
-        if not _is_real(tau):
-            raise ConfigError(f"{key}.tau: expected a number, got {tau!r}")
-        return fractional_swap(float(tau))
+        return fractional_swap(_number(cfg.get("tau"), f"{key}.tau"))
     raise ConfigError(f"{key}.kind: unknown coin kind {kind!r}")
 
 
@@ -162,10 +162,8 @@ def _parse_initial(cfg: Any):
     coin = cfg.get("coin", "symmetric")
     if coin == "symmetric":
         coin_vec = None  # WalkSpec default
-    elif isinstance(coin, list) and all(
-        isinstance(c, list) and len(c) == 2 and all(map(_is_real, c)) for c in coin
-    ):
-        coin_vec = [complex(re, im) for re, im in coin]
+    elif isinstance(coin, list) and all(isinstance(c, list) and len(c) == 2 for c in coin):
+        coin_vec = [complex(*(_number(v, "initial.coin") for v in c)) for c in coin]
     else:
         raise ConfigError(
             f"initial.coin: expected 'symmetric' or a list of [re, im] number pairs, got {coin!r}"
@@ -181,7 +179,7 @@ def _load_config_file(path: str | None) -> dict:
             cfg = json.load(f)
     except OSError as e:
         raise ConfigError(f"config: cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config: invalid JSON in {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -220,10 +218,14 @@ def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
     if defect is None:
         defect = _parse_defect(cfg.get("defect"))
     position, coin_vec = _parse_initial(cfg.get("initial"))
+    steps = cfg.get("steps", 10)
+    # The caps are checked before anything of the lattice is allocated.
+    if _is_int(steps) and steps > cap:
+        raise ConfigError(f"steps: {steps} exceeds the hard cap {cap}")
     try:
         spec = WalkSpec(
             dimensionality=dimensionality,
-            steps=cfg.get("steps", 10),
+            steps=steps,
             coin=coin,
             defect=defect,
             initial_position=position,
@@ -231,11 +233,8 @@ def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
             boundary=cfg.get("boundary", "open"),
             halfwidth=cfg.get("halfwidth"),
         )
-    except (ValueError, IndexError) as e:
+    except (ValueError, IndexError, OverflowError) as e:
         raise ConfigError(f"config: {e}") from None
-    # Checked before anything of the lattice is allocated.
-    if spec.steps > cap:
-        raise ConfigError(f"steps: {spec.steps} exceeds the hard cap {cap}")
     sites = (2 * spec.halfwidth + 1) ** dimensionality  # type: ignore[operator]
     if sites > MAX_LATTICE_SITES:
         raise ConfigError(
@@ -515,10 +514,7 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
     if state_dimension(2, halfwidth) > MAX_MATRIX_DIM:
-        raise ConfigError(
-            f"halfwidth: matrix dimension {state_dimension(2, halfwidth)} "
-            f"exceeds cap {MAX_MATRIX_DIM}"
-        )
+        raise ConfigError(f"halfwidth: {halfwidth} gives a matrix above the cap {MAX_MATRIX_DIM}")
     out_dir = _make_out_dir(args.out if args.out is not None else cfg.get("out_dir", "."))
 
     rng = np.random.default_rng(seed)

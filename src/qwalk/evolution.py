@@ -18,27 +18,26 @@ reads it: the full-lattice and light-cone kernels and the dense step
 matrix.  The unit-axis walk of :mod:`qwalk.isomorphism` runs the same
 code with its own table.
 
-Boundaries: ``"open"`` requires halfwidth >= steps so an origin-started
-walker never touches the edge (a step that would push amplitude past the
-edge raises IndexError).  ``"periodic"`` identifies site L+1 with -L per
-axis and exists mainly for matrix-level checks at small halfwidth.
+Boundaries: an ``"open"`` walk needs halfwidth >= max|start| + steps,
+so its light cone never leaves the lattice; :class:`WalkSpec` rejects
+any other.  ``"periodic"`` identifies site L+1 with -L per axis and
+exists mainly for matrix-level checks at small halfwidth.
 
-Multi-step evolution of an open-boundary walk whose light cone stays on
-the lattice steps only the sites that can hold amplitude.  Every step
-moves each coordinate by +-1, so after t steps from (x0, y0) amplitude
-lives only on x = x0 + t, y = y0 + t (mod 2) inside the cone: a dense
-(t+1)^d grid of sites spaced 2 apart (a :class:`SublatticeState`, a
-quarter of the (2t+1)^2 cone window in 2D).  Each step is one coin GEMM
-over that grid, the phase on the grid rows/columns that lie on the
-defect, a shift that writes each coin component as one block of its own
-contiguous (t+2)^d plane, at offset 0 or 1, and one ``vdot`` over the
-planes in memory order for the norm.  The planes go to one of two
-buffers of the final grid's size, which take turns: a buffer is reused
-once no report, grid or view refers to it, and a step whose buffers are
-both held gets a fresh array.  Cost and memory per step are O((t+1)^d),
-independent of the halfwidth; the dense lattice state is built only when
-a caller asks for ``StepReport.state``.  The periodic boundary and starts
-whose cone leaves the lattice step the full lattice.
+Multi-step evolution of an open-boundary walk steps only the sites that
+can hold amplitude.  Every step moves each coordinate by +-1, so after t
+steps from (x0, y0) amplitude lives only on x = x0 + t, y = y0 + t
+(mod 2) inside the cone: a dense (t+1)^d grid of sites spaced 2 apart (a
+:class:`SublatticeState`, a quarter of the (2t+1)^2 cone window in 2D).
+Each step is one coin GEMM over that grid, the phase on the grid
+rows/columns that lie on the defect, a shift that writes each coin
+component as one block of its own contiguous (t+2)^d plane, at offset 0
+or 1, and one ``vdot`` over the planes in memory order for the norm.  The
+planes go to one of two buffers of the final grid's size, which take
+turns: a buffer is reused once no report, grid or view refers to it, and
+a step whose buffers are both held gets a fresh array.  Cost and memory
+per step are O((t+1)^d), independent of the halfwidth; the dense lattice
+state is built only when a caller asks for ``StepReport.state``.  The
+periodic boundary steps the full lattice.
 """
 
 from __future__ import annotations
@@ -223,8 +222,10 @@ def _phase_applier(
 class _Stepper:
     """Single-step kernel: coin mix, defect phase, shift.
 
-    ``step`` advances a dense state on the full lattice (open or periodic
-    boundary); ``cone_step`` advances a :class:`SublatticeState`.
+    ``step`` advances a dense state on the full lattice: the periodic walk,
+    and the open single steps of ``apply_step_1d/2d`` and the unit-axis
+    walk; ``cone_step`` advances an open walk's :class:`SublatticeState`.
+    Building one checks the boundary, the coin field and every listed site.
     ``moves[c]`` is the displacement of coin component c, per axis; it
     defaults to the diagonal walk's ``_DIAGONAL_MOVES``.
     """
@@ -308,10 +309,7 @@ class _Stepper:
             for axis, s in enumerate(move)
             if s
         ):
-            raise IndexError(
-                "step would shift amplitude past the open lattice edge; "
-                "use halfwidth >= steps"
-            )
+            raise IndexError("step would shift amplitude past the open lattice edge")
         return out
 
 
@@ -360,11 +358,13 @@ def apply_step_2d(
 
 @dataclass
 class WalkSpec:
-    """Complete walk configuration.
+    """Complete walk configuration; an accepted spec runs to its last step.
 
-    ``halfwidth`` defaults to ``max(steps, 1)`` so an open-boundary walker
-    never reaches the edge.  ``initial_coin`` defaults to the symmetric
-    coin state; ``initial_position`` to the origin.
+    ``halfwidth`` defaults to ``max(steps, 1)``.  An open-boundary walk
+    needs ``max|start| + steps <= halfwidth``, so its light cone stays on
+    the lattice; the coins and every coin and defect site are checked by
+    building the walk's stepper.  ``initial_coin`` defaults to the
+    symmetric coin state; ``initial_position`` to the origin.
     """
 
     dimensionality: int
@@ -385,18 +385,9 @@ class WalkSpec:
             raise ValueError(f"steps must be a nonnegative integer, got {self.steps}")
         if self.halfwidth is None:
             self.halfwidth = max(self.steps, 1)
-        self.halfwidth = _integer(self.halfwidth, "halfwidth")
-        if self.halfwidth < 1:
-            raise ValueError(f"halfwidth must be >= 1, got {self.halfwidth}")
-        if self.boundary not in ("open", "periodic"):
-            raise ValueError(
-                f"boundary must be 'open' or 'periodic', got {self.boundary!r}"
-            )
-        if self.boundary == "open" and self.halfwidth < self.steps:
-            raise ValueError(
-                f"open boundary needs halfwidth >= steps "
-                f"({self.halfwidth} < {self.steps})"
-            )
+        self.halfwidth = L = _integer(self.halfwidth, "halfwidth")
+        if L < 1:
+            raise ValueError(f"halfwidth must be >= 1, got {L}")
         pos = self.initial_position
         if pos is None:
             pos = 0 if d == 1 else (0, 0)
@@ -406,14 +397,19 @@ class WalkSpec:
             self.initial_position = tuple(_integer(v, "initial_position") for v in pos)
         else:
             raise ValueError(f"initial_position must be an (x, y) pair, got {pos!r}")
-        if max(map(abs, np.atleast_1d(self.initial_position))) > (L := self.halfwidth):
+        start = (self.initial_position,) if d == 1 else self.initial_position
+        reach = max(map(abs, start))  # a Python int: int64 would overflow
+        if reach > L:
             raise ValueError(f"initial_position {pos!r} outside [-{L}, {L}]^{d}")
+        if self.boundary == "open" and reach + self.steps > L:
+            raise ValueError(
+                f"open boundary needs halfwidth >= max|start| + steps = "
+                f"{reach + self.steps}, got {L}"
+            )
         if self.initial_coin is None:
-            self.initial_coin = symmetric_coin(self.dimensionality)
-        # Fail fast on bad coins/defects/initial data rather than mid-run.
-        as_coin_field(self.coin, self.dimensionality)
-        self.defect.validate(self.dimensionality)
-        as_coin_state(self.initial_coin, self.dimensionality)
+            self.initial_coin = symmetric_coin(d)
+        _Stepper(d, L, self.coin, self.defect, self.boundary)
+        as_coin_state(self.initial_coin, d)
 
     def initial_state(self) -> WalkerState:
         assert self.halfwidth is not None and self.initial_position is not None
@@ -422,13 +418,10 @@ class WalkSpec:
             self.dimensionality, self.halfwidth, self.initial_position, self.initial_coin
         )
 
-    def _initial_grid(self) -> SublatticeState | None:
-        """The start site as a one-site sublattice grid, or None when the
-        light cone of the whole run does not fit in an open lattice."""
+    def _initial_grid(self) -> SublatticeState:
+        """The start site as a one-site sublattice grid."""
         d = self.dimensionality
         start = (self.initial_position,) if d == 1 else self.initial_position
-        if self.boundary != "open" or max(map(abs, start)) + self.steps > self.halfwidth:
-            return None
         coin = as_coin_state(self.initial_coin, d)  # type: ignore[arg-type]
         return SublatticeState(d, self.halfwidth, start, coin.reshape((1,) * d + coin.shape))
 
@@ -438,8 +431,8 @@ class StepReport:
     """Post-step snapshot: 1-based step index, amplitudes, and |1 - sum|a|^2|.
 
     ``grid`` holds the amplitudes the kernel produced: a
-    :class:`SublatticeState` on the light-cone path, a dense
-    :class:`WalkerState` otherwise.  ``state`` is always the dense
+    :class:`SublatticeState` on the open boundary, a dense
+    :class:`WalkerState` on the periodic one.  ``state`` is always the dense
     :class:`WalkerState` of the spec's halfwidth, expanded from ``grid`` on
     first access and cached.
     """
@@ -465,12 +458,12 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
     """
     d = spec.dimensionality
     stepper = _Stepper(d, spec.halfwidth, spec.coin, spec.defect, spec.boundary)  # type: ignore[arg-type]
-    state: WalkerState | SublatticeState | None = spec._initial_grid()
-    if state is None:
-        state = spec.initial_state()
-        advance = stepper.step
-    else:
+    state: WalkerState | SublatticeState
+    if spec.boundary == "open":
+        state = spec._initial_grid()
         advance = partial(stepper.cone_step, buffers=_Buffers(spec.steps, d))
+    else:
+        state, advance = spec.initial_state(), stepper.step
     for i in range(1, spec.steps + 1):
         state = advance(state)
         amps = state.amplitudes.ravel(order="K")  # memory order: no copy

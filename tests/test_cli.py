@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -545,3 +546,70 @@ def test_initial_coin_entries_must_be_two_numbers(tmp_path, capsys, entry):
     assert not (tmp_path / "out").exists()
     write_config(cfg_path, steps=2, initial={"position": [0, 0], "coin": [[1, 0]] + coin[1:]})
     assert main(["run", "--config", str(cfg_path)]) == 0
+
+
+BIG = 10**400  # a JSON integer of 401 digits: too large for a float
+HUGE = 10**3999  # 4000 digits, inside Python's int-string limit
+
+
+@pytest.mark.parametrize(
+    "command, overrides, error",
+    [
+        ("run", {"halfwidth": 10, "initial": {"position": [3, 0]}},
+         "config: open boundary needs halfwidth >= max|start| + steps = 13, got 10"),
+        ("run", {"steps": 4, "defect": {"kind": "custom", "table": {"50,0": 1.0}}},
+         "config: custom defect site (50, 0) outside [-4, 4]^2"),
+        ("run", {"defect": {"kind": "cross_xy", "phi": BIG}}, "defect.phi: integer too large"),
+        ("run", {"coin": {"kind": "fractional_swap", "tau": BIG}}, "coin.tau: integer too large"),
+        ("run", {"initial": {"coin": [[BIG, 0], [0, 0], [0, 0], [0, 0]]}},
+         "initial.coin: integer too large"),
+        ("sweep", {"sweep": {"phi": ["pi:1", BIG]}}, "sweep.phi: integer too large"),
+        ("run", {"defect": {"kind": "cross_xy", "phi": "pi:1e308"}}, "defect.phi: bad pi-multiple"),
+        ("run", {"steps": HUGE}, "steps: "),
+        ("run", {"halfwidth": HUGE}, "config: "),
+        ("sweep", {"steps": HUGE, "sweep": {"phi": ["pi:1"]}}, "steps: "),
+        ("sweep", {"halfwidth": HUGE, "sweep": {"phi": ["pi:1"]}}, "config: "),
+    ],
+    ids=["off-centre-cone", "custom-site", "phi-401-digits", "tau-401-digits",
+         "initial-coin-401-digits", "sweep-phi-401-digits", "pi-multiple-to-inf",
+         "run-steps-4000-digits", "run-halfwidth-4000-digits",
+         "sweep-steps-4000-digits", "sweep-halfwidth-4000-digits"],
+)
+def test_input_that_failed_mid_run_exits_1_and_creates_nothing(
+    tmp_path, capsys, command, overrides, error
+):
+    # Each of these used to exit 2: a walk that died mid-run, or an
+    # OverflowError or an int-to-string ValueError out of the parser.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "literal, error",
+    [("1e400", "coin.tau: expected a finite number, got inf"), ("9" * 4400, "config: invalid JSON")],
+    ids=["tau-1e400", "tau-4400-digits"],
+)
+def test_number_literals_past_the_float_and_int_limits_exit_1(tmp_path, capsys, literal, error):
+    # 1e400 used to report "default coin is not unitary" after a numpy
+    # RuntimeWarning; 4400 digits passed Python's int-string limit, exit 2.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, coin={"kind": "fractional_swap", "tau": "TAU"})
+    cfg_path.write_text(cfg_path.read_text().replace('"TAU"', literal))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_isocheck_halfwidth_of_4000_digits_exits_1(tmp_path, capsys):
+    # Formatting its matrix dimension (8,000 digits) into the cap message
+    # used to pass Python's int-string limit: a ValueError, exit 2.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"halfwidth": HUGE, "out_dir": str(tmp_path / "out")}))
+    assert main(["isocheck", "--config", str(cfg_path)]) == 1
+    assert "error: halfwidth: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -157,11 +157,14 @@ def test_evolve_off_center_start():
     assert final.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_off_center_start_near_edge_falls_back():
-    # light cone exceeds the lattice, so the full-grid path runs; with an
-    # inward-moving coin the amplitude never actually hits the edge
+def test_off_center_start_whose_cone_leaves_the_lattice_is_rejected():
+    # The cone of 3 steps from x = 2 reaches x = 5, past L = 4.  With an
+    # inward-moving coin the amplitude never hits the edge, and this walk
+    # used to run on the full lattice; an open walk now needs its whole cone.
     eye = np.eye(2, dtype=complex)
-    spec = WalkSpec(1, 3, eye, initial_position=2, halfwidth=4, initial_coin=[0, 1])
+    with pytest.raises(ValueError, match=r"halfwidth >= max\|start\| \+ steps = 5, got 4"):
+        WalkSpec(1, 3, eye, initial_position=2, halfwidth=4, initial_coin=[0, 1])
+    spec = WalkSpec(1, 3, eye, initial_position=2, halfwidth=5, initial_coin=[0, 1])
     final = run_walk(spec)
     manual = spec.initial_state()
     for _ in range(3):
@@ -170,10 +173,10 @@ def test_off_center_start_near_edge_falls_back():
 
 
 def test_off_center_start_escaping_raises():
-    # same geometry but spreading amplitude does cross the edge
-    spec = WalkSpec(1, 3, H, initial_position=2, halfwidth=4, initial_coin=[1, 0])
-    with pytest.raises(IndexError):
-        run_walk(spec)
+    # same geometry but spreading amplitude would cross the edge: the spec
+    # refuses it before any step, rather than the walk dying mid-run
+    with pytest.raises(ValueError, match="halfwidth"):
+        WalkSpec(1, 3, H, initial_position=2, halfwidth=4, initial_coin=[1, 0])
 
 
 def test_spec_validation():
@@ -221,7 +224,52 @@ def test_spec_rejects_a_start_off_the_lattice(dim, position, boundary):
     with pytest.raises(ValueError, match="outside"):
         WalkSpec(dim, 2, coin, initial_position=position, halfwidth=2, boundary=boundary)
     edge = 2 if dim == 1 else (2, -2)
-    WalkSpec(dim, 2, coin, initial_position=edge, halfwidth=2, boundary=boundary)
+    steps = 2 if boundary == "periodic" else 0  # an open walk needs its cone
+    WalkSpec(dim, steps, coin, initial_position=edge, halfwidth=2, boundary=boundary)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    steps=st.integers(0, 8),
+    start=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+    L=st.integers(1, 10),
+)
+def test_open_spec_is_accepted_iff_its_light_cone_fits(dim, steps, start, L):
+    reach = max(map(abs, start[:dim]))
+    args = (dim, steps, H if dim == 1 else H2)
+    kwargs = {"initial_position": start[0] if dim == 1 else start, "halfwidth": L}
+    if reach + steps <= L:
+        WalkSpec(*args, **kwargs)
+    else:
+        with pytest.raises(ValueError):
+            WalkSpec(*args, **kwargs)
+
+
+def test_light_cone_check_does_not_overflow():
+    # 2^62 + 2^62 overflows int64; the check is made in Python ints.
+    big = np.int64(2**62)
+    with pytest.raises(ValueError, match=f"= {2**63}, got {2**62}"):
+        WalkSpec(2, big, H2, initial_position=(big, 0), halfwidth=big)
+
+
+@pytest.mark.parametrize(
+    "dim, coin, defect",
+    [
+        (2, CoinField(2, H2, {(4, 0): fractional_swap(0.3)}), DefectMap.none()),
+        (2, CoinField(2, H2, {(0, -4): fractional_swap(0.3)}), DefectMap.none()),
+        (1, CoinField(1, H, {-4: np.eye(2)}), DefectMap.none()),
+        (2, H2, DefectMap.custom({(4, 0): 1.0})),
+        (2, H2, DefectMap.custom({(1, -4): 1.0})),
+        (1, H, DefectMap.custom({4: 1.0})),
+    ],
+    ids=["2d-coin-x", "2d-coin-y", "1d-coin", "2d-custom-x", "2d-custom-y", "1d-custom"],
+)
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_spec_rejects_a_coin_or_defect_site_off_the_lattice(dim, coin, defect, boundary):
+    # These used to pass the spec and raise only once evolve began.
+    with pytest.raises(IndexError, match="site .* outside"):
+        WalkSpec(dim, 2, coin, defect, boundary=boundary, halfwidth=3)
 
 
 def test_spec_accepts_numpy_integers():
@@ -432,6 +480,8 @@ def test_evolve_matches_oracle(case):
     np.testing.assert_allclose(
         run_walk(spec).amplitudes, _dense(amps, dim, L), rtol=0, atol=1e-12
     )
+    grid = SublatticeState if spec.boundary == "open" else WalkerState
+    assert all(type(report.grid) is grid for report in evolve(spec))
 
 
 @pytest.mark.parametrize(
