@@ -54,6 +54,8 @@ DEFAULT_STEP_CAP = 2000
 # anything is allocated.  2^24 admits a 2D walk of DEFAULT_STEP_CAP steps
 # at its default halfwidth (4001^2 sites).
 MAX_LATTICE_SITES = 1 << 24
+# Cap on isocheck trials; one takes ~3 ms at L = 31, the largest admitted.
+MAX_TRIALS = 10_000
 
 
 class ConfigError(ValueError):
@@ -371,7 +373,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
-    grid = None
+    grid = spec.initial_grid()
     for report in evolve(spec):
         grid = report.grid
         s = summarize(report.step, grid)
@@ -390,27 +392,23 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
     elapsed = time.perf_counter() - t0
 
-    final_dist = distribution(spec.initial_state() if grid is None else grid)
+    final_dist = distribution(grid)
     if "csv" in formats:
         write_distribution_csv(out_dir / "distribution.csv", final_dist)
-    final = per_step[-1] if per_step else None
-    s_t = None if reference is None else l1_distance(final_dist, reference)
+    last = per_step[-1] if per_step else {}  # a walk of no steps: all null
+    final = {k: last.get(k) for k in ("recurrence", "variance_x", "variance_y")}
+    final["s_t"] = None if reference is None else l1_distance(final_dist, reference)
     if "json" in formats:
         _write_json(
             out_dir / "summary.json",
             {
                 "config": _echo_config(cfg, spec, threads),
                 "per_step": per_step,
-                "final": {
-                    "recurrence": final["recurrence"] if final else None,
-                    "variance_x": final["variance_x"] if final else None,
-                    "variance_y": final["variance_y"] if final else None,
-                    "s_t": s_t,
-                },
+                "final": final,
                 "timing_seconds": elapsed,
             },
         )
-    if final is not None:
+    if per_step:
         print(f"steps={spec.steps} P(origin)={final['recurrence']:.6f} out={out_dir}")
     else:
         print(f"steps=0 (initial state only) out={out_dir}")
@@ -438,18 +436,14 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["out_dir"] = args.out
 
 
-def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec) -> dict:
-    grid = None
+def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec) -> list:
+    """The ``sweep.csv`` row of one grid point."""
+    grid = spec.initial_grid()
     for report in evolve(spec):
         grid = report.grid
-    s = summarize(spec.steps, spec.initial_state() if grid is None else grid)
-    return {
-        "defect": kind,
-        "phi": phi_token,
-        "recurrence": s.recurrence,
-        "variance_x": s.variance_x,
-        "variance_y": s.variance_y,
-    }
+    s = summarize(spec.steps, grid)
+    var_y = "" if s.variance_y is None else f"{s.variance_y:.12g}"
+    return [kind, phi_token, _format_prob(s.recurrence), f"{s.variance_x:.12g}", var_y]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -488,16 +482,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["defect", "phi", "recurrence", "variance_x", "variance_y"])
-        for row in rows:
-            w.writerow(
-                [
-                    row["defect"],
-                    row["phi"],
-                    _format_prob(row["recurrence"]),
-                    f"{row['variance_x']:.12g}",
-                    "" if row["variance_y"] is None else f"{row['variance_y']:.12g}",
-                ]
-            )
+        w.writerows(rows)
     print(f"sweep points={len(rows)} out={path}")
     return 0
 
@@ -509,8 +494,8 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
     if not _is_int(halfwidth) or halfwidth < 1:
         raise ConfigError(f"halfwidth: must be a positive integer, got {halfwidth!r}")
-    if not _is_int(trials) or trials < 1:
-        raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
+    if not _is_int(trials) or not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials: must be an integer in 1..{MAX_TRIALS}, got {trials!r}")
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
     if state_dimension(2, halfwidth) > MAX_MATRIX_DIM:

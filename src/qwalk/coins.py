@@ -223,15 +223,17 @@ def _site_index(
     table: Mapping, halfwidth: int, dimensionality: int, what: str
 ) -> NDArray[np.int64]:
     """Lattice array indices, shape (P, d), of the keys of a site table
-    (ints in 1D, (x, y) tuples in 2D); a site off the lattice raises
-    IndexError, a non-integer coordinate TypeError."""
+    (ints in 1D, (x, y) tuples in 2D); a site off the lattice, checked in
+    Python ints, raises IndexError, a non-integer coordinate TypeError, and
+    a halfwidth too large for int64 indices ValueError."""
     L = halfwidth
-    rows = [[operator.index(v) for v in np.atleast_1d(key)] for key in table]
-    index = np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality)
-    for key, off in zip(table, (np.abs(index) > L).any(axis=1)):
-        if off:
+    if 2 * L + 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"halfwidth {L} is too large: lattice indices must fit int64")
+    rows = [[operator.index(v) for v in np.atleast_1d(np.asarray(key, object))] for key in table]
+    for key, row in zip(table, rows):
+        if any(abs(v) > L for v in row):
             raise IndexError(f"{what} site {key} outside [-{L}, {L}]^{dimensionality}")
-    return index + L
+    return np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality) + L
 
 
 def _validated_coin(mat: NDArray[np.complex128], k: int, what: str) -> NDArray[np.complex128]:

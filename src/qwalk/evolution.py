@@ -43,7 +43,7 @@ periodic boundary steps the full lattice.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable, Iterator, Literal, Mapping, Sequence
 
@@ -356,15 +356,17 @@ def apply_step_2d(
     return _Stepper(2, state.halfwidth, coin, defect, boundary).step(state)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WalkSpec:
     """Complete walk configuration; an accepted spec runs to its last step.
 
     ``halfwidth`` defaults to ``max(steps, 1)``.  An open-boundary walk
     needs ``max|start| + steps <= halfwidth``, so its light cone stays on
     the lattice; the coins and every coin and defect site are checked by
-    building the walk's stepper.  ``initial_coin`` defaults to the
-    symmetric coin state; ``initial_position`` to the origin.
+    building the walk's stepper, which :func:`evolve` runs.  ``initial_coin``
+    defaults to the symmetric coin state, kept as the checked vector, and
+    ``initial_position`` to the origin.  The spec is frozen;
+    ``dataclasses.replace`` checks the new spec, keeping ``halfwidth``.
     """
 
     dimensionality: int
@@ -375,55 +377,60 @@ class WalkSpec:
     initial_coin: Sequence[complex] | None = None
     boundary: Boundary = "open"
     halfwidth: int | None = None
+    _stepper: _Stepper = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.dimensionality = d = _integer(self.dimensionality, "dimensionality")
+        d = _integer(self.dimensionality, "dimensionality")
         if d not in (1, 2):
             raise ValueError(f"dimensionality must be 1 or 2, got {d}")
-        self.steps = _integer(self.steps, "steps")
-        if self.steps < 0:
-            raise ValueError(f"steps must be a nonnegative integer, got {self.steps}")
-        if self.halfwidth is None:
-            self.halfwidth = max(self.steps, 1)
-        self.halfwidth = L = _integer(self.halfwidth, "halfwidth")
+        steps = _integer(self.steps, "steps")
+        if steps < 0:
+            raise ValueError(f"steps must be a nonnegative integer, got {steps}")
+        L = _integer(max(steps, 1) if self.halfwidth is None else self.halfwidth, "halfwidth")
         if L < 1:
             raise ValueError(f"halfwidth must be >= 1, got {L}")
         pos = self.initial_position
         if pos is None:
             pos = 0 if d == 1 else (0, 0)
         if d == 1:
-            self.initial_position = _integer(pos, "initial_position")
+            start = (_integer(pos, "initial_position"),)
         elif isinstance(pos, (tuple, list)) and len(pos) == 2:
-            self.initial_position = tuple(_integer(v, "initial_position") for v in pos)
+            start = tuple(_integer(v, "initial_position") for v in pos)
         else:
             raise ValueError(f"initial_position must be an (x, y) pair, got {pos!r}")
-        start = (self.initial_position,) if d == 1 else self.initial_position
         reach = max(map(abs, start))  # a Python int: int64 would overflow
         if reach > L:
             raise ValueError(f"initial_position {pos!r} outside [-{L}, {L}]^{d}")
-        if self.boundary == "open" and reach + self.steps > L:
+        if self.boundary == "open" and reach + steps > L:
             raise ValueError(
                 f"open boundary needs halfwidth >= max|start| + steps = "
-                f"{reach + self.steps}, got {L}"
+                f"{reach + steps}, got {L}"
             )
-        if self.initial_coin is None:
-            self.initial_coin = symmetric_coin(d)
-        _Stepper(d, L, self.coin, self.defect, self.boundary)
-        as_coin_state(self.initial_coin, d)
+        coin = symmetric_coin(d) if self.initial_coin is None else self.initial_coin
+        put = partial(object.__setattr__, self)  # frozen: set once, when checked
+        put("dimensionality", d)
+        put("steps", steps)
+        put("halfwidth", L)
+        put("initial_position", start[0] if d == 1 else start)
+        put("_stepper", _Stepper(d, L, self.coin, self.defect, self.boundary))
+        put("initial_coin", as_coin_state(coin, d).copy())  # the caller's array may change
+
+    def __reduce__(self):  # pickle and copy rebuild the stepper, checking again
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def initial_state(self) -> WalkerState:
-        assert self.halfwidth is not None and self.initial_position is not None
-        assert self.initial_coin is not None
-        return localized_state(
-            self.dimensionality, self.halfwidth, self.initial_position, self.initial_coin
-        )
+        d, L = self.dimensionality, self.halfwidth
+        return localized_state(d, L, self.initial_position, self.initial_coin)  # type: ignore[arg-type]
 
-    def _initial_grid(self) -> SublatticeState:
-        """The start site as a one-site sublattice grid."""
+    def initial_grid(self) -> WalkerState | SublatticeState:
+        """The state the kernel steps from: the start site as a one-site
+        light-cone grid on the open boundary, the dense state if periodic."""
+        if self.boundary == "periodic":
+            return self.initial_state()
         d = self.dimensionality
         start = (self.initial_position,) if d == 1 else self.initial_position
-        coin = as_coin_state(self.initial_coin, d)  # type: ignore[arg-type]
-        return SublatticeState(d, self.halfwidth, start, coin.reshape((1,) * d + coin.shape))
+        coin = np.reshape(self.initial_coin, (1,) * d + (2 * d,))
+        return SublatticeState(d, self.halfwidth, start, coin)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -443,8 +450,7 @@ class StepReport:
 
     @cached_property
     def state(self) -> WalkerState:
-        grid = self.grid
-        return grid.expand() if isinstance(grid, SublatticeState) else grid
+        return self.grid.expand()
 
 
 def evolve(spec: WalkSpec) -> Iterator[StepReport]:
@@ -456,15 +462,17 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
     RuntimeError if the per-step norm residual ever exceeds 1e-10 (or is
     NaN), which would indicate a broken step operator.
     """
-    d = spec.dimensionality
-    stepper = _Stepper(d, spec.halfwidth, spec.coin, spec.defect, spec.boundary)  # type: ignore[arg-type]
-    state: WalkerState | SublatticeState
-    if spec.boundary == "open":
-        state = spec._initial_grid()
-        advance = partial(stepper.cone_step, buffers=_Buffers(spec.steps, d))
-    else:
-        state, advance = spec.initial_state(), stepper.step
-    for i in range(1, spec.steps + 1):
+    start, stepper = spec.initial_grid(), spec._stepper
+    advance = stepper.step
+    if isinstance(start, SublatticeState):
+        advance = partial(stepper.cone_step, buffers=_Buffers(spec.steps, spec.dimensionality))
+    yield from _guarded(advance, start, spec.steps)
+
+
+def _guarded(advance: Callable, state, steps: int) -> Iterator[StepReport]:
+    """A report for each of ``steps`` applications of ``advance`` to
+    ``state``; a norm residual above ``STEP_NORM_TOL`` (or NaN) raises."""
+    for i in range(1, steps + 1):
         state = advance(state)
         amps = state.amplitudes.ravel(order="K")  # memory order: no copy
         residual = abs(1.0 - float(np.vdot(amps, amps).real))
@@ -475,10 +483,10 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
 
 def run_walk(spec: WalkSpec) -> WalkerState:
     """Run the walk and return only the final (dense) state."""
-    final = None
-    for final in evolve(spec):
-        pass
-    return spec.initial_state() if final is None else final.state
+    grid = spec.initial_grid()
+    for report in evolve(spec):
+        grid = report.grid
+    return grid.expand()
 
 
 def build_step_matrix(

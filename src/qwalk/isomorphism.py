@@ -58,6 +58,7 @@ from .evolution import (
     _DIAGONAL_MOVES,
     DefectMap,
     WalkSpec,
+    _guarded,
     _site_blocks,
     _step_matrix,
     _Stepper,
@@ -374,14 +375,14 @@ def axis_walk_state(
 
     This is the transformed side of the equivalence at state-vector level;
     the plain 2D walk in :mod:`qwalk.evolution` moves diagonally instead.
-    ``steps``, ``halfwidth`` and ``initial_coin`` are resolved and
-    validated by :class:`WalkSpec`.
+    ``steps``, ``halfwidth`` and ``initial_coin`` are checked by
+    :class:`WalkSpec`, and the norm of every step as in ``evolve``.
     """
     spec = WalkSpec(2, steps, coin4, initial_coin=initial_coin, halfwidth=halfwidth)
     stepper = _Stepper(2, spec.halfwidth, coin4, None, "open", _AXIS_MOVES)
     state = spec.initial_state()
-    for _ in range(spec.steps):
-        state = stepper.step(state)
+    for report in _guarded(stepper.step, state, spec.steps):
+        state = report.grid
     return state
 
 

@@ -152,6 +152,10 @@ class WalkerState:
     def copy(self) -> "WalkerState":
         return WalkerState(self.dimensionality, self.halfwidth, self.amplitudes.copy())
 
+    def expand(self) -> "WalkerState":
+        """The dense state itself, as :meth:`SublatticeState.expand` gives one."""
+        return self
+
     def coordinates(self, axis: int) -> NDArray[np.int64]:
         """Lattice coordinates of the array entries along ``axis``: -L..L."""
         return np.arange(-self.halfwidth, self.halfwidth + 1)

@@ -11,6 +11,7 @@ from qwalk.cli import (
     DEFAULT_STEP_CAP,
     ConfigError,
     MAX_LATTICE_SITES,
+    MAX_TRIALS,
     main,
     parse_angle,
     read_distribution_csv,
@@ -198,6 +199,50 @@ def test_isocheck_passes_and_is_deterministic(tmp_path):
 
 def test_isocheck_size_cap(tmp_path):
     assert main(["isocheck", "--halfwidth", "40", "--out", str(tmp_path)]) == 1
+
+
+def test_isocheck_trials_are_capped(tmp_path, capsys, monkeypatch):
+    # An uncapped --trials 1000000000 created the output directory and then
+    # ran for days.
+    out = tmp_path / "iso"
+    assert main(["isocheck", "--trials", str(MAX_TRIALS + 1), "--out", str(out)]) == 1
+    assert "error: trials: " in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr("qwalk.cli.MAX_TRIALS", 3)
+    assert main(["isocheck", "--trials", "4", "--out", str(out)]) == 1
+    assert main(["isocheck", "--trials", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "isocheck.json").read_text())["trials"] == 3
+
+
+@pytest.mark.parametrize(
+    "overrides, site",
+    [
+        ({"dimensionality": 1, "defect": "point", "initial": {"position": 0}}, ["0"]),
+        ({"halfwidth": 3, "initial": {"position": [1, -2]}}, ["1", "-2"]),
+        ({"boundary": "periodic", "initial": {"position": [-1, 1]}}, ["-1", "1"]),
+    ],
+    ids=["1d", "2d-open", "2d-periodic"],
+)
+def test_run_of_zero_steps_writes_the_start(tmp_path, overrides, site):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=0, **overrides)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    with open(tmp_path / "out" / "distribution.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert [row for row in rows if row[-1] != "0"] == [site + ["1"]]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["per_step"] == []
+    assert summary["final"] == dict.fromkeys(["recurrence", "s_t", "variance_x", "variance_y"])
+
+
+def test_sweep_of_zero_steps_summarizes_the_start(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=0, sweep={"phi": ["pi:0.5"]})
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "sweep.csv").read_text().splitlines() == [
+        "defect,phi,recurrence,variance_x,variance_y",
+        "cross_xy,pi:0.5,1,0,0",
+    ]
 
 
 def test_distribution_csv_roundtrip(tmp_path):
@@ -566,24 +611,38 @@ HUGE = 10**3999  # 4000 digits, inside Python's int-string limit
         ("sweep", {"sweep": {"phi": ["pi:1", BIG]}}, "sweep.phi: integer too large"),
         ("run", {"defect": {"kind": "cross_xy", "phi": "pi:1e308"}}, "defect.phi: bad pi-multiple"),
         ("run", {"steps": HUGE}, "steps: "),
-        ("run", {"halfwidth": HUGE}, "config: "),
+        ("run", {"halfwidth": HUGE}, "config: halfwidth "),
+        ("run", {"defect": {"kind": "custom", "table": {f"{10**19},0": 1.0}}},
+         f"config: custom defect site ({10**19}, 0) outside [-10, 10]^2"),
         ("sweep", {"steps": HUGE, "sweep": {"phi": ["pi:1"]}}, "steps: "),
         ("sweep", {"halfwidth": HUGE, "sweep": {"phi": ["pi:1"]}}, "config: "),
     ],
     ids=["off-centre-cone", "custom-site", "phi-401-digits", "tau-401-digits",
          "initial-coin-401-digits", "sweep-phi-401-digits", "pi-multiple-to-inf",
-         "run-steps-4000-digits", "run-halfwidth-4000-digits",
+         "run-steps-4000-digits", "run-halfwidth-4000-digits", "custom-site-past-int64",
          "sweep-steps-4000-digits", "sweep-halfwidth-4000-digits"],
 )
 def test_input_that_failed_mid_run_exits_1_and_creates_nothing(
     tmp_path, capsys, command, overrides, error
 ):
     # Each of these used to exit 2: a walk that died mid-run, or an
-    # OverflowError or an int-to-string ValueError out of the parser.
+    # OverflowError, a TypeError or an int-to-string ValueError out of the
+    # parser.
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
     assert main([command, "--config", str(cfg_path)]) == 1
     assert f"error: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_halfwidth_past_int64_indices_is_named(tmp_path, capsys, command):
+    # It used to say "Python int too large to convert to C long".
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, halfwidth=10**19, sweep={"phi": ["pi:1"]})
+    assert main([command, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: config: halfwidth 10000000000000000000 is too large" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,7 @@
 import ast
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from qwalk.evolution import (
     MAX_MATRIX_DIM,
     DefectMap,
     WalkSpec,
+    _Stepper,
     apply_step_1d,
     apply_step_2d,
     build_step_matrix,
@@ -270,6 +274,72 @@ def test_spec_rejects_a_coin_or_defect_site_off_the_lattice(dim, coin, defect, b
     # These used to pass the spec and raise only once evolve began.
     with pytest.raises(IndexError, match="site .* outside"):
         WalkSpec(dim, 2, coin, defect, boundary=boundary, halfwidth=3)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("steps", 50), ("halfwidth", 1), ("coin", np.eye(4)), ("_stepper", None)]
+)
+def test_spec_fields_cannot_be_assigned(name, value):
+    # A 5-step spec changed to 50 steps used to fail mid-run at step 6.
+    spec = WalkSpec(2, 5, H2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(spec, name, value)
+
+
+def test_replace_checks_the_new_spec_and_keeps_the_halfwidth():
+    spec = WalkSpec(2, 5, H2, DefectMap.cross_xy(0.3))
+    with pytest.raises(ValueError, match="steps = 50, got 5"):
+        dataclasses.replace(spec, steps=50)
+    shorter = dataclasses.replace(spec, steps=3)
+    assert (shorter.steps, shorter.halfwidth) == (3, 5)
+    assert shorter._stepper is not spec._stepper
+    fresh = WalkSpec(2, 3, H2, spec.defect, halfwidth=5)
+    np.testing.assert_array_equal(run_walk(shorter).amplitudes, run_walk(fresh).amplitudes)
+    longer = dataclasses.replace(spec, steps=50, halfwidth=None)
+    assert longer.halfwidth == 50
+
+
+def test_a_spec_keeps_its_own_copy_of_the_start_coin():
+    # The start grid used to be a view of the caller's array.
+    coin = np.array([1, 1j], dtype=np.complex128) / np.sqrt(2)
+    spec = WalkSpec(1, 3, H, initial_coin=coin)
+    expected = run_walk(WalkSpec(1, 3, H, initial_coin=coin.copy())).amplitudes
+    coin[:] = [2, 0]
+    np.testing.assert_array_equal(run_walk(spec).amplitudes, expected)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_a_spec_pickles_and_copies_into_a_checked_spec(clone):
+    spec = WalkSpec(2, 4, H2, DefectMap.cross_xy(0.3), initial_position=(1, 0), halfwidth=6)
+    again = clone(spec)
+    assert again._stepper is not spec._stepper
+    np.testing.assert_array_equal(run_walk(again).amplitudes, run_walk(spec).amplitudes)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("steps", [0, 4])
+def test_a_walk_builds_its_stepper_once(monkeypatch, boundary, steps):
+    built = []
+    init = _Stepper.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "__init__", counted)
+    run_walk(WalkSpec(2, steps, H2, DefectMap.cross_xy(0.3), boundary=boundary, halfwidth=5))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_the_start_grid_is_the_state_the_kernel_steps_from(boundary):
+    spec = WalkSpec(2, 3, H2, initial_position=(1, -2), boundary=boundary, halfwidth=6)
+    grid = spec.initial_grid()
+    assert isinstance(grid, SublatticeState if boundary == "open" else WalkerState)
+    np.testing.assert_array_equal(grid.expand().amplitudes, spec.initial_state().amplitudes)
 
 
 def test_spec_accepts_numpy_integers():

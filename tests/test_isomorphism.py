@@ -225,6 +225,17 @@ def test_axis_walk_state_rejects_what_a_walk_spec_rejects(steps, halfwidth):
         axis_walk_state(steps, H2, symmetric_coin(2), halfwidth)
 
 
+def test_axis_walk_state_checks_the_norm_of_every_step():
+    # (1 + 4e-13) H2 passes the coin's unitarity check, but its norm grows
+    # each step; the unit-axis walk used to return a state 1.6e-10 off
+    # unit norm where the diagonal walk stops at step 126.
+    coin = (1 + 4e-13) * H2
+    with pytest.raises(RuntimeError, match="norm residual .* at step 126 "):
+        run_walk(WalkSpec(2, 200, coin))
+    with pytest.raises(RuntimeError, match="norm residual .* at step 126 "):
+        axis_walk_state(200, coin, symmetric_coin(2))
+
+
 def test_axis_walk_norm_and_support():
     s = axis_walk_state(5, H2, symmetric_coin(2))
     assert abs(s.norm() - 1.0) < 1e-12
