@@ -6,18 +6,20 @@ Subcommands
 ``qwalk run --config cfg.json [--steps N --phi PHI --defect KIND --out DIR]``
     Run one walk; write the final distribution (CSV), optional per-step
     distributions, and a JSON summary.
-``qwalk sweep --config cfg.json [--out DIR ...]``
+``qwalk sweep --config cfg.json [--phi PHI --defect KIND --out DIR ...]``
     Run the walk once per grid point (phase values and/or defect kinds);
-    write one table row per point.
-``qwalk isocheck [--halfwidth L --trials N --seed S --out DIR]``
+    write one table row per point.  ``--phi``/``--defect`` make that axis
+    of the grid one value.
+``qwalk isocheck [--config cfg.json --halfwidth L --trials N --seed S --out DIR]``
     Verify the step-operator equivalence on random shared coins and probe
     the coin-decomposition parameter claims; write a JSON report.
 
-Angles anywhere in a config may be plain radians or strings like
-``"pi:0.75"`` (multiples of pi, avoiding decimal-pi drift).  Exit codes:
-0 success, 1 validation error, 2 runtime error.  Outputs are byte-stable
-for a fixed config and seed, except the ``timing_seconds`` field of run
-summaries.
+Each flag sets the config key it names (``--out`` sets ``out_dir``) and
+beats the config's value.  Angles anywhere in a config may be plain
+radians or strings like ``"pi:0.75"`` (multiples of pi, avoiding
+decimal-pi drift).  Exit codes: 0 success, 1 validation error, 2 runtime
+error.  Outputs are byte-stable for a fixed config and seed, except the
+``timing_seconds`` field of run summaries.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ def _parse_defect(cfg: Any) -> DefectMap:
             except ValueError:
                 raise ConfigError(f"{key}.table: bad site key {site!r}") from None
             k = coords[0] if len(coords) == 1 else tuple(coords)
+            if k in table:  # "1,0" and "01,0" are one site
+                raise ConfigError(f"{key}.table: lists site {k} twice")
             table[k] = parse_angle(phase, f"{key}.table[{site}]")
         return DefectMap.custom(table)
     raise ConfigError(f"{key}.kind: unknown defect kind {kind!r}")
@@ -188,15 +192,8 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _resolve_threads(cfg: dict, args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None) is not None:
-        raw: Any = args.threads
-    elif "threads" in cfg:
-        raw = cfg["threads"]
-    elif os.environ.get("QWALK_THREADS"):
-        raw = os.environ["QWALK_THREADS"]
-    else:
-        raw = 1
+def _resolve_threads(cfg: dict) -> int:
+    raw: Any = cfg.get("threads", os.environ.get("QWALK_THREADS") or 1)
     if isinstance(raw, str):  # QWALK_THREADS is text; "2" counts as 2
         try:
             raw = int(raw)
@@ -213,9 +210,9 @@ def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
     dimensionality = cfg.get("dimensionality", 2)
     if not _is_int(dimensionality) or dimensionality not in (1, 2):
         raise ConfigError(f"dimensionality: must be 1 or 2, got {dimensionality!r}")
-    cap = cfg.get("max_steps", DEFAULT_STEP_CAP)
-    if not _is_int(cap) or cap < 0:
-        raise ConfigError(f"max_steps: must be a nonnegative integer, got {cap!r}")
+    cap = cfg.get("max_steps", DEFAULT_STEP_CAP)  # may only lower the cap
+    if not _is_int(cap) or not 0 <= cap <= DEFAULT_STEP_CAP:
+        raise ConfigError(f"max_steps: must be an integer in 0..{DEFAULT_STEP_CAP}, got {cap!r}")
     coin = _parse_coin(cfg.get("coin"), dimensionality)
     if defect is None:
         defect = _parse_defect(cfg.get("defect"))
@@ -347,10 +344,8 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
-    _apply_overrides(cfg, args)
-    threads = _resolve_threads(cfg, args)
+def cmd_run(cfg: dict) -> int:
+    threads = _resolve_threads(cfg)
     spec = _build_walk_spec(cfg)
     formats = cfg.get("formats", ["csv", "json"])
     if not isinstance(formats, list) or not formats or not all(
@@ -360,7 +355,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     emit_per_step = cfg.get("emit_per_step", False)
     if not isinstance(emit_per_step, bool):
         raise ConfigError(f"emit_per_step: expected true or false, got {emit_per_step!r}")
-    ref_path = getattr(args, "reference", None) or cfg.get("reference")
+    ref_path = cfg.get("reference")
     if not isinstance(ref_path, (str, type(None))):
         raise ConfigError(f"reference: expected a file path, got {ref_path!r}")
     reference = None if ref_path is None else read_distribution_csv(ref_path)
@@ -416,13 +411,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "steps", None) is not None:
-        cfg["steps"] = args.steps
-    if getattr(args, "defect", None) is not None:
+    """Write every flag given on the command line into ``cfg``, under the
+    config key it sets; a flag beats the config.  On a sweep, ``--defect``
+    and ``--phi`` replace the grid's axis; on a run they edit ``defect``."""
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "config")}
+    kind, phi = flags.pop("defect", None), flags.pop("phi", None)
+    cfg.update(flags)
+    if args.command == "sweep":
+        sweep = cfg.get("sweep")
+        if isinstance(sweep, dict):
+            sweep.update({k: [v] for k, v in (("defect", kind), ("phi", phi)) if v is not None})
+        return
+    if kind is not None:
         base = cfg.get("defect")
-        phi = base.get("phi", 0.0) if isinstance(base, dict) else 0.0
-        cfg["defect"] = {"kind": args.defect, "phi": phi}
-    if getattr(args, "phi", None) is not None:
+        phi0 = base.get("phi", 0.0) if isinstance(base, dict) else 0.0
+        cfg["defect"] = {"kind": kind, "phi": phi0}
+    if phi is not None:
         base = cfg.get("defect", "none")
         if isinstance(base, str):
             base = {"kind": base}
@@ -430,10 +435,8 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
             raise ConfigError(f"defect: expected a kind string or an object, got {base!r}")
         if base.get("kind", "none") == "none":
             raise ConfigError("--phi: set a defect kind first (config or --defect)")
-        base["phi"] = args.phi
+        base["phi"] = phi
         cfg["defect"] = base
-    if getattr(args, "out", None) is not None:
-        cfg["out_dir"] = args.out
 
 
 def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec) -> list:
@@ -446,21 +449,19 @@ def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec) -> list:
     return [kind, phi_token, _format_prob(s.recurrence), f"{s.variance_x:.12g}", var_y]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
-    _apply_overrides(cfg, args)
-    _resolve_threads(cfg, args)  # validated; parallelism comes from BLAS
+def cmd_sweep(cfg: dict) -> int:
+    _resolve_threads(cfg)  # validated; parallelism comes from BLAS
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: config must contain a 'sweep' object")
     phis = sweep.get("phi")
-    if getattr(args, "phi", None) is not None:
-        phis = [args.phi]
     if not isinstance(phis, list) or not phis:
         raise ConfigError("sweep.phi: expected a nonempty list of angles")
     kinds = sweep.get("defect")
     if kinds is None:
         base = cfg.get("defect", "cross_xy")
+        if not isinstance(base, (str, dict)):
+            raise ConfigError(f"defect: expected a kind string or an object, got {base!r}")
         kinds = [base.get("kind") if isinstance(base, dict) else base]
     if not isinstance(kinds, list) or not kinds:
         raise ConfigError("sweep.defect: expected a nonempty list of defect kinds")
@@ -487,11 +488,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_isocheck(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
-    halfwidth = args.halfwidth if args.halfwidth is not None else cfg.get("halfwidth", 2)
-    trials = args.trials if args.trials is not None else cfg.get("trials", 50)
-    seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
+def cmd_isocheck(cfg: dict) -> int:
+    halfwidth = cfg.get("halfwidth", 2)
+    trials = cfg.get("trials", 50)
+    seed = cfg.get("seed", DEFAULT_SEED)
     if not _is_int(halfwidth) or halfwidth < 1:
         raise ConfigError(f"halfwidth: must be a positive integer, got {halfwidth!r}")
     if not _is_int(trials) or not 1 <= trials <= MAX_TRIALS:
@@ -500,7 +500,7 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
         raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
     if state_dimension(2, halfwidth) > MAX_MATRIX_DIM:
         raise ConfigError(f"halfwidth: {halfwidth} gives a matrix above the cap {MAX_MATRIX_DIM}")
-    out_dir = _make_out_dir(args.out if args.out is not None else cfg.get("out_dir", "."))
+    out_dir = _make_out_dir(cfg.get("out_dir", "."))
 
     rng = np.random.default_rng(seed)
     h2 = tensor(hadamard(), hadamard())
@@ -558,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override defect phase (radians or pi:<x>)",
         )
         p.add_argument("--defect", help="override defect kind")
-        p.add_argument("--out", help="override output directory")
+        p.add_argument("--out", dest="out_dir", help="override output directory")
         p.add_argument("--threads", type=int, help="validated, unused: BLAS does the threading")
     run.add_argument("--reference", help="distribution CSV for the 1-norm discrepancy")
 
@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("--halfwidth", "-L", type=int, help="lattice halfwidth (default 2)")
     iso.add_argument("--trials", type=int, help="random shared coins (default 50)")
     iso.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
-    iso.add_argument("--out", help="output directory")
+    iso.add_argument("--out", dest="out_dir", help="output directory")
     return parser
 
 
@@ -576,12 +576,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    command = {"run": cmd_run, "sweep": cmd_sweep, "isocheck": cmd_isocheck}[args.command]
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_isocheck(args)
+        cfg = _load_config_file(args.config)
+        _apply_overrides(cfg, args)
+        return command(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -356,7 +356,7 @@ def apply_step_2d(
     return _Stepper(2, state.halfwidth, coin, defect, boundary).step(state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkSpec:
     """Complete walk configuration; an accepted spec runs to its last step.
 
@@ -365,8 +365,9 @@ class WalkSpec:
     the lattice; the coins and every coin and defect site are checked by
     building the walk's stepper, which :func:`evolve` runs.  ``initial_coin``
     defaults to the symmetric coin state, kept as the checked vector, and
-    ``initial_position`` to the origin.  The spec is frozen;
-    ``dataclasses.replace`` checks the new spec, keeping ``halfwidth``.
+    ``initial_position`` to the origin.  The spec is frozen and compares
+    and hashes by identity; ``dataclasses.replace`` checks the new spec,
+    keeping ``halfwidth``.
     """
 
     dimensionality: int
@@ -377,7 +378,7 @@ class WalkSpec:
     initial_coin: Sequence[complex] | None = None
     boundary: Boundary = "open"
     halfwidth: int | None = None
-    _stepper: _Stepper = field(init=False, repr=False, compare=False)
+    _stepper: _Stepper = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d = _integer(self.dimensionality, "dimensionality")

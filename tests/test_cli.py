@@ -215,6 +215,24 @@ def test_isocheck_trials_are_capped(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "flag, key, value",
+    [("-L", "halfwidth", 3), ("--trials", "trials", 2), ("--seed", "seed", 9),
+     ("--out", "out_dir", "flag_out")],
+)
+def test_isocheck_flags_beat_the_config(tmp_path, monkeypatch, flag, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"halfwidth": 2, "trials": 1, "seed": 4, "out_dir": "cfg_out"}
+    (tmp_path / "iso.json").write_text(json.dumps(cfg))
+    assert main(["isocheck", "--config", "iso.json", flag, str(value)]) == 0
+    cfg[key] = value
+    report = json.loads((tmp_path / cfg["out_dir"] / "isocheck.json").read_text())
+    assert {k: report[k] for k in ("halfwidth", "trials", "seed")} == {
+        k: cfg[k] for k in ("halfwidth", "trials", "seed")
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["iso.json", cfg["out_dir"]])
+
+
+@pytest.mark.parametrize(
     "overrides, site",
     [
         ({"dimensionality": 1, "defect": "point", "initial": {"position": 0}}, ["0"]),
@@ -243,6 +261,30 @@ def test_sweep_of_zero_steps_summarizes_the_start(tmp_path):
         "defect,phi,recurrence,variance_x,variance_y",
         "cross_xy,pi:0.5,1,0,0",
     ]
+
+
+@pytest.mark.parametrize(
+    "flags, sweep, rows",
+    [
+        (["--defect", "line_y"], {"phi": ["pi:1"], "defect": ["cross_xy"]},
+         [["line_y", "pi:1"]]),
+        (["--phi", "pi:0.25"], {"phi": ["pi:1"], "defect": ["cross_xy", "line_y"]},
+         [["cross_xy", "pi:0.25"], ["line_y", "pi:0.25"]]),
+        (["--defect", "point", "--phi", "0.5"], {"phi": ["pi:1", "pi:0.5"], "defect": ["line_y"]},
+         [["point", "0.5"]]),
+    ],
+    ids=["defect", "phi-without-top-level-defect", "both"],
+)
+def test_sweep_flags_replace_the_grid_axis(tmp_path, flags, sweep, rows):
+    # --defect used to be dropped when the config listed sweep.defect, and
+    # --phi exited 1 on a config without a top-level defect.
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path, steps=2, sweep=sweep)
+    del cfg["defect"]
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path), *flags]) == 0
+    got = read_rows(tmp_path / "out" / "sweep.csv")
+    assert [[r["defect"], r["phi"]] for r in got] == rows
 
 
 def test_distribution_csv_roundtrip(tmp_path):
@@ -396,6 +438,18 @@ def test_run_missing_reference_exits_1_without_creating_out_dir(tmp_path):
     write_config(cfg_path, steps=2)
     missing = tmp_path / "missing.csv"
     assert main(["run", "--config", str(cfg_path), "--reference", str(missing)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_reference_flag_exits_1_and_creates_nothing(tmp_path):
+    # An empty --reference used to fall back to the config's reference.
+    cfg_path = tmp_path / "cfg.json"
+    ref = tmp_path / "ref.csv"
+    ref.write_text("x,y,p\n0,0,1\n")
+    write_config(cfg_path, steps=2, reference=str(ref))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    (tmp_path / "out").rename(tmp_path / "first")
+    assert main(["run", "--config", str(cfg_path), "--reference", ""]) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -616,18 +670,25 @@ HUGE = 10**3999  # 4000 digits, inside Python's int-string limit
          f"config: custom defect site ({10**19}, 0) outside [-10, 10]^2"),
         ("sweep", {"steps": HUGE, "sweep": {"phi": ["pi:1"]}}, "steps: "),
         ("sweep", {"halfwidth": HUGE, "sweep": {"phi": ["pi:1"]}}, "config: "),
+        ("run", {"steps": 3, "defect": {"kind": "custom", "table": {"1,0": 0.5, "01,0": 2.0}}},
+         "defect.table: lists site (1, 0) twice"),
+        ("run", {"steps": 3, "max_steps": DEFAULT_STEP_CAP + 1},
+         f"max_steps: must be an integer in 0..{DEFAULT_STEP_CAP}, got {DEFAULT_STEP_CAP + 1}"),
+        ("sweep", {"steps": 3, "max_steps": 10**8, "sweep": {"phi": ["pi:1"]}}, "max_steps: "),
     ],
     ids=["off-centre-cone", "custom-site", "phi-401-digits", "tau-401-digits",
          "initial-coin-401-digits", "sweep-phi-401-digits", "pi-multiple-to-inf",
          "run-steps-4000-digits", "run-halfwidth-4000-digits", "custom-site-past-int64",
-         "sweep-steps-4000-digits", "sweep-halfwidth-4000-digits"],
+         "sweep-steps-4000-digits", "sweep-halfwidth-4000-digits", "custom-site-twice",
+         "max-steps-above-the-cap", "sweep-max-steps-above-the-cap"],
 )
 def test_input_that_failed_mid_run_exits_1_and_creates_nothing(
     tmp_path, capsys, command, overrides, error
 ):
     # Each of these used to exit 2: a walk that died mid-run, or an
     # OverflowError, a TypeError or an int-to-string ValueError out of the
-    # parser.
+    # parser.  The last three used to exit 0: the second listing of a site
+    # replaced the first, and max_steps raised the step cap.
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
     assert main([command, "--config", str(cfg_path)]) == 1

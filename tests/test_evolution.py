@@ -286,6 +286,14 @@ def test_spec_fields_cannot_be_assigned(name, value):
         setattr(spec, name, value)
 
 
+def test_specs_compare_by_identity_and_hash():
+    # Two equal-looking specs used to raise ValueError on ==, since the
+    # generated __eq__ compared coin arrays, and hash() raised TypeError.
+    a, b = WalkSpec(2, 3, H2), WalkSpec(2, 3, H2)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_replace_checks_the_new_spec_and_keeps_the_halfwidth():
     spec = WalkSpec(2, 5, H2, DefectMap.cross_xy(0.3))
     with pytest.raises(ValueError, match="steps = 50, got 5"):
