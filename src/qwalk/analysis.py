@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .statespace import SublatticeState, WalkerState
+from .statespace import SublatticeState, WalkerState, _integer, _site_index
 
 __all__ = [
     "Distribution",
@@ -50,14 +50,12 @@ class Distribution:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
-        n = 2 * self.halfwidth + 1
-        if p.shape not in ((n,), (n, n)):
-            raise ValueError(
-                f"probability table shape {p.shape} does not match halfwidth "
-                f"{self.halfwidth}"
-            )
+        L = _integer(self.halfwidth, "halfwidth")
+        if p.shape not in ((2 * L + 1,), (2 * L + 1,) * 2):
+            raise ValueError(f"probability table shape {p.shape} does not match halfwidth {L}")
         _check_probs(p)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "halfwidth", L)
 
     @property
     def dimensionality(self) -> int:
@@ -68,8 +66,9 @@ class Distribution:
         return np.arange(-self.halfwidth, self.halfwidth + 1)
 
     def at(self, *position: int) -> float:
-        idx = tuple(p + self.halfwidth for p in position)
-        return float(self.probs[idx])
+        """Probability of one site; a site off the lattice raises IndexError."""
+        site = _site_index(position, self.halfwidth, self.dimensionality, "position")
+        return float(self.probs[site])
 
 
 @dataclass
@@ -124,7 +123,8 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     if p.dimensionality != q.dimensionality:
         raise ValueError("cannot compare distributions of different dimensionality")
     L = max(p.halfwidth, q.halfwidth)
-    return float(0.5 * np.abs(_padded(p, L) - _padded(q, L)).sum())
+    # Rounding can take the sum for disjoint supports one ulp past 1.
+    return min(1.0, float(0.5 * np.abs(_padded(p, L) - _padded(q, L)).sum()))
 
 
 def _axis_index(axis: int | str) -> int:

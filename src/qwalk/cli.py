@@ -177,14 +177,26 @@ def _parse_initial(cfg: Any):
     return cfg.get("position"), coin_vec
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    # json keeps the last of a repeated key silently, at any depth.
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config: key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
+            cfg = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(f"config: cannot read {path}: {e}") from None
+    except ConfigError:
+        raise
     except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config: invalid JSON in {path}: {e}") from None
     if not isinstance(cfg, dict):

@@ -9,11 +9,12 @@ a global phase anyway.
 
 from __future__ import annotations
 
-import operator
 from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .statespace import _coordinates, _dimensionality, _sites_index
 
 __all__ = [
     "UNITARY_TOL",
@@ -189,14 +190,12 @@ class CoinField:
         default: NDArray[np.complex128],
         table: Mapping[int | tuple[int, int], NDArray[np.complex128]] | None = None,
     ):
-        if dimensionality not in (1, 2):
-            raise ValueError(f"dimensionality must be 1 or 2, got {dimensionality!r}")
-        k = 2 if dimensionality == 1 else 4
-        self.dimensionality = dimensionality
-        self.default = _validated_coin(default, k, "default coin")
+        d = self.dimensionality = _dimensionality(dimensionality)
+        self.default = _validated_coin(default, 2 * d, "default coin")
         self.table: dict[int | tuple[int, int], NDArray[np.complex128]] = {}
         for pos, mat in (table or {}).items():
-            self.table[pos] = _validated_coin(mat, k, f"coin at {pos}")
+            _coordinates(pos, d, "coin site")
+            self.table[pos] = _validated_coin(mat, 2 * d, f"coin at {pos}")
 
     @classmethod
     def uniform(cls, dimensionality: int, coin: NDArray[np.complex128]) -> "CoinField":
@@ -214,26 +213,9 @@ class CoinField:
         a listed site off the lattice raises IndexError."""
         d, k = self.dimensionality, self.default.shape[0]
         out = np.broadcast_to(self.default, (2 * halfwidth + 1,) * d + (k, k)).copy()
-        index = _site_index(self.table, halfwidth, d, "coin")
+        index = _sites_index(self.table, halfwidth, d, "coin site")
         out[tuple(index.T)] = np.reshape(list(self.table.values()), (-1, k, k))
         return out
-
-
-def _site_index(
-    table: Mapping, halfwidth: int, dimensionality: int, what: str
-) -> NDArray[np.int64]:
-    """Lattice array indices, shape (P, d), of the keys of a site table
-    (ints in 1D, (x, y) tuples in 2D); a site off the lattice, checked in
-    Python ints, raises IndexError, a non-integer coordinate TypeError, and
-    a halfwidth too large for int64 indices ValueError."""
-    L = halfwidth
-    if 2 * L + 1 > np.iinfo(np.int64).max:
-        raise ValueError(f"halfwidth {L} is too large: lattice indices must fit int64")
-    rows = [[operator.index(v) for v in np.atleast_1d(np.asarray(key, object))] for key in table]
-    for key, row in zip(table, rows):
-        if any(abs(v) > L for v in row):
-            raise IndexError(f"{what} site {key} outside [-{L}, {L}]^{dimensionality}")
-    return np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality) + L
 
 
 def _validated_coin(mat: NDArray[np.complex128], k: int, what: str) -> NDArray[np.complex128]:

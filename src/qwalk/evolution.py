@@ -50,11 +50,15 @@ from typing import Callable, Iterator, Literal, Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import CoinField, _site_index, as_coin_field
+from .coins import CoinField, as_coin_field
 from .statespace import (
     SublatticeState,
     WalkerState,
+    _coordinates,
+    _dimensionality,
+    _halfwidth,
     _integer,
+    _sites_index,
     as_coin_state,
     localized_state,
     state_dimension,
@@ -137,16 +141,8 @@ class DefectMap:
     def validate(self, dimensionality: int) -> None:
         if self.kind in ("line_y", "cross_xy") and dimensionality != 2:
             raise ValueError(f"defect {self.kind!r} is only defined for 2D walks")
-        if self.kind == "custom":
-            for key in self.table or {}:
-                if dimensionality == 1 and not isinstance(key, (int, np.integer)):
-                    raise ValueError(f"1D custom defect key must be an int, got {key!r}")
-                if dimensionality == 2 and (
-                    not isinstance(key, tuple) or len(key) != 2
-                ):
-                    raise ValueError(
-                        f"2D custom defect key must be an (x, y) tuple, got {key!r}"
-                    )
+        for key in self.table or {}:
+            _coordinates(key, dimensionality, "custom defect site")
 
     def phase_grid(
         self, halfwidth: int, dimensionality: int
@@ -198,7 +194,7 @@ def _phase_applier(
         table = defect.table or {}
         if defect.kind == "point":
             table = {(0,) * dimensionality: defect.phi}
-        index = _site_index(table, L, dimensionality, "custom defect")
+        index = _sites_index(table, L, dimensionality, "custom defect site")
         factors = np.array([np.exp(1j * t) for t in table.values()], dtype=np.complex128)
 
         def apply_sites(m, sites):
@@ -249,7 +245,7 @@ class _Stepper:
         # Every site is mixed by the default coin in one GEMM; the sites a
         # per-site field lists are then mixed again with their own coins.
         self.coin_t = fld.default.T.copy()
-        self.coin_index = _site_index(fld.table, halfwidth, dimensionality, "coin")
+        self.coin_index = _sites_index(fld.table, halfwidth, dimensionality, "coin site")
         self.coin_table = np.array(list(fld.table.values()), dtype=np.complex128)
         self.applier = _phase_applier(defect, halfwidth, dimensionality)
 
@@ -381,24 +377,13 @@ class WalkSpec:
     _stepper: _Stepper = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        d = _integer(self.dimensionality, "dimensionality")
-        if d not in (1, 2):
-            raise ValueError(f"dimensionality must be 1 or 2, got {d}")
+        d = _dimensionality(self.dimensionality)
         steps = _integer(self.steps, "steps")
         if steps < 0:
             raise ValueError(f"steps must be a nonnegative integer, got {steps}")
-        L = _integer(max(steps, 1) if self.halfwidth is None else self.halfwidth, "halfwidth")
-        if L < 1:
-            raise ValueError(f"halfwidth must be >= 1, got {L}")
-        pos = self.initial_position
-        if pos is None:
-            pos = 0 if d == 1 else (0, 0)
-        if d == 1:
-            start = (_integer(pos, "initial_position"),)
-        elif isinstance(pos, (tuple, list)) and len(pos) == 2:
-            start = tuple(_integer(v, "initial_position") for v in pos)
-        else:
-            raise ValueError(f"initial_position must be an (x, y) pair, got {pos!r}")
+        L = _halfwidth(max(steps, 1) if self.halfwidth is None else self.halfwidth)
+        pos = (0,) * d if self.initial_position is None else self.initial_position
+        start = _coordinates(pos, d, "initial_position")
         reach = max(map(abs, start))  # a Python int: int64 would overflow
         if reach > L:
             raise ValueError(f"initial_position {pos!r} outside [-{L}, {L}]^{d}")
@@ -429,9 +414,8 @@ class WalkSpec:
         if self.boundary == "periodic":
             return self.initial_state()
         d = self.dimensionality
-        start = (self.initial_position,) if d == 1 else self.initial_position
         coin = np.reshape(self.initial_coin, (1,) * d + (2 * d,))
-        return SublatticeState(d, self.halfwidth, start, coin)  # type: ignore[arg-type]
+        return SublatticeState(d, self.halfwidth, self.initial_position, coin)  # type: ignore[arg-type]
 
 
 @dataclass

@@ -65,7 +65,7 @@ from .evolution import (
     _targets,
     build_step_matrix,
 )
-from .statespace import WalkerState
+from .statespace import WalkerState, _site_index
 
 __all__ = [
     "coordinate_forward",
@@ -144,7 +144,8 @@ class BasisPermutation:
         """2D site carrying the two-walker site (x, y)."""
         L = self.halfwidth
         n = 2 * L + 1
-        k = self.indices[((x + L) * n + (y + L)) * 4] // 4
+        i, j = _site_index((x, y), L, 2, "site")
+        k = self.indices[(i * n + j) * 4] // 4
         return k // n - L, k % n - L
 
 

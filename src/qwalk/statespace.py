@@ -22,7 +22,7 @@ stored compactly as a :class:`SublatticeState`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,6 +53,51 @@ def _integer(value: object, what: str) -> int:
     return int(value)
 
 
+def _dimensionality(value: object) -> int:
+    d = _integer(value, "dimensionality")
+    if d not in (1, 2):
+        raise ValueError(f"dimensionality must be 1 or 2, got {d}")
+    return d
+
+
+def _halfwidth(value: object) -> int:
+    L = _integer(value, "halfwidth")
+    if L < 1:
+        raise ValueError(f"halfwidth must be >= 1, got {L}")
+    return L
+
+
+def _coordinates(site: object, dimensionality: int, what: str) -> tuple[int, ...]:
+    """The integer coordinates of a site, not placed on any lattice: an int,
+    or a tuple, list or array of ``dimensionality`` ints (either in 1D).  A
+    bool, a fraction or a wrong count raises ValueError."""
+    coords = site.tolist() if isinstance(site, np.ndarray) else site
+    coords = tuple(coords) if isinstance(coords, (tuple, list)) else (coords,)
+    if len(coords) != dimensionality:
+        raise ValueError(f"{what} must have {dimensionality} coordinates, got {site!r}")
+    return tuple(_integer(v, what) for v in coords)
+
+
+def _site_index(site: object, halfwidth: int, dimensionality: int, what: str) -> tuple[int, ...]:
+    """Array index ``(x + L, ...)`` of a site of the lattice [-L, L]^d; a
+    site off it, checked in Python ints, raises IndexError."""
+    coords = _coordinates(site, dimensionality, what)
+    if max(map(abs, coords)) > halfwidth:
+        raise IndexError(f"{what} {site} outside [-{halfwidth}, {halfwidth}]^{dimensionality}")
+    return tuple(v + halfwidth for v in coords)
+
+
+def _sites_index(
+    sites: Iterable, halfwidth: int, dimensionality: int, what: str
+) -> NDArray[np.int64]:
+    """:func:`_site_index` of each site, shape (P, d); a halfwidth too large
+    for int64 indices raises ValueError."""
+    if 2 * halfwidth + 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"halfwidth {halfwidth} is too large: lattice indices must fit int64")
+    rows = [_site_index(s, halfwidth, dimensionality, what) for s in sites]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality)
+
+
 def _check_coin_bit(name: str, value: int) -> None:
     if value not in (0, 1):
         raise ValueError(f"coin bit {name} must be 0 or 1, got {value!r}")
@@ -66,6 +111,7 @@ class BasisLabel1D:
     c: int
 
     def __post_init__(self) -> None:
+        _coordinates(self.x, 1, "x")
         _check_coin_bit("c", self.c)
 
 
@@ -79,18 +125,15 @@ class BasisLabel2D:
     d: int
 
     def __post_init__(self) -> None:
+        _coordinates((self.x, self.y), 2, "(x, y)")
         _check_coin_bit("c", self.c)
         _check_coin_bit("d", self.d)
 
 
 def state_dimension(dimensionality: int, halfwidth: int) -> int:
     """Total Hilbert-space dimension: 2(2L+1) in 1D, 4(2L+1)^2 in 2D."""
-    n = 2 * halfwidth + 1
-    if dimensionality == 1:
-        return 2 * n
-    if dimensionality == 2:
-        return 4 * n * n
-    raise ValueError(f"dimensionality must be 1 or 2, got {dimensionality!r}")
+    d = _dimensionality(dimensionality)
+    return 2 * d * (2 * halfwidth + 1) ** d
 
 
 @dataclass
@@ -109,14 +152,9 @@ class WalkerState:
     amplitudes: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        if self.dimensionality not in (1, 2):
-            raise ValueError(
-                f"dimensionality must be 1 or 2, got {self.dimensionality!r}"
-            )
-        if self.halfwidth < 1:
-            raise ValueError(f"halfwidth must be >= 1, got {self.halfwidth}")
-        n = 2 * self.halfwidth + 1
-        expected = (n, 2) if self.dimensionality == 1 else (n, n, 4)
+        d = self.dimensionality = _dimensionality(self.dimensionality)
+        self.halfwidth = _halfwidth(self.halfwidth)
+        expected = (2 * self.halfwidth + 1,) * d + (2 * d,)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != expected:
             raise ValueError(
@@ -178,20 +216,16 @@ class SublatticeState:
     amplitudes: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        d = self.dimensionality
-        if d not in (1, 2):
-            raise ValueError(f"dimensionality must be 1 or 2, got {d!r}")
+        d = self.dimensionality = _dimensionality(self.dimensionality)
+        L = self.halfwidth = _halfwidth(self.halfwidth)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         m = amps.shape[0] if amps.ndim else 0
         if m < 1 or amps.shape != (m,) * d + (2 * d,):
             raise ValueError(
                 f"sublattice table has shape {amps.shape}, expected {(m,) * d + (2 * d,)}"
             )
-        self.first = tuple(int(f) for f in self.first)
-        L = self.halfwidth
-        if len(self.first) != d or any(
-            f < -L or f + 2 * (m - 1) > L for f in self.first
-        ):
+        self.first = _coordinates(self.first, d, "first")
+        if any(f < -L or f + 2 * (m - 1) > L for f in self.first):
             raise IndexError(
                 f"sublattice from {self.first} with {m} sites per axis "
                 f"leaves [-{L}, {L}]^{d}"
@@ -239,11 +273,7 @@ def symmetric_coin(dimensionality: int) -> NDArray[np.complex128]:
     Hadamard coin.
     """
     s = np.array([1.0, 1.0j], dtype=np.complex128) / np.sqrt(2.0)
-    if dimensionality == 1:
-        return s
-    if dimensionality == 2:
-        return np.kron(s, s)
-    raise ValueError(f"dimensionality must be 1 or 2, got {dimensionality!r}")
+    return s if _dimensionality(dimensionality) == 1 else np.kron(s, s)
 
 
 def localized_state(
@@ -270,31 +300,22 @@ def localized_state(
     WalkerState
         Unit-norm state with all amplitude at ``origin``.
     """
-    if halfwidth < 1:
-        raise ValueError(f"halfwidth must be >= 1, got {halfwidth}")
-    vec = as_coin_state(coin, dimensionality)
-    site = tuple(_integer(v, "origin") for v in ((origin,) if dimensionality == 1 else origin))
-    if len(site) != dimensionality:
-        raise ValueError(f"origin must have {dimensionality} coordinates, got {origin!r}")
-    if max(map(abs, site)) > halfwidth:
-        raise IndexError(f"origin {origin!r} outside [-{halfwidth}, {halfwidth}]^{dimensionality}")
-    amps = np.zeros((2 * halfwidth + 1,) * dimensionality + vec.shape, dtype=np.complex128)
-    amps[tuple(v + halfwidth for v in site)] = vec
-    return WalkerState(dimensionality, halfwidth, amps)
+    d, L = _dimensionality(dimensionality), _halfwidth(halfwidth)
+    vec = as_coin_state(coin, d)
+    amps = np.zeros((2 * L + 1,) * d + vec.shape, dtype=np.complex128)
+    amps[_site_index(origin, L, d, "origin")] = vec
+    return WalkerState(d, L, amps)
 
 
 def pack_index(label: BasisLabel1D | BasisLabel2D, halfwidth: int) -> int:
     """Packed index of a basis label, position-major, coin-minor."""
-    L = halfwidth
-    n = 2 * L + 1
+    L = _halfwidth(halfwidth)
     if isinstance(label, BasisLabel1D):
-        if abs(label.x) > L:
-            raise IndexError(f"x={label.x} outside [-{L}, {L}]")
-        return (label.x + L) * 2 + label.c
+        (i,) = _site_index(label.x, L, 1, "x")
+        return i * 2 + label.c
     if isinstance(label, BasisLabel2D):
-        if abs(label.x) > L or abs(label.y) > L:
-            raise IndexError(f"({label.x}, {label.y}) outside [-{L}, {L}]^2")
-        return ((label.x + L) * n + (label.y + L)) * 4 + 2 * label.c + label.d
+        i, j = _site_index((label.x, label.y), L, 2, "(x, y)")
+        return (i * (2 * L + 1) + j) * 4 + 2 * label.c + label.d
     raise TypeError(f"unsupported label type {type(label).__name__}")
 
 
@@ -302,8 +323,7 @@ def unpack_index(
     index: int, halfwidth: int, dimensionality: int
 ) -> BasisLabel1D | BasisLabel2D:
     """Inverse of :func:`pack_index` over the contiguous range 0..dim-1."""
-    L = halfwidth
-    n = 2 * L + 1
+    L = _halfwidth(halfwidth)
     dim = state_dimension(dimensionality, L)
     if not 0 <= index < dim:
         raise IndexError(f"packed index {index} outside 0..{dim - 1}")
@@ -311,5 +331,5 @@ def unpack_index(
         pos, c = divmod(index, 2)
         return BasisLabel1D(pos - L, c)
     pos, k = divmod(index, 4)
-    xi, yi = divmod(pos, n)
+    xi, yi = divmod(pos, 2 * L + 1)
     return BasisLabel2D(xi - L, yi - L, k >> 1, k & 1)

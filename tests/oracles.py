@@ -78,3 +78,28 @@ def distribution_2d(amps, halfwidth):
     for (x, y, _c, _d), a in amps.items():
         p[x + halfwidth, y + halfwidth] += abs(a) ** 2
     return p
+
+
+def extended_walk_1d(t, coin, coin0, phases=None):
+    """Amplitudes, shape (2t + 1, 2) over the sites -t..t, of the 1D walk
+    from the origin after t steps, computed in ``np.clongdouble``.
+
+    ``coin`` is a 2x2 matrix and ``coin0`` the start's coin state, both
+    best given in clongdouble; ``phases`` maps a site to its phase factor
+    (source-site convention).  Where long double is wider than double
+    (x86-64: 64 mantissa bits), this is a reference whose own rounding
+    is far below the double-precision walk's.
+    """
+    u = np.asarray(coin, dtype=np.clongdouble)
+    a = np.zeros((2 * t + 1, 2), dtype=np.clongdouble)
+    a[t] = coin0
+    for _ in range(t):
+        m0 = u[0, 0] * a[:, 0] + u[0, 1] * a[:, 1]
+        m1 = u[1, 0] * a[:, 0] + u[1, 1] * a[:, 1]
+        for x, f in (phases or {}).items():
+            m0[x + t] *= f
+            m1[x + t] *= f
+        a = np.zeros_like(a)
+        a[1:, 0] = m0[:-1]  # coin bit 0 moves +1
+        a[:-1, 1] = m1[1:]  # coin bit 1 moves -1
+    return a

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwalk.analysis import (
@@ -98,6 +98,11 @@ def distributions(draw, n=5):
 
 
 @given(distributions(), distributions(), distributions())
+@example(  # disjoint supports: the sum used to round to 1 + 1 ulp
+    Distribution(np.array([0.0, 0.0, 0.0, 1.0, 0.0]), 2),
+    Distribution(np.array([0.4, 0.2, 0.09, 0.0, 0.3]) / 0.99, 2),
+    Distribution(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), 2),
+)
 @settings(max_examples=100, deadline=None)
 def test_l1_is_a_metric(p, q, r):
     assert l1_distance(p, q) == pytest.approx(l1_distance(q, p))

@@ -708,6 +708,22 @@ def test_halfwidth_past_int64_indices_is_named(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "body, key",
+    [('"steps": 3, "steps": 5', "steps"),
+     ('"steps": 3, "defect": {"kind": "custom", "table": {"1,0": 0.5, "1,0": 2.0}}', "1,0")],
+    ids=["top-level", "nested"],
+)
+def test_a_config_key_given_twice_exits_1_and_creates_nothing(tmp_path, capsys, body, key):
+    # json keeps the last of a repeated key: the walk ran 5 steps, or put
+    # phase 2.0 on (1, 0), and exited 0.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{{body}, "out_dir": {json.dumps(str(tmp_path / "out"))}}}')
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert f"error: config: key '{key}' is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "literal, error",
     [("1e400", "coin.tau: expected a finite number, got inf"), ("9" * 4400, "config: invalid JSON")],
     ids=["tau-1e400", "tau-4400-digits"],

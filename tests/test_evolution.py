@@ -26,7 +26,7 @@ from qwalk.evolution import (
 )
 from qwalk.statespace import SublatticeState, WalkerState, localized_state, symmetric_coin
 
-from oracles import brute_force_walk_1d, brute_force_walk_2d, distribution_1d
+from oracles import brute_force_walk_1d, brute_force_walk_2d, distribution_1d, extended_walk_1d
 
 H = hadamard()
 H2 = tensor(H, H)
@@ -635,6 +635,33 @@ def test_oracles_share_no_code_with_the_package():
         if isinstance(node, ast.ImportFrom)
     }
     assert imported == {"numpy"}
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double here"
+)
+@pytest.mark.parametrize("t", [10, 100, 500])
+def test_1d_rounding_error_stays_inside_the_budget(t):
+    # Against the same walk in extended precision, the largest amplitude
+    # error stays below t*eps and every norm residual below 2*t*eps.  At
+    # t = 10..500 the worst measured were about 0.3*t*eps and 1.0*t*eps.
+    phi = np.pi / 3
+    root2 = np.sqrt(np.longdouble(2))
+    exact = extended_walk_1d(
+        t,
+        np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / root2,
+        np.array([1, 1j], dtype=np.clongdouble) / root2,
+        {0: np.exp(np.clongdouble(1j) * np.longdouble(phi))},
+    )
+    residual = 0.0
+    for report in evolve(WalkSpec(1, t, H, DefectMap.point(phi))):
+        residual = max(residual, report.norm_residual)
+    error = np.abs(report.state.amplitudes.astype(np.clongdouble) - exact).max()
+    assert error <= t * EPS
+    assert residual <= 2 * t * EPS
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from qwalk.analysis import Distribution
+from qwalk.coins import CoinField, hadamard, tensor
+from qwalk.evolution import DefectMap
+from qwalk.isomorphism import BasisPermutation
 from qwalk.statespace import (
     BasisLabel1D,
     BasisLabel2D,
@@ -179,3 +183,60 @@ def test_sublattice_must_fit_the_lattice():
         SublatticeState(2, 2, (0, -3), np.zeros((1, 1, 4)))
     with pytest.raises(ValueError):
         SublatticeState(2, 2, (0, 0), np.zeros((1, 2, 4)))  # not square
+
+
+H = hadamard()
+THREE = np.array([0.25, 0.5, 0.25])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Distribution(THREE, 1).at(-2), IndexError),
+        (lambda: Distribution(THREE, 1).at(-3), IndexError),
+        (lambda: BasisPermutation.build(1).site_image(0, 2), IndexError),
+        (lambda: SublatticeState(1, 5, (0.7,), [[1, 0]]), ValueError),
+        (lambda: SublatticeState(1, 5, (True,), [[1, 0]]), ValueError),
+        (lambda: WalkerState(1, 1.5, np.zeros((4, 2))), ValueError),
+        (lambda: Distribution(np.ones(4) / 4, 1.5), ValueError),
+        (lambda: WalkerState(True, 1, np.zeros((3, 2))), ValueError),
+        (lambda: CoinField(True, H), ValueError),
+        (lambda: CoinField(2, tensor(H, H), {(True, 0): np.eye(4)}), ValueError),
+        (lambda: CoinField(2, tensor(H, H), {(0.5, 0): np.eye(4)}), ValueError),
+        (lambda: CoinField(1, H, {1.0: np.eye(2)}), ValueError),
+        (lambda: DefectMap.custom({(True, 0): 1.0}).phase_grid(2, 2), ValueError),
+        (lambda: DefectMap.custom({(1.0, 0): 1.0}).phase_grid(2, 2), ValueError),
+        (lambda: DefectMap.custom({True: 1.0}).phase_grid(2, 1), ValueError),
+        (lambda: pack_index(BasisLabel1D(0.5, 0), 1), ValueError),
+        (lambda: pack_index(BasisLabel2D(True, 0, 0, 0), 1), ValueError),
+        (lambda: pack_index(BasisLabel1D(0, 0), 1.5), ValueError),
+        (lambda: unpack_index(3, True, 1), ValueError),
+    ],
+    ids=[
+        "at-past-the-left-edge", "at-two-past-the-left-edge", "site-image-off-the-lattice",
+        "first-fraction", "first-bool", "walker-halfwidth-fraction",
+        "distribution-halfwidth-fraction", "walker-dimensionality-bool",
+        "coin-field-dimensionality-bool", "coin-site-bool", "coin-site-fraction",
+        "1d-coin-site-fraction", "custom-site-bool", "custom-site-fraction",
+        "1d-custom-site-bool", "label-x-fraction", "label-x-bool",
+        "pack-halfwidth-fraction", "unpack-halfwidth-bool",
+    ],
+)
+def test_lattice_facts_are_integers_and_sites_lie_on_the_lattice(build, error):
+    # Each of these used to give a plausible wrong answer: at(-2) read
+    # p(+1), site_image(0, 2) gave the image of (1, -1), a first of 0.7
+    # became 0, a bool counted as 1, and pack_index returned 3.0.  A
+    # fractional custom site raised TypeError.
+    with pytest.raises(error):
+        build()
+
+
+def test_sites_may_be_ints_tuples_lists_and_numpy_integers_or_arrays():
+    coin = symmetric_coin(2)
+    for origin in [(1, -1), [1, -1], np.array([1, -1]), (np.int64(1), np.int64(-1))]:
+        assert localized_state(2, 2, origin, coin).amplitudes[3, 1].any()
+    assert localized_state(1, 2, np.int64(-2), [1, 0]).amplitudes[0, 0] == 1
+    assert Distribution(THREE, 1).at(np.int64(1)) == 0.25
+    assert SublatticeState(1, 2, np.array([0]), [[1, 0]]).first == (0,)
+    grid = DefectMap.custom({(np.int64(1), 0): 0.5}).phase_grid(1, 2)
+    assert grid[2, 1] == np.exp(0.5j)
