@@ -64,6 +64,24 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending key."""
 
 
+# The keys a config object's reader uses, by kind; any other key exits 1 (a
+# misspelt one would run another walk).  One top-level set serves all commands.
+_CONFIG_KEYS = {
+    "dimensionality", "steps", "halfwidth", "coin", "defect", "initial", "boundary", "out_dir",
+    "formats", "emit_per_step", "reference", "threads", "max_steps", "sweep", "trials", "seed",
+}
+_COIN_KEYS = {"hadamard": {"kind"}, "identity": {"kind"}, "su2": {"kind", "theta", "psi", "phi"},
+              "tensor": {"kind", "first", "second"}, "fractional_swap": {"kind", "tau"}}
+_DEFECT_KEYS = {"none": {"kind", "phi"}, "line_y": {"kind", "phi"}, "cross_xy": {"kind", "phi"},
+                "point": {"kind", "phi"}, "custom": {"kind", "phi", "table"}}
+
+
+def _check_keys(obj: dict, keys: set[str], where: str) -> None:
+    unknown = sorted(set(obj) - keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; expected one of {sorted(keys)}")
+
+
 def _is_int(value: Any) -> bool:
     # JSON true/false arrive as bool, a subclass of int; they are not counts.
     return isinstance(value, int) and not isinstance(value, bool)
@@ -103,6 +121,9 @@ def _parse_coin(cfg: Any, dimensionality: int):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"{key}: expected 'hadamard', 'identity', or an object with 'kind'")
     kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in _COIN_KEYS:
+        raise ConfigError(f"{key}.kind: unknown coin kind {kind!r}")
+    _check_keys(cfg, _COIN_KEYS[kind], key)
     if kind == "hadamard" or kind == "identity":
         return _parse_coin(kind, dimensionality)
     if kind == "su2":
@@ -120,11 +141,9 @@ def _parse_coin(cfg: Any, dimensionality: int):
             _parse_coin(cfg.get("first", "hadamard"), 1),
             _parse_coin(cfg.get("second", "hadamard"), 1),
         )
-    if kind == "fractional_swap":
-        if dimensionality != 2:
-            raise ConfigError(f"{key}: 'fractional_swap' is a 2D coin")
-        return fractional_swap(_number(cfg.get("tau"), f"{key}.tau"))
-    raise ConfigError(f"{key}.kind: unknown coin kind {kind!r}")
+    if dimensionality != 2:
+        raise ConfigError(f"{key}: 'fractional_swap' is a 2D coin")
+    return fractional_swap(_number(cfg.get("tau"), f"{key}.tau"))
 
 
 def _parse_defect(cfg: Any) -> DefectMap:
@@ -136,28 +155,31 @@ def _parse_defect(cfg: Any) -> DefectMap:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"{key}: expected a kind string or an object with 'kind'")
     kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in _DEFECT_KEYS:
+        raise ConfigError(f"{key}.kind: unknown defect kind {kind!r}")
+    _check_keys(cfg, _DEFECT_KEYS[kind], key)
+    phi = parse_angle(cfg.get("phi", 0.0), f"{key}.phi")
     if kind == "none":
         return DefectMap.none()
-    if kind in ("line_y", "cross_xy", "point"):
-        phi = parse_angle(cfg.get("phi", 0.0), f"{key}.phi")
+    if kind != "custom":
         return DefectMap(kind, phi)
-    if kind == "custom":
-        table_cfg = cfg.get("table")
-        if not isinstance(table_cfg, dict):
-            raise ConfigError(f"{key}.table: expected an object of site -> phase")
-        table: dict = {}
-        for site, phase in table_cfg.items():
-            parts = site.split(",")
-            try:
-                coords = [int(p) for p in parts]
-            except ValueError:
-                raise ConfigError(f"{key}.table: bad site key {site!r}") from None
-            k = coords[0] if len(coords) == 1 else tuple(coords)
-            if k in table:  # "1,0" and "01,0" are one site
-                raise ConfigError(f"{key}.table: lists site {k} twice")
-            table[k] = parse_angle(phase, f"{key}.table[{site}]")
-        return DefectMap.custom(table)
-    raise ConfigError(f"{key}.kind: unknown defect kind {kind!r}")
+    if phi != 0.0:  # echoed as 0.0, so that the echo re-runs
+        raise ConfigError(f"{key}.phi: a custom defect takes its phases from 'table', got {phi!r}")
+    table_cfg = cfg.get("table")
+    if not isinstance(table_cfg, dict):
+        raise ConfigError(f"{key}.table: expected an object of site -> phase")
+    table: dict = {}
+    for site, phase in table_cfg.items():
+        parts = site.split(",")
+        try:
+            coords = [int(p) for p in parts]
+        except ValueError:
+            raise ConfigError(f"{key}.table: bad site key {site!r}") from None
+        k = coords[0] if len(coords) == 1 else tuple(coords)
+        if k in table:  # "1,0" and "01,0" are one site
+            raise ConfigError(f"{key}.table: lists site {k} twice")
+        table[k] = parse_angle(phase, f"{key}.table[{site}]")
+    return DefectMap.custom(table)
 
 
 def _parse_initial(cfg: Any):
@@ -165,6 +187,7 @@ def _parse_initial(cfg: Any):
         cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError("initial: expected an object")
+    _check_keys(cfg, {"position", "coin"}, "initial")
     coin = cfg.get("coin", "symmetric")
     if coin == "symmetric":
         coin_vec = None  # WalkSpec default
@@ -201,6 +224,7 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config: invalid JSON in {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
+    _check_keys(cfg, _CONFIG_KEYS, "config")
     return cfg
 
 
@@ -466,6 +490,7 @@ def cmd_sweep(cfg: dict) -> int:
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: config must contain a 'sweep' object")
+    _check_keys(sweep, {"phi", "defect"}, "sweep")
     phis = sweep.get("phi")
     if not isinstance(phis, list) or not phis:
         raise ConfigError("sweep.phi: expected a nonempty list of angles")

@@ -130,15 +130,8 @@ def su4_compose(
     ValueError
         If any of u1, u2, v1, v2 is not unitary within 1e-12.
     """
-    factors = {"u1": u1, "u2": u2, "v1": v1, "v2": v2}
-    mats = {}
-    for name, m in factors.items():
-        m = np.asarray(m, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-        if not is_unitary(m):
-            raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
-        mats[name] = m
+    names = ("u1", "u2", "v1", "v2")
+    u1, u2, v1, v2 = (_validated_coin(m, 2, name) for m, name in zip((u1, u2, v1, v2), names))
     bracket = (
         tensor(PAULI_Z, PAULI_X)
         @ fractional_swap(gamma)
@@ -147,7 +140,7 @@ def su4_compose(
         @ tensor(IDENTITY2, PAULI_X)
         @ fractional_swap(alpha)
     )
-    return tensor(mats["u1"], mats["u2"]) @ bracket @ tensor(mats["v1"], mats["v2"])
+    return tensor(u1, u2) @ bracket @ tensor(v1, v2)
 
 
 def unitarity_check(matrix: NDArray[np.complex128]) -> float:

@@ -89,7 +89,8 @@ MAX_MATRIX_DIM = 16384
 
 # Coin index -> displacement per axis, by dimensionality; 2D coin indices
 # are k = 2c + d.
-_DIAGONAL_MOVES = {1: ((1,), (-1,)), 2: ((1, 1), (1, -1), (-1, 1), (-1, -1))}
+_Moves = Sequence[tuple[int, ...]]
+_DIAGONAL_MOVES: dict[int, _Moves] = {1: ((1,), (-1,)), 2: ((1, 1), (1, -1), (-1, 1), (-1, -1))}
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,7 @@ class DefectMap:
     ) -> NDArray[np.complex128] | None:
         """Dense per-site phase factors, or None when trivially 1."""
         applier = _phase_applier(self, halfwidth, dimensionality)
-        if applier is None:
-            return None
-        shape = (2 * halfwidth + 1,) * dimensionality
-        grid = np.ones(shape + (1,), dtype=np.complex128)
-        applier(grid, (slice(None),) * dimensionality)
-        return grid[..., 0]
+        return _phase_grid(applier, (2 * halfwidth + 1,) * dimensionality)
 
 
 def _on_sites(
@@ -185,10 +181,10 @@ _Applier = Callable[[NDArray[np.complex128], tuple[slice, ...]], None]
 def _phase_applier(
     defect: DefectMap | None, halfwidth: int, dimensionality: int
 ) -> _Applier | None:
+    L = _halfwidth(halfwidth)
     if defect is None or defect.kind == "none":
         return None
     defect.validate(dimensionality)
-    L = halfwidth
     n = 2 * L + 1
     if defect.kind in ("point", "custom"):
         table = defect.table or {}
@@ -215,15 +211,24 @@ def _phase_applier(
     return apply_lines
 
 
-class _Stepper:
-    """Single-step kernel: coin mix, defect phase, shift.
+def _phase_grid(applier: _Applier | None, shape: tuple[int, ...]) -> NDArray[np.complex128] | None:
+    """The applier's factor at every site of a lattice array: ones, multiplied."""
+    if applier is None:
+        return None
+    grid = np.ones(shape + (1,), dtype=np.complex128)
+    applier(grid, (slice(None),) * len(shape))
+    return grid[..., 0]
 
-    ``step`` advances a dense state on the full lattice: the periodic walk,
-    and the open single steps of ``apply_step_1d/2d`` and the unit-axis
-    walk; ``cone_step`` advances an open walk's :class:`SublatticeState`.
-    Building one checks the boundary, the coin field and every listed site.
-    ``moves[c]`` is the displacement of coin component c, per axis; it
-    defaults to the diagonal walk's ``_DIAGONAL_MOVES``.
+
+class _Stepper:
+    """One walk operator, checked once: coin field, defect phase, lattice.
+
+    Every kernel and dense step matrix is built from one.  ``step(state,
+    moves)`` advances a dense state on the full lattice, coin component c
+    moving by ``moves[c]``: the periodic walk, the open single steps and
+    the unit-axis walk.  ``cone_step`` advances an open walk's
+    :class:`SublatticeState` by ``self.moves``, the diagonal walk's table.
+    Building one checks the lattice, boundary, coins and every listed site.
     """
 
     def __init__(
@@ -233,21 +238,20 @@ class _Stepper:
         coin: NDArray[np.complex128] | CoinField,
         defect: DefectMap | None,
         boundary: Boundary,
-        moves: Sequence[tuple[int, ...]] | None = None,
     ):
         if boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
-        self.dim = dimensionality
-        self.halfwidth = halfwidth
+        d = self.dim = _dimensionality(dimensionality)
+        L = self.halfwidth = _halfwidth(halfwidth)
         self.boundary = boundary
-        self.moves = _DIAGONAL_MOVES[dimensionality] if moves is None else moves
-        fld = as_coin_field(coin, dimensionality)
+        self.moves = _DIAGONAL_MOVES[d]
+        self.field = as_coin_field(coin, d)
         # Every site is mixed by the default coin in one GEMM; the sites a
         # per-site field lists are then mixed again with their own coins.
-        self.coin_t = fld.default.T.copy()
-        self.coin_index = _sites_index(fld.table, halfwidth, dimensionality, "coin site")
-        self.coin_table = np.array(list(fld.table.values()), dtype=np.complex128)
-        self.applier = _phase_applier(defect, halfwidth, dimensionality)
+        self.coin_t = self.field.default.T.copy()
+        self.coin_index = _sites_index(self.field.table, L, d, "coin site")
+        self.coin_table = np.array(list(self.field.table.values()), dtype=np.complex128)
+        self.applier = _phase_applier(defect, L, d)
 
     def _mixed(
         self,
@@ -267,9 +271,9 @@ class _Stepper:
             self.applier(mixed, sites)
         return mixed
 
-    def step(self, state: WalkerState) -> WalkerState:
+    def step(self, state: WalkerState, moves: _Moves) -> WalkerState:
         m = self._mixed(state.amplitudes, (slice(None),) * self.dim)
-        return WalkerState(self.dim, self.halfwidth, self._shift(m))
+        return WalkerState(self.dim, self.halfwidth, self._shift(m, moves))
 
     def cone_step(self, grid: SublatticeState, buffers: "_Buffers") -> SublatticeState:
         """One step of a sublattice grid of m sites per axis, giving m + 1.
@@ -292,16 +296,16 @@ class _Stepper:
         first = tuple(f - 1 for f in grid.first)
         return SublatticeState(self.dim, self.halfwidth, first, out)
 
-    def _shift(self, m: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """Move each coin component of the full lattice by its table entry."""
+    def _shift(self, m: NDArray[np.complex128], moves: _Moves) -> NDArray[np.complex128]:
+        """Move each coin component of the full lattice by its entry of ``moves``."""
         out = np.empty_like(m)
-        for c, move in enumerate(self.moves):
+        for c, move in enumerate(moves):
             out[..., c] = np.roll(m[..., c], move, axis=tuple(range(self.dim)))
         # On the open lattice the slab a roll carries around an edge is the
         # amplitude the move would push past that edge, so it must be zero.
         if self.boundary == "open" and any(
             np.any(out[(slice(None),) * axis + (0 if s > 0 else -1, Ellipsis, c)])
-            for c, move in enumerate(self.moves)
+            for c, move in enumerate(moves)
             for axis, s in enumerate(move)
             if s
         ):
@@ -337,7 +341,7 @@ def apply_step_1d(
     """One step of the 1D walk: coin, source-site phase, conditional shift."""
     if state.dimensionality != 1:
         raise ValueError("apply_step_1d expects a 1D state")
-    return _Stepper(1, state.halfwidth, coin, defect, boundary).step(state)
+    return _Stepper(1, state.halfwidth, coin, defect, boundary).step(state, _DIAGONAL_MOVES[1])
 
 
 def apply_step_2d(
@@ -349,7 +353,7 @@ def apply_step_2d(
     """One step of the 2D walk: coin, source-site phase, conditional shift."""
     if state.dimensionality != 2:
         raise ValueError("apply_step_2d expects a 2D state")
-    return _Stepper(2, state.halfwidth, coin, defect, boundary).step(state)
+    return _Stepper(2, state.halfwidth, coin, defect, boundary).step(state, _DIAGONAL_MOVES[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +452,7 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
     NaN), which would indicate a broken step operator.
     """
     start, stepper = spec.initial_grid(), spec._stepper
-    advance = stepper.step
+    advance = partial(stepper.step, moves=stepper.moves)
     if isinstance(start, SublatticeState):
         advance = partial(stepper.cone_step, buffers=_Buffers(spec.steps, spec.dimensionality))
     yield from _guarded(advance, start, spec.steps)
@@ -489,23 +493,16 @@ def build_step_matrix(
     """
     if boundary != "periodic":
         raise ValueError("build_step_matrix supports only the periodic boundary")
-    return _step_matrix(
-        dimensionality, halfwidth, coin, defect, _DIAGONAL_MOVES[dimensionality]
-    )
+    stepper = _Stepper(dimensionality, halfwidth, coin, defect, boundary)
+    return _step_matrix(stepper, stepper.moves)
 
 
-def _step_matrix(
-    dimensionality: int,
-    halfwidth: int,
-    coin: NDArray[np.complex128] | CoinField,
-    defect: DefectMap | None,
-    moves: Sequence[tuple[int, ...]],
-) -> NDArray[np.complex128]:
-    """Dense periodic step matrix of the walk whose coin component c moves
-    by ``moves[c]``: column (s, c) holds ``blocks[s][:, c]``, its entry c'
-    at row (``_targets[c', s]``, c')."""
-    blocks = _site_blocks(dimensionality, halfwidth, coin, defect)
-    target = _targets(blocks.shape[:dimensionality], moves)
+def _step_matrix(stepper: _Stepper, moves: _Moves) -> NDArray[np.complex128]:
+    """Dense periodic step matrix of ``stepper``'s walk with coin component
+    c moving by ``moves[c]``: column (s, c) holds ``blocks[s][:, c]``, its
+    entry c' at row (``_targets[c', s]``, c')."""
+    blocks = _site_blocks(stepper)
+    target = _targets(blocks.shape[: stepper.dim], moves)
     k, sites = target.shape
     U = np.zeros((sites, k, sites, k), dtype=np.complex128)
     s, c = np.arange(sites)[:, None, None], np.arange(k)
@@ -513,25 +510,20 @@ def _step_matrix(
     return U.reshape(sites * k, sites * k)
 
 
-def _site_blocks(
-    dimensionality: int,
-    halfwidth: int,
-    coin: NDArray[np.complex128] | CoinField,
-    defect: DefectMap | None,
-) -> NDArray[np.complex128]:
+def _site_blocks(stepper: _Stepper) -> NDArray[np.complex128]:
     """phase(site) * coin(site) for every site, shape (2L+1,)*d + (k, k);
     a step matrix above ``MAX_MATRIX_DIM`` is refused before allocating."""
-    dim_total = state_dimension(dimensionality, halfwidth)
+    dim_total = state_dimension(stepper.dim, stepper.halfwidth)
     if dim_total > MAX_MATRIX_DIM:
         raise ValueError(
             f"step matrix dimension {dim_total} exceeds cap {MAX_MATRIX_DIM}"
         )
-    blocks = as_coin_field(coin, dimensionality).stacked(halfwidth)
-    grid = (defect or DefectMap.none()).phase_grid(halfwidth, dimensionality)
+    blocks = stepper.field.stacked(stepper.halfwidth)
+    grid = _phase_grid(stepper.applier, blocks.shape[: stepper.dim])
     return blocks if grid is None else grid[..., None, None] * blocks
 
 
-def _targets(shape: tuple[int, ...], moves: Sequence[tuple[int, ...]]) -> NDArray[np.int64]:
+def _targets(shape: tuple[int, ...], moves: _Moves) -> NDArray[np.int64]:
     """``[c, s]``: flat index of the site that coin component c of site s
     moves to, periodic on the lattice of ``shape``."""
     sites = np.indices(shape).reshape(len(shape), 1, -1)

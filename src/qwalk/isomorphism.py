@@ -55,7 +55,6 @@ from .coins import (
     tensor,
 )
 from .evolution import (
-    _DIAGONAL_MOVES,
     DefectMap,
     WalkSpec,
     _guarded,
@@ -65,7 +64,7 @@ from .evolution import (
     _targets,
     build_step_matrix,
 )
-from .statespace import WalkerState, _site_index
+from .statespace import WalkerState, _halfwidth, _site_index
 
 __all__ = [
     "coordinate_forward",
@@ -116,7 +115,7 @@ class BasisPermutation:
         normalized by the mod-n halving, so passing a deliberately wrong
         map yields a valid permutation that fails the equivalence checks.
         """
-        L = halfwidth
+        L = _halfwidth(halfwidth)
         n = 2 * L + 1
         inv2 = (n + 1) // 2
         fwd = pair_map or coordinate_forward
@@ -186,7 +185,7 @@ def transformed_step_matrix(
     :func:`transform_defect` to carry a two-walker defect across).  A
     site-dependent ``CoinField`` is likewise keyed by 2D coordinates.
     """
-    return _step_matrix(2, halfwidth, coin4, defect, _AXIS_MOVES)
+    return _step_matrix(_Stepper(2, halfwidth, coin4, defect, "periodic"), _AXIS_MOVES)
 
 
 def transform_defect(defect: DefectMap | None, halfwidth: int) -> DefectMap:
@@ -229,19 +228,16 @@ def _deviation(
     the two sites agree the entries meet; elsewhere each meets the dense
     zero and counts at its full modulus.
     """
-    blocks = _site_blocks(2, halfwidth, coin4, defect)
-    perm = (
-        _permutation(halfwidth)
-        if pair_map is None
-        else BasisPermutation.build(halfwidth, pair_map)
-    )
+    stepper = _Stepper(2, halfwidth, coin4, defect, "periodic")
+    blocks, L = _site_blocks(stepper), stepper.halfwidth
+    perm = _permutation(L) if pair_map is None else BasisPermutation.build(L, pair_map)
     tau = perm.indices[::4] // 4
     shape = blocks.shape[:2]
-    site = _targets(shape, _DIAGONAL_MOVES[2])
+    site = _targets(shape, stepper.moves)
     site_2d = np.argsort(tau)[_targets(shape, _AXIS_MOVES)[:, tau]]
     # [s, c', c] -> [c', s, c], beside the [c', s] sites.
     a = blocks.reshape(tau.size, 4, 4).transpose(1, 0, 2)
-    b = _carried(blocks, halfwidth).reshape(tau.size, 4, 4)[tau].transpose(1, 0, 2)
+    b = _carried(blocks, L).reshape(tau.size, 4, 4)[tau].transpose(1, 0, 2)
     apart = np.maximum(np.abs(a), np.abs(b))
     return float(np.where((site == site_2d)[..., None], np.abs(a - b), apart).max())
 
@@ -380,9 +376,9 @@ def axis_walk_state(
     :class:`WalkSpec`, and the norm of every step as in ``evolve``.
     """
     spec = WalkSpec(2, steps, coin4, initial_coin=initial_coin, halfwidth=halfwidth)
-    stepper = _Stepper(2, spec.halfwidth, coin4, None, "open", _AXIS_MOVES)
+    advance = functools.partial(spec._stepper.step, moves=_AXIS_MOVES)
     state = spec.initial_state()
-    for report in _guarded(stepper.step, state, spec.steps):
+    for report in _guarded(advance, state, spec.steps):
         state = report.grid
     return state
 

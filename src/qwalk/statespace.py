@@ -99,7 +99,7 @@ def _sites_index(
 
 
 def _check_coin_bit(name: str, value: int) -> None:
-    if value not in (0, 1):
+    if _integer(value, f"coin bit {name}") not in (0, 1):
         raise ValueError(f"coin bit {name} must be 0 or 1, got {value!r}")
 
 
@@ -254,7 +254,7 @@ class SublatticeState:
 def as_coin_state(coin: Sequence[complex], dimensionality: int) -> NDArray[np.complex128]:
     """Validate a coin-state vector: length 2 (1D) or 4 (2D), unit norm."""
     vec = np.asarray(coin, dtype=np.complex128).reshape(-1)
-    want = 2 if dimensionality == 1 else 4
+    want = 2 * _dimensionality(dimensionality)
     if vec.shape != (want,):
         raise ValueError(
             f"coin state must have {want} components for a "

@@ -326,6 +326,38 @@ def test_run_rejects_malformed_reference(tmp_path, rows):
 
 
 @pytest.mark.parametrize(
+    "command, overrides, flags",
+    [
+        ("run", {"step": 5}, []),
+        ("run", {"defect": {"kind": "cross_xy", "phy": 1.0}}, []),
+        ("run", {"initial": {"postion": [3, 0]}}, []),
+        ("run", {"coin": {"kind": "fractional_swap", "tau": 0.5, "tua": 0.1}}, []),
+        ("run", {"coin": {"kind": "tensor", "first": {"kind": "su2", "theta": 1, "pis": 2}}}, []),
+        ("sweep", {"sweep": {"phi": ["pi:1"], "defects": ["line_y"]}}, []),
+        ("isocheck", {"trails": 3}, []),
+        ("run", {"defect": {"kind": "custom", "table": {"0,0": 1.0}}}, ["--phi", "2.0"]),
+        ("run", {"defect": {"kind": "custom", "phi": 1.0, "table": {"0,0": 1.0}}}, []),
+    ],
+    ids=[
+        "steps-misspelt", "defect-phi-misspelt", "initial-position-misspelt",
+        "coin-tau-misspelt", "nested-coin-key", "sweep-defect-misspelt",
+        "isocheck-trials-misspelt", "phi-flag-on-custom", "phi-key-on-custom",
+    ],
+)
+def test_a_key_nothing_reads_exits_1_and_creates_nothing(
+    tmp_path, monkeypatch, capsys, command, overrides, flags
+):
+    # Each of these used to run another walk than the config says (10
+    # steps, phi = 0, a start at the origin, a cross_xy sweep) and exit 0.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, **overrides)
+    assert main([command, "--config", str(cfg_path), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
     "overrides",
     [
         {"halfwidth": True},

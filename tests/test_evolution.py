@@ -24,6 +24,12 @@ from qwalk.evolution import (
     evolve,
     run_walk,
 )
+from qwalk.isomorphism import (
+    BasisPermutation,
+    check_translation_equivalence,
+    transformed_step_matrix,
+    verify_isomorphism,
+)
 from qwalk.statespace import SublatticeState, WalkerState, localized_state, symmetric_coin
 
 from oracles import brute_force_walk_1d, brute_force_walk_2d, distribution_1d, extended_walk_1d
@@ -340,6 +346,28 @@ def test_a_walk_builds_its_stepper_once(monkeypatch, boundary, steps):
     monkeypatch.setattr(_Stepper, "__init__", counted)
     run_walk(WalkSpec(2, steps, H2, DefectMap.cross_xy(0.3), boundary=boundary, halfwidth=5))
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_step_matrix(1, True, H),
+        lambda: transformed_step_matrix(True, H2),
+        lambda: verify_isomorphism(True, H2),
+        lambda: check_translation_equivalence(True),
+        lambda: BasisPermutation.build(True),
+        lambda: DefectMap.cross_xy(1.0).phase_grid(1.5, 2),
+    ],
+    ids=[
+        "step-matrix", "transformed-matrix", "isomorphism", "translation",
+        "permutation", "phase-grid",
+    ],
+)
+def test_every_operator_builder_reads_its_halfwidth_through_the_checker(build):
+    # Each used to run: the first five as halfwidth 1 (a 6x6 matrix, a
+    # deviation of 0.0), and the phase grid raised TypeError.
+    with pytest.raises(ValueError, match="halfwidth"):
+        build()
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -662,6 +690,35 @@ def test_1d_rounding_error_stays_inside_the_budget(t):
     error = np.abs(report.state.amplitudes.astype(np.clongdouble) - exact).max()
     assert error <= t * EPS
     assert residual <= 2 * t * EPS
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double here"
+)
+@pytest.mark.parametrize("t", [10, 50, 100])
+def test_2d_rounding_error_stays_inside_the_budget(t):
+    # The Hadamard pair from the symmetric start under cross_xy(phi) is the
+    # outer product of two 1D Hadamard walks under point(phi): coin, start
+    # and phase all factorize across the axes.  Against that product in
+    # extended precision, the largest amplitude error stays below t*eps and
+    # every norm residual below 4*t*eps.  At t = 10..100 the worst measured
+    # were about 0.3*t*eps and 2.1*t*eps, above the 1D residual budget.
+    phi = np.pi / 3
+    root2 = np.sqrt(np.longdouble(2))
+    exact = extended_walk_1d(
+        t,
+        np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / root2,
+        np.array([1, 1j], dtype=np.clongdouble) / root2,
+        {0: np.exp(np.clongdouble(1j) * np.longdouble(phi))},
+    )
+    # [x, c] x [y, d] -> [x, y, 2c + d]
+    exact_2d = np.einsum("xc,yd->xycd", exact, exact).reshape(2 * t + 1, 2 * t + 1, 4)
+    residual = 0.0
+    for report in evolve(WalkSpec(2, t, H2, DefectMap.cross_xy(phi))):
+        residual = max(residual, report.norm_residual)
+    error = np.abs(report.state.amplitudes.astype(np.clongdouble) - exact_2d).max()
+    assert error <= t * EPS
+    assert residual <= 4 * t * EPS
 
 
 @pytest.mark.parametrize(

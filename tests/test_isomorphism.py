@@ -20,6 +20,7 @@ from qwalk.evolution import (
     _DIAGONAL_MOVES,
     DefectMap,
     WalkSpec,
+    _Stepper,
     _targets,
     build_step_matrix,
     run_walk,
@@ -269,6 +270,20 @@ def test_axis_walk_state_matches_oracle(t):
         np.testing.assert_allclose(
             state.amplitudes, _dense_2d(amps, state.halfwidth), rtol=0, atol=1e-13
         )
+
+
+def test_axis_walk_state_builds_one_stepper(monkeypatch):
+    # It used to build its WalkSpec's stepper, never run, and a second one.
+    built = []
+    init = _Stepper.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "__init__", counted)
+    axis_walk_state(5, H2, symmetric_coin(2))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("walk", ["1d", "two-walker", "axis"])

@@ -211,6 +211,11 @@ THREE = np.array([0.25, 0.5, 0.25])
         (lambda: pack_index(BasisLabel2D(True, 0, 0, 0), 1), ValueError),
         (lambda: pack_index(BasisLabel1D(0, 0), 1.5), ValueError),
         (lambda: unpack_index(3, True, 1), ValueError),
+        (lambda: BasisLabel1D(0, True), ValueError),
+        (lambda: pack_index(BasisLabel1D(0, 1.0), 1), ValueError),
+        (lambda: BasisLabel2D(0, 0, 0, 0.0), ValueError),
+        (lambda: as_coin_state([1, 0, 0, 0], 3), ValueError),
+        (lambda: as_coin_state([1, 0], True), ValueError),
     ],
     ids=[
         "at-past-the-left-edge", "at-two-past-the-left-edge", "site-image-off-the-lattice",
@@ -219,7 +224,9 @@ THREE = np.array([0.25, 0.5, 0.25])
         "coin-field-dimensionality-bool", "coin-site-bool", "coin-site-fraction",
         "1d-coin-site-fraction", "custom-site-bool", "custom-site-fraction",
         "1d-custom-site-bool", "label-x-fraction", "label-x-bool",
-        "pack-halfwidth-fraction", "unpack-halfwidth-bool",
+        "pack-halfwidth-fraction", "unpack-halfwidth-bool", "coin-bit-bool",
+        "coin-bit-float", "2d-coin-bit-float", "coin-state-dimensionality-3",
+        "coin-state-dimensionality-bool",
     ],
 )
 def test_lattice_facts_are_integers_and_sites_lie_on_the_lattice(build, error):
