@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -39,7 +40,7 @@ import numpy as np
 from .analysis import Distribution, distribution, l1_distance, summarize
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
 from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, evolve
-from .statespace import state_dimension
+from .statespace import _integer, state_dimension
 from .isomorphism import (
     check_decomposition_claims,
     check_translation_equivalence,
@@ -74,6 +75,8 @@ _COIN_KEYS = {"hadamard": {"kind"}, "identity": {"kind"}, "su2": {"kind", "theta
               "tensor": {"kind", "first", "second"}, "fractional_swap": {"kind", "tau"}}
 _DEFECT_KEYS = {"none": {"kind", "phi"}, "line_y": {"kind", "phi"}, "cross_xy": {"kind", "phi"},
                 "point": {"kind", "phi"}, "custom": {"kind", "phi", "table"}}
+# The defect kinds that take a phase; the others take "phi" only as 0.0, their echo.
+_PHASED = ("line_y", "cross_xy", "point")
 
 
 def _check_keys(obj: dict, keys: set[str], where: str) -> None:
@@ -82,9 +85,16 @@ def _check_keys(obj: dict, keys: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}; expected one of {sorted(keys)}")
 
 
-def _is_int(value: Any) -> bool:
-    # JSON true/false arrive as bool, a subclass of int; they are not counts.
-    return isinstance(value, int) and not isinstance(value, bool)
+def _count(value: Any, key: str, lo: int, hi: int | None = None) -> int:
+    """An integer in lo..hi (unbounded above if hi is None); not a bool or a float."""
+    try:
+        n = _integer(value, key)
+        if n < lo or (hi is not None and n > hi):
+            raise ValueError
+    except ValueError:
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ConfigError(f"{key}: must be an integer {bounds}, got {value!r}") from None
+    return n
 
 
 def _number(value: Any, key: str) -> float:
@@ -111,13 +121,14 @@ def parse_angle(value: Any, key: str) -> float:
     return _number(value, key)
 
 
-def _parse_coin(cfg: Any, dimensionality: int):
+def _parse_coin(cfg: Any, dimensionality: int) -> tuple[np.ndarray, Any]:
+    """The coin and its config form: angles in radians, defaults filled in."""
     key = "coin"
     if cfg is None or cfg == "hadamard":
         h = hadamard()
-        return h if dimensionality == 1 else tensor(h, h)
+        return (h if dimensionality == 1 else tensor(h, h)), "hadamard"
     if cfg == "identity":
-        return np.eye(2 if dimensionality == 1 else 4, dtype=np.complex128)
+        return np.eye(2 if dimensionality == 1 else 4, dtype=np.complex128), "identity"
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"{key}: expected 'hadamard', 'identity', or an object with 'kind'")
     kind = cfg["kind"]
@@ -129,21 +140,18 @@ def _parse_coin(cfg: Any, dimensionality: int):
     if kind == "su2":
         if dimensionality != 1:
             raise ConfigError(f"{key}: 'su2' is a 1D coin")
-        return su2_from_angles(
-            parse_angle(cfg.get("theta", 0.0), "coin.theta"),
-            parse_angle(cfg.get("psi", 0.0), "coin.psi"),
-            parse_angle(cfg.get("phi", 0.0), "coin.phi"),
-        )
+        angles = {k: parse_angle(cfg.get(k, 0.0), f"coin.{k}") for k in ("theta", "psi", "phi")}
+        return su2_from_angles(**angles), {"kind": kind, **angles}
     if kind == "tensor":
         if dimensionality != 2:
             raise ConfigError(f"{key}: 'tensor' is a 2D coin")
-        return tensor(
-            _parse_coin(cfg.get("first", "hadamard"), 1),
-            _parse_coin(cfg.get("second", "hadamard"), 1),
-        )
+        first, first_form = _parse_coin(cfg.get("first", "hadamard"), 1)
+        second, second_form = _parse_coin(cfg.get("second", "hadamard"), 1)
+        return tensor(first, second), {"kind": kind, "first": first_form, "second": second_form}
     if dimensionality != 2:
         raise ConfigError(f"{key}: 'fractional_swap' is a 2D coin")
-    return fractional_swap(_number(cfg.get("tau"), f"{key}.tau"))
+    tau = _number(cfg.get("tau"), f"{key}.tau")
+    return fractional_swap(tau), {"kind": kind, "tau": tau}
 
 
 def _parse_defect(cfg: Any) -> DefectMap:
@@ -159,12 +167,12 @@ def _parse_defect(cfg: Any) -> DefectMap:
         raise ConfigError(f"{key}.kind: unknown defect kind {kind!r}")
     _check_keys(cfg, _DEFECT_KEYS[kind], key)
     phi = parse_angle(cfg.get("phi", 0.0), f"{key}.phi")
+    if kind not in _PHASED and phi != 0.0:  # echoed as 0.0, so that the echo re-runs
+        raise ConfigError(f"{key}.phi: a {kind!r} defect takes no phase, got {phi!r}")
     if kind == "none":
         return DefectMap.none()
     if kind != "custom":
         return DefectMap(kind, phi)
-    if phi != 0.0:  # echoed as 0.0, so that the echo re-runs
-        raise ConfigError(f"{key}.phi: a custom defect takes its phases from 'table', got {phi!r}")
     table_cfg = cfg.get("table")
     if not isinstance(table_cfg, dict):
         raise ConfigError(f"{key}.table: expected an object of site -> phase")
@@ -228,54 +236,55 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _resolve_threads(cfg: dict) -> int:
-    raw: Any = cfg.get("threads", os.environ.get("QWALK_THREADS") or 1)
-    if isinstance(raw, str):  # QWALK_THREADS is text; "2" counts as 2
-        try:
-            raw = int(raw)
-        except ValueError:
-            pass
-    if not _is_int(raw):  # true or 2.7 fails, as for steps
-        raise ConfigError(f"threads: expected an integer, got {raw!r}")
-    if raw < 1:
-        raise ConfigError(f"threads: must be >= 1, got {raw}")
-    return raw
-
-
-def _build_walk_spec(cfg: dict, *, defect: DefectMap | None = None) -> WalkSpec:
-    dimensionality = cfg.get("dimensionality", 2)
-    if not _is_int(dimensionality) or dimensionality not in (1, 2):
-        raise ConfigError(f"dimensionality: must be 1 or 2, got {dimensionality!r}")
-    cap = cfg.get("max_steps", DEFAULT_STEP_CAP)  # may only lower the cap
-    if not _is_int(cap) or not 0 <= cap <= DEFAULT_STEP_CAP:
-        raise ConfigError(f"max_steps: must be an integer in 0..{DEFAULT_STEP_CAP}, got {cap!r}")
-    coin = _parse_coin(cfg.get("coin"), dimensionality)
-    if defect is None:
-        defect = _parse_defect(cfg.get("defect"))
-    position, coin_vec = _parse_initial(cfg.get("initial"))
-    steps = cfg.get("steps", 10)
-    # The caps are checked before anything of the lattice is allocated.
-    if _is_int(steps) and steps > cap:
-        raise ConfigError(f"steps: {steps} exceeds the hard cap {cap}")
+def _checked(build, *args, **kwargs) -> WalkSpec:
     try:
-        spec = WalkSpec(
-            dimensionality=dimensionality,
-            steps=steps,
-            coin=coin,
-            defect=defect,
-            initial_position=position,
-            initial_coin=coin_vec,
-            boundary=cfg.get("boundary", "open"),
-            halfwidth=cfg.get("halfwidth"),
-        )
+        return build(*args, **kwargs)
     except (ValueError, IndexError, OverflowError) as e:
         raise ConfigError(f"config: {e}") from None
+
+
+def _walk(cfg: dict, kind_axis: bool = False) -> tuple[WalkSpec, dict]:
+    """The walk of a ``run``/``sweep`` config, and its echo: the config
+    resolved from the checked values, which runs the same walk again.
+    With ``kind_axis`` (a sweep without ``sweep.defect``) the defect,
+    ``cross_xy`` by default, names the grid's one kind."""
+    threads: Any = cfg.get("threads", os.environ.get("QWALK_THREADS") or 1)
+    if isinstance(threads, str):  # QWALK_THREADS is text; "2" counts as 2
+        try:
+            threads = int(threads)
+        except ValueError:
+            pass
+    threads = _count(threads, "threads", 1)
+    dimensionality = _count(cfg.get("dimensionality", 2), "dimensionality", 1, 2)
+    cap = _count(cfg.get("max_steps", DEFAULT_STEP_CAP), "max_steps", 0, DEFAULT_STEP_CAP)
+    coin, coin_form = _parse_coin(cfg.get("coin"), dimensionality)
+    defect_cfg = cfg.get("defect", "cross_xy" if kind_axis else "none")
+    if kind_axis and isinstance(defect_cfg, dict) and "kind" not in defect_cfg:
+        raise ConfigError("sweep.defect: no kind to sweep; set sweep.defect or defect.kind")
+    defect = _parse_defect(defect_cfg)
+    position, coin_vec = _parse_initial(cfg.get("initial"))
+    # The caps are checked before anything of the lattice is allocated.
+    steps = _count(cfg.get("steps", 10), "steps", 0, cap)
+    spec = _checked(WalkSpec, dimensionality, steps, coin, defect, initial_position=position,
+                    initial_coin=coin_vec, boundary=cfg.get("boundary", "open"),
+                    halfwidth=cfg.get("halfwidth"))
     sites = (2 * spec.halfwidth + 1) ** dimensionality  # type: ignore[operator]
     if sites > MAX_LATTICE_SITES:
         raise ConfigError(
             f"halfwidth: the lattice has {sites} sites, above the cap {MAX_LATTICE_SITES}"
         )
-    return spec
+    pairs = [[z.real, z.imag] for z in map(complex, spec.initial_coin)]  # type: ignore[arg-type]
+    echo = {
+        "dimensionality": dimensionality,
+        "steps": steps,
+        "halfwidth": spec.halfwidth,
+        "boundary": spec.boundary,
+        "coin": coin_form,
+        "defect": _echo_defect(spec.defect),
+        "initial": {"position": spec.initial_position, "coin": pairs},
+        "threads": threads,
+    }
+    return spec, echo
 
 
 _PRINT_FLOOR = 1e-15  # output-side clamp: smaller probabilities print as 0
@@ -353,19 +362,6 @@ def _echo_defect(defect: DefectMap) -> dict:
     return echo
 
 
-def _echo_config(cfg: dict, spec: WalkSpec, threads: int) -> dict:
-    return {
-        "dimensionality": spec.dimensionality,
-        "steps": spec.steps,
-        "halfwidth": spec.halfwidth,
-        "boundary": spec.boundary,
-        "coin": cfg.get("coin", "hadamard"),
-        "defect": _echo_defect(spec.defect),
-        "initial": cfg.get("initial", {"position": None, "coin": "symmetric"}),
-        "threads": threads,
-    }
-
-
 def _make_out_dir(value: Any) -> Path:
     if not isinstance(value, str):
         raise ConfigError(f"out_dir: expected a directory path, got {value!r}")
@@ -381,8 +377,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_run(cfg: dict) -> int:
-    threads = _resolve_threads(cfg)
-    spec = _build_walk_spec(cfg)
+    spec, echo = _walk(cfg)
     formats = cfg.get("formats", ["csv", "json"])
     if not isinstance(formats, list) or not formats or not all(
         f in ("csv", "json") for f in formats
@@ -433,7 +428,7 @@ def cmd_run(cfg: dict) -> int:
         _write_json(
             out_dir / "summary.json",
             {
-                "config": _echo_config(cfg, spec, threads),
+                "config": echo,
                 "per_step": per_step,
                 "final": final,
                 "timing_seconds": elapsed,
@@ -461,7 +456,8 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         return
     if kind is not None:
         base = cfg.get("defect")
-        phi0 = base.get("phi", 0.0) if isinstance(base, dict) else 0.0
+        # A kind without a phase (--defect none) drops the config's phase.
+        phi0 = base.get("phi", 0.0) if isinstance(base, dict) and kind in _PHASED else 0.0
         cfg["defect"] = {"kind": kind, "phi": phi0}
     if phi is not None:
         base = cfg.get("defect", "none")
@@ -486,7 +482,6 @@ def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec) -> list:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    _resolve_threads(cfg)  # validated; parallelism comes from BLAS
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: config must contain a 'sweep' object")
@@ -495,24 +490,23 @@ def cmd_sweep(cfg: dict) -> int:
     if not isinstance(phis, list) or not phis:
         raise ConfigError("sweep.phi: expected a nonempty list of angles")
     kinds = sweep.get("defect")
+    spec, _ = _walk(cfg, kind_axis=kinds is None)  # threads: checked; BLAS does the threading
     if kinds is None:
-        base = cfg.get("defect", "cross_xy")
-        if not isinstance(base, (str, dict)):
-            raise ConfigError(f"defect: expected a kind string or an object, got {base!r}")
-        kinds = [base.get("kind") if isinstance(base, dict) else base]
+        kinds = [spec.defect.kind]
     if not isinstance(kinds, list) or not kinds:
         raise ConfigError("sweep.defect: expected a nonempty list of defect kinds")
     for kind in kinds:
         if kind not in ("line_y", "cross_xy", "point", "none"):
             raise ConfigError(f"sweep.defect: unknown defect kind {kind!r}")
 
-    # Every point is validated before anything is written or started.
+    # A point's defect is the grid's (kind, phi); every point is checked
+    # before anything is written or started.
+    angles = [(token, parse_angle(token, "sweep.phi")) for token in phis]
     points = []
     for kind in kinds:
-        for phi_token in phis:
-            phi = parse_angle(phi_token, "sweep.phi")
-            defect = DefectMap.none() if kind == "none" else DefectMap(kind, phi)  # type: ignore[arg-type]
-            points.append((kind, phi_token, _build_walk_spec(cfg, defect=defect)))
+        for token, phi in angles:
+            defect = DefectMap(kind, phi) if kind in _PHASED else DefectMap.none()
+            points.append((kind, token, _checked(replace, spec, defect=defect)))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
     rows = [_sweep_point(*point) for point in points]
 
@@ -526,15 +520,9 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_isocheck(cfg: dict) -> int:
-    halfwidth = cfg.get("halfwidth", 2)
-    trials = cfg.get("trials", 50)
-    seed = cfg.get("seed", DEFAULT_SEED)
-    if not _is_int(halfwidth) or halfwidth < 1:
-        raise ConfigError(f"halfwidth: must be a positive integer, got {halfwidth!r}")
-    if not _is_int(trials) or not 1 <= trials <= MAX_TRIALS:
-        raise ConfigError(f"trials: must be an integer in 1..{MAX_TRIALS}, got {trials!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
+    halfwidth = _count(cfg.get("halfwidth", 2), "halfwidth", 1)
+    trials = _count(cfg.get("trials", 50), "trials", 1, MAX_TRIALS)
+    seed = _count(cfg.get("seed", DEFAULT_SEED), "seed", 0)
     if state_dimension(2, halfwidth) > MAX_MATRIX_DIM:
         raise ConfigError(f"halfwidth: {halfwidth} gives a matrix above the cap {MAX_MATRIX_DIM}")
     out_dir = _make_out_dir(cfg.get("out_dir", "."))

@@ -411,6 +411,110 @@ def test_builtin_defect_echo_has_no_table(tmp_path):
     assert echo["defect"] == {"kind": "cross_xy", "phi": np.pi}
 
 
+ECHO_COINS = {
+    "hadamard": (2, "hadamard"),
+    "identity": (1, "identity"),
+    "su2": (1, {"kind": "su2", "theta": "pi:0.3", "psi": "pi:-0.25", "phi": 0.4}),
+    "tensor": (2, {"kind": "tensor", "first": {"kind": "su2", "theta": "pi:0.2"}}),
+    "fractional_swap": (2, {"kind": "fractional_swap", "tau": 0.3}),
+}
+ECHO_STARTS = {
+    "none": lambda d: None,
+    "position": lambda d: {"position": 1 if d == 1 else [1, -1]},
+    "coin-pairs": lambda d: {"coin": [[0.6, 0], [0, 0.8]] if d == 1
+                             else [[0.5, 0], [0, 0.5], [0.5, 0], [0, -0.5]]},
+}
+ECHO_DEFECTS = {
+    "builtin": lambda d: {"kind": "point" if d == 1 else "line_y", "phi": "pi:0.5"},
+    "custom": lambda d: {"kind": "custom", "table": {"1" if d == 1 else "1,0": "pi:0.25"}},
+}
+
+
+@pytest.mark.parametrize("defect", ECHO_DEFECTS)
+@pytest.mark.parametrize("start", ECHO_STARTS)
+@pytest.mark.parametrize("coin", ECHO_COINS)
+def test_the_echo_reruns_the_same_walk(tmp_path, coin, start, defect):
+    # The echo is the resolved config: running it again writes the same
+    # distribution, and echoes itself.
+    dim, coin_cfg = ECHO_COINS[coin]
+    cfg = {"dimensionality": dim, "steps": 4, "halfwidth": 6, "coin": coin_cfg,
+           "defect": ECHO_DEFECTS[defect](dim), "out_dir": str(tmp_path / "first")}
+    if ECHO_STARTS[start](dim) is not None:
+        cfg["initial"] = ECHO_STARTS[start](dim)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    echo = json.loads((tmp_path / "first" / "summary.json").read_text())["config"]
+    (tmp_path / "again.json").write_text(json.dumps({**echo, "out_dir": str(tmp_path / "again")}))
+    assert main(["run", "--config", str(tmp_path / "again.json")]) == 0
+    for name in ("distribution.csv", "summary.json"):
+        first, again = ((tmp_path / d / name).read_bytes() for d in ("first", "again"))
+        if name == "summary.json":
+            first, again = (json.loads(b)["config"] for b in (first, again))
+        assert first == again
+
+
+def test_configs_of_one_walk_echo_the_same_bytes(tmp_path):
+    # {} used to echo "position": null, the README's default [0, 0], and a
+    # coin object itself.
+    readme_default = {
+        "dimensionality": 2, "steps": 10, "halfwidth": None, "coin": "hadamard",
+        "defect": "none", "initial": {"position": [0, 0], "coin": "symmetric"},
+        "boundary": "open", "formats": ["csv", "json"], "emit_per_step": False,
+        "reference": None, "threads": 1, "max_steps": 2000,
+    }
+    configs = [{}, readme_default, {"coin": {"kind": "hadamard"}, "initial": {}}]
+    echoes = []
+    for i, cfg in enumerate(configs):
+        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "out_dir": str(tmp_path / str(i))}))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+        summary = json.loads((tmp_path / str(i) / "summary.json").read_text())
+        echoes.append(json.dumps(summary["config"], sort_keys=True))
+    assert echoes[0] == echoes[1] == echoes[2]
+
+
+def test_a_none_defect_takes_no_phase(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, defect={"kind": "none", "phi": 1.0})
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "error: defect.phi" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # --defect none names a kind without a phase: the config's phase goes.
+    write_config(cfg_path, steps=2, defect={"kind": "cross_xy", "phi": "pi:1"})
+    assert main(["run", "--config", str(cfg_path), "--defect", "none"]) == 0
+    echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+    assert echo["defect"] == {"kind": "none", "phi": 0.0}
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [{"kind": "cross_xy", "phy": 1.0}, {"kind": "cross_xy", "phi": "garbage"}, {"kind": "custom"}],
+    ids=["misspelt-phi", "garbage-phi", "custom-without-table"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_sweep_reads_the_top_level_defect_as_run_does(tmp_path, capsys, command, defect):
+    # The sweep used to read only the kind, and none of it with a kind axis: exit 0.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, defect=defect, sweep={"phi": ["pi:1"], "defect": ["line_y"]})
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert "error: defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_point_takes_its_phase_from_the_grid(tmp_path):
+    # defect.phi is read by run; a sweep point is the grid's (kind, phi).
+    cfg_path = tmp_path / "cfg.json"
+    rows = []
+    for phi in ("pi:0.5", 0.0):
+        defect = {"kind": "line_y", "phi": phi}
+        write_config(cfg_path, steps=4, defect=defect, sweep={"phi": ["pi:1"]})
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        rows.append(read_rows(tmp_path / "out" / "sweep.csv"))
+    assert rows[0] == rows[1]
+    assert main(["run", "--config", str(cfg_path), "--phi", "pi:1"]) == 0
+    final = json.loads((tmp_path / "out" / "summary.json").read_text())["final"]
+    assert rows[0][0]["recurrence"] == f"{final['recurrence']:.12g}"
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_oversize_lattice_exits_1_before_allocating(tmp_path, command):
     # (2 * 100000 + 1)^2 sites: the full distribution alone would be 320 GB.
