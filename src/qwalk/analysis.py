@@ -106,14 +106,6 @@ def distribution(state: WalkerState | SublatticeState) -> Distribution:
     return Distribution(full, state.halfwidth)
 
 
-def _padded(p: Distribution, halfwidth: int) -> NDArray[np.float64]:
-    pad = halfwidth - p.halfwidth
-    if pad == 0:
-        return p.probs
-    widths = [(pad, pad)] * p.probs.ndim
-    return np.pad(p.probs, widths)
-
-
 def l1_distance(p: Distribution, q: Distribution) -> float:
     """Half the total absolute difference between two distributions.
 
@@ -123,8 +115,9 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
     if p.dimensionality != q.dimensionality:
         raise ValueError("cannot compare distributions of different dimensionality")
     L = max(p.halfwidth, q.halfwidth)
+    diff = np.pad(p.probs, L - p.halfwidth) - np.pad(q.probs, L - q.halfwidth)
     # Rounding can take the sum for disjoint supports one ulp past 1.
-    return min(1.0, float(0.5 * np.abs(_padded(p, L) - _padded(q, L)).sum()))
+    return min(1.0, float(0.5 * np.abs(diff).sum()))
 
 
 def _axis_index(axis: int | str) -> int:
@@ -173,12 +166,8 @@ def classical_rw_distribution(t: int) -> Distribution:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return Distribution(np.array([1.0]), 0)
     probs = np.zeros(2 * t + 1)
-    for x in range(-t, t + 1):
-        if (t + x) % 2 == 0:
-            probs[x + t] = math.comb(t, (t + x) // 2) / 2**t
+    probs[::2] = [math.comb(t, j) / 2**t for j in range(t + 1)]  # x = 2j - t
     return Distribution(probs, t)
 
 

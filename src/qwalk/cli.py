@@ -26,14 +26,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -59,6 +62,8 @@ DEFAULT_STEP_CAP = 2000
 MAX_LATTICE_SITES = 1 << 24
 # Cap on isocheck trials; one takes ~3 ms at L = 31, the largest admitted.
 MAX_TRIALS = 10_000
+# Cap on ``threads``, the MAX_THREADS of numpy's bundled OpenBLAS.
+MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -249,12 +254,10 @@ def _walk(cfg: dict, kind_axis: bool = False) -> tuple[WalkSpec, dict]:
     With ``kind_axis`` (a sweep without ``sweep.defect``) the defect,
     ``cross_xy`` by default, names the grid's one kind."""
     threads: Any = cfg.get("threads", os.environ.get("QWALK_THREADS") or 1)
-    if isinstance(threads, str):  # QWALK_THREADS is text; "2" counts as 2
-        try:
+    if isinstance(threads, str) and "threads" not in cfg:  # QWALK_THREADS: "2" is 2
+        with suppress(ValueError):
             threads = int(threads)
-        except ValueError:
-            pass
-    threads = _count(threads, "threads", 1)
+    threads = _count(threads, "threads", 1, MAX_THREADS)
     dimensionality = _count(cfg.get("dimensionality", 2), "dimensionality", 1, 2)
     cap = _count(cfg.get("max_steps", DEFAULT_STEP_CAP), "max_steps", 0, DEFAULT_STEP_CAP)
     coin, coin_form = _parse_coin(cfg.get("coin"), dimensionality)
@@ -320,31 +323,27 @@ def read_distribution_csv(path: str) -> Distribution:
     if not rows or rows[0] not in (["x", "p"], ["x", "y", "p"]):
         raise ConfigError(f"reference: {path} must have header 'x,p' or 'x,y,p'")
     dim = len(rows[0]) - 1
-    entries = []
+    entries: dict[tuple[int, ...], float] = {}
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         try:
             if len(row) != dim + 1:
                 raise ValueError
-            coords = [int(v) for v in row[:dim]]
-            entries.append((coords, float(row[dim])))
+            site, p = tuple(int(v) for v in row[:dim]), float(row[dim])
         except ValueError:
             raise ConfigError(
                 f"reference: {path} line {line}: expected {dim + 1} numbers, got {row!r}"
             ) from None
+        if site in entries:
+            raise ConfigError(f"reference: {path} lists site {site} twice")
+        entries[site] = p
     if not entries:
         raise ConfigError(f"reference: {path} contains no data rows")
-    halfwidth = max(max(abs(c) for c in coords) for coords, _ in entries)
-    n = 2 * halfwidth + 1
-    probs = np.zeros((n,) * dim)
-    seen = set()
-    for coords, p in entries:
-        idx = tuple(c + halfwidth for c in coords)
-        if idx in seen:
-            raise ConfigError(f"reference: {path} lists site {tuple(coords)} twice")
-        seen.add(idx)
-        probs[idx] = p
+    halfwidth = max(max(map(abs, site)) for site in entries)
+    probs = np.zeros((2 * halfwidth + 1,) * dim)
+    for site, p in entries.items():
+        probs[tuple(c + halfwidth for c in site)] = p
     try:
         return Distribution(probs, halfwidth)
     except ValueError as e:
@@ -376,6 +375,40 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
+@functools.cache
+def _openblas() -> list[tuple[Any, Any]]:
+    """The thread-count getter and setter of each OpenBLAS loaded in this
+    process (numpy's among them), found through Linux's /proc/self/maps."""
+    names = [f"{p}openblas_%s_num_threads{s}" for p in ("scipy_", "") for s in ("64_", "")]
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:  # no /proc (another OS), or a mapped file that will not load
+        return []
+    controls = [(getattr(lib, n % "get"), getattr(lib, n % "set"))
+                for lib in libs for n in names if hasattr(lib, n % "set")]
+    for get, put in controls:
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+    return controls
+
+
+@contextmanager
+def _blas_threads(n: int) -> Iterator[None]:
+    """Run the block with OpenBLAS on ``n`` threads, and give it back its
+    own count after; where no OpenBLAS control is found, do nothing."""
+    controls = _openblas()
+    before = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(n)
+        yield
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
 def cmd_run(cfg: dict) -> int:
     spec, echo = _walk(cfg)
     formats = cfg.get("formats", ["csv", "json"])
@@ -400,22 +433,23 @@ def cmd_run(cfg: dict) -> int:
     t0 = time.perf_counter()
     per_step: list[dict] = []
     grid = spec.initial_grid()
-    for report in evolve(spec):
-        grid = report.grid
-        s = summarize(report.step, grid)
-        per_step.append(
-            {
-                "step": s.step,
-                "recurrence": s.recurrence,
-                "variance_x": s.variance_x,
-                "variance_y": s.variance_y,
-                "norm_residual": report.norm_residual,
-            }
-        )
-        if emit_per_step and "csv" in formats:
-            write_distribution_csv(
-                out_dir / f"step_{report.step:04d}.csv", distribution(grid)
+    with _blas_threads(echo["threads"]):
+        for report in evolve(spec):
+            grid = report.grid
+            s = summarize(report.step, grid)
+            per_step.append(
+                {
+                    "step": s.step,
+                    "recurrence": s.recurrence,
+                    "variance_x": s.variance_x,
+                    "variance_y": s.variance_y,
+                    "norm_residual": report.norm_residual,
+                }
             )
+            if emit_per_step and "csv" in formats:
+                write_distribution_csv(
+                    out_dir / f"step_{report.step:04d}.csv", distribution(grid)
+                )
     elapsed = time.perf_counter() - t0
 
     final_dist = distribution(grid)
@@ -456,9 +490,11 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         return
     if kind is not None:
         base = cfg.get("defect")
-        # A kind without a phase (--defect none) drops the config's phase.
-        phi0 = base.get("phi", 0.0) if isinstance(base, dict) and kind in _PHASED else 0.0
-        cfg["defect"] = {"kind": kind, "phi": phi0}
+        base = base if isinstance(base, dict) else {}
+        # The config's defect stands if it is of this kind (a custom one keeps
+        # its table); another kind keeps its phase only if K takes one.
+        phi0 = base.get("phi", 0.0) if kind in _PHASED else 0.0
+        cfg["defect"] = base if base.get("kind") == kind else {"kind": kind, "phi": phi0}
     if phi is not None:
         base = cfg.get("defect", "none")
         if isinstance(base, str):
@@ -490,7 +526,7 @@ def cmd_sweep(cfg: dict) -> int:
     if not isinstance(phis, list) or not phis:
         raise ConfigError("sweep.phi: expected a nonempty list of angles")
     kinds = sweep.get("defect")
-    spec, _ = _walk(cfg, kind_axis=kinds is None)  # threads: checked; BLAS does the threading
+    spec, echo = _walk(cfg, kind_axis=kinds is None)
     if kinds is None:
         kinds = [spec.defect.kind]
     if not isinstance(kinds, list) or not kinds:
@@ -508,7 +544,8 @@ def cmd_sweep(cfg: dict) -> int:
             defect = DefectMap(kind, phi) if kind in _PHASED else DefectMap.none()
             points.append((kind, token, _checked(replace, spec, defect=defect)))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
-    rows = [_sweep_point(*point) for point in points]
+    with _blas_threads(echo["threads"]):
+        rows = [_sweep_point(*point) for point in points]
 
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -584,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--defect", help="override defect kind")
         p.add_argument("--out", dest="out_dir", help="override output directory")
-        p.add_argument("--threads", type=int, help="validated, unused: BLAS does the threading")
+        p.add_argument("--threads", type=int, help=f"BLAS threads of the walk, 1..{MAX_THREADS}")
     run.add_argument("--reference", help="distribution CSV for the 1-norm discrepancy")
 
     iso.add_argument("--config", help="JSON config path")

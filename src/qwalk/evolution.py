@@ -42,6 +42,7 @@ periodic boundary steps the full lattice.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
@@ -245,6 +246,8 @@ class _Stepper:
         L = self.halfwidth = _halfwidth(halfwidth)
         self.boundary = boundary
         self.moves = _DIAGONAL_MOVES[d]
+        # Per coin component, its offset along each axis in a cone_step plane.
+        self.offsets = [[(1 + s) // 2 for s in move] for move in self.moves]
         self.field = as_coin_field(coin, d)
         # Every site is mixed by the default coin in one GEMM; the sites a
         # per-site field lists are then mixed again with their own coins.
@@ -288,8 +291,7 @@ class _Stepper:
         m = self._mixed(a, grid.sites(), buffers.scratch[: a.size].reshape(a.shape))
         n, k = a.shape[0], a.shape[-1]
         out = buffers.take((n + 1,) * self.dim + (k,))
-        for c, move in enumerate(self.moves):
-            offsets = [(1 + s) // 2 for s in move]
+        for c, offsets in enumerate(self.offsets):
             out[tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
             for axis, o in enumerate(offsets):
                 out[(slice(None),) * axis + ((1 - o) * n, Ellipsis, c)] = 0
@@ -322,14 +324,14 @@ class _Buffers(list):
         super().__init__(np.empty((steps + 1) ** d * 2 * d, dtype=np.complex128) for _ in range(2))
         self.scratch = np.empty(max(steps, 1) ** d * 2 * d, dtype=np.complex128)
         self.unheld = sys.getrefcount(self[0])
-        self.planar = np.moveaxis(np.empty((2 * d,) + (2,) * d, dtype=np.complex128), 0, -1)
+        self.axes = (*range(1, d + 1), 0)  # coin planes -> (positions, coin)
 
     def take(self, shape: tuple[int, ...]) -> NDArray[np.complex128]:
         # ``shape`` (positions, then coin) as coin planes: a free buffer, else fresh.
         free = [i for i in (0, 1) if sys.getrefcount(self[i]) == self.unheld]
-        if not free:
-            return np.empty_like(self.planar, shape=shape)
-        return np.moveaxis(self[free[0]][: np.prod(shape)].reshape(shape[-1:] + shape[:-1]), 0, -1)
+        size = math.prod(shape)
+        flat = self[free[0]][:size] if free else np.empty(size, dtype=np.complex128)
+        return flat.reshape(shape[-1:] + shape[:-1]).transpose(self.axes)
 
 
 def apply_step_1d(

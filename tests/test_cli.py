@@ -1,24 +1,31 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwalk.cli
 from qwalk.analysis import distribution, marginal, variance
 from qwalk.cli import (
     DEFAULT_STEP_CAP,
     ConfigError,
     MAX_LATTICE_SITES,
+    MAX_THREADS,
     MAX_TRIALS,
+    _openblas,
     main,
     parse_angle,
     read_distribution_csv,
     write_distribution_csv,
 )
 from qwalk.coins import hadamard, tensor
-from qwalk.evolution import WalkSpec, run_walk
+from qwalk.evolution import WalkSpec, evolve, run_walk
 
 
 def write_config(path, **overrides):
@@ -690,6 +697,95 @@ def test_config_threads_echo_the_integer(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["config"]["threads"] == 3
+
+
+def test_config_threads_given_as_a_string_exit_1(tmp_path, capsys):
+    # The config's value must be a JSON integer; "2" used to run as 2.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, threads="2")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "error: threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_threads_above_the_cap_exit_1_and_create_nothing(tmp_path, capsys, monkeypatch, command,
+                                                         source):
+    # Checked before anything is pinned: no test starts 65 BLAS threads.
+    cfg_path = tmp_path / "cfg.json"
+    extra = {"threads": MAX_THREADS + 1} if source == "config" else {}
+    write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, **extra)
+    if source == "environment":
+        monkeypatch.setenv("QWALK_THREADS", str(MAX_THREADS + 1))
+    flag = ["--threads", str(MAX_THREADS + 1)] if source == "flag" else []
+    assert main([command, "--config", str(cfg_path), *flag]) == 1
+    assert f"error: threads: must be an integer in 1..{MAX_THREADS}, got 65" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
+requires_openblas = pytest.mark.skipif(not _openblas(), reason="no OpenBLAS thread control found")
+
+
+@requires_openblas
+def test_run_pins_the_blas_threads_and_gives_them_back(tmp_path, monkeypatch):
+    [(get, put)] = _openblas()[:1]
+    seen = []
+
+    def watched_evolve(spec):
+        seen.append(get())
+        yield from evolve(spec)
+
+    monkeypatch.setattr(qwalk.cli, "evolve", watched_evolve)  # run's and each sweep point's
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=3, sweep={"phi": ["pi:1"]})
+    found = get()
+    try:
+        for outer, threads in ((2, 1), (1, 2)):
+            put(outer)
+            for command in ("run", "sweep"):
+                assert main([command, "--config", str(cfg_path), "--threads", str(threads)]) == 0
+                assert seen.pop() == threads  # during the walk
+                assert get() == outer  # after it
+    finally:
+        put(found)
+
+
+@requires_openblas
+def test_summary_bytes_do_not_follow_openblas_num_threads(tmp_path):
+    # The norm's zdotc splits its sum by the BLAS thread count; from about
+    # step 50 the last bits of norm_residual used to follow the host's count.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"dimensionality": 2, "steps": 60, "defect": {"kind": "cross_xy", "phi": "pi:1"}}
+    ))
+    src = str(Path(qwalk.__file__).resolve().parents[1])
+    summaries = []
+    for n in ("1", "2"):
+        out = tmp_path / f"out{n}"
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": n, "PYTHONPATH": os.pathsep.join(path)}
+        subprocess.run([sys.executable, "-m", "qwalk.cli", "run", "--config", str(cfg_path),
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+        summary = json.loads((out / "summary.json").read_text())
+        summary.pop("timing_seconds")
+        summaries.append(json.dumps(summary))
+    assert summaries[0] == summaries[1]
+
+
+def test_defect_flag_of_the_config_kind_keeps_its_table(tmp_path):
+    # --defect custom used to drop the config's table: exit 1.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=3, defect={"kind": "custom", "table": {"0,0": 1.0}})
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--config", str(cfg_path), "--defect", "custom",
+                 "--out", str(tmp_path / "b")]) == 0
+    a, b = ((tmp_path / run / "distribution.csv").read_bytes() for run in "ab")
+    assert a == b
+    echo = json.loads((tmp_path / "b" / "summary.json").read_text())["config"]
+    assert echo["defect"] == {"kind": "custom", "phi": 0.0, "table": {"0,0": 1.0}}
 
 
 @pytest.mark.parametrize(

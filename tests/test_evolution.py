@@ -27,6 +27,7 @@ from qwalk.evolution import (
 from qwalk.isomorphism import (
     BasisPermutation,
     check_translation_equivalence,
+    random_shared_coin,
     transformed_step_matrix,
     verify_isomorphism,
 )
@@ -719,6 +720,32 @@ def test_2d_rounding_error_stays_inside_the_budget(t):
     error = np.abs(report.state.amplitudes.astype(np.clongdouble) - exact_2d).max()
     assert error <= t * EPS
     assert residual <= 4 * t * EPS
+
+
+@pytest.mark.parametrize(
+    "coin, defect",
+    [
+        (H2, DefectMap.cross_xy(np.pi / 3)),
+        (random_shared_coin(np.random.default_rng(3)),
+         DefectMap.custom({(0, 0): 1.0, (1, -1): 0.5, (-3, 2): 2.0, (5, 5): -1.2})),
+    ],
+    ids=["hadamard-pair-cross", "random-shared-coin-custom"],
+)
+def test_the_dense_adjoint_step_walks_the_kernel_back_to_its_start(coin, defect):
+    # t open-boundary kernel steps at halfwidth L = t: the cone reaches the
+    # rim and never wraps, so they are t periodic steps.  t steps of the
+    # dense U^dagger then return to the start, within 4*t*eps; both cases
+    # measured about 1.0*t*eps.
+    t = 12
+    spec = WalkSpec(2, t, coin, defect, halfwidth=t)
+    for report in evolve(spec):
+        pass
+    back = build_step_matrix(2, t, coin, defect)
+    np.conj(back, out=back)  # U^dagger is its transpose; no second 100 MB matrix
+    v = report.state.amplitudes.ravel()
+    for _ in range(t):
+        v = back.T @ v
+    assert np.abs(v - spec.initial_state().amplitudes.ravel()).max() <= 4 * t * EPS
 
 
 @pytest.mark.parametrize(
