@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterator
@@ -62,8 +62,9 @@ DEFAULT_STEP_CAP = 2000
 MAX_LATTICE_SITES = 1 << 24
 # Cap on isocheck trials; one takes ~3 ms at L = 31, the largest admitted.
 MAX_TRIALS = 10_000
-# Cap on ``threads``, the MAX_THREADS of numpy's bundled OpenBLAS.
-MAX_THREADS = 64
+# Cap on ``threads``: 64, the MAX_THREADS of numpy's bundled OpenBLAS (which
+# clamps a larger count itself), or the host's CPU count where that is larger.
+MAX_THREADS = max(64, os.cpu_count() or 1)
 
 
 class ConfigError(ValueError):
@@ -254,9 +255,11 @@ def _walk(cfg: dict, kind_axis: bool = False) -> tuple[WalkSpec, dict]:
     With ``kind_axis`` (a sweep without ``sweep.defect``) the defect,
     ``cross_xy`` by default, names the grid's one kind."""
     threads: Any = cfg.get("threads", os.environ.get("QWALK_THREADS") or 1)
-    if isinstance(threads, str) and "threads" not in cfg:  # QWALK_THREADS: "2" is 2
-        with suppress(ValueError):
+    if isinstance(threads, str):  # QWALK_THREADS is text; "2" counts as 2
+        try:
             threads = int(threads)
+        except ValueError:
+            pass
     threads = _count(threads, "threads", 1, MAX_THREADS)
     dimensionality = _count(cfg.get("dimensionality", 2), "dimensionality", 1, 2)
     cap = _count(cfg.get("max_steps", DEFAULT_STEP_CAP), "max_steps", 0, DEFAULT_STEP_CAP)
@@ -323,27 +326,31 @@ def read_distribution_csv(path: str) -> Distribution:
     if not rows or rows[0] not in (["x", "p"], ["x", "y", "p"]):
         raise ConfigError(f"reference: {path} must have header 'x,p' or 'x,y,p'")
     dim = len(rows[0]) - 1
-    entries: dict[tuple[int, ...], float] = {}
+    entries = []
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         try:
             if len(row) != dim + 1:
                 raise ValueError
-            site, p = tuple(int(v) for v in row[:dim]), float(row[dim])
+            coords = [int(v) for v in row[:dim]]
+            entries.append((coords, float(row[dim])))
         except ValueError:
             raise ConfigError(
                 f"reference: {path} line {line}: expected {dim + 1} numbers, got {row!r}"
             ) from None
-        if site in entries:
-            raise ConfigError(f"reference: {path} lists site {site} twice")
-        entries[site] = p
     if not entries:
         raise ConfigError(f"reference: {path} contains no data rows")
-    halfwidth = max(max(map(abs, site)) for site in entries)
-    probs = np.zeros((2 * halfwidth + 1,) * dim)
-    for site, p in entries.items():
-        probs[tuple(c + halfwidth for c in site)] = p
+    halfwidth = max(max(abs(c) for c in coords) for coords, _ in entries)
+    n = 2 * halfwidth + 1
+    probs = np.zeros((n,) * dim)
+    seen = set()
+    for coords, p in entries:
+        idx = tuple(c + halfwidth for c in coords)
+        if idx in seen:
+            raise ConfigError(f"reference: {path} lists site {tuple(coords)} twice")
+        seen.add(idx)
+        probs[idx] = p
     try:
         return Distribution(probs, halfwidth)
     except ValueError as e:
@@ -386,12 +393,9 @@ def _openblas() -> list[tuple[Any, Any]]:
         libs = [ctypes.CDLL(path) for path in sorted(paths)]
     except OSError:  # no /proc (another OS), or a mapped file that will not load
         return []
-    controls = [(getattr(lib, n % "get"), getattr(lib, n % "set"))
-                for lib in libs for n in names if hasattr(lib, n % "set")]
-    for get, put in controls:
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-    return controls
+    # ctypes' defaults fit: each takes and returns a C int.
+    return [(getattr(lib, n % "get"), getattr(lib, n % "set"))
+            for lib in libs for n in names if hasattr(lib, n % "set")]
 
 
 @contextmanager
@@ -491,10 +495,11 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
     if kind is not None:
         base = cfg.get("defect")
         base = base if isinstance(base, dict) else {}
-        # The config's defect stands if it is of this kind (a custom one keeps
-        # its table); another kind keeps its phase only if K takes one.
+        # A kind without a phase (--defect none) drops the config's phase; a
+        # config defect of this kind keeps its other keys (a custom table).
         phi0 = base.get("phi", 0.0) if kind in _PHASED else 0.0
-        cfg["defect"] = base if base.get("kind") == kind else {"kind": kind, "phi": phi0}
+        same = base if base.get("kind") == kind else {}
+        cfg["defect"] = {**same, "kind": kind, "phi": phi0}
     if phi is not None:
         base = cfg.get("defect", "none")
         if isinstance(base, str):

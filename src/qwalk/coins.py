@@ -123,8 +123,12 @@ def su4_compose(
     with no algebraic simplification, so properties of specific parameter
     points can be observed rather than assumed.  With
     alpha = beta = gamma = 0 the bracket collapses to the identity and the
-    result is the separable coin (u1 v1) (x) (u2 v2).  Any of u1, u2, v1,
-    v2 not unitary within 1e-12 raises ValueError.
+    result is the separable coin (u1 v1) (x) (u2 v2).
+
+    Raises
+    ------
+    ValueError
+        If any of u1, u2, v1, v2 is not unitary within 1e-12.
     """
     names = ("u1", "u2", "v1", "v2")
     u1, u2, v1, v2 = (_validated_coin(m, 2, name) for m, name in zip((u1, u2, v1, v2), names))

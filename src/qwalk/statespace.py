@@ -162,12 +162,22 @@ class WalkerState:
             )
         self.amplitudes = amps
 
+    @property
+    def size(self) -> int:
+        return self.amplitudes.size
+
     def norm(self) -> float:
         """Euclidean norm sqrt(sum |a|^2)."""
         return float(np.linalg.norm(self.amplitudes))
 
     def renormalize(self) -> "WalkerState":
-        """A copy scaled to unit norm; a (numerically) zero state raises ValueError."""
+        """Return a copy scaled to unit norm.
+
+        Raises
+        ------
+        ValueError
+            If the state has (numerically) zero norm.
+        """
         n = self.norm()
         if n < 1e-300:
             raise ValueError("cannot renormalize a zero state")
@@ -257,8 +267,11 @@ def as_coin_state(coin: Sequence[complex], dimensionality: int) -> NDArray[np.co
 
 
 def symmetric_coin(dimensionality: int) -> NDArray[np.complex128]:
-    """The balanced coin state (1, i)/sqrt(2), tensored with itself in 2D: its
-    distributions under the Hadamard coin are left/right (and up/down) symmetric."""
+    """The balanced coin state (1, i)/sqrt(2), tensored with itself in 2D.
+
+    Produces left/right (and up/down) symmetric distributions under the
+    Hadamard coin.
+    """
     s = np.array([1.0, 1.0j], dtype=np.complex128) / np.sqrt(2.0)
     return s if _dimensionality(dimensionality) == 1 else np.kron(s, s)
 
@@ -269,10 +282,24 @@ def localized_state(
     origin: int | tuple[int, int],
     coin: Sequence[complex],
 ) -> WalkerState:
-    """A unit-norm walker wholly at ``origin`` with the unit-norm coin state
-    ``coin`` (2 components in 1D, 4 in 2D), on the lattice [-L, L]^d of
-    halfwidth L >= 1.  ``origin`` must have integer coordinates (ValueError
-    otherwise) and lie on the lattice (IndexError otherwise)."""
+    """Build a walker wholly localized at ``origin`` with the given coin state.
+
+    Parameters
+    ----------
+    dimensionality : 1 or 2
+    halfwidth : int
+        Lattice halfwidth L >= 1; sites span -L..L per axis.
+    origin : int or (int, int)
+        Starting site, integer coordinates (ValueError otherwise); must
+        lie within [-L, L] per axis (IndexError otherwise).
+    coin : sequence of complex
+        Unit-norm coin vector (2 components in 1D, 4 in 2D).
+
+    Returns
+    -------
+    WalkerState
+        Unit-norm state with all amplitude at ``origin``.
+    """
     d, L = _dimensionality(dimensionality), _halfwidth(halfwidth)
     vec = as_coin_state(coin, d)
     amps = np.zeros((2 * L + 1,) * d + vec.shape, dtype=np.complex128)

@@ -699,15 +699,6 @@ def test_config_threads_echo_the_integer(tmp_path):
     assert summary["config"]["threads"] == 3
 
 
-def test_config_threads_given_as_a_string_exit_1(tmp_path, capsys):
-    # The config's value must be a JSON integer; "2" used to run as 2.
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, steps=2, threads="2")
-    assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "error: threads" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("source", ["flag", "config", "environment"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_threads_above_the_cap_exit_1_and_create_nothing(tmp_path, capsys, monkeypatch, command,
@@ -720,10 +711,19 @@ def test_threads_above_the_cap_exit_1_and_create_nothing(tmp_path, capsys, monke
         monkeypatch.setenv("QWALK_THREADS", str(MAX_THREADS + 1))
     flag = ["--threads", str(MAX_THREADS + 1)] if source == "flag" else []
     assert main([command, "--config", str(cfg_path), *flag]) == 1
-    assert f"error: threads: must be an integer in 1..{MAX_THREADS}, got 65" in (
+    assert f"error: threads: must be an integer in 1..{MAX_THREADS}, got {MAX_THREADS + 1}" in (
         capsys.readouterr().err
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_the_cap_admits_the_host_cpu_count(tmp_path):
+    # `--threads $(nproc)` runs on any host, 64 cores or more.
+    assert MAX_THREADS >= max(64, os.cpu_count() or 1)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]})
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg_path), "--threads", str(os.cpu_count())]) == 0
 
 
 requires_openblas = pytest.mark.skipif(not _openblas(), reason="no OpenBLAS thread control found")
@@ -786,6 +786,16 @@ def test_defect_flag_of_the_config_kind_keeps_its_table(tmp_path):
     assert a == b
     echo = json.loads((tmp_path / "b" / "summary.json").read_text())["config"]
     assert echo["defect"] == {"kind": "custom", "phi": 0.0, "table": {"0,0": 1.0}}
+
+
+def test_defect_none_over_a_none_defect_with_a_phase_drops_the_phase(tmp_path):
+    # The config alone exits 1 (a none defect takes no phase); --defect none
+    # names a kind without a phase, so the config's phase goes, as for any kind.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, defect={"kind": "none", "phi": 1.0})
+    assert main(["run", "--config", str(cfg_path), "--defect", "none"]) == 0
+    echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+    assert echo["defect"] == {"kind": "none", "phi": 0.0}
 
 
 @pytest.mark.parametrize(
