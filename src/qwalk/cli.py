@@ -160,12 +160,11 @@ def _parse_coin(cfg: Any, dimensionality: int) -> tuple[np.ndarray, Any]:
     return fractional_swap(tau), {"kind": kind, "tau": tau}
 
 
-def _parse_defect(cfg: Any) -> DefectMap:
-    key = "defect"
-    if cfg is None or cfg == "none":
-        return DefectMap.none()
-    if isinstance(cfg, str):
-        cfg = {"kind": cfg}
+def _parse_defect(cfg: Any, key: str = "defect") -> tuple[DefectMap, dict]:
+    """The defect and its config form: the phase in radians (0.0 for a kind
+    without one), a custom table under its sites' "x" or "x,y" keys."""
+    if cfg is None or isinstance(cfg, str):
+        cfg = {"kind": "none" if cfg is None else cfg}
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"{key}: expected a kind string or an object with 'kind'")
     kind = cfg["kind"]
@@ -173,16 +172,18 @@ def _parse_defect(cfg: Any) -> DefectMap:
         raise ConfigError(f"{key}.kind: unknown defect kind {kind!r}")
     _check_keys(cfg, _DEFECT_KEYS[kind], key)
     phi = parse_angle(cfg.get("phi", 0.0), f"{key}.phi")
-    if kind not in _PHASED and phi != 0.0:  # echoed as 0.0, so that the echo re-runs
+    if kind in _PHASED:
+        return DefectMap(kind, phi), {"kind": kind, "phi": phi}
+    if phi != 0.0:  # echoed as 0.0, so that the echo re-runs
         raise ConfigError(f"{key}.phi: a {kind!r} defect takes no phase, got {phi!r}")
+    form: dict[str, Any] = {"kind": kind, "phi": 0.0}
     if kind == "none":
-        return DefectMap.none()
-    if kind != "custom":
-        return DefectMap(kind, phi)
+        return DefectMap.none(), form
     table_cfg = cfg.get("table")
     if not isinstance(table_cfg, dict):
         raise ConfigError(f"{key}.table: expected an object of site -> phase")
     table: dict = {}
+    form["table"] = {}
     for site, phase in table_cfg.items():
         parts = site.split(",")
         try:
@@ -192,8 +193,9 @@ def _parse_defect(cfg: Any) -> DefectMap:
         k = coords[0] if len(coords) == 1 else tuple(coords)
         if k in table:  # "1,0" and "01,0" are one site
             raise ConfigError(f"{key}.table: lists site {k} twice")
-        table[k] = parse_angle(phase, f"{key}.table[{site}]")
-    return DefectMap.custom(table)
+        theta = parse_angle(phase, f"{key}.table[{site}]")
+        table[k] = form["table"][",".join(map(str, coords))] = theta
+    return DefectMap.custom(table), form
 
 
 def _parse_initial(cfg: Any):
@@ -249,11 +251,9 @@ def _checked(build, *args, **kwargs) -> WalkSpec:
         raise ConfigError(f"config: {e}") from None
 
 
-def _walk(cfg: dict, kind_axis: bool = False) -> tuple[WalkSpec, dict]:
+def _walk(cfg: dict) -> tuple[WalkSpec, dict]:
     """The walk of a ``run``/``sweep`` config, and its echo: the config
-    resolved from the checked values, which runs the same walk again.
-    With ``kind_axis`` (a sweep without ``sweep.defect``) the defect,
-    ``cross_xy`` by default, names the grid's one kind."""
+    resolved from the checked values, which runs the same walk again."""
     threads: Any = cfg.get("threads", os.environ.get("QWALK_THREADS") or 1)
     if isinstance(threads, str):  # QWALK_THREADS is text; "2" counts as 2
         try:
@@ -264,10 +264,7 @@ def _walk(cfg: dict, kind_axis: bool = False) -> tuple[WalkSpec, dict]:
     dimensionality = _count(cfg.get("dimensionality", 2), "dimensionality", 1, 2)
     cap = _count(cfg.get("max_steps", DEFAULT_STEP_CAP), "max_steps", 0, DEFAULT_STEP_CAP)
     coin, coin_form = _parse_coin(cfg.get("coin"), dimensionality)
-    defect_cfg = cfg.get("defect", "cross_xy" if kind_axis else "none")
-    if kind_axis and isinstance(defect_cfg, dict) and "kind" not in defect_cfg:
-        raise ConfigError("sweep.defect: no kind to sweep; set sweep.defect or defect.kind")
-    defect = _parse_defect(defect_cfg)
+    defect, defect_form = _parse_defect(cfg.get("defect"))
     position, coin_vec = _parse_initial(cfg.get("initial"))
     # The caps are checked before anything of the lattice is allocated.
     steps = _count(cfg.get("steps", 10), "steps", 0, cap)
@@ -286,7 +283,7 @@ def _walk(cfg: dict, kind_axis: bool = False) -> tuple[WalkSpec, dict]:
         "halfwidth": spec.halfwidth,
         "boundary": spec.boundary,
         "coin": coin_form,
-        "defect": _echo_defect(spec.defect),
+        "defect": defect_form,
         "initial": {"position": spec.initial_position, "coin": pairs},
         "threads": threads,
     }
@@ -343,6 +340,11 @@ def read_distribution_csv(path: str) -> Distribution:
         raise ConfigError(f"reference: {path} contains no data rows")
     halfwidth = max(max(abs(c) for c in coords) for coords, _ in entries)
     n = 2 * halfwidth + 1
+    if n**dim > MAX_LATTICE_SITES:  # checked before the lattice is allocated
+        raise ConfigError(
+            f"reference: {path} has a coordinate of magnitude {halfwidth}; its lattice "
+            f"would be above the cap of {MAX_LATTICE_SITES} sites"
+        )
     probs = np.zeros((n,) * dim)
     seen = set()
     for coords, p in entries:
@@ -355,17 +357,6 @@ def read_distribution_csv(path: str) -> Distribution:
         return Distribution(probs, halfwidth)
     except ValueError as e:
         raise ConfigError(f"reference: {path}: {e}") from None
-
-
-def _echo_defect(defect: DefectMap) -> dict:
-    echo: dict[str, Any] = {"kind": defect.kind, "phi": defect.phi}
-    if defect.kind == "custom":
-        # The config file's form: "x" or "x,y" keys, phases in radians.
-        echo["table"] = {
-            ",".join(map(str, site)) if isinstance(site, tuple) else str(site): float(theta)
-            for site, theta in (defect.table or {}).items()
-        }
-    return echo
 
 
 def _make_out_dir(value: Any) -> Path:
@@ -531,22 +522,22 @@ def cmd_sweep(cfg: dict) -> int:
     if not isinstance(phis, list) or not phis:
         raise ConfigError("sweep.phi: expected a nonempty list of angles")
     kinds = sweep.get("defect")
-    spec, echo = _walk(cfg, kind_axis=kinds is None)
+    if kinds is None and isinstance(cfg.get("defect"), dict) and "kind" not in cfg["defect"]:
+        raise ConfigError("sweep.defect: no kind to sweep; set sweep.defect or defect.kind")
+    spec, echo = _walk(cfg)
     if kinds is None:
-        kinds = [spec.defect.kind]
+        kinds = [spec.defect.kind if "defect" in cfg else "cross_xy"]
     if not isinstance(kinds, list) or not kinds:
         raise ConfigError("sweep.defect: expected a nonempty list of defect kinds")
-    for kind in kinds:
-        if kind not in ("line_y", "cross_xy", "point", "none"):
-            raise ConfigError(f"sweep.defect: unknown defect kind {kind!r}")
 
-    # A point's defect is the grid's (kind, phi); every point is checked
-    # before anything is written or started.
+    # A point's defect is the grid's (kind, phi), read as run reads a
+    # defect; every point is checked before anything is written or started.
     angles = [(token, parse_angle(token, "sweep.phi")) for token in phis]
     points = []
     for kind in kinds:
         for token, phi in angles:
-            defect = DefectMap(kind, phi) if kind in _PHASED else DefectMap.none()
+            point = {"kind": kind, "phi": phi} if kind in _PHASED else {"kind": kind}
+            defect, _ = _parse_defect(point, "sweep.defect")
             points.append((kind, token, _checked(replace, spec, defect=defect)))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
     with _blas_threads(echo["threads"]):

@@ -434,6 +434,9 @@ ECHO_STARTS = {
 ECHO_DEFECTS = {
     "builtin": lambda d: {"kind": "point" if d == 1 else "line_y", "phi": "pi:0.5"},
     "custom": lambda d: {"kind": "custom", "table": {"1" if d == 1 else "1,0": "pi:0.25"}},
+    "none-negative-zero-phi": lambda d: {"kind": "none", "phi": -0.0},
+    "custom-noncanonical-key": lambda d: {"kind": "custom",
+                                          "table": {"01" if d == 1 else "01,0": 0.5}},
 }
 
 
@@ -477,6 +480,25 @@ def test_configs_of_one_walk_echo_the_same_bytes(tmp_path):
         summary = json.loads((tmp_path / str(i) / "summary.json").read_text())
         echoes.append(json.dumps(summary["config"], sort_keys=True))
     assert echoes[0] == echoes[1] == echoes[2]
+
+    # A none defect echoes "phi": 0.0, whatever the sign of its zero; a
+    # custom table echoes each site under its canonical key, in 1D and 2D.
+    one_d = {"dimensionality": 1, "initial": {"position": 0}}
+    for group in (
+        [{}, {"defect": {"kind": "none", "phi": -0.0}}],
+        [{"defect": {"kind": "custom", "table": {"1,0": 0.5}}},
+         {"defect": {"kind": "custom", "phi": -0.0, "table": {"01,0": 0.5}}}],
+        [{**one_d, "defect": {"kind": "custom", "table": {"-1": 0.5}}},
+         {**one_d, "defect": {"kind": "custom", "table": {"-01": 0.5}}}],
+    ):
+        echoes = []
+        for i, cfg in enumerate(group):
+            out = tmp_path / f"group{i}"
+            (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "out_dir": str(out)}))
+            assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            echoes.append(json.dumps(summary["config"], sort_keys=True))
+        assert echoes[0] == echoes[1]
 
 
 def test_a_none_defect_takes_no_phase(tmp_path, capsys):
@@ -537,17 +559,26 @@ def test_oversize_lattice_exits_1_before_allocating(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, flags, error",
     [
-        {"halfwidth": 100000, "sweep": {"phi": ["pi:1"]}},
-        {"sweep": {"phi": ["pi:1", "pi:x"]}},
+        ({"halfwidth": 100000, "sweep": {"phi": ["pi:1"]}}, [], "halfwidth: "),
+        ({"sweep": {"phi": ["pi:1", "pi:x"]}}, [], "sweep.phi: "),
+        ({"sweep": {"phi": ["pi:1"], "defect": ["line_y", "bogus"]}}, [], "sweep.defect.kind: "),
+        ({"sweep": {"phi": ["pi:1"], "defect": ["custom"]}}, [], "sweep.defect.table: "),
+        ({"sweep": {"phi": ["pi:1"], "defect": [None]}}, [], "sweep.defect.kind: "),
+        ({"sweep": {"phi": ["pi:1"], "defect": [3]}}, [], "sweep.defect.kind: "),
+        ({"sweep": {"phi": ["pi:1"], "defect": ["line_y"]}}, ["--defect", "bogus"],
+         "sweep.defect.kind: "),
     ],
-    ids=["oversize-halfwidth", "malformed-phi"],
+    ids=["oversize-halfwidth", "malformed-phi", "unknown-kind", "custom-kind", "null-kind",
+         "number-kind", "unknown-kind-flag"],
 )
-def test_invalid_sweep_exits_1_without_creating_out_dir(tmp_path, overrides):
+def test_invalid_sweep_exits_1_without_creating_out_dir(tmp_path, capsys, overrides, flags, error):
+    # A sweep.defect entry is read as run reads a defect kind.
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
-    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert main(["sweep", "--config", str(cfg_path), *flags]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -850,6 +881,34 @@ def test_reference_that_lists_a_site_twice_exits_1_and_creates_nothing(tmp_path,
     assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
     assert "error: reference" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rows", ["x,p\n0,0.5\n4611686018427387904,0.5\n", "x,y,p\n0,0,0.5\n100000000000,0,0.5\n"],
+    ids=["1d-site-2-to-the-62", "2d-site-10-to-the-11"],
+)
+def test_reference_above_the_lattice_cap_exits_1_before_allocating(tmp_path, capsys, rows):
+    # These used to exit 2 with numpy's "array is too big" or "Maximum
+    # allowed dimension exceeded", after the run's parse; a 1D site near
+    # 10^7 allocated hundreds of MB and exited 0.
+    ref = tmp_path / "ref.csv"
+    ref.write_text(rows)
+    cfg_path = tmp_path / "cfg.json"
+    dim = rows.count(",", 0, rows.index("\n"))
+    overrides = {} if dim == 2 else {"dimensionality": 1, "defect": "none",
+                                     "initial": {"position": 0}}
+    write_config(cfg_path, steps=2, **overrides)
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert f"error: reference: {ref} has a coordinate of magnitude" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match=f"above the cap of {MAX_LATTICE_SITES} sites"):
+        read_distribution_csv(str(ref))
 
 
 @pytest.mark.parametrize("defect", [[1], 7], ids=["list", "number"])

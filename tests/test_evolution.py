@@ -722,6 +722,69 @@ def test_2d_rounding_error_stays_inside_the_budget(t):
     assert residual <= 4 * t * EPS
 
 
+def _exact_hadamard_probs(t, phi):
+    """Site probabilities, in long double, of the 1D Hadamard walk from the
+    symmetric start after t steps, under point(phi) or (phi None) free."""
+    root2 = np.sqrt(np.longdouble(2))
+    amps = extended_walk_1d(
+        t,
+        np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / root2,
+        np.array([1, 1j], dtype=np.clongdouble) / root2,
+        None if phi is None else {0: np.exp(np.clongdouble(1j) * np.longdouble(phi))},
+    )
+    return (np.abs(amps) ** 2).sum(axis=1)
+
+
+def _printed_error_in_12th_digits(path, exact):
+    """|printed - exact| of each probability a distribution CSV prints
+    (not as 0), in units of the exact value's 12th significant digit, and
+    the exact values."""
+    printed = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, -1]
+    shown = printed > 0
+    e = exact.ravel()[shown]
+    unit = np.longdouble(10) ** (np.floor(np.log10(e)) - 11)
+    return np.abs(printed[shown] - e) / unit, e
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double here"
+)
+@pytest.mark.parametrize("phi", [None, np.pi], ids=["free", "point-pi"])
+def test_1d_csv_settles_11_of_its_12_digits_at_t_500(tmp_path, phi):
+    # Each printed probability is the exact one rounded to 12 digits, or one
+    # off in the 12th.  Measured: at most 0.55 (free) and 0.58 (point(pi))
+    # units; 12 and 8 of the 387 printed values are one off.
+    t = 500
+    defect = DefectMap.none() if phi is None else DefectMap.point(phi)
+    for report in evolve(WalkSpec(1, t, H, defect)):
+        pass
+    write_distribution_csv(tmp_path / "d.csv", distribution(report.grid))
+    error, _ = _printed_error_in_12th_digits(tmp_path / "d.csv", _exact_hadamard_probs(t, phi))
+    assert len(error) == 387
+    assert error.max() < 1
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double here"
+)
+def test_2d_csv_settles_10_of_its_12_digits_at_t_500(tmp_path):
+    # The paper-scale run: the Hadamard pair under cross_xy(pi), the outer
+    # product of two 1D walks under point(pi).  Printed probabilities of at
+    # least 1e-9 are one off in the 12th digit at most (measured 0.74
+    # units): 11 digits.  Smaller ones, where the cross's interference
+    # cancels, err by up to 100 units (measured 30, at p = 5e-13): 10 digits.
+    t = 500
+    for report in evolve(WalkSpec(2, t, H2, DefectMap.cross_xy(np.pi))):
+        pass
+    write_distribution_csv(tmp_path / "d.csv", distribution(report.grid))
+    exact_1d = _exact_hadamard_probs(t, np.pi)
+    error, exact = _printed_error_in_12th_digits(
+        tmp_path / "d.csv", np.multiply.outer(exact_1d, exact_1d)
+    )
+    assert error[exact >= 1e-9].max() < 1
+    assert error.max() < 100
+
+
 @pytest.mark.parametrize(
     "coin, defect",
     [
