@@ -36,13 +36,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .analysis import Distribution, distribution, l1_distance, summarize
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
-from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, evolve
+from .evolution import MAX_MATRIX_DIM, DefectMap, StepReport, WalkSpec, evolve
 from .statespace import _integer, state_dimension
 from .isomorphism import (
     check_decomposition_claims,
@@ -65,6 +65,11 @@ MAX_TRIALS = 10_000
 # Cap on ``threads``: 64, the MAX_THREADS of numpy's bundled OpenBLAS (which
 # clamps a larger count itself), or the host's CPU count where that is larger.
 MAX_THREADS = max(64, os.cpu_count() or 1)
+# A step on a grid of fewer sites runs OpenBLAS on one thread.  On 2 cores, 2
+# threads lost up to 16 % per step below ~80 sites per axis, were even to ~120
+# and won 10-25 % above: OpenBLAS splits the 4-column coin GEMM only from about
+# 2^14 rows, and below that a second thread only splits the norm, then spins.
+_SPLIT_SITES = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -314,47 +319,53 @@ def write_distribution_csv(path: Path, dist: Distribution) -> None:
 
 
 def read_distribution_csv(path: str) -> Distribution:
-    """Parse a distribution CSV with header ``x,p`` or ``x,y,p``."""
+    """Parse a distribution CSV with header ``x,p`` or ``x,y,p``, row by row
+    into typed arrays (8 bytes a number)."""
+    from array import array  # here, not at import: only a reference needs it
+
+    coords, probs, far = array("q"), array("d"), 0  # far: the largest |coordinate|
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
+            rows = csv.reader(f)
+            header = next(rows, None)
+            if header not in (["x", "p"], ["x", "y", "p"]):
+                raise ConfigError(f"reference: {path} must have header 'x,p' or 'x,y,p'")
+            dim = len(header) - 1
+            for line, row in enumerate(rows, start=2):
+                if not row:
+                    continue
+                try:
+                    if len(row) != dim + 1:
+                        raise ValueError
+                    site = [int(v) for v in row[:dim]]
+                    probs.append(float(row[dim]))
+                except ValueError:
+                    raise ConfigError(
+                        f"reference: {path} line {line}: expected {dim + 1} numbers, got {row!r}"
+                    ) from None
+                far = max(far, *map(abs, site))
+                if far <= MAX_LATTICE_SITES:  # else past the cap below, and maybe past int64
+                    coords.extend(site)
     except OSError as e:
         raise ConfigError(f"reference: cannot read {path}: {e}") from None
-    if not rows or rows[0] not in (["x", "p"], ["x", "y", "p"]):
-        raise ConfigError(f"reference: {path} must have header 'x,p' or 'x,y,p'")
-    dim = len(rows[0]) - 1
-    entries = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            if len(row) != dim + 1:
-                raise ValueError
-            coords = [int(v) for v in row[:dim]]
-            entries.append((coords, float(row[dim])))
-        except ValueError:
-            raise ConfigError(
-                f"reference: {path} line {line}: expected {dim + 1} numbers, got {row!r}"
-            ) from None
-    if not entries:
+    if not probs:
         raise ConfigError(f"reference: {path} contains no data rows")
-    halfwidth = max(max(abs(c) for c in coords) for coords, _ in entries)
-    n = 2 * halfwidth + 1
+    n = 2 * far + 1
     if n**dim > MAX_LATTICE_SITES:  # checked before the lattice is allocated
         raise ConfigError(
-            f"reference: {path} has a coordinate of magnitude {halfwidth}; its lattice "
+            f"reference: {path} has a coordinate of magnitude {far}; its lattice "
             f"would be above the cap of {MAX_LATTICE_SITES} sites"
         )
-    probs = np.zeros((n,) * dim)
-    seen = set()
-    for coords, p in entries:
-        idx = tuple(c + halfwidth for c in coords)
-        if idx in seen:
-            raise ConfigError(f"reference: {path} lists site {tuple(coords)} twice")
-        seen.add(idx)
-        probs[idx] = p
+    flat = np.ravel_multi_index(np.reshape(coords, (-1, dim)).T + far, (n,) * dim)
+    again = np.ones(flat.size, dtype=bool)
+    again[np.unique(flat, return_index=True)[1]] = False  # all but each site's first row
+    if again.any():
+        i = int(np.argmax(again))
+        raise ConfigError(f"reference: {path} lists site {tuple(coords[i * dim:][:dim])} twice")
+    grid = np.zeros(n**dim)
+    grid[flat] = probs
     try:
-        return Distribution(probs, halfwidth)
+        return Distribution(grid.reshape((n,) * dim), far)
     except ValueError as e:
         raise ConfigError(f"reference: {path}: {e}") from None
 
@@ -390,15 +401,30 @@ def _openblas() -> list[tuple[Any, Any]]:
 
 
 @contextmanager
-def _blas_threads(n: int) -> Iterator[None]:
-    """Run the block with OpenBLAS on ``n`` threads, and give it back its
-    own count after; where no OpenBLAS control is found, do nothing."""
+def _blas_threads(ceiling: int) -> Iterator[Callable[[WalkSpec], Iterator[StepReport]]]:
+    """Yield ``steps(spec)``: ``evolve(spec)``, each step with OpenBLAS on one
+    thread on a grid below ``_SPLIT_SITES`` sites, else on ``ceiling``; then
+    give each OpenBLAS its own count back (none found: the BLAS keeps its own)."""
     controls = _openblas()
     before = [get() for get, _ in controls]
+    pinned = 0
+
+    def pin(grid: Any) -> None:  # set only on a change: an open walk's grids only grow
+        nonlocal pinned
+        n = ceiling if grid.amplitudes.size >= _SPLIT_SITES * grid.amplitudes.shape[-1] else 1
+        if n != pinned:
+            for _, put in controls:
+                put(n)
+            pinned = n
+
+    def steps(spec: WalkSpec) -> Iterator[StepReport]:
+        pin(spec.initial_grid())
+        for report in evolve(spec):
+            yield report
+            pin(report.grid)  # for the next step, which reads it
+
     try:
-        for _, put in controls:
-            put(n)
-        yield
+        yield steps
     finally:
         for (_, put), count in zip(controls, before):
             put(count)
@@ -428,8 +454,8 @@ def cmd_run(cfg: dict) -> int:
     t0 = time.perf_counter()
     per_step: list[dict] = []
     grid = spec.initial_grid()
-    with _blas_threads(echo["threads"]):
-        for report in evolve(spec):
+    with _blas_threads(echo["threads"]) as steps:
+        for report in steps(spec):
             grid = report.grid
             s = summarize(report.step, grid)
             per_step.append(
@@ -503,10 +529,10 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["defect"] = base
 
 
-def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec) -> list:
-    """The ``sweep.csv`` row of one grid point."""
+def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec, steps: Callable) -> list:
+    """The ``sweep.csv`` row of one grid point, stepped by ``steps``."""
     grid = spec.initial_grid()
-    for report in evolve(spec):
+    for report in steps(spec):
         grid = report.grid
     s = summarize(spec.steps, grid)
     var_y = "" if s.variance_y is None else f"{s.variance_y:.12g}"
@@ -540,8 +566,8 @@ def cmd_sweep(cfg: dict) -> int:
             defect, _ = _parse_defect(point, "sweep.defect")
             points.append((kind, token, _checked(replace, spec, defect=defect)))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
-    with _blas_threads(echo["threads"]):
-        rows = [_sweep_point(*point) for point in points]
+    with _blas_threads(echo["threads"]) as steps:
+        rows = [_sweep_point(*point, steps) for point in points]
 
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -25,7 +25,7 @@ from qwalk.cli import (
     write_distribution_csv,
 )
 from qwalk.coins import hadamard, tensor
-from qwalk.evolution import WalkSpec, evolve, run_walk
+from qwalk.evolution import WalkSpec, _Stepper, evolve, run_walk
 
 
 def write_config(path, **overrides):
@@ -302,6 +302,30 @@ def test_distribution_csv_roundtrip(tmp_path):
     back = read_distribution_csv(str(path))
     assert back.probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.abs(back.probs - dist.probs).max() < 1e-9
+
+
+def test_a_reference_is_read_into_typed_arrays(tmp_path):
+    # Each row used to be kept as Python lists plus a site tuple in a set:
+    # about 540 bytes a row at the peak, against about 75 now.
+    dist = distribution(run_walk(WalkSpec(2, 40, tensor(hadamard(), hadamard()))))
+    path = tmp_path / "d.csv"
+    write_distribution_csv(path, dist)
+    tracemalloc.start()
+    try:
+        back = read_distribution_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * dist.probs.size
+    assert back.halfwidth == dist.halfwidth
+    assert np.abs(back.probs - dist.probs).max() < 1e-12
+
+
+def test_a_reference_names_the_first_site_it_lists_again(tmp_path):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("x,y,p\n0,0,0.25\n1,1,0.25\n2,0,0.25\n01,+1,0.25\n0,0,0\n")
+    with pytest.raises(ConfigError, match=r"lists site \(1, 1\) twice"):
+        read_distribution_csv(str(ref))
 
 
 def test_unknown_flag_is_validation_error():
@@ -762,48 +786,97 @@ requires_openblas = pytest.mark.skipif(not _openblas(), reason="no OpenBLAS thre
 
 @requires_openblas
 def test_run_pins_the_blas_threads_and_gives_them_back(tmp_path, monkeypatch):
+    # threads is a ceiling: a step on a grid below _SPLIT_SITES sites runs on
+    # one thread, a larger one on threads; the caller's count comes back after.
     [(get, put)] = _openblas()[:1]
-    seen = []
+    seen = []  # (sites of the grid a step reads, the BLAS count it runs on)
 
-    def watched_evolve(spec):
-        seen.append(get())
-        yield from evolve(spec)
+    def watch(kernel):
+        def watched(self, grid, *args, **kwargs):
+            seen.append((grid.amplitudes[..., 0].size, get()))
+            return kernel(self, grid, *args, **kwargs)
+        return watched
 
-    monkeypatch.setattr(qwalk.cli, "evolve", watched_evolve)  # run's and each sweep point's
+    for name in ("cone_step", "step"):  # open and periodic walks
+        monkeypatch.setattr(_Stepper, name, watch(getattr(_Stepper, name)))
+    cross = qwalk.cli._SPLIT_SITES
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, steps=3, sweep={"phi": ["pi:1"]})
+    write_config(cfg_path, steps=130, sweep={"phi": ["pi:1", "pi:0.5"]})  # crosses at step 128
+    periodic = tmp_path / "periodic.json"
+    write_config(periodic, steps=2, boundary="periodic", halfwidth=64, sweep={"phi": ["pi:1"]})
     found = get()
     try:
         for outer, threads in ((2, 1), (1, 2)):
             put(outer)
             for command in ("run", "sweep"):
-                assert main([command, "--config", str(cfg_path), "--threads", str(threads)]) == 0
-                assert seen.pop() == threads  # during the walk
-                assert get() == outer  # after it
+                for cfg in (cfg_path, periodic):
+                    args = [command, "--config", str(cfg), "--threads", str(threads)]
+                    assert main(args) == 0
+                    assert seen and all(n == (threads if sites >= cross else 1)
+                                        for sites, n in seen)
+                    assert {sites >= cross for sites, _ in seen} == (
+                        {False, True} if cfg == cfg_path else {True})
+                    assert get() == outer  # after the walk
+                    seen.clear()
+
+        tol, kernel = qwalk.evolution.STEP_NORM_TOL, _Stepper.cone_step
+
+        def guard_trips(self, grid, *args, **kwargs):  # on the first step past the crossover
+            if grid.amplitudes[..., 0].size >= cross:
+                monkeypatch.setattr(qwalk.evolution, "STEP_NORM_TOL", -1.0)
+            return kernel(self, grid, *args, **kwargs)
+
+        monkeypatch.setattr(_Stepper, "cone_step", guard_trips)
+        put(1)
+        for command in ("run", "sweep"):
+            monkeypatch.setattr(qwalk.evolution, "STEP_NORM_TOL", tol)
+            assert main([command, "--config", str(cfg_path), "--threads", "2"]) == 2
+            assert get() == 1
     finally:
         put(found)
+
+
+def _summary_without_timing(tmp_path, cfg: dict, openblas_threads: str) -> str:
+    """``summary.json`` of a fresh ``qwalk run`` process, minus its timing."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / f"out{openblas_threads}"
+    src = str(Path(qwalk.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": openblas_threads,
+           "PYTHONPATH": os.pathsep.join(path)}
+    subprocess.run([sys.executable, "-m", "qwalk.cli", "run", "--config", str(cfg_path),
+                    "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+    summary = json.loads((out / "summary.json").read_text())
+    summary.pop("timing_seconds")
+    return json.dumps(summary)
 
 
 @requires_openblas
 def test_summary_bytes_do_not_follow_openblas_num_threads(tmp_path):
     # The norm's zdotc splits its sum by the BLAS thread count; from about
     # step 50 the last bits of norm_residual used to follow the host's count.
+    cfg = {"dimensionality": 2, "steps": 60, "defect": {"kind": "cross_xy", "phi": "pi:1"}}
+    assert len({_summary_without_timing(tmp_path, cfg, n) for n in ("1", "2")}) == 1
+
+
+@requires_openblas
+def test_a_run_past_the_crossover_does_not_follow_openblas_num_threads(tmp_path):
+    assert 140**2 >= qwalk.cli._SPLIT_SITES  # its last steps run on 2 threads
+    cfg = {"dimensionality": 2, "steps": 140, "threads": 2,
+           "defect": {"kind": "cross_xy", "phi": "pi:1"}, "formats": ["json"]}
+    assert len({_summary_without_timing(tmp_path, cfg, n) for n in ("1", "2")}) == 1
+
+
+def test_sweep_bytes_do_not_follow_threads_past_the_crossover(tmp_path):
+    assert 140**2 >= qwalk.cli._SPLIT_SITES
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(
-        {"dimensionality": 2, "steps": 60, "defect": {"kind": "cross_xy", "phi": "pi:1"}}
-    ))
-    src = str(Path(qwalk.__file__).resolve().parents[1])
-    summaries = []
-    for n in ("1", "2"):
-        out = tmp_path / f"out{n}"
-        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": n, "PYTHONPATH": os.pathsep.join(path)}
-        subprocess.run([sys.executable, "-m", "qwalk.cli", "run", "--config", str(cfg_path),
-                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
-        summary = json.loads((out / "summary.json").read_text())
-        summary.pop("timing_seconds")
-        summaries.append(json.dumps(summary))
-    assert summaries[0] == summaries[1]
+    write_config(cfg_path, steps=140, sweep={"phi": ["pi:1"], "defect": ["cross_xy", "line_y"]})
+    rows = []
+    for threads in ("1", "2"):
+        assert main(["sweep", "--config", str(cfg_path), "--threads", threads]) == 0
+        rows.append((tmp_path / "out" / "sweep.csv").read_bytes())
+    assert rows[0] == rows[1]
 
 
 def test_defect_flag_of_the_config_kind_keeps_its_table(tmp_path):
