@@ -43,7 +43,7 @@ import numpy as np
 from .analysis import Distribution, distribution, l1_distance, summarize
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
 from .evolution import MAX_MATRIX_DIM, DefectMap, StepReport, WalkSpec, evolve
-from .statespace import _integer, state_dimension
+from .statespace import _integer
 from .isomorphism import (
     check_decomposition_claims,
     check_translation_equivalence,
@@ -106,6 +106,11 @@ def _count(value: Any, key: str, lo: int, hi: int | None = None) -> int:
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ConfigError(f"{key}: must be an integer {bounds}, got {value!r}") from None
     return n
+
+
+def _max_halfwidth(sites: int, dimensionality: int) -> int:
+    """The largest L whose lattice (2L+1)^d has at most ``sites`` sites."""
+    return ((sites if dimensionality == 1 else math.isqrt(sites)) - 1) // 2
 
 
 def _number(value: Any, key: str) -> float:
@@ -259,13 +264,7 @@ def _checked(build, *args, **kwargs) -> WalkSpec:
 def _walk(cfg: dict) -> tuple[WalkSpec, dict]:
     """The walk of a ``run``/``sweep`` config, and its echo: the config
     resolved from the checked values, which runs the same walk again."""
-    threads: Any = cfg.get("threads", os.environ.get("QWALK_THREADS") or 1)
-    if isinstance(threads, str):  # QWALK_THREADS is text; "2" counts as 2
-        try:
-            threads = int(threads)
-        except ValueError:
-            pass
-    threads = _count(threads, "threads", 1, MAX_THREADS)
+    threads = _count(cfg.get("threads", 1), "threads", 1, MAX_THREADS)
     dimensionality = _count(cfg.get("dimensionality", 2), "dimensionality", 1, 2)
     cap = _count(cfg.get("max_steps", DEFAULT_STEP_CAP), "max_steps", 0, DEFAULT_STEP_CAP)
     coin, coin_form = _parse_coin(cfg.get("coin"), dimensionality)
@@ -273,14 +272,13 @@ def _walk(cfg: dict) -> tuple[WalkSpec, dict]:
     position, coin_vec = _parse_initial(cfg.get("initial"))
     # The caps are checked before anything of the lattice is allocated.
     steps = _count(cfg.get("steps", 10), "steps", 0, cap)
+    halfwidth = cfg.get("halfwidth")  # null: WalkSpec's default, which fits the cap
+    if halfwidth is not None:
+        hi = _max_halfwidth(MAX_LATTICE_SITES, dimensionality)
+        halfwidth = _count(halfwidth, "halfwidth", 1, hi)
     spec = _checked(WalkSpec, dimensionality, steps, coin, defect, initial_position=position,
                     initial_coin=coin_vec, boundary=cfg.get("boundary", "open"),
-                    halfwidth=cfg.get("halfwidth"))
-    sites = (2 * spec.halfwidth + 1) ** dimensionality  # type: ignore[operator]
-    if sites > MAX_LATTICE_SITES:
-        raise ConfigError(
-            f"halfwidth: the lattice has {sites} sites, above the cap {MAX_LATTICE_SITES}"
-        )
+                    halfwidth=halfwidth)
     pairs = [[z.real, z.imag] for z in map(complex, spec.initial_coin)]  # type: ignore[arg-type]
     echo = {
         "dimensionality": dimensionality,
@@ -518,9 +516,9 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         same = base if base.get("kind") == kind else {}
         cfg["defect"] = {**same, "kind": kind, "phi": phi0}
     if phi is not None:
-        base = cfg.get("defect", "none")
-        if isinstance(base, str):
-            base = {"kind": base}
+        base = cfg.get("defect")
+        if base is None or isinstance(base, str):  # null is no defect, as _parse_defect reads it
+            base = {"kind": "none" if base is None else base}
         if not isinstance(base, dict):
             raise ConfigError(f"defect: expected a kind string or an object, got {base!r}")
         if base.get("kind", "none") == "none":
@@ -579,11 +577,10 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_isocheck(cfg: dict) -> int:
-    halfwidth = _count(cfg.get("halfwidth", 2), "halfwidth", 1)
+    cap = _max_halfwidth(MAX_MATRIX_DIM // 4, 2)  # 4 coin states a site: 31
+    halfwidth = _count(cfg.get("halfwidth", 2), "halfwidth", 1, cap)
     trials = _count(cfg.get("trials", 50), "trials", 1, MAX_TRIALS)
     seed = _count(cfg.get("seed", DEFAULT_SEED), "seed", 0)
-    if state_dimension(2, halfwidth) > MAX_MATRIX_DIM:
-        raise ConfigError(f"halfwidth: {halfwidth} gives a matrix above the cap {MAX_MATRIX_DIM}")
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
 
     rng = np.random.default_rng(seed)

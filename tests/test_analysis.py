@@ -142,6 +142,8 @@ def test_marginal_axis_validation():
         marginal(delta_dist(1, 0, 0), "z")
     with pytest.raises(ValueError):
         marginal(delta_dist(1, 0), "x")
+    with pytest.raises(ValueError, match="2D distribution requires an axis"):
+        variance(delta_dist(1, 0, 0))
 
 
 # --------------------------------------------------------------- variance

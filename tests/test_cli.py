@@ -84,7 +84,7 @@ def test_run_emit_per_step_and_factorization(tmp_path):
     assert np.abs(p.probs - np.outer(px, py)).max() < 1e-9
 
 
-def test_run_validation_errors(tmp_path):
+def test_run_validation_errors(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, steps=-1)
     assert main(["run", "--config", str(cfg_path)]) == 1
@@ -97,6 +97,10 @@ def test_run_validation_errors(tmp_path):
 
     cfg_path.write_text("{not json")
     assert main(["run", "--config", str(cfg_path)]) == 1
+
+    cfg_path.write_text("[1]")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "error: config: top level must be a JSON object" in capsys.readouterr().err
 
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
@@ -172,15 +176,12 @@ def test_sweep_empty_grid_is_validation_error(tmp_path):
     assert main(["sweep", "--config", str(cfg_path)]) == 1
 
 
-def test_sweep_threads_do_not_change_output(tmp_path, monkeypatch):
+def test_sweep_threads_do_not_change_output(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, sweep={"phi": ["pi:0.25", "pi:0.5", "pi:1"]})
     assert main(["sweep", "--config", str(cfg_path), "--threads", "1"]) == 0
     serial = (tmp_path / "out" / "sweep.csv").read_bytes()
     assert main(["sweep", "--config", str(cfg_path), "--threads", "3"]) == 0
-    assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
-    monkeypatch.setenv("QWALK_THREADS", "2")
-    assert main(["sweep", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
 
 
@@ -204,8 +205,15 @@ def test_isocheck_passes_and_is_deterministic(tmp_path):
     assert (out / "isocheck.json").read_bytes() == first
 
 
-def test_isocheck_size_cap(tmp_path):
-    assert main(["isocheck", "--halfwidth", "40", "--out", str(tmp_path)]) == 1
+def test_isocheck_size_cap(tmp_path, capsys):
+    # 31 is the largest L with 4(2L+1)^2 <= MAX_MATRIX_DIM.
+    out = tmp_path / "iso"
+    assert main(["isocheck", "--halfwidth", "40", "--out", str(out)]) == 1
+    assert main(["isocheck", "-L", "32", "--out", str(out)]) == 1
+    assert "error: halfwidth: must be an integer in 1..31, got 32" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["isocheck", "-L", "31", "--trials", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "isocheck.json").read_text())["halfwidth"] == 31
 
 
 def test_isocheck_trials_are_capped(tmp_path, capsys, monkeypatch):
@@ -345,15 +353,29 @@ def test_run_rejects_nan_initial_coin(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "rows", ["x,y,p\n0,abc,1\n", "x,y,p\n0,0\n", "x,y,p\n0,0,nan\n"],
-    ids=["non-numeric", "short-row", "nan"],
+    "rows, error",
+    [("x,y,p\n0,abc,1\n", "line 2: expected 3 numbers"), ("x,y,p\n0,0\n", "line 2: expected"),
+     ("x,y,p\n0,0,nan\n", "probability nan"), ("x,y,q\n0,0,1\n", "must have header"),
+     ("", "must have header"), ("x,y,p\n", "no data rows"), ("x,y,p\n\n\n", "no data rows")],
+    ids=["non-numeric", "short-row", "nan", "bad-header", "empty", "header-only",
+         "blank-rows-only"],
 )
-def test_run_rejects_malformed_reference(tmp_path, rows):
+def test_run_rejects_malformed_reference(tmp_path, rows, error):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, steps=2)
     ref = tmp_path / "ref.csv"
     ref.write_text(rows)
+    with pytest.raises(ConfigError, match=error):
+        read_distribution_csv(str(ref))
     assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_reference_skips_blank_rows(tmp_path):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("x,p\n\n-1,0.25\n\n1,0.75\n")
+    dist = read_distribution_csv(str(ref))
+    assert dist.halfwidth == 1 and dist.probs.tolist() == [0.25, 0.0, 0.75]
 
 
 @pytest.mark.parametrize(
@@ -610,6 +632,24 @@ def test_lattice_cap_admits_the_default_step_cap():
     assert (2 * DEFAULT_STEP_CAP + 1) ** 2 <= MAX_LATTICE_SITES
 
 
+@pytest.mark.parametrize("dim, cap", [(2, 2047), (1, 8_388_607)], ids=["2d", "1d"])
+def test_halfwidth_is_bounded_by_the_largest_lattice_under_the_site_cap(dim, cap):
+    # Read by _walk, which checks the walk and allocates no lattice.
+    assert (2 * cap + 1) ** dim <= MAX_LATTICE_SITES < (2 * cap + 3) ** dim
+    cfg = {"dimensionality": dim, "defect": "none"}
+    tracemalloc.start()
+    try:
+        spec, echo = qwalk.cli._walk({**cfg, "halfwidth": cap})
+        with pytest.raises(ConfigError, match=f"^halfwidth: must be an integer in 1..{cap}, "
+                                              f"got {cap + 1}$"):
+            qwalk.cli._walk({**cfg, "halfwidth": cap + 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.halfwidth == echo["halfwidth"] == cap
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -721,8 +761,8 @@ def test_run_start_off_the_lattice_exits_1_and_creates_nothing(tmp_path, overrid
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("threads", [True, False, 2.7, 2.0, "2.7", "two", 0],
-                         ids=["true", "false", "2.7", "2.0", "str-2.7", "str-two", "0"])
+@pytest.mark.parametrize("threads", [True, False, 2.7, 2.0, "2.7", "two", "2", 0],
+                         ids=["true", "false", "2.7", "2.0", "str-2.7", "str-two", "str-2", "0"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_non_integer_threads_exit_1_and_create_nothing(tmp_path, capsys, command, threads):
     # 2.7 used to run as 2 threads and true as 1, echoed as such.
@@ -734,16 +774,15 @@ def test_non_integer_threads_exit_1_and_create_nothing(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_threads_from_the_environment_is_parsed(tmp_path, monkeypatch, command):
+def test_the_environment_does_not_set_threads(tmp_path, monkeypatch, command):
+    # QWALK_THREADS was read when the config had no threads; "abc" exited 1.
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]})
-    monkeypatch.setenv("QWALK_THREADS", "2")
+    monkeypatch.setenv("QWALK_THREADS", "abc")
     assert main([command, "--config", str(cfg_path)]) == 0
     if command == "run":
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["config"]["threads"] == 2
-    monkeypatch.setenv("QWALK_THREADS", "2.5")
-    assert main([command, "--config", str(cfg_path)]) == 1
+        assert summary["config"]["threads"] == 1
 
 
 def test_config_threads_echo_the_integer(tmp_path):
@@ -754,16 +793,13 @@ def test_config_threads_echo_the_integer(tmp_path):
     assert summary["config"]["threads"] == 3
 
 
-@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_threads_above_the_cap_exit_1_and_create_nothing(tmp_path, capsys, monkeypatch, command,
-                                                         source):
+def test_threads_above_the_cap_exit_1_and_create_nothing(tmp_path, capsys, command, source):
     # Checked before anything is pinned: no test starts 65 BLAS threads.
     cfg_path = tmp_path / "cfg.json"
     extra = {"threads": MAX_THREADS + 1} if source == "config" else {}
     write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, **extra)
-    if source == "environment":
-        monkeypatch.setenv("QWALK_THREADS", str(MAX_THREADS + 1))
     flag = ["--threads", str(MAX_THREADS + 1)] if source == "flag" else []
     assert main([command, "--config", str(cfg_path), *flag]) == 1
     assert f"error: threads: must be an integer in 1..{MAX_THREADS}, got {MAX_THREADS + 1}" in (
@@ -984,7 +1020,7 @@ def test_reference_above_the_lattice_cap_exits_1_before_allocating(tmp_path, cap
         read_distribution_csv(str(ref))
 
 
-@pytest.mark.parametrize("defect", [[1], 7], ids=["list", "number"])
+@pytest.mark.parametrize("defect", [[1], 7, 0], ids=["list", "number", "zero"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_phi_on_a_malformed_defect_exits_1_and_creates_nothing(tmp_path, capsys, command, defect):
     # This used to exit 2 with AttributeError: 'list' object has no attribute 'get'.
@@ -992,6 +1028,61 @@ def test_phi_on_a_malformed_defect_exits_1_and_creates_nothing(tmp_path, capsys,
     write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, defect=defect)
     assert main([command, "--config", str(cfg_path), "--phi", "1"]) == 1
     assert "error: defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("defect", ["absent", None, "none"], ids=["absent", "null", "none"])
+def test_phi_without_a_defect_kind_exits_1_and_creates_nothing(tmp_path, capsys, defect):
+    # A null defect is read as none, as run reads it without --phi; --phi
+    # over it used to say "defect: expected a kind string or an object".
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path, steps=2, defect=defect)
+    if defect == "absent":
+        del cfg["defect"]
+        cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--phi", "1"]) == 1
+    assert "error: --phi: set a defect kind first" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_phi_sets_the_phase_of_a_defect_kind_string(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, defect="line_y")
+    assert main(["run", "--config", str(cfg_path), "--phi", "1"]) == 0
+    echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+    assert echo["defect"] == {"kind": "line_y", "phi": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, error",
+    [
+        ("run", {"coin": 5}, "coin: expected 'hadamard', 'identity', or an object with 'kind'"),
+        ("run", {"coin": {"kind": "grover"}}, "coin.kind: unknown coin kind 'grover'"),
+        ("run", {"coin": {"kind": "su2"}}, "coin: 'su2' is a 1D coin"),
+        ("run", {"dimensionality": 1, "defect": "none", "initial": {"position": 0},
+                 "coin": {"kind": "tensor"}}, "coin: 'tensor' is a 2D coin"),
+        ("run", {"dimensionality": 1, "defect": "none", "initial": {"position": 0},
+                 "coin": {"kind": "fractional_swap", "tau": 0.5}},
+         "coin: 'fractional_swap' is a 2D coin"),
+        ("run", {"defect": {"kind": "custom", "table": {"a,b": 1.0}}},
+         "defect.table: bad site key 'a,b'"),
+        ("run", {"initial": [0, 0]}, "initial: expected an object"),
+        ("sweep", {"sweep": {"phi": ["pi:1"], "defect": []}},
+         "sweep.defect: expected a nonempty list of defect kinds"),
+        ("sweep", {"sweep": {"phi": ["pi:1"], "defect": "line_y"}},
+         "sweep.defect: expected a nonempty list of defect kinds"),
+    ],
+    ids=["coin-not-an-object", "coin-kind-unknown", "su2-in-2d", "tensor-in-1d",
+         "fractional-swap-in-1d", "custom-site-key", "initial-not-an-object",
+         "sweep-defect-empty", "sweep-defect-string"],
+)
+def test_a_malformed_config_value_is_named_and_creates_nothing(
+    tmp_path, capsys, command, overrides, error
+):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1039,11 +1130,12 @@ HUGE = 10**3999  # 4000 digits, inside Python's int-string limit
         ("sweep", {"sweep": {"phi": ["pi:1", BIG]}}, "sweep.phi: integer too large"),
         ("run", {"defect": {"kind": "cross_xy", "phi": "pi:1e308"}}, "defect.phi: bad pi-multiple"),
         ("run", {"steps": HUGE}, "steps: "),
-        ("run", {"halfwidth": HUGE}, "config: halfwidth "),
+        ("run", {"halfwidth": HUGE}, "halfwidth: must be an integer in 1..2047, got 1000"),
         ("run", {"defect": {"kind": "custom", "table": {f"{10**19},0": 1.0}}},
          f"config: custom defect site ({10**19}, 0) outside [-10, 10]^2"),
         ("sweep", {"steps": HUGE, "sweep": {"phi": ["pi:1"]}}, "steps: "),
-        ("sweep", {"halfwidth": HUGE, "sweep": {"phi": ["pi:1"]}}, "config: "),
+        ("sweep", {"halfwidth": HUGE, "sweep": {"phi": ["pi:1"]}},
+         "halfwidth: must be an integer in 1..2047, got 1000"),
         ("run", {"steps": 3, "defect": {"kind": "custom", "table": {"1,0": 0.5, "01,0": 2.0}}},
          "defect.table: lists site (1, 0) twice"),
         ("run", {"steps": 3, "max_steps": DEFAULT_STEP_CAP + 1},
@@ -1077,7 +1169,7 @@ def test_halfwidth_past_int64_indices_is_named(tmp_path, capsys, command):
     write_config(cfg_path, halfwidth=10**19, sweep={"phi": ["pi:1"]})
     assert main([command, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert "error: config: halfwidth 10000000000000000000 is too large" in err
+    assert "error: halfwidth: must be an integer in 1..2047, got 10000000000000000000" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -12,6 +12,7 @@ from qwalk.coins import (
     PAULI_Z,
     SWAP,
     CoinField,
+    as_coin_field,
     fractional_swap,
     hadamard,
     is_unitary,
@@ -220,6 +221,21 @@ def test_stacked_rejects_a_coin_off_the_lattice(dim, site):
     if dim == 2:
         with pytest.raises(IndexError):
             verify_isomorphism(2, field)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: CoinField(1, IDENTITY4), "default coin must be 2x2, got shape (4, 4)"),
+        (lambda: CoinField(2, IDENTITY4, {(0, 0): IDENTITY2}), "coin at (0, 0) must be 4x4"),
+        (lambda: as_coin_field(CoinField(2, IDENTITY4), 1),
+         "coin field is 2D but the walk is 1D"),
+    ],
+    ids=["default-shape", "site-shape", "field-dimensionality"],
+)
+def test_coin_field_rejects_a_coin_of_the_wrong_size(build, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        build()
 
 
 def test_coin_field_rejects_nonunitary_entry():

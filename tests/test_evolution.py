@@ -190,6 +190,17 @@ def test_off_center_start_escaping_raises():
         WalkSpec(1, 3, H, initial_position=2, halfwidth=4, initial_coin=[1, 0])
 
 
+@pytest.mark.parametrize(
+    "step, state",
+    [(apply_step_1d, localized_state(2, 2, (0, 0), symmetric_coin(2))),
+     (apply_step_2d, localized_state(1, 2, 0, symmetric_coin(1)))],
+    ids=["1d-step-of-a-2d-state", "2d-step-of-a-1d-state"],
+)
+def test_a_step_rejects_a_state_of_the_other_dimensionality(step, state):
+    with pytest.raises(ValueError, match=f"{step.__name__} expects a"):
+        step(state, H if state.dimensionality == 1 else H2)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         WalkSpec(1, -1, H)

@@ -87,6 +87,8 @@ def test_translation_equivalence_exact():
 def test_translation_equivalence_wrong_map_fails():
     dev = check_translation_equivalence(2, pair_map=lambda x, y: (x + y, y - x))
     assert dev >= 1.0
+    with pytest.raises(ValueError, match="does not induce a bijection"):
+        BasisPermutation.build(2, pair_map=lambda x, y: (0, 0))
 
 
 def test_two_walker_matrix_pure_shift():
@@ -213,6 +215,8 @@ def test_map_two_walker_distribution_rejects_odd_support():
     p[2, 1] = 1.0  # site (1, 0): odd parity
     with pytest.raises(ValueError):
         map_two_walker_distribution(Distribution(p, 1))
+    with pytest.raises(ValueError, match="expected a 2D joint distribution"):
+        map_two_walker_distribution(Distribution(np.array([0.0, 1.0, 0.0]), 1))
 
 
 @pytest.mark.parametrize(

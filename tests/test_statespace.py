@@ -216,6 +216,9 @@ THREE = np.array([0.25, 0.5, 0.25])
         (lambda: BasisLabel2D(0, 0, 0, 0.0), ValueError),
         (lambda: as_coin_state([1, 0, 0, 0], 3), ValueError),
         (lambda: as_coin_state([1, 0], True), ValueError),
+        (lambda: as_coin_state([1, 0, 0], 2), ValueError),
+        (lambda: pack_index(BasisLabel1D(0, 0), 0), ValueError),
+        (lambda: pack_index((0, 0), 1), TypeError),
     ],
     ids=[
         "at-past-the-left-edge", "at-two-past-the-left-edge", "site-image-off-the-lattice",
@@ -226,7 +229,8 @@ THREE = np.array([0.25, 0.5, 0.25])
         "1d-custom-site-bool", "label-x-fraction", "label-x-bool",
         "pack-halfwidth-fraction", "unpack-halfwidth-bool", "coin-bit-bool",
         "coin-bit-float", "2d-coin-bit-float", "coin-state-dimensionality-3",
-        "coin-state-dimensionality-bool",
+        "coin-state-dimensionality-bool", "coin-state-length-3", "pack-halfwidth-0",
+        "pack-a-tuple",
     ],
 )
 def test_lattice_facts_are_integers_and_sites_lie_on_the_lattice(build, error):
