@@ -1,7 +1,7 @@
 """Amplitude-exact simulator for discrete-time coined quantum walks on 1D
 and 2D lattices with position-dependent phase defects.
 
-Subpackage map: :mod:`~qwalk.statespace` (states and index packing),
+Subpackage map: :mod:`~qwalk.statespace` (walker states),
 :mod:`~qwalk.coins` (coin operators), :mod:`~qwalk.evolution` (walk steps,
 defects, step matrices), :mod:`~qwalk.isomorphism` (two 1D walkers vs one
 2D walker), :mod:`~qwalk.analysis` (distributions and observables),
@@ -33,8 +33,6 @@ from .evolution import (
     DefectMap,
     StepReport,
     WalkSpec,
-    apply_step_1d,
-    apply_step_2d,
     build_step_matrix,
     evolve,
     run_walk,
@@ -47,21 +45,15 @@ from .isomorphism import (
     verify_isomorphism,
 )
 from .statespace import (
-    BasisLabel1D,
-    BasisLabel2D,
     SublatticeState,
     WalkerState,
     localized_state,
-    pack_index,
     symmetric_coin,
-    unpack_index,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisLabel1D",
-    "BasisLabel2D",
     "BasisPermutation",
     "CoinField",
     "DefectMap",
@@ -71,8 +63,6 @@ __all__ = [
     "WalkSpec",
     "WalkSummary",
     "WalkerState",
-    "apply_step_1d",
-    "apply_step_2d",
     "build_step_matrix",
     "check_decomposition_claims",
     "check_translation_equivalence",
@@ -85,7 +75,6 @@ __all__ = [
     "l1_distance",
     "localized_state",
     "marginal",
-    "pack_index",
     "random_su2",
     "recurrence_probability",
     "run_walk",
@@ -95,7 +84,6 @@ __all__ = [
     "symmetric_coin",
     "tensor",
     "unitarity_check",
-    "unpack_index",
     "variance",
     "verify_isomorphism",
 ]

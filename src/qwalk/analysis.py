@@ -33,9 +33,10 @@ _SUM_TOL = 1e-10
 
 
 def _check_probs(p: NDArray[np.float64]) -> None:
-    # Written so that NaN fails both tests.
-    if not p.min() >= 0.0:
-        raise ValueError(f"negative probability {p.min()}")
+    # Written so that NaN fails both tests; a NaN is not called negative.
+    low = p.min()
+    if not low >= 0.0:
+        raise ValueError("probability is NaN" if np.isnan(low) else f"negative probability {low}")
     total = p.sum()
     if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")

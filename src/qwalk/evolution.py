@@ -1,5 +1,5 @@
-"""Single-step and multi-step walk evolution with position-dependent
-phase defects, plus dense step-matrix builders for small lattices.
+"""Multi-step walk evolution with position-dependent phase defects, plus
+dense step-matrix builders for small lattices.
 
 Step structure, fixed across the package:
 
@@ -18,10 +18,14 @@ reads it: the full-lattice and light-cone kernels and the dense step
 matrix.  The unit-axis walk of :mod:`qwalk.isomorphism` runs the same
 code with its own table.
 
-Boundaries: an ``"open"`` walk needs halfwidth >= max|start| + steps,
-so its light cone never leaves the lattice; :class:`WalkSpec` rejects
-any other.  ``"periodic"`` identifies site L+1 with -L per axis and
-exists mainly for matrix-level checks at small halfwidth.
+Boundaries are a property of the walk, and :class:`WalkSpec` alone reads
+them: it checks the boundary and picks the kernel.  An ``"open"`` walk
+needs halfwidth >= max|start| + steps, so its light cone never leaves the
+lattice; :class:`WalkSpec` rejects any other.  ``"periodic"`` identifies
+site L+1 with -L per axis and exists mainly for matrix-level checks at
+small halfwidth.  The operator itself knows no boundary: the full-lattice
+shift and the dense step matrix wrap periodically, which an open walk
+never reaches.
 
 Multi-step evolution of an open-boundary walk steps only the sites that
 can hold amplitude.  Every step moves each coordinate by +-1, so after t
@@ -71,8 +75,6 @@ __all__ = [
     "DefectMap",
     "WalkSpec",
     "StepReport",
-    "apply_step_1d",
-    "apply_step_2d",
     "evolve",
     "run_walk",
     "build_step_matrix",
@@ -225,11 +227,11 @@ class _Stepper:
     """One walk operator, checked once: coin field, defect phase, lattice.
 
     Every kernel and dense step matrix is built from one.  ``step(state,
-    moves)`` advances a dense state on the full lattice, coin component c
-    moving by ``moves[c]``: the periodic walk, the open single steps and
-    the unit-axis walk.  ``cone_step`` advances an open walk's
+    moves)`` advances a dense state on the full lattice, periodic, coin
+    component c moving by ``moves[c]``: the periodic walk and the
+    unit-axis walk.  ``cone_step`` advances an open walk's
     :class:`SublatticeState` by ``self.moves``, the diagonal walk's table.
-    Building one checks the lattice, boundary, coins and every listed site.
+    Building one checks the lattice, coins and every listed site.
     """
 
     def __init__(
@@ -238,13 +240,9 @@ class _Stepper:
         halfwidth: int,
         coin: NDArray[np.complex128] | CoinField,
         defect: DefectMap | None,
-        boundary: Boundary,
     ):
-        if boundary not in ("open", "periodic"):
-            raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
         d = self.dim = _dimensionality(dimensionality)
         L = self.halfwidth = _halfwidth(halfwidth)
-        self.boundary = boundary
         self.moves = _DIAGONAL_MOVES[d]
         # Per coin component, its offset along each axis in a cone_step plane.
         self.offsets = [[(1 + s) // 2 for s in move] for move in self.moves]
@@ -299,19 +297,11 @@ class _Stepper:
         return SublatticeState(self.dim, self.halfwidth, first, out)
 
     def _shift(self, m: NDArray[np.complex128], moves: _Moves) -> NDArray[np.complex128]:
-        """Move each coin component of the full lattice by its entry of ``moves``."""
+        """Move each coin component of the full lattice by its entry of
+        ``moves``, periodic."""
         out = np.empty_like(m)
         for c, move in enumerate(moves):
             out[..., c] = np.roll(m[..., c], move, axis=tuple(range(self.dim)))
-        # On the open lattice the slab a roll carries around an edge is the
-        # amplitude the move would push past that edge, so it must be zero.
-        if self.boundary == "open" and any(
-            np.any(out[(slice(None),) * axis + (0 if s > 0 else -1, Ellipsis, c)])
-            for c, move in enumerate(moves)
-            for axis, s in enumerate(move)
-            if s
-        ):
-            raise IndexError("step would shift amplitude past the open lattice edge")
         return out
 
 
@@ -334,42 +324,19 @@ class _Buffers(list):
         return flat.reshape(shape[-1:] + shape[:-1]).transpose(self.axes)
 
 
-def apply_step_1d(
-    state: WalkerState,
-    coin: NDArray[np.complex128] | CoinField,
-    defect: DefectMap | None = None,
-    boundary: Boundary = "open",
-) -> WalkerState:
-    """One step of the 1D walk: coin, source-site phase, conditional shift."""
-    if state.dimensionality != 1:
-        raise ValueError("apply_step_1d expects a 1D state")
-    return _Stepper(1, state.halfwidth, coin, defect, boundary).step(state, _DIAGONAL_MOVES[1])
-
-
-def apply_step_2d(
-    state: WalkerState,
-    coin: NDArray[np.complex128] | CoinField,
-    defect: DefectMap | None = None,
-    boundary: Boundary = "open",
-) -> WalkerState:
-    """One step of the 2D walk: coin, source-site phase, conditional shift."""
-    if state.dimensionality != 2:
-        raise ValueError("apply_step_2d expects a 2D state")
-    return _Stepper(2, state.halfwidth, coin, defect, boundary).step(state, _DIAGONAL_MOVES[2])
-
-
 @dataclass(frozen=True, eq=False)
 class WalkSpec:
     """Complete walk configuration; an accepted spec runs to its last step.
 
-    ``halfwidth`` defaults to ``max(steps, 1)``.  An open-boundary walk
-    needs ``max|start| + steps <= halfwidth``, so its light cone stays on
-    the lattice; the coins and every coin and defect site are checked by
-    building the walk's stepper, which :func:`evolve` runs.  ``initial_coin``
-    defaults to the symmetric coin state, kept as the checked vector, and
-    ``initial_position`` to the origin.  The spec is frozen and compares
-    and hashes by identity; ``dataclasses.replace`` checks the new spec,
-    keeping ``halfwidth``.
+    ``halfwidth`` defaults to ``max(steps, 1)``.  ``boundary`` is
+    ``"open"`` or ``"periodic"``; the spec is the one reader of it.  An
+    open-boundary walk needs ``max|start| + steps <= halfwidth``, so its
+    light cone stays on the lattice; the coins and every coin and defect
+    site are checked by building the walk's stepper, which :func:`evolve`
+    runs.  ``initial_coin`` defaults to the symmetric coin state, kept as
+    the checked vector, and ``initial_position`` to the origin.  The spec
+    is frozen and compares and hashes by identity; ``dataclasses.replace``
+    checks the new spec, keeping ``halfwidth``.
     """
 
     dimensionality: int
@@ -398,13 +365,15 @@ class WalkSpec:
                 f"open boundary needs halfwidth >= max|start| + steps = "
                 f"{reach + steps}, got {L}"
             )
+        if self.boundary not in ("open", "periodic"):
+            raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         coin = symmetric_coin(d) if self.initial_coin is None else self.initial_coin
         put = partial(object.__setattr__, self)  # frozen: set once, when checked
         put("dimensionality", d)
         put("steps", steps)
         put("halfwidth", L)
         put("initial_position", start[0] if d == 1 else start)
-        put("_stepper", _Stepper(d, L, self.coin, self.defect, self.boundary))
+        put("_stepper", _Stepper(d, L, self.coin, self.defect))
         put("initial_coin", as_coin_state(coin, d).copy())  # the caller's array may change
 
     def __reduce__(self):  # pickle and copy rebuild the stepper, checking again
@@ -485,17 +454,12 @@ def build_step_matrix(
     halfwidth: int,
     coin: NDArray[np.complex128] | CoinField,
     defect: DefectMap | None = None,
-    boundary: Boundary = "periodic",
 ) -> NDArray[np.complex128]:
-    """Dense unitary matrix of one step on the packed basis.
-
-    Only the periodic boundary is supported: truncating shifts at an open
-    edge would not give a unitary matrix.  Total dimension is capped at
-    ``MAX_MATRIX_DIM``.
+    """Dense unitary matrix of one step on the packed basis, periodic on
+    the lattice: truncating shifts at an open edge would not give a
+    unitary matrix.  Total dimension is capped at ``MAX_MATRIX_DIM``.
     """
-    if boundary != "periodic":
-        raise ValueError("build_step_matrix supports only the periodic boundary")
-    stepper = _Stepper(dimensionality, halfwidth, coin, defect, boundary)
+    stepper = _Stepper(dimensionality, halfwidth, coin, defect)
     return _step_matrix(stepper, stepper.moves)
 
 

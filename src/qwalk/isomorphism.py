@@ -26,11 +26,18 @@ and read by both operators, carried to the 2D sites through the site
 permutation for the single walker.  The check compares the two operators
 column by column, relabeling the 2D walker's target sites through the
 site permutation: the same number as the dense max |U_two - P^T U_2d P|,
-without building a dense operator.  The dense builders
-(:func:`build_two_walker_matrix`, :func:`transformed_step_matrix`,
-:meth:`BasisPermutation.conjugate`) remain as the public API and as the
-tests' reference.  The scatter and the move tables are checked on their
-own against the independent brute-force walk of the test oracle.
+without building a dense operator.  No command builds one, yet the
+dense builders stay public, for what they are the reference of:
+
+* :func:`build_two_walker_matrix`, :func:`transformed_step_matrix` and
+  :meth:`BasisPermutation.conjugate` give the dense max |U_two - P^T U_2d
+  P| that the tests hold the column check to, and the benchmark's tracer
+  wraps each by name.
+* :meth:`BasisPermutation.matrix` is the explicit P that the tests hold
+  :meth:`~BasisPermutation.conjugate` to.
+
+The scatter and the move tables are checked on their own against the
+independent brute-force walk of the test oracle.
 """
 
 from __future__ import annotations
@@ -167,7 +174,7 @@ def build_two_walker_matrix(
     the single-step 2D walk matrix, which is exactly the point of the
     equivalence.
     """
-    return build_step_matrix(2, halfwidth, coin4, defect, "periodic")
+    return build_step_matrix(2, halfwidth, coin4, defect)
 
 
 # Post-coin index k = 2c + d -> unit axis move of the single 2D walker.
@@ -185,7 +192,7 @@ def transformed_step_matrix(
     :func:`transform_defect` to carry a two-walker defect across).  A
     site-dependent ``CoinField`` is likewise keyed by 2D coordinates.
     """
-    return _step_matrix(_Stepper(2, halfwidth, coin4, defect, "periodic"), _AXIS_MOVES)
+    return _step_matrix(_Stepper(2, halfwidth, coin4, defect), _AXIS_MOVES)
 
 
 def transform_defect(defect: DefectMap | None, halfwidth: int) -> DefectMap:
@@ -228,7 +235,7 @@ def _deviation(
     the two sites agree the entries meet; elsewhere each meets the dense
     zero and counts at its full modulus.
     """
-    stepper = _Stepper(2, halfwidth, coin4, defect, "periodic")
+    stepper = _Stepper(2, halfwidth, coin4, defect)
     blocks, L = _site_blocks(stepper), stepper.halfwidth
     perm = _permutation(L) if pair_map is None else BasisPermutation.build(L, pair_map)
     tau = perm.indices[::4] // 4
@@ -373,7 +380,9 @@ def axis_walk_state(
     This is the transformed side of the equivalence at state-vector level;
     the plain 2D walk in :mod:`qwalk.evolution` moves diagonally instead.
     ``steps``, ``halfwidth`` and ``initial_coin`` are checked by
-    :class:`WalkSpec`, and the norm of every step as in ``evolve``.
+    :class:`WalkSpec`, and the norm of every step as in ``evolve``.  A
+    unit move goes one site a step, so the open spec's light cone keeps
+    the full-lattice step from ever wrapping.
     """
     spec = WalkSpec(2, steps, coin4, initial_coin=initial_coin, halfwidth=halfwidth)
     advance = functools.partial(spec._stepper.step, moves=_AXIS_MOVES)

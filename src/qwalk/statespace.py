@@ -1,4 +1,5 @@
-"""Walker state space: basis labels, dense amplitude storage, index packing.
+"""Walker state space: dense amplitude storage, whose C-order flattening
+is the packed basis, and the light-cone sublattice.
 
 Conventions, frozen here and relied on by the matrix builders and tests:
 
@@ -7,7 +8,8 @@ Conventions, frozen here and relied on by the matrix builders and tests:
   positions before coin.
 * The 2D coin pair ``(c, d)`` is flattened to ``k = 2*c + d``, ordered
   ``00, 01, 10, 11`` (first bit steers x, second steers y).
-* Packed indices are the C-order flattening of those axes:
+* Packed indices are the C-order flattening of those axes, so an
+  amplitude array's ``ravel()`` is the packed vector:
   ``pack(x, c) = (x + L)*2 + c`` and
   ``pack(x, y, c, d) = ((x + L)*(2L+1) + (y + L))*4 + 2*c + d``.
 
@@ -29,16 +31,12 @@ from numpy.typing import NDArray
 
 __all__ = [
     "NORM_TOL",
-    "BasisLabel1D",
-    "BasisLabel2D",
     "WalkerState",
     "SublatticeState",
     "state_dimension",
     "localized_state",
     "symmetric_coin",
     "as_coin_state",
-    "pack_index",
-    "unpack_index",
 ]
 
 # Unit-norm tolerance: double precision leaves this much headroom over
@@ -98,42 +96,10 @@ def _sites_index(
     return np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality)
 
 
-def _check_coin_bit(name: str, value: int) -> None:
-    if _integer(value, f"coin bit {name}") not in (0, 1):
-        raise ValueError(f"coin bit {name} must be 0 or 1, got {value!r}")
-
-
-@dataclass(frozen=True)
-class BasisLabel1D:
-    """Basis label |x, c> for the 1D walk: lattice site x and coin bit c."""
-
-    x: int
-    c: int
-
-    def __post_init__(self) -> None:
-        _coordinates(self.x, 1, "x")
-        _check_coin_bit("c", self.c)
-
-
-@dataclass(frozen=True)
-class BasisLabel2D:
-    """Basis label |x, y, c, d> for the 2D walk."""
-
-    x: int
-    y: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        _coordinates((self.x, self.y), 2, "(x, y)")
-        _check_coin_bit("c", self.c)
-        _check_coin_bit("d", self.d)
-
-
 def state_dimension(dimensionality: int, halfwidth: int) -> int:
     """Total Hilbert-space dimension: 2(2L+1) in 1D, 4(2L+1)^2 in 2D."""
     d = _dimensionality(dimensionality)
-    return 2 * d * (2 * halfwidth + 1) ** d
+    return 2 * d * (2 * _halfwidth(halfwidth) + 1) ** d
 
 
 @dataclass
@@ -305,31 +271,3 @@ def localized_state(
     amps = np.zeros((2 * L + 1,) * d + vec.shape, dtype=np.complex128)
     amps[_site_index(origin, L, d, "origin")] = vec
     return WalkerState(d, L, amps)
-
-
-def pack_index(label: BasisLabel1D | BasisLabel2D, halfwidth: int) -> int:
-    """Packed index of a basis label, position-major, coin-minor."""
-    L = _halfwidth(halfwidth)
-    if isinstance(label, BasisLabel1D):
-        (i,) = _site_index(label.x, L, 1, "x")
-        return i * 2 + label.c
-    if isinstance(label, BasisLabel2D):
-        i, j = _site_index((label.x, label.y), L, 2, "(x, y)")
-        return (i * (2 * L + 1) + j) * 4 + 2 * label.c + label.d
-    raise TypeError(f"unsupported label type {type(label).__name__}")
-
-
-def unpack_index(
-    index: int, halfwidth: int, dimensionality: int
-) -> BasisLabel1D | BasisLabel2D:
-    """Inverse of :func:`pack_index` over the contiguous range 0..dim-1."""
-    L = _halfwidth(halfwidth)
-    dim = state_dimension(dimensionality, L)
-    if not 0 <= index < dim:
-        raise IndexError(f"packed index {index} outside 0..{dim - 1}")
-    if dimensionality == 1:
-        pos, c = divmod(index, 2)
-        return BasisLabel1D(pos - L, c)
-    pos, k = divmod(index, 4)
-    xi, yi = divmod(pos, 2 * L + 1)
-    return BasisLabel2D(xi - L, yi - L, k >> 1, k & 1)

@@ -281,8 +281,11 @@ def test_summaries_of_the_cone_grid_match_the_dense_state(spec):
 
 
 def test_nan_probabilities_are_rejected():
-    with pytest.raises(ValueError):
+    # A NaN used to be reported as "negative probability nan".
+    with pytest.raises(ValueError, match=r"^probability is NaN$"):
         Distribution(np.array([0.5, np.nan, 0.5]), 1)
+    with pytest.raises(ValueError, match=r"^negative probability -0\.5$"):
+        Distribution(np.array([0.5, -0.5, 1.0]), 1)
     state = localized_state(2, 2, (0, 0), symmetric_coin(2))
     state.amplitudes[1, 1, 0] = np.nan
     with pytest.raises(ValueError):

@@ -355,7 +355,7 @@ def test_run_rejects_nan_initial_coin(tmp_path):
 @pytest.mark.parametrize(
     "rows, error",
     [("x,y,p\n0,abc,1\n", "line 2: expected 3 numbers"), ("x,y,p\n0,0\n", "line 2: expected"),
-     ("x,y,p\n0,0,nan\n", "probability nan"), ("x,y,q\n0,0,1\n", "must have header"),
+     ("x,y,p\n0,0,nan\n", r"^reference: .*ref\.csv: probability is NaN$"), ("x,y,q\n0,0,1\n", "must have header"),
      ("", "must have header"), ("x,y,p\n", "no data rows"), ("x,y,p\n\n\n", "no data rows")],
     ids=["non-numeric", "short-row", "nan", "bad-header", "empty", "header-only",
          "blank-rows-only"],
@@ -369,6 +369,39 @@ def test_run_rejects_malformed_reference(tmp_path, rows, error):
         read_distribution_csv(str(ref))
     assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{},
+     {"defect": {"kind": "line_y", "phi": "pi:0.5"}},
+     {"dimensionality": 1, "defect": {"kind": "point", "phi": "pi:0.7"}, "initial": {"position": 0}}],
+    ids=["2d-cross", "2d-line", "1d-point"],
+)
+def test_a_periodic_run_whose_cone_fits_prints_the_open_run(overrides, tmp_path):
+    # The open walk steps its light cone, the periodic one the full lattice;
+    # with the cone on the lattice neither wraps, so they print the same
+    # distribution.csv bytes and the same recurrences.  The variances and
+    # norm_residual are sums taken in each kernel's own order (README
+    # "Numerical contracts"), so they agree only to rounding.
+    runs = {}
+    for boundary in ("open", "periodic"):
+        cfg_path = tmp_path / f"{boundary}.json"
+        write_config(cfg_path, steps=20, boundary=boundary, out_dir=str(tmp_path / boundary),
+                     **overrides)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / boundary / "summary.json").read_text())
+        assert summary["config"].pop("boundary") == boundary
+        summary.pop("timing_seconds")
+        runs[boundary] = summary, (tmp_path / boundary / "distribution.csv").read_bytes()
+    (open_run, open_csv), (periodic, periodic_csv) = runs["open"], runs["periodic"]
+    assert open_csv == periodic_csv
+    assert open_run["config"] == periodic["config"]
+    rows = zip([open_run["final"], *open_run["per_step"]],
+               [periodic["final"], *periodic["per_step"]], strict=True)
+    for a, b in rows:
+        assert a["recurrence"] == b["recurrence"]
+        assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
 
 
 def test_a_reference_skips_blank_rows(tmp_path):

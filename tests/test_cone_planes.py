@@ -36,7 +36,7 @@ def reference_cone_step(self, grid, scratch):
 
 def reference_grids(spec):
     d = spec.dimensionality
-    stepper = _Stepper(d, spec.halfwidth, spec.coin, spec.defect, spec.boundary)
+    stepper = _Stepper(d, spec.halfwidth, spec.coin, spec.defect)
     grid = spec.initial_grid()
     scratch = np.empty(max(spec.steps, 1) ** d * 2 * d, dtype=np.complex128)
     for _ in range(spec.steps):

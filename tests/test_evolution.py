@@ -18,8 +18,6 @@ from qwalk.evolution import (
     DefectMap,
     WalkSpec,
     _Stepper,
-    apply_step_1d,
-    apply_step_2d,
     build_step_matrix,
     evolve,
     run_walk,
@@ -48,7 +46,8 @@ def probs(state):
 
 def test_one_step_hadamard():
     s = localized_state(1, 2, 0, [1, 0])
-    s = apply_step_1d(s, H)
+    stepper = _Stepper(1, 2, H, None)
+    s = stepper.step(s, stepper.moves)
     p = probs(s)
     assert p[3] == pytest.approx(0.5)  # x = +1
     assert p[1] == pytest.approx(0.5)  # x = -1
@@ -56,8 +55,9 @@ def test_one_step_hadamard():
 
 def test_two_step_hadamard_distribution():
     s = localized_state(1, 2, 0, [1, 0])
+    stepper = _Stepper(1, 2, H, None)
     for _ in range(2):
-        s = apply_step_1d(s, H)
+        s = stepper.step(s, stepper.moves)
     p = probs(s)
     np.testing.assert_allclose(p, [0.25, 0, 0.5, 0, 0.25], atol=1e-12)
 
@@ -66,8 +66,9 @@ def test_two_step_matches_brute_force_oracle():
     amps = brute_force_walk_1d(2, hadamard(), [1, 0])
     oracle = distribution_1d(amps, 2)
     s = localized_state(1, 2, 0, [1, 0])
+    stepper = _Stepper(1, 2, H, None)
     for _ in range(2):
-        s = apply_step_1d(s, H)
+        s = stepper.step(s, stepper.moves)
     np.testing.assert_allclose(probs(s), oracle, atol=1e-13)
 
 
@@ -83,7 +84,8 @@ def test_zero_steps_identity():
 
 def test_one_step_2d_uniform_quarter():
     s = localized_state(2, 1, (0, 0), symmetric_coin(2))
-    s = apply_step_2d(s, H2)
+    stepper = _Stepper(2, 1, H2, None)
+    s = stepper.step(s, stepper.moves)
     p = probs(s)
     for xi, yi in [(0, 0), (0, 2), (2, 0), (2, 2)]:
         assert p[xi, yi] == pytest.approx(0.25, abs=1e-12)
@@ -92,8 +94,10 @@ def test_one_step_2d_uniform_quarter():
 
 def test_first_step_cross_defect_phase_is_global():
     a = localized_state(2, 1, (0, 0), symmetric_coin(2))
-    plain = apply_step_2d(a, H2)
-    defected = apply_step_2d(a, H2, DefectMap.cross_xy(1.234))
+    plain, defected = (
+        stepper.step(a, stepper.moves)
+        for stepper in (_Stepper(2, 1, H2, None), _Stepper(2, 1, H2, DefectMap.cross_xy(1.234)))
+    )
     np.testing.assert_allclose(probs(plain), probs(defected), atol=1e-14)
 
 
@@ -139,11 +143,10 @@ def test_evolve_reports_and_norms():
 
 def test_evolve_matches_repeated_apply_step():
     spec = WalkSpec(2, 6, H2, DefectMap.line_y(0.9))
-    manual = spec.initial_state()
-    for report in evolve(spec):
-        manual = apply_step_2d(manual, H2, spec.defect)
+    full = evolve(dataclasses.replace(spec, boundary="periodic"))
+    for report, manual in zip(evolve(spec), full, strict=True):
         np.testing.assert_allclose(
-            report.state.amplitudes, manual.amplitudes, atol=1e-13
+            report.state.amplitudes, manual.grid.amplitudes, atol=1e-13
         )
 
 
@@ -152,18 +155,14 @@ def test_evolve_windowed_matches_full_grid():
     # full sweep; results must agree
     base = WalkSpec(2, 5, H2, DefectMap.cross_xy(0.8), halfwidth=9)
     windowed = run_walk(base)
-    manual = base.initial_state()
-    for _ in range(5):
-        manual = apply_step_2d(manual, H2, base.defect)
+    manual = run_walk(dataclasses.replace(base, boundary="periodic"))
     np.testing.assert_allclose(windowed.amplitudes, manual.amplitudes, atol=1e-13)
 
 
 def test_evolve_off_center_start():
     spec = WalkSpec(2, 3, H2, initial_position=(2, -1), halfwidth=6)
     final = run_walk(spec)
-    manual = spec.initial_state()
-    for _ in range(3):
-        manual = apply_step_2d(manual, H2)
+    manual = run_walk(dataclasses.replace(spec, boundary="periodic"))
     np.testing.assert_allclose(final.amplitudes, manual.amplitudes, atol=1e-13)
     assert final.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -177,9 +176,7 @@ def test_off_center_start_whose_cone_leaves_the_lattice_is_rejected():
         WalkSpec(1, 3, eye, initial_position=2, halfwidth=4, initial_coin=[0, 1])
     spec = WalkSpec(1, 3, eye, initial_position=2, halfwidth=5, initial_coin=[0, 1])
     final = run_walk(spec)
-    manual = spec.initial_state()
-    for _ in range(3):
-        manual = apply_step_1d(manual, eye)
+    manual = run_walk(dataclasses.replace(spec, boundary="periodic"))
     np.testing.assert_allclose(final.amplitudes, manual.amplitudes, atol=1e-13)
 
 
@@ -191,14 +188,26 @@ def test_off_center_start_escaping_raises():
 
 
 @pytest.mark.parametrize(
-    "step, state",
-    [(apply_step_1d, localized_state(2, 2, (0, 0), symmetric_coin(2))),
-     (apply_step_2d, localized_state(1, 2, 0, symmetric_coin(1)))],
-    ids=["1d-step-of-a-2d-state", "2d-step-of-a-1d-state"],
+    "dim, edge",
+    [(1, 1), (1, -1), (2, (1, 0)), (2, (-1, 0)), (2, (0, 1)), (2, (0, -1))],
+    ids=["1d-right", "1d-left", "2d-right", "2d-left", "2d-top", "2d-bottom"],
 )
-def test_a_step_rejects_a_state_of_the_other_dimensionality(step, state):
-    with pytest.raises(ValueError, match=f"{step.__name__} expects a"):
-        step(state, H if state.dimensionality == 1 else H2)
+def test_an_open_walk_never_steps_off_an_edge(dim, edge):
+    # A start one site inside the edge may take one step onto it, not two:
+    # the spec refuses the second before any step, whichever edge it is.
+    L, coin = 3, H if dim == 1 else H2
+    start = (L - 1) * edge if dim == 1 else tuple((L - 1) * e for e in edge)
+    with pytest.raises(ValueError, match="open boundary needs halfwidth >= max"):
+        WalkSpec(dim, 2, coin, initial_position=start, halfwidth=L)
+    final = run_walk(WalkSpec(dim, 1, coin, initial_position=start, halfwidth=L))
+    # The sites of the edge's row (2D) or the edge site (1D) hold half the
+    # probability: the half of the coin that moved outwards.
+    axis, sign = (0, edge) if dim == 1 else (edge.index(0) ^ 1, sum(edge))
+    on_edge = np.take(final.amplitudes, L + sign * L, axis=axis)
+    assert np.sum(np.abs(on_edge) ** 2) == pytest.approx(0.5, abs=1e-12)
+    assert final.norm() == pytest.approx(1.0, abs=1e-12)
+    wrapped = run_walk(WalkSpec(dim, 2, coin, initial_position=start, halfwidth=L, boundary="periodic"))
+    assert wrapped.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spec_validation():
@@ -208,7 +217,7 @@ def test_spec_validation():
         WalkSpec(3, 1, H)
     with pytest.raises(ValueError):
         WalkSpec(1, 5, H, halfwidth=3)  # open boundary needs L >= t
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="boundary must be 'open' or 'periodic', got 'reflecting'"):
         WalkSpec(1, 2, H, boundary="reflecting")
     WalkSpec(1, 5, H, halfwidth=3, boundary="periodic")  # fine when periodic
 
@@ -398,12 +407,6 @@ def test_spec_accepts_numpy_integers():
     assert all(type(v) is int for v in (spec.steps, spec.halfwidth, *spec.initial_position))
 
 
-def test_open_edge_raises():
-    s = localized_state(1, 1, 1, [1, 0])  # on the right edge, moving +1
-    with pytest.raises(IndexError):
-        apply_step_1d(s, np.eye(2, dtype=complex))
-
-
 def test_norm_preserved_random_coins_and_defects():
     rng = np.random.default_rng(42)
     defects = [
@@ -451,9 +454,9 @@ def test_site_dependent_coin_field():
     final = run_walk(WalkSpec(2, 3, fld))
     # first step from the origin uses the special coin
     manual = localized_state(2, 3, (0, 0), symmetric_coin(2))
-    manual = apply_step_2d(manual, special)
-    manual = apply_step_2d(manual, fld)
-    manual = apply_step_2d(manual, fld)
+    for coin in (special, fld, fld):
+        stepper = _Stepper(2, 3, coin, None)
+        manual = stepper.step(manual, stepper.moves)
     np.testing.assert_allclose(final.amplitudes, manual.amplitudes, atol=1e-13)
 
 
@@ -492,23 +495,32 @@ def test_step_matrix_matches_apply_step(dim, L):
         amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         amps = (amps / np.linalg.norm(amps)).astype(complex)
         state = WalkerState(dim, L, amps)
-        step = apply_step_1d if dim == 1 else apply_step_2d
-        direct = step(state, coin, defect, boundary="periodic")
+        stepper = _Stepper(dim, L, coin, defect)
+        direct = stepper.step(state, stepper.moves)
         via_matrix = U @ state.packed()
         np.testing.assert_allclose(
             via_matrix, direct.packed(), atol=1e-13
         )
 
 
+@pytest.mark.parametrize("dim, L", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_step_matrix_is_the_periodic_walk(dim, L):
+    # Five steps on a halfwidth below five wrap round the lattice: powers
+    # of the matrix follow the periodic walk, wrapping included.
+    coin = H if dim == 1 else H2
+    defect = DefectMap.custom({0: 0.9}) if dim == 1 else DefectMap.cross_xy(0.9)
+    spec = WalkSpec(dim, 5, coin, defect, halfwidth=L, boundary="periodic")
+    U = build_step_matrix(dim, L, coin, defect)
+    vec = spec.initial_state().packed()
+    for report in evolve(spec):
+        vec = U @ vec
+        np.testing.assert_allclose(vec, report.state.packed(), atol=1e-13)
+
+
 def test_step_matrix_dimension_cap():
     with pytest.raises(ValueError):
         build_step_matrix(2, 40, H2)
     assert MAX_MATRIX_DIM == 16384
-
-
-def test_step_matrix_rejects_open_boundary():
-    with pytest.raises(ValueError):
-        build_step_matrix(1, 2, H, boundary="open")
 
 
 # ------------------------------------------- light-cone kernel vs oracle
@@ -617,16 +629,17 @@ def test_evolve_matches_oracle(case):
     ids=["2d-cross", "1d-point-su2", "2d-field-custom-offcentre"],
 )
 def test_cone_kernel_matches_full_lattice_kernel(spec, tmp_path):
-    step = apply_step_1d if spec.dimensionality == 1 else apply_step_2d
-    manual = spec.initial_state()
-    for report in evolve(spec):
+    # The periodic walk of the same halfwidth steps the full lattice and,
+    # the cone fitting, never wraps.
+    full = evolve(dataclasses.replace(spec, boundary="periodic"))
+    for report, manual in zip(evolve(spec), full, strict=True):
         assert isinstance(report.grid, SublatticeState)
-        manual = step(manual, spec.coin, spec.defect)
+        assert isinstance(manual.grid, WalkerState)
         np.testing.assert_allclose(
-            report.state.amplitudes, manual.amplitudes, rtol=0, atol=1e-13
+            report.state.amplitudes, manual.grid.amplitudes, rtol=0, atol=1e-13
         )
     write_distribution_csv(tmp_path / "cone.csv", distribution(report.grid))
-    write_distribution_csv(tmp_path / "full.csv", distribution(manual))
+    write_distribution_csv(tmp_path / "full.csv", distribution(manual.grid))
     assert (tmp_path / "cone.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
@@ -647,10 +660,9 @@ def test_report_state_is_dense_walker_state(boundary):
 def test_held_reports_keep_their_own_amplitudes():
     spec = WalkSpec(2, 5, H2, DefectMap.cross_xy(0.7))
     reports = list(evolve(spec))
-    manual = spec.initial_state()
-    for report in reports:
-        manual = apply_step_2d(manual, H2, spec.defect)
-        np.testing.assert_allclose(report.state.amplitudes, manual.amplitudes, atol=1e-13)
+    full = evolve(dataclasses.replace(spec, boundary="periodic"))
+    for report, manual in zip(reports, full, strict=True):
+        np.testing.assert_allclose(report.state.amplitudes, manual.grid.amplitudes, atol=1e-13)
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -842,15 +854,3 @@ def test_cone_walk_holds_no_lattice_sized_tables(coin, defect):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def test_open_edge_raises_for_every_2d_move():
-    # Component k sits on the edge its move leaves; the same amplitude one
-    # site inside steps cleanly.
-    for k, (dx, dy) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
-        for edge in ((dx, 0), (0, dy)):
-            coin = np.eye(4)[k]
-            with pytest.raises(IndexError):
-                apply_step_2d(localized_state(2, 2, (2 * edge[0], 2 * edge[1]), coin), np.eye(4))
-            inside = localized_state(2, 2, (edge[0], edge[1]), coin)
-            assert apply_step_2d(inside, np.eye(4)).norm() == pytest.approx(1.0)

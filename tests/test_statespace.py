@@ -6,16 +6,12 @@ from qwalk.coins import CoinField, hadamard, tensor
 from qwalk.evolution import DefectMap
 from qwalk.isomorphism import BasisPermutation
 from qwalk.statespace import (
-    BasisLabel1D,
-    BasisLabel2D,
     SublatticeState,
     WalkerState,
     as_coin_state,
     localized_state,
-    pack_index,
     state_dimension,
     symmetric_coin,
-    unpack_index,
 )
 
 
@@ -68,19 +64,21 @@ def test_localized_state_rejects_nonunit_coin():
 
 def test_pack_order_1d():
     # declared row-major (x then c) ordering
-    assert pack_index(BasisLabel1D(-1, 0), 1) == 0
-    assert pack_index(BasisLabel1D(1, 1), 1) == 5
+    assert localized_state(1, 1, -1, [1, 0]).packed()[0] == 1
+    assert localized_state(1, 1, 1, [0, 1]).packed()[5] == 1
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_pack_unpack_bijection_1d(L):
+    # Each basis state packs to its own index, and unravelling the index
+    # over the amplitude table's shape gives its (x, c) back.
     seen = set()
     for x in range(-L, L + 1):
         for c in (0, 1):
-            label = BasisLabel1D(x, c)
-            i = pack_index(label, L)
-            assert unpack_index(i, L, 1) == label
-            seen.add(i)
+            state = localized_state(1, L, x, np.eye(2)[c])
+            (i,) = np.flatnonzero(state.packed())
+            assert np.unravel_index(i, state.amplitudes.shape) == (x + L, c)
+            seen.add(int(i))
     assert seen == set(range(state_dimension(1, L)))
 
 
@@ -91,43 +89,32 @@ def test_pack_unpack_bijection_2d(L):
         for y in range(-L, L + 1):
             for c in (0, 1):
                 for d in (0, 1):
-                    label = BasisLabel2D(x, y, c, d)
-                    i = pack_index(label, L)
-                    assert unpack_index(i, L, 2) == label
-                    seen.add(i)
+                    state = localized_state(2, L, (x, y), np.eye(4)[2 * c + d])
+                    (i,) = np.flatnonzero(state.packed())
+                    assert np.unravel_index(i, state.amplitudes.shape) == (x + L, y + L, 2 * c + d)
+                    seen.add(int(i))
     assert seen == set(range(state_dimension(2, L)))
 
 
-def test_pack_out_of_range():
-    with pytest.raises(IndexError):
-        pack_index(BasisLabel1D(3, 0), 2)
-    with pytest.raises(IndexError):
-        unpack_index(-1, 2, 1)
-    with pytest.raises(IndexError):
-        unpack_index(state_dimension(2, 2), 2, 2)
-
-
-def test_packed_matches_pack_index():
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_packed_matches_pack_index(L):
+    # The documented packed order, position-major and coin-minor:
+    # pack(x, c) = (x + L)*2 + c and
+    # pack(x, y, c, d) = ((x + L)*(2L+1) + (y + L))*4 + 2*c + d.
     rng = np.random.default_rng(3)
-    L = 2
     n = 2 * L + 1
-    amps = rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4))
-    amps /= np.linalg.norm(amps)
-    s = WalkerState(2, L, amps)
-    packed = s.packed()
-    for x in (-2, 0, 1):
-        for y in (-1, 2):
+    one = WalkerState(1, L, rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+    two = WalkerState(2, L, rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4)))
+    packed_1d, packed_2d = one.packed(), two.packed()
+    assert packed_1d.size == state_dimension(1, L) and packed_2d.size == state_dimension(2, L)
+    for x in range(-L, L + 1):
+        for c in (0, 1):
+            assert packed_1d[(x + L) * 2 + c] == one.amplitudes[x + L, c]
+        for y in range(-L, L + 1):
             for c in (0, 1):
                 for d in (0, 1):
-                    i = pack_index(BasisLabel2D(x, y, c, d), L)
-                    assert packed[i] == amps[x + L, y + L, 2 * c + d]
-
-
-def test_coin_bit_validation():
-    with pytest.raises(ValueError):
-        BasisLabel1D(0, 2)
-    with pytest.raises(ValueError):
-        BasisLabel2D(0, 0, 0, -1)
+                    i = ((x + L) * n + (y + L)) * 4 + 2 * c + d
+                    assert packed_2d[i] == two.amplitudes[x + L, y + L, 2 * c + d]
 
 
 def test_norm_scaling():
@@ -207,18 +194,16 @@ THREE = np.array([0.25, 0.5, 0.25])
         (lambda: DefectMap.custom({(True, 0): 1.0}).phase_grid(2, 2), ValueError),
         (lambda: DefectMap.custom({(1.0, 0): 1.0}).phase_grid(2, 2), ValueError),
         (lambda: DefectMap.custom({True: 1.0}).phase_grid(2, 1), ValueError),
-        (lambda: pack_index(BasisLabel1D(0.5, 0), 1), ValueError),
-        (lambda: pack_index(BasisLabel2D(True, 0, 0, 0), 1), ValueError),
-        (lambda: pack_index(BasisLabel1D(0, 0), 1.5), ValueError),
-        (lambda: unpack_index(3, True, 1), ValueError),
-        (lambda: BasisLabel1D(0, True), ValueError),
-        (lambda: pack_index(BasisLabel1D(0, 1.0), 1), ValueError),
-        (lambda: BasisLabel2D(0, 0, 0, 0.0), ValueError),
         (lambda: as_coin_state([1, 0, 0, 0], 3), ValueError),
         (lambda: as_coin_state([1, 0], True), ValueError),
         (lambda: as_coin_state([1, 0, 0], 2), ValueError),
-        (lambda: pack_index(BasisLabel1D(0, 0), 0), ValueError),
-        (lambda: pack_index((0, 0), 1), TypeError),
+        (lambda: state_dimension(1, 1.5), ValueError),
+        (lambda: state_dimension(2, True), ValueError),
+        (lambda: state_dimension(1, 0), ValueError),
+        (lambda: localized_state(1, 1.5, 0, [1, 0]), ValueError),
+        (lambda: localized_state(2, True, (0, 0), symmetric_coin(2)), ValueError),
+        (lambda: localized_state(1, 0, 0, [1, 0]), ValueError),
+        (lambda: localized_state(2, 2, (0,), symmetric_coin(2)), ValueError),
     ],
     ids=[
         "at-past-the-left-edge", "at-two-past-the-left-edge", "site-image-off-the-lattice",
@@ -226,18 +211,18 @@ THREE = np.array([0.25, 0.5, 0.25])
         "distribution-halfwidth-fraction", "walker-dimensionality-bool",
         "coin-field-dimensionality-bool", "coin-site-bool", "coin-site-fraction",
         "1d-coin-site-fraction", "custom-site-bool", "custom-site-fraction",
-        "1d-custom-site-bool", "label-x-fraction", "label-x-bool",
-        "pack-halfwidth-fraction", "unpack-halfwidth-bool", "coin-bit-bool",
-        "coin-bit-float", "2d-coin-bit-float", "coin-state-dimensionality-3",
-        "coin-state-dimensionality-bool", "coin-state-length-3", "pack-halfwidth-0",
-        "pack-a-tuple",
+        "1d-custom-site-bool", "coin-state-dimensionality-3",
+        "coin-state-dimensionality-bool", "coin-state-length-3",
+        "dimension-halfwidth-fraction", "dimension-halfwidth-bool", "dimension-halfwidth-0",
+        "localized-halfwidth-fraction", "localized-halfwidth-bool", "localized-halfwidth-0",
+        "2d-origin-of-one-coordinate",
     ],
 )
 def test_lattice_facts_are_integers_and_sites_lie_on_the_lattice(build, error):
     # Each of these used to give a plausible wrong answer: at(-2) read
     # p(+1), site_image(0, 2) gave the image of (1, -1), a first of 0.7
-    # became 0, a bool counted as 1, and pack_index returned 3.0.  A
-    # fractional custom site raised TypeError.
+    # became 0, a bool counted as 1, and state_dimension(1, 1.5) returned
+    # 8.0.  A fractional custom site raised TypeError.
     with pytest.raises(error):
         build()
 

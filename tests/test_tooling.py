@@ -33,3 +33,15 @@ def test_benchmark_tracer_finds_and_restores_every_wrapped_attribute():
     finally:
         tracer.uninstall()
     assert all(_attribute(*n) is b for n, b in zip(names, before))
+
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "qwalk"
+LINE_BUDGET = 2400
+
+
+def test_the_package_stays_inside_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in SOURCE.glob("*.py"))
+    assert lines <= LINE_BUDGET, (
+        f"src/qwalk has {lines} lines, over its budget of {LINE_BUDGET}: every line "
+        "added there must be paid for by a deletion (ROADMAP, 'The line budget')"
+    )
