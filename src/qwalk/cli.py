@@ -40,9 +40,9 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .analysis import Distribution, distribution, l1_distance, summarize
+from .analysis import Distribution, WalkSummary, distribution, l1_distance, summarize
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
-from .evolution import MAX_MATRIX_DIM, DefectMap, StepReport, WalkSpec, evolve
+from .evolution import MAX_MATRIX_DIM, STEP_NORM_TOL, DefectMap, StepReport, WalkSpec, evolve
 from .statespace import _integer
 from .isomorphism import (
     check_decomposition_claims,
@@ -70,6 +70,9 @@ MAX_THREADS = max(64, os.cpu_count() or 1)
 # and won 10-25 % above: OpenBLAS splits the 4-column coin GEMM only from about
 # 2^14 rows, and below that a second thread only splits the norm, then spins.
 _SPLIT_SITES = 1 << 14
+# A 2D start within this of rank 1 (|det| of its [c, d] table) runs as a product
+# a(x)b, which moves an amplitude by about |det|.  JSON-rounded products: ~1e-17.
+_RANK1_TOL = 1e-15
 
 
 class ConfigError(ValueError):
@@ -428,6 +431,56 @@ def _blas_threads(ceiling: int) -> Iterator[Callable[[WalkSpec], Iterator[StepRe
             put(count)
 
 
+def _factors(spec: WalkSpec, coin_form: Any) -> tuple[WalkSpec, ...]:
+    """``(fx, fy)``, 1D walks along x and y whose product is the 2D walk ``spec``
+    (a coin A(x)B: hadamard, identity, tensor; a phase g(x)h(y): none, line_y,
+    cross_xy; a start a(x)b), else ``(spec,)``; read from checked values only."""
+    if spec.dimensionality == 1 or spec.defect.kind not in ("none", "line_y", "cross_xy"):
+        return (spec,)
+    if coin_form in ("hadamard", "identity"):  # A(x)A
+        coin_form = {"kind": "tensor", "first": coin_form, "second": coin_form}
+    m = np.reshape(spec.initial_coin, (2, 2))  # [c, d]: c steers x, d steers y
+    if coin_form["kind"] != "tensor" or not abs(np.linalg.det(m)) <= _RANK1_TOL:
+        return (spec,)
+    rows = np.linalg.norm(m, axis=1)
+    b = m[np.argmax(rows)] / rows.max()  # the longer row is a multiple of b
+    coins = [_parse_coin(coin_form[k], 1)[0] for k in ("first", "second")]
+    none, point = DefectMap.none(), DefectMap.point(spec.defect.phi)
+    defects = {"none": (none, none), "line_y": (none, point), "cross_xy": (point, point)}
+    return tuple(
+        _checked(WalkSpec, 1, spec.steps, coin, defect, initial_position=x0, initial_coin=start,
+                 boundary=spec.boundary, halfwidth=spec.halfwidth)
+        for coin, defect, x0, start in
+        zip(coins, defects[spec.defect.kind], spec.initial_position, (m @ b.conj(), b))
+    )
+
+
+def _stepped(walks: tuple[WalkSpec, ...], steps: Callable) -> Iterator[tuple[int, tuple, float]]:
+    """The step, the grids and the norm residual after each step of one walk,
+    or of the product of two 1D walks: |1 - nx*ny|, checked as a step is."""
+    for reports in zip(*map(steps, walks)):
+        step, r = reports[0].step, abs(1.0 - math.prod(report.norm_sq for report in reports))
+        if not r <= STEP_NORM_TOL:  # a product's; each factor's passed its own step
+            raise RuntimeError(f"norm residual {r:.3e} at step {step} exceeds {STEP_NORM_TOL}")
+        yield step, tuple(report.grid for report in reports), r
+
+
+def _summary(step: int, grids: tuple) -> WalkSummary:
+    """``summarize`` of one grid, or of the product of two 1D grids from
+    theirs: P(origin) px(0) py(0), and each axis's variance from its factor."""
+    if len(grids) == 1:
+        return summarize(step, grids[0])
+    sx, sy = (summarize(step, grid) for grid in grids)
+    return WalkSummary(step, sx.recurrence * sy.recurrence, sx.variance_x, sy.variance_x)
+
+
+def _distribution(grids: tuple) -> Distribution:
+    """``distribution`` of one grid, or of the product of two 1D grids: the
+    outer product of theirs, checked."""
+    px, *py = (distribution(grid) for grid in grids)
+    return Distribution(np.outer(px.probs, py[0].probs), px.halfwidth) if py else px
+
+
 def cmd_run(cfg: dict) -> int:
     spec, echo = _walk(cfg)
     formats = cfg.get("formats", ["csv", "json"])
@@ -451,27 +504,25 @@ def cmd_run(cfg: dict) -> int:
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
-    grid = spec.initial_grid()
+    walks = _factors(spec, echo["coin"])
+    grids = tuple(walk.initial_grid() for walk in walks)
     with _blas_threads(echo["threads"]) as steps:
-        for report in steps(spec):
-            grid = report.grid
-            s = summarize(report.step, grid)
+        for step, grids, residual in _stepped(walks, steps):
+            s = _summary(step, grids)
             per_step.append(
                 {
                     "step": s.step,
                     "recurrence": s.recurrence,
                     "variance_x": s.variance_x,
                     "variance_y": s.variance_y,
-                    "norm_residual": report.norm_residual,
+                    "norm_residual": residual,
                 }
             )
             if emit_per_step and "csv" in formats:
-                write_distribution_csv(
-                    out_dir / f"step_{report.step:04d}.csv", distribution(grid)
-                )
+                write_distribution_csv(out_dir / f"step_{step:04d}.csv", _distribution(grids))
     elapsed = time.perf_counter() - t0
 
-    final_dist = distribution(grid)
+    final_dist = _distribution(grids)
     if "csv" in formats:
         write_distribution_csv(out_dir / "distribution.csv", final_dist)
     last = per_step[-1] if per_step else {}  # a walk of no steps: all null
@@ -527,12 +578,12 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["defect"] = base
 
 
-def _sweep_point(kind: str, phi_token: Any, spec: WalkSpec, steps: Callable) -> list:
+def _sweep_point(kind: str, phi_token: Any, walks: tuple[WalkSpec, ...], steps: Callable) -> list:
     """The ``sweep.csv`` row of one grid point, stepped by ``steps``."""
-    grid = spec.initial_grid()
-    for report in steps(spec):
-        grid = report.grid
-    s = summarize(spec.steps, grid)
+    grids = tuple(walk.initial_grid() for walk in walks)
+    for _, grids, _ in _stepped(walks, steps):
+        pass
+    s = _summary(walks[0].steps, grids)
     var_y = "" if s.variance_y is None else f"{s.variance_y:.12g}"
     return [kind, phi_token, _format_prob(s.recurrence), f"{s.variance_x:.12g}", var_y]
 
@@ -562,7 +613,8 @@ def cmd_sweep(cfg: dict) -> int:
         for token, phi in angles:
             point = {"kind": kind, "phi": phi} if kind in _PHASED else {"kind": kind}
             defect, _ = _parse_defect(point, "sweep.defect")
-            points.append((kind, token, _checked(replace, spec, defect=defect)))
+            walk = _checked(replace, spec, defect=defect)
+            points.append((kind, token, _factors(walk, echo["coin"])))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
     with _blas_threads(echo["threads"]) as steps:
         rows = [_sweep_point(*point, steps) for point in points]

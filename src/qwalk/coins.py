@@ -190,14 +190,6 @@ class CoinField:
             _coordinates(pos, d, "coin site")
             self.table[pos] = _validated_coin(mat, 2 * d, f"coin at {pos}")
 
-    @classmethod
-    def uniform(cls, dimensionality: int, coin: NDArray[np.complex128]) -> "CoinField":
-        return cls(dimensionality, coin)
-
-    @property
-    def is_uniform(self) -> bool:
-        return not self.table
-
     def at(self, position: int | tuple[int, int]) -> NDArray[np.complex128]:
         return self.table.get(position, self.default)
 
@@ -231,4 +223,4 @@ def as_coin_field(
                 f"{dimensionality}D"
             )
         return coin
-    return CoinField.uniform(dimensionality, np.asarray(coin, dtype=np.complex128))
+    return CoinField(dimensionality, np.asarray(coin, dtype=np.complex128))

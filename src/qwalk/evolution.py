@@ -189,10 +189,8 @@ def _phase_applier(
         return None
     defect.validate(dimensionality)
     n = 2 * L + 1
-    if defect.kind in ("point", "custom"):
-        table = defect.table or {}
-        if defect.kind == "point":
-            table = {(0,) * dimensionality: defect.phi}
+    if defect.kind == "custom" or defect.kind == "point" and dimensionality == 2:
+        table = (defect.table or {}) if defect.kind == "custom" else {(0, 0): defect.phi}
         index = _sites_index(table, L, dimensionality, "custom defect site")
         factors = np.array([np.exp(1j * t) for t in table.values()], dtype=np.complex128)
 
@@ -202,8 +200,8 @@ def _phase_applier(
         return apply_sites
 
     f = np.exp(1j * defect.phi)
-    # line_y: the line y = 0; cross_xy: x = 0, then y = 0.
-    axes = (1,) if defect.kind == "line_y" else (0, 1)
+    # line_y: the line y = 0; cross_xy: x = 0, then y = 0; a 1D point: "line" x = 0.
+    axes = {"line_y": (1,), "cross_xy": (0, 1), "point": (0,)}[defect.kind]
 
     def apply_lines(m, sites):
         for axis in axes:
@@ -395,7 +393,8 @@ class WalkSpec:
 
 @dataclass
 class StepReport:
-    """Post-step snapshot: 1-based step index, amplitudes, and |1 - sum|a|^2|.
+    """Post-step snapshot: 1-based step index, amplitudes, |1 - sum|a|^2|,
+    and the sum itself, ``norm_sq``, in the memory order of the amplitudes.
 
     ``grid`` holds the amplitudes the kernel produced: a
     :class:`SublatticeState` on the open boundary, a dense
@@ -407,6 +406,7 @@ class StepReport:
     step: int
     grid: WalkerState | SublatticeState
     norm_residual: float
+    norm_sq: float
 
     @cached_property
     def state(self) -> WalkerState:
@@ -435,10 +435,11 @@ def _guarded(advance: Callable, state, steps: int) -> Iterator[StepReport]:
     for i in range(1, steps + 1):
         state = advance(state)
         amps = state.amplitudes.ravel(order="K")  # memory order: no copy
-        residual = abs(1.0 - float(np.vdot(amps, amps).real))
+        norm_sq = float(np.vdot(amps, amps).real)
+        residual = abs(1.0 - norm_sq)
         if not residual <= STEP_NORM_TOL:  # written so that NaN fails too
             raise RuntimeError(f"norm residual {residual:.3e} at step {i} exceeds {STEP_NORM_TOL}")
-        yield StepReport(i, state, residual)
+        yield StepReport(i, state, residual, norm_sq)
 
 
 def run_walk(spec: WalkSpec) -> WalkerState:

@@ -109,7 +109,7 @@ class WalkerState:
     ``amplitudes`` has shape ``(2L+1, 2)`` in 1D and ``(2L+1, 2L+1, 4)``
     in 2D.  The flattened C-order view of the array is exactly the packed
     vector (see module docstring).  Instances constructed by the library
-    are unit-norm; ``norm``/``renormalize`` exist for externally built or
+    are unit-norm; ``norm`` exists for externally built or
     scaled tables.
     """
 
@@ -128,33 +128,13 @@ class WalkerState:
             )
         self.amplitudes = amps
 
-    @property
-    def size(self) -> int:
-        return self.amplitudes.size
-
     def norm(self) -> float:
         """Euclidean norm sqrt(sum |a|^2)."""
         return float(np.linalg.norm(self.amplitudes))
 
-    def renormalize(self) -> "WalkerState":
-        """Return a copy scaled to unit norm.
-
-        Raises
-        ------
-        ValueError
-            If the state has (numerically) zero norm.
-        """
-        n = self.norm()
-        if n < 1e-300:
-            raise ValueError("cannot renormalize a zero state")
-        return WalkerState(self.dimensionality, self.halfwidth, self.amplitudes / n)
-
     def packed(self) -> NDArray[np.complex128]:
         """Amplitudes as a flat vector in packed-index order (a copy)."""
         return self.amplitudes.reshape(-1).copy()
-
-    def copy(self) -> "WalkerState":
-        return WalkerState(self.dimensionality, self.halfwidth, self.amplitudes.copy())
 
     def expand(self) -> "WalkerState":
         """The dense state itself, as :meth:`SublatticeState.expand` gives one."""

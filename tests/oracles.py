@@ -103,3 +103,17 @@ def extended_walk_1d(t, coin, coin0, phases=None):
         a[1:, 0] = m0[:-1]  # coin bit 0 moves +1
         a[:-1, 1] = m1[1:]  # coin bit 1 moves -1
     return a
+
+
+def extended_hadamard_probs(t, phi=None):
+    """Site probabilities over -t..t, in long double, of the 1D Hadamard
+    walk from the symmetric start after t steps, under ``point(phi)`` or
+    (``phi`` None) free."""
+    root2 = np.sqrt(np.longdouble(2))
+    amps = extended_walk_1d(
+        t,
+        np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / root2,
+        np.array([1, 1j], dtype=np.clongdouble) / root2,
+        None if phi is None else {0: np.exp(np.clongdouble(1j) * np.longdouble(phi))},
+    )
+    return (np.abs(amps) ** 2).sum(axis=1)

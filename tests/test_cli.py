@@ -870,9 +870,12 @@ def test_run_pins_the_blas_threads_and_gives_them_back(tmp_path, monkeypatch):
         monkeypatch.setattr(_Stepper, name, watch(getattr(_Stepper, name)))
     cross = qwalk.cli._SPLIT_SITES
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, steps=130, sweep={"phi": ["pi:1", "pi:0.5"]})  # crosses at step 128
+    swap = {"kind": "fractional_swap", "tau": 0.5}  # not a product: the 2D kernel steps it
+    # It crosses at step 128.
+    write_config(cfg_path, steps=130, coin=swap, sweep={"phi": ["pi:1", "pi:0.5"]})
     periodic = tmp_path / "periodic.json"
-    write_config(periodic, steps=2, boundary="periodic", halfwidth=64, sweep={"phi": ["pi:1"]})
+    write_config(periodic, steps=2, boundary="periodic", halfwidth=64, coin=swap,
+                 sweep={"phi": ["pi:1"]})
     found = get()
     try:
         for outer, threads in ((2, 1), (1, 2)):
@@ -922,25 +925,30 @@ def _summary_without_timing(tmp_path, cfg: dict, openblas_threads: str) -> str:
 
 
 @requires_openblas
-def test_summary_bytes_do_not_follow_openblas_num_threads(tmp_path):
+@pytest.mark.parametrize("coin", ["hadamard", {"kind": "fractional_swap", "tau": 0.5}],
+                         ids=["two-1d-walks", "2d-kernel"])
+def test_summary_bytes_do_not_follow_openblas_num_threads(tmp_path, coin):
     # The norm's zdotc splits its sum by the BLAS thread count; from about
     # step 50 the last bits of norm_residual used to follow the host's count.
-    cfg = {"dimensionality": 2, "steps": 60, "defect": {"kind": "cross_xy", "phi": "pi:1"}}
+    cfg = {"dimensionality": 2, "steps": 60, "coin": coin,
+           "defect": {"kind": "cross_xy", "phi": "pi:1"}}
     assert len({_summary_without_timing(tmp_path, cfg, n) for n in ("1", "2")}) == 1
 
 
 @requires_openblas
 def test_a_run_past_the_crossover_does_not_follow_openblas_num_threads(tmp_path):
     assert 140**2 >= qwalk.cli._SPLIT_SITES  # its last steps run on 2 threads
-    cfg = {"dimensionality": 2, "steps": 140, "threads": 2,
-           "defect": {"kind": "cross_xy", "phi": "pi:1"}, "formats": ["json"]}
+    cfg = {"dimensionality": 2, "steps": 140, "threads": 2, "formats": ["json"],
+           "coin": {"kind": "fractional_swap", "tau": 0.5},  # the 2D kernel, not two 1D walks
+           "defect": {"kind": "cross_xy", "phi": "pi:1"}}
     assert len({_summary_without_timing(tmp_path, cfg, n) for n in ("1", "2")}) == 1
 
 
 def test_sweep_bytes_do_not_follow_threads_past_the_crossover(tmp_path):
     assert 140**2 >= qwalk.cli._SPLIT_SITES
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, steps=140, sweep={"phi": ["pi:1"], "defect": ["cross_xy", "line_y"]})
+    write_config(cfg_path, steps=140, coin={"kind": "fractional_swap", "tau": 0.5},
+                 sweep={"phi": ["pi:1"], "defect": ["cross_xy", "line_y"]})
     rows = []
     for threads in ("1", "2"):
         assert main(["sweep", "--config", str(cfg_path), "--threads", threads]) == 0

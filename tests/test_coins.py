@@ -189,7 +189,7 @@ def test_random_su2_is_special_unitary():
 def test_coin_field_uniform_and_table():
     h = hadamard()
     fld = CoinField(1, h, {0: su2_from_angles(0.3, 0.1, -0.2)})
-    assert not fld.is_uniform
+    assert list(fld.table) == [0]
     np.testing.assert_allclose(fld.at(5), h)
     stacked = fld.stacked(2)
     assert stacked.shape == (5, 2, 2)

@@ -31,7 +31,13 @@ from qwalk.isomorphism import (
 )
 from qwalk.statespace import SublatticeState, WalkerState, localized_state, symmetric_coin
 
-from oracles import brute_force_walk_1d, brute_force_walk_2d, distribution_1d, extended_walk_1d
+from oracles import (
+    brute_force_walk_1d,
+    brute_force_walk_2d,
+    distribution_1d,
+    extended_hadamard_probs,
+    extended_walk_1d,
+)
 
 H = hadamard()
 H2 = tensor(H, H)
@@ -114,6 +120,19 @@ def test_point_defect_only_origin():
     assert grid[2, 2] == pytest.approx(np.exp(0.7j))
     off = np.delete(grid.reshape(-1), [2 * 5 + 2])
     np.testing.assert_allclose(off, 1.0)
+
+
+@pytest.mark.parametrize("boundary, L", [("open", 300), ("periodic", 40)])
+def test_a_1d_point_defect_steps_as_its_one_site_table(boundary, L):
+    # A 1D point(phi) takes the line applier (the "line" x = 0), and
+    # custom({0: phi}) the site table: the same bits, amplitudes and norms.
+    for phi in (0.0, np.pi, 1.234):
+        runs = [[(r.state.amplitudes, r.norm_residual) for r in evolve(
+            WalkSpec(1, 300, H, defect, boundary=boundary, halfwidth=L))]
+            for defect in (DefectMap.point(phi), DefectMap.custom({0: phi}))]
+        for (a, ra), (b, rb) in zip(*runs, strict=True):
+            assert ra == rb
+            np.testing.assert_array_equal(a, b)
 
 
 def test_line_defect_requires_2d():
@@ -745,19 +764,6 @@ def test_2d_rounding_error_stays_inside_the_budget(t):
     assert residual <= 4 * t * EPS
 
 
-def _exact_hadamard_probs(t, phi):
-    """Site probabilities, in long double, of the 1D Hadamard walk from the
-    symmetric start after t steps, under point(phi) or (phi None) free."""
-    root2 = np.sqrt(np.longdouble(2))
-    amps = extended_walk_1d(
-        t,
-        np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / root2,
-        np.array([1, 1j], dtype=np.clongdouble) / root2,
-        None if phi is None else {0: np.exp(np.clongdouble(1j) * np.longdouble(phi))},
-    )
-    return (np.abs(amps) ** 2).sum(axis=1)
-
-
 def _printed_error_in_12th_digits(path, exact):
     """|printed - exact| of each probability a distribution CSV prints
     (not as 0), in units of the exact value's 12th significant digit, and
@@ -782,7 +788,7 @@ def test_1d_csv_settles_11_of_its_12_digits_at_t_500(tmp_path, phi):
     for report in evolve(WalkSpec(1, t, H, defect)):
         pass
     write_distribution_csv(tmp_path / "d.csv", distribution(report.grid))
-    error, _ = _printed_error_in_12th_digits(tmp_path / "d.csv", _exact_hadamard_probs(t, phi))
+    error, _ = _printed_error_in_12th_digits(tmp_path / "d.csv", extended_hadamard_probs(t, phi))
     assert len(error) == 387
     assert error.max() < 1
 
@@ -800,7 +806,7 @@ def test_2d_csv_settles_10_of_its_12_digits_at_t_500(tmp_path):
     for report in evolve(WalkSpec(2, t, H2, DefectMap.cross_xy(np.pi))):
         pass
     write_distribution_csv(tmp_path / "d.csv", distribution(report.grid))
-    exact_1d = _exact_hadamard_probs(t, np.pi)
+    exact_1d = extended_hadamard_probs(t, np.pi)
     error, exact = _printed_error_in_12th_digits(
         tmp_path / "d.csv", np.multiply.outer(exact_1d, exact_1d)
     )

@@ -121,14 +121,6 @@ def test_norm_scaling():
     s = localized_state(1, 3, 0, [1, 0])
     doubled = WalkerState(1, 3, 2 * s.amplitudes)
     assert doubled.norm() == pytest.approx(2.0)
-    back = doubled.renormalize()
-    assert back.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_renormalize_zero_state():
-    z = WalkerState(1, 2, np.zeros((5, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        z.renormalize()
 
 
 def test_shape_validation():
