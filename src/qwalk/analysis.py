@@ -74,14 +74,12 @@ class Distribution:
 
 @dataclass
 class WalkSummary:
-    """Per-step observables: origin probability, axis variances, optional
-    1-norm discrepancy against a reference distribution."""
+    """Per-step observables: origin probability and axis variances."""
 
     step: int
     recurrence: float
     variance_x: float
     variance_y: float | None = None
-    s_t: float | None = None
 
 
 def _site_probs(state: WalkerState | SublatticeState) -> NDArray[np.float64]:
@@ -172,15 +170,11 @@ def classical_rw_distribution(t: int) -> Distribution:
     return Distribution(probs, t)
 
 
-def summarize(
-    step: int,
-    state: WalkerState | SublatticeState,
-    reference: Distribution | None = None,
-) -> WalkSummary:
-    """WalkSummary for a state: origin probability, variances, optional s_t.
+def summarize(step: int, state: WalkerState | SublatticeState) -> WalkSummary:
+    """WalkSummary for a state: origin probability and variances.
 
     Works on the sites the state stores, so a light-cone grid is
-    summarized without building the full lattice (except for ``s_t``).
+    summarized without building the full lattice.
     """
     p = _site_probs(state)
     _check_probs(p)
@@ -193,5 +187,4 @@ def summarize(
     else:
         var_x = _variance(axes[0], p.sum(axis=1))
         var_y = _variance(axes[1], p.sum(axis=0))
-    s_t = None if reference is None else l1_distance(distribution(state), reference)
-    return WalkSummary(step, rec, var_x, var_y, s_t)
+    return WalkSummary(step, rec, var_x, var_y)

@@ -36,7 +36,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -455,23 +455,29 @@ def _factors(spec: WalkSpec, coin_form: Any) -> tuple[WalkSpec, ...]:
     )
 
 
+def _residual(step: int, norms: Iterable[float]) -> float:
+    """|1 - prod(norms)|, the norm residual after ``step`` of one walk or of the
+    product of two 1D walks (|1 - nx*ny|), checked as a step is."""
+    r = abs(1.0 - math.prod(norms))
+    if not r <= STEP_NORM_TOL:  # a product's; each factor's passed its own step
+        raise RuntimeError(f"norm residual {r:.3e} at step {step} exceeds {STEP_NORM_TOL}")
+    return r
+
+
 def _stepped(walks: tuple[WalkSpec, ...], steps: Callable) -> Iterator[tuple[int, tuple, float]]:
-    """The step, the grids and the norm residual after each step of one walk,
-    or of the product of two 1D walks: |1 - nx*ny|, checked as a step is."""
+    """The step, the grids and the checked norm residual after each step of ``walks``."""
     for reports in zip(*map(steps, walks)):
-        step, r = reports[0].step, abs(1.0 - math.prod(report.norm_sq for report in reports))
-        if not r <= STEP_NORM_TOL:  # a product's; each factor's passed its own step
-            raise RuntimeError(f"norm residual {r:.3e} at step {step} exceeds {STEP_NORM_TOL}")
-        yield step, tuple(report.grid for report in reports), r
+        step = reports[0].step
+        yield step, tuple(r.grid for r in reports), _residual(step, (r.norm_sq for r in reports))
 
 
-def _summary(step: int, grids: tuple) -> WalkSummary:
-    """``summarize`` of one grid, or of the product of two 1D grids from
-    theirs: P(origin) px(0) py(0), and each axis's variance from its factor."""
-    if len(grids) == 1:
-        return summarize(step, grids[0])
-    sx, sy = (summarize(step, grid) for grid in grids)
-    return WalkSummary(step, sx.recurrence * sy.recurrence, sx.variance_x, sy.variance_x)
+def _summary(summaries: tuple[WalkSummary, ...]) -> WalkSummary:
+    """One walk's summary, or the product's of two 1D walks from theirs:
+    P(origin) px(0) py(0), and each axis's variance from its factor."""
+    if len(summaries) == 1:
+        return summaries[0]
+    sx, sy = summaries
+    return WalkSummary(sx.step, sx.recurrence * sy.recurrence, sx.variance_x, sy.variance_x)
 
 
 def _distribution(grids: tuple) -> Distribution:
@@ -508,21 +514,13 @@ def cmd_run(cfg: dict) -> int:
     grids = tuple(walk.initial_grid() for walk in walks)
     with _blas_threads(echo["threads"]) as steps:
         for step, grids, residual in _stepped(walks, steps):
-            s = _summary(step, grids)
-            per_step.append(
-                {
-                    "step": s.step,
-                    "recurrence": s.recurrence,
-                    "variance_x": s.variance_x,
-                    "variance_y": s.variance_y,
-                    "norm_residual": residual,
-                }
-            )
+            s = _summary(tuple(summarize(step, grid) for grid in grids))
+            per_step.append({**vars(s), "norm_residual": residual})
             if emit_per_step and "csv" in formats:
                 write_distribution_csv(out_dir / f"step_{step:04d}.csv", _distribution(grids))
     elapsed = time.perf_counter() - t0
 
-    final_dist = _distribution(grids)
+    final_dist = _distribution(grids) if "csv" in formats or reference is not None else None
     if "csv" in formats:
         write_distribution_csv(out_dir / "distribution.csv", final_dist)
     last = per_step[-1] if per_step else {}  # a walk of no steps: all null
@@ -578,12 +576,28 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["defect"] = base
 
 
-def _sweep_point(kind: str, phi_token: Any, walks: tuple[WalkSpec, ...], steps: Callable) -> list:
-    """The ``sweep.csv`` row of one grid point, stepped by ``steps``."""
-    grids = tuple(walk.initial_grid() for walk in walks)
-    for _, grids, _ in _stepped(walks, steps):
-        pass
-    s = _summary(walks[0].steps, grids)
+def _walked(walk: WalkSpec, steps: Callable, memo: dict) -> tuple[list[float], WalkSummary]:
+    """Each step's ``norm_sq`` and the final summary of ``walk``, stepped by
+    ``steps`` unless ``memo`` holds them for a walk of the same checked values."""
+    key = (walk.dimensionality, walk.steps, walk.halfwidth, walk.boundary, walk.initial_position,
+           np.asarray(walk.coin, np.complex128).tobytes(), np.asarray(walk.initial_coin).tobytes(),
+           walk.defect.kind, walk.defect.phi.hex(), repr(walk.defect.table))  # -0.0 is not 0.0
+    if key not in memo:
+        norms, grid = [], walk.initial_grid()
+        for report in steps(walk):
+            norms.append(report.norm_sq)
+            grid = report.grid
+        memo[key] = norms, summarize(walk.steps, grid)
+    return memo[key]
+
+
+def _sweep_point(kind: str, phi_token: Any, walks: tuple[WalkSpec, ...], walked: Callable) -> list:
+    """The ``sweep.csv`` row of one grid point, from ``walked(walk)`` of each of
+    its walks: the product's norm checked at each step, and its summary."""
+    norms, summaries = zip(*map(walked, walks))
+    for step, step_norms in enumerate(zip(*norms), start=1):
+        _residual(step, step_norms)
+    s = _summary(summaries)
     var_y = "" if s.variance_y is None else f"{s.variance_y:.12g}"
     return [kind, phi_token, _format_prob(s.recurrence), f"{s.variance_x:.12g}", var_y]
 
@@ -616,8 +630,9 @@ def cmd_sweep(cfg: dict) -> int:
             walk = _checked(replace, spec, defect=defect)
             points.append((kind, token, _factors(walk, echo["coin"])))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
-    with _blas_threads(echo["threads"]) as steps:
-        rows = [_sweep_point(*point, steps) for point in points]
+    with _blas_threads(echo["threads"]) as steps:  # each distinct walk stepped once
+        walked = functools.partial(_walked, steps=steps, memo={})
+        rows = [_sweep_point(*point, walked) for point in points]
 
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:

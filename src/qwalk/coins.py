@@ -190,9 +190,6 @@ class CoinField:
             _coordinates(pos, d, "coin site")
             self.table[pos] = _validated_coin(mat, 2 * d, f"coin at {pos}")
 
-    def at(self, position: int | tuple[int, int]) -> NDArray[np.complex128]:
-        return self.table.get(position, self.default)
-
     def stacked(self, halfwidth: int) -> NDArray[np.complex128]:
         """Dense per-site array of coins: (n, 2, 2) in 1D, (n, n, 4, 4) in 2D;
         a listed site off the lattice raises IndexError."""

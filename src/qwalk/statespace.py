@@ -109,8 +109,7 @@ class WalkerState:
     ``amplitudes`` has shape ``(2L+1, 2)`` in 1D and ``(2L+1, 2L+1, 4)``
     in 2D.  The flattened C-order view of the array is exactly the packed
     vector (see module docstring).  Instances constructed by the library
-    are unit-norm; ``norm`` exists for externally built or
-    scaled tables.
+    are unit-norm.
     """
 
     dimensionality: int
@@ -127,10 +126,6 @@ class WalkerState:
                 f"amplitude table has shape {amps.shape}, expected {expected}"
             )
         self.amplitudes = amps
-
-    def norm(self) -> float:
-        """Euclidean norm sqrt(sum |a|^2)."""
-        return float(np.linalg.norm(self.amplitudes))
 
     def packed(self) -> NDArray[np.complex128]:
         """Amplitudes as a flat vector in packed-index order (a copy)."""

@@ -746,6 +746,28 @@ def test_run_writes_exactly_the_listed_formats(tmp_path, formats, written):
     assert {p.name for p in (tmp_path / "out").iterdir()} == written
 
 
+@pytest.mark.parametrize("coin", ["hadamard", {"kind": "fractional_swap", "tau": 0.5}],
+                         ids=["separable", "2d-kernel"])
+def test_the_final_distribution_is_built_only_for_the_csv_or_s_t(tmp_path, monkeypatch, coin):
+    built, original = [], qwalk.cli._distribution
+
+    def spy(grids):
+        built.append(len(grids))
+        return original(grids)
+
+    monkeypatch.setattr(qwalk.cli, "_distribution", spy)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=4, coin=coin, formats=["json"], emit_per_step=True)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert built == []
+    ref = tmp_path / "ref.csv"
+    free = run_walk(WalkSpec(2, 4, tensor(hadamard(), hadamard())))
+    write_distribution_csv(ref, distribution(free))
+    assert main(["run", "--config", str(cfg_path), "--reference", str(ref)]) == 0
+    assert len(built) == 1
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["final"]["s_t"] > 0
+
+
 @pytest.mark.parametrize("out_dir", [5, ["a"], None], ids=["int", "list", "null"])
 @pytest.mark.parametrize("command", ["run", "sweep", "isocheck"])
 def test_non_string_out_dir_exits_1_and_creates_nothing(

@@ -190,10 +190,10 @@ def test_coin_field_uniform_and_table():
     h = hadamard()
     fld = CoinField(1, h, {0: su2_from_angles(0.3, 0.1, -0.2)})
     assert list(fld.table) == [0]
-    np.testing.assert_allclose(fld.at(5), h)
+    np.testing.assert_allclose(fld.default, h)
     stacked = fld.stacked(2)
     assert stacked.shape == (5, 2, 2)
-    np.testing.assert_allclose(stacked[2], fld.at(0))
+    np.testing.assert_allclose(stacked[2], fld.table[0])
     np.testing.assert_allclose(stacked[0], h)
 
 

@@ -157,7 +157,7 @@ def test_evolve_reports_and_norms():
     reports = list(evolve(spec))
     assert [r.step for r in reports] == list(range(1, 11))
     assert all(r.norm_residual < 1e-12 for r in reports)
-    assert reports[-1].state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(reports[-1].state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_matches_repeated_apply_step():
@@ -183,7 +183,7 @@ def test_evolve_off_center_start():
     final = run_walk(spec)
     manual = run_walk(dataclasses.replace(spec, boundary="periodic"))
     np.testing.assert_allclose(final.amplitudes, manual.amplitudes, atol=1e-13)
-    assert final.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_off_center_start_whose_cone_leaves_the_lattice_is_rejected():
@@ -224,9 +224,9 @@ def test_an_open_walk_never_steps_off_an_edge(dim, edge):
     axis, sign = (0, edge) if dim == 1 else (edge.index(0) ^ 1, sum(edge))
     on_edge = np.take(final.amplitudes, L + sign * L, axis=axis)
     assert np.sum(np.abs(on_edge) ** 2) == pytest.approx(0.5, abs=1e-12)
-    assert final.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0, abs=1e-12)
     wrapped = run_walk(WalkSpec(dim, 2, coin, initial_position=start, halfwidth=L, boundary="periodic"))
-    assert wrapped.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(wrapped.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spec_validation():
@@ -671,7 +671,7 @@ def test_report_state_is_dense_walker_state(boundary):
         assert state.halfwidth == 7
         assert state.amplitudes.shape == (15, 15, 4)
         assert report.state is state  # expanded once, then cached
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     expected = SublatticeState if boundary == "open" else WalkerState
     assert isinstance(report.grid, expected)
 

@@ -161,6 +161,18 @@ def test_isomorphism_with_defects():
         assert verify_isomorphism(2, H2, defect) < 1e-12
 
 
+@pytest.mark.parametrize("phi", [np.pi, np.pi / 4, 1.234])
+@pytest.mark.parametrize("kind", ["line_y", "cross_xy"])
+def test_a_line_defect_is_exact_at_the_papers_lattice(kind, phi):
+    # The paper's 11x11 lattice (L = 5): under a line defect the two
+    # walkers are exactly one 2D walker, for the named coins and for
+    # random shared ones.
+    defect = getattr(DefectMap, kind)(phi)
+    rng = np.random.default_rng(11)
+    coins = [H2, fractional_swap(0.5)] + [random_shared_coin(rng) for _ in range(20)]
+    assert [verify_isomorphism(5, coin, defect) for coin in coins] == [0.0] * len(coins)
+
+
 def test_transform_defect_moves_sites():
     moved = transform_defect(DefectMap.point(0.5), 2)
     assert moved.kind == "custom"
@@ -243,7 +255,7 @@ def test_axis_walk_state_checks_the_norm_of_every_step():
 
 def test_axis_walk_norm_and_support():
     s = axis_walk_state(5, H2, symmetric_coin(2))
-    assert abs(s.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
     p = distribution(s)
     xs = np.arange(-5, 6)
     occupied = np.argwhere(p.probs > 0)

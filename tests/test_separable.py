@@ -121,6 +121,42 @@ def test_the_rank_1_tolerance_holds_on_both_sides(tmp_path, kernels):
         kernels.clear()
 
 
+# A sweep steps each distinct walk once: (config, walks stepped, their
+# dimensionality).  Under line_y the x factor is the free walk, and the y
+# factor is cross_xy's at the same phase; a none point takes no phase; -0.0
+# and 0.0 are two walks.
+MEMO_SWEEPS = {
+    "sweep2d-phases": ({"initial": {"coin": _product_start(7)},
+                        "sweep": {"phi": [f"pi:{k / 8:g}" for k in range(9)],
+                                  "defect": ["cross_xy", "line_y"]}}, 19, 1),
+    "none": ({"initial": {"coin": _product_start(7)},
+              "sweep": {"phi": ["pi:0.25", "pi:1", 2.0], "defect": ["none"]}}, 2, 1),
+    "periodic": ({"boundary": "periodic", "halfwidth": 6, "initial": {"coin": _product_start(8)},
+                  "sweep": {"phi": ["pi:0.5", 2.0], "defect": ["none", "line_y", "cross_xy"]}},
+                 6, 1),
+    "fractional-swap": ({"coin": SWAP, "sweep": {"phi": ["pi:0.25", "pi:1", 0.0, -0.0],
+                                                 "defect": ["none", "point"]}}, 5, 2),
+}
+
+
+@pytest.mark.parametrize("name", MEMO_SWEEPS)
+def test_a_sweep_steps_each_distinct_walk_once(tmp_path, kernels, name):
+    cfg, walks, dim = MEMO_SWEEPS[name]
+    t = 8
+    _run(tmp_path, "sweep", steps=t, **cfg)
+    assert kernels == [dim] * (walks * t)
+    # Each row is the bytes of its point swept on its own.
+    lines = []
+    for kind in cfg["sweep"]["defect"]:
+        for phi in cfg["sweep"]["phi"]:
+            one = tmp_path / "one"
+            assert main(["sweep", "--config", str(tmp_path / "cfg.json"), "--defect", kind,
+                         "--phi", str(phi), "--out", str(one)]) == 0
+            header, row = (one / "sweep.csv").read_bytes().splitlines(keepends=True)
+            lines.append(row)
+    assert (tmp_path / "out" / "sweep.csv").read_bytes() == header + b"".join(lines)
+
+
 def _printed(path):
     return np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
 
