@@ -43,6 +43,8 @@ IDENTITY4 = np.eye(4, dtype=np.complex128)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
 )
+# The fixed factors Z (x) X, Z (x) 1 and 1 (x) X of su4_compose's bracket.
+_ZX, _Z1, _1X = np.kron(PAULI_Z, PAULI_X), np.kron(PAULI_Z, IDENTITY2), np.kron(IDENTITY2, PAULI_X)
 
 
 def hadamard() -> NDArray[np.complex128]:
@@ -70,16 +72,18 @@ def su2_from_angles(theta: float, psi: float, phi: float) -> NDArray[np.complex1
 
 
 def tensor(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Kronecker product of two 2x2 coins in the (c, d) order 00,01,10,11.
+    """Kronecker product of two 2x2 coins, or of two stacks (..., 2, 2) whose
+    leading axes broadcast, in the (c, d) order 00,01,10,11.
 
     The first factor steers the x coin bit, the second the y coin bit:
-    ``tensor(a, b)[2i+j, 2k+l] = a[i, k] * b[j, l]``.
+    ``tensor(a, b)[..., 2i+j, 2k+l] = a[..., i, k] * b[..., j, l]``.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"tensor expects two 2x2 matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        raise ValueError(f"tensor expects 2x2 matrices, got {a.shape} and {b.shape}")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def fractional_swap(tau: float) -> NDArray[np.complex128]:
@@ -123,50 +127,46 @@ def su4_compose(
     with no algebraic simplification, so properties of specific parameter
     points can be observed rather than assumed.  With
     alpha = beta = gamma = 0 the bracket collapses to the identity and the
-    result is the separable coin (u1 v1) (x) (u2 v2).
+    result is the separable coin (u1 v1) (x) (u2 v2).  Stacks (..., 2, 2)
+    of factors broadcast, giving the stack of compositions.
 
     Raises
     ------
     ValueError
-        If any of u1, u2, v1, v2 is not unitary within 1e-12.
+        If any of u1, u2, v1, v2 (each stack member) is not unitary within 1e-12.
     """
     names = ("u1", "u2", "v1", "v2")
-    u1, u2, v1, v2 = (_validated_coin(m, 2, name) for m, name in zip((u1, u2, v1, v2), names))
-    bracket = (
-        tensor(PAULI_Z, PAULI_X)
-        @ fractional_swap(gamma)
-        @ tensor(PAULI_Z, IDENTITY2)
-        @ fractional_swap(beta)
-        @ tensor(IDENTITY2, PAULI_X)
-        @ fractional_swap(alpha)
-    )
+    u1, u2, v1, v2 = (_validated_coin(m, 2, n, True) for m, n in zip((u1, u2, v1, v2), names))
+    bracket = (_ZX @ fractional_swap(gamma) @ _Z1 @ fractional_swap(beta)
+               @ _1X @ fractional_swap(alpha))
     return tensor(u1, u2) @ bracket @ tensor(v1, v2)
 
 
 def unitarity_check(matrix: NDArray[np.complex128]) -> float:
-    """Max elementwise deviation of M M^dagger from the identity."""
+    """Max elementwise deviation of M M^dagger from the identity, over a stack (..., k, k)."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    eye = np.eye(m.shape[0])
-    return float(np.abs(m @ m.conj().T - eye).max())
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    eye = np.eye(m.shape[-1])
+    return float(np.abs(m @ np.swapaxes(m.conj(), -1, -2) - eye).max())
 
 
 def is_unitary(matrix: NDArray[np.complex128], tol: float = UNITARY_TOL) -> bool:
     return unitarity_check(matrix) <= tol
 
 
-def random_su2(rng: np.random.Generator) -> NDArray[np.complex128]:
-    """Haar-random 2x2 special unitary.
+def random_su2(rng: np.random.Generator, size: tuple[int, ...] = ()) -> NDArray[np.complex128]:
+    """Haar-random 2x2 special unitaries, shape ``size + (2, 2)``.
 
     QR of a complex Ginibre matrix with the R diagonal phase-fixed gives a
-    Haar unitary; dividing out the determinant phase lands it in SU(2).
+    Haar unitary; dividing out the determinant phase lands it in SU(2).  A
+    stack is, bit for bit and in ``rng``'s end state, one-matrix calls in C order.
     """
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
+    g = rng.normal(size=tuple(size) + (2, 2, 2))
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    q = q * np.exp(-1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[..., None, :]
     det = np.linalg.det(q)
-    return q * det ** (-0.5)
+    return q * det[..., None, None] ** (-0.5)
 
 
 class CoinField:
@@ -200,9 +200,9 @@ class CoinField:
         return out
 
 
-def _validated_coin(mat: NDArray[np.complex128], k: int, what: str) -> NDArray[np.complex128]:
+def _validated_coin(mat: NDArray, k: int, what: str, stack: bool = False) -> NDArray:
     m = np.asarray(mat, dtype=np.complex128)
-    if m.shape != (k, k):
+    if m.shape[-2:] != (k, k) or (m.ndim > 2 and not stack):
         raise ValueError(f"{what} must be {k}x{k}, got shape {m.shape}")
     if not is_unitary(m):
         raise ValueError(f"{what} is not unitary within {UNITARY_TOL}")

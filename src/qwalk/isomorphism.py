@@ -62,6 +62,7 @@ from .coins import (
     tensor,
 )
 from .evolution import (
+    _DIAGONAL_MOVES,
     DefectMap,
     WalkSpec,
     _guarded,
@@ -154,6 +155,14 @@ class BasisPermutation:
         k = self.indices[(i * n + j) * 4] // 4
         return k // n - L, k % n - L
 
+    @functools.cached_property
+    def _meet(self) -> NDArray[np.bool_]:
+        """``[c', s]``: whether entry c' of column (s, c) sits on one site for both
+        walkers (see :func:`_deviation`); coin-independent, so built once."""
+        tau, shape = self.indices[::4] // 4, (2 * self.halfwidth + 1,) * 2
+        site_2d = np.argsort(tau)[_targets(shape, _AXIS_MOVES)[:, tau]]
+        return _targets(shape, _DIAGONAL_MOVES[2]) == site_2d
+
 
 @functools.lru_cache(maxsize=4)
 def _permutation(halfwidth: int) -> BasisPermutation:
@@ -233,20 +242,18 @@ def _deviation(
     walkers and, with tau the site map of ``pair_map``, at
     tau^-1(``_targets[c', tau(s)]``) for the relabeled 2D walker.  Where
     the two sites agree the entries meet; elsewhere each meets the dense
-    zero and counts at its full modulus.
+    zero and counts at its full modulus.  Where they agree depends on the
+    pair map alone: :attr:`BasisPermutation._meet`, built once per instance.
     """
     stepper = _Stepper(2, halfwidth, coin4, defect)
     blocks, L = _site_blocks(stepper), stepper.halfwidth
     perm = _permutation(L) if pair_map is None else BasisPermutation.build(L, pair_map)
     tau = perm.indices[::4] // 4
-    shape = blocks.shape[:2]
-    site = _targets(shape, stepper.moves)
-    site_2d = np.argsort(tau)[_targets(shape, _AXIS_MOVES)[:, tau]]
     # [s, c', c] -> [c', s, c], beside the [c', s] sites.
     a = blocks.reshape(tau.size, 4, 4).transpose(1, 0, 2)
     b = _carried(blocks, L).reshape(tau.size, 4, 4)[tau].transpose(1, 0, 2)
     apart = np.maximum(np.abs(a), np.abs(b))
-    return float(np.where((site == site_2d)[..., None], np.abs(a - b), apart).max())
+    return float(np.where(perm._meet[..., None], np.abs(a - b), apart).max())
 
 
 def verify_isomorphism(
@@ -276,13 +283,10 @@ def random_shared_coin(rng: np.random.Generator) -> NDArray[np.complex128]:
     """Random shared coin: a tensor product, a fractional swap, or a
     product of both."""
     kind = rng.integers(3)
-    if kind == 0:
-        return tensor(random_su2(rng), random_su2(rng))
     if kind == 1:
         return fractional_swap(float(rng.uniform(0.0, 1.0)))
-    return tensor(random_su2(rng), random_su2(rng)) @ fractional_swap(
-        float(rng.uniform(0.0, 1.0))
-    )
+    product = tensor(*random_su2(rng, (2,)))
+    return product if kind == 0 else product @ fractional_swap(float(rng.uniform(0.0, 1.0)))
 
 
 def _best_global_phase_deviation(
@@ -312,27 +316,25 @@ def check_decomposition_claims(
     to a fixed -(Z (x) Z) factor.  (Algebraically the bracket evaluates to
     -(Z (x) Z) fractional_swap(tau); the check reports, it does not
     assume.)  The report is informational: findings, not pass/fail.
+
+    The separable trials are one stack, bit for bit a per-trial loop's.
+    ``trials`` < 1 and empty or non-finite ``taus`` raise ValueError.
     """
+    if trials < 1 or (taus is not None and not (np.size(taus) and np.isfinite(taus).all())):
+        raise ValueError(f"need trials >= 1 and non-empty finite taus, got {trials}, {taus!r}")
     rng = np.random.default_rng(seed)
-    sep_max = 0.0
-    for _ in range(trials):
-        u1, u2, v1, v2 = (random_su2(rng) for _ in range(4))
-        composed = su4_compose(u1, u2, v1, v2, 0.0, 0.0, 0.0)
-        direct = tensor(u1 @ v1, u2 @ v2)
-        sep_max = max(sep_max, float(np.abs(composed - direct).max()))
+    u1, u2, v1, v2 = np.moveaxis(random_su2(rng, (trials, 4)), 1, 0)
+    composed = su4_compose(u1, u2, v1, v2, 0.0, 0.0, 0.0)
+    sep_max = float(np.abs(composed - tensor(u1 @ v1, u2 @ v2)).max())
 
     if taus is None:
         taus = np.concatenate([np.linspace(0.0, 1.0, 11), rng.uniform(0, 1, 5)])
-    zz = -tensor(PAULI_Z, PAULI_Z)
-    dev_exact = dev_phase = dev_zz = 0.0
-    for tau in taus:
-        composed = su4_compose(
-            IDENTITY2, IDENTITY2, IDENTITY2, IDENTITY2, float(tau), -1.0, -1.0
-        )
-        target = fractional_swap(float(tau))
-        dev_exact = max(dev_exact, float(np.abs(composed - target).max()))
-        dev_phase = max(dev_phase, _best_global_phase_deviation(composed, target))
-        dev_zz = max(dev_zz, float(np.abs(composed - zz @ target).max()))
+    zz, ones = -tensor(PAULI_Z, PAULI_Z), (IDENTITY2,) * 4
+    composed = np.array([su4_compose(*ones, float(t), -1.0, -1.0) for t in taus])
+    target = np.array([fractional_swap(float(t)) for t in taus])
+    dev_exact = float(np.abs(composed - target).max())  # np.max, unlike max(), keeps a NaN
+    dev_phase = float(np.max([_best_global_phase_deviation(*ct) for ct in zip(composed, target)]))
+    dev_zz = float(np.abs(composed - zz @ target).max())
 
     if dev_exact <= tol:
         finding = "matches fractional_swap(tau) exactly"
@@ -343,9 +345,7 @@ def check_decomposition_claims(
     else:
         finding = "matches none of the three candidates"
 
-    bracket_at_zero = su4_compose(
-        IDENTITY2, IDENTITY2, IDENTITY2, IDENTITY2, 0.0, -1.0, -1.0
-    )
+    bracket_at_zero = su4_compose(*ones, 0.0, -1.0, -1.0)
     dev_identity = float(np.abs(bracket_at_zero - IDENTITY4).max())
 
     return {

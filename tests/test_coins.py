@@ -245,3 +245,84 @@ def test_coin_field_rejects_nonunitary_entry():
         CoinField(2, IDENTITY4, {(0, 0): np.ones((4, 4), dtype=complex)})
     with pytest.raises(ValueError):
         CoinField(1, np.full((2, 2), np.nan, dtype=complex))
+
+
+# ------------------------------------------- stacks of coins, to the bit
+
+
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes: -0.0 differs from 0.0, NaN equals itself."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 25])
+def test_a_random_su2_stack_is_its_one_matrix_calls_bit_for_bit(n):
+    one, stacked = np.random.default_rng(8), np.random.default_rng(8)
+    calls = np.array([random_su2(one) for _ in range(n * 4)]).reshape(n, 4, 2, 2)
+    assert _same_bits(random_su2(stacked, (n, 4)), calls)
+    assert stacked.bit_generator.state == one.bit_generator.state
+    # The next draw, after the stack, is the same draw too.
+    assert _same_bits(random_su2(stacked), random_su2(one))
+
+
+def test_a_stacked_tensor_is_np_kron_of_each_pair_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 3, 2, 2)) + 1j * rng.normal(size=(6, 3, 2, 2))
+    b = rng.normal(size=(3, 2, 2)) - 1j * rng.normal(size=(3, 2, 2))
+    a[0, 0, 1, 1] = -0.0  # a signed zero keeps its sign through the product
+    out = tensor(a, b)  # (6, 3) with (3,): the leading axes broadcast
+    kron = np.array([[np.kron(a[i, j], b[j]) for j in range(3)] for i in range(6)])
+    assert _same_bits(out, kron)
+    assert _same_bits(tensor(a[2, 1], b[1]), np.kron(a[2, 1], b[1]))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4, 4), (2, 3), (3, 2, 3), (5, 1, 2)])
+def test_tensor_rejects_a_trailing_shape_other_than_2x2(shape):
+    with pytest.raises(ValueError, match="tensor expects 2x2 matrices"):
+        tensor(np.zeros(shape), IDENTITY2)
+    with pytest.raises(ValueError, match="tensor expects 2x2 matrices"):
+        tensor(IDENTITY2, np.zeros(shape))
+
+
+@pytest.mark.parametrize("angles", [(0.0, 0.0, 0.0), (0.3, -1.0, 0.7)])
+def test_a_stacked_su4_compose_is_each_members_bit_for_bit(angles):
+    u1, u2, v1, v2 = np.moveaxis(random_su2(np.random.default_rng(6), (30, 4)), 1, 0)
+    out = su4_compose(u1, u2, v1, v2, *angles)
+    members = [su4_compose(*m, *angles) for m in zip(u1, u2, v1, v2)]
+    assert _same_bits(out, members)
+    # One stacked factor broadcasts against single ones.
+    assert _same_bits(su4_compose(u1, IDENTITY2, IDENTITY2, v2, *angles),
+                      [su4_compose(a, IDENTITY2, IDENTITY2, b, *angles) for a, b in zip(u1, v2)])
+
+
+@pytest.mark.parametrize("spoil", [lambda m: m * 1.001, lambda m: m * np.nan], ids=["scaled", "nan"])
+def test_one_nonunitary_member_of_a_stack_is_caught(spoil):
+    stack = random_su2(np.random.default_rng(2), (10,))
+    assert unitarity_check(stack) < 1e-12
+    stack[7] = spoil(stack[7])
+    assert not is_unitary(stack)
+    assert unitarity_check(stack[:7]) < 1e-12 and unitarity_check(stack[8:]) < 1e-12
+    for i, name in enumerate(("u1", "u2", "v1", "v2")):
+        args = [IDENTITY2] * 4
+        args[i] = stack
+        with pytest.raises(ValueError, match=f"{name} is not unitary"):
+            su4_compose(*args, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 2, 3), (2, 2, 1)])
+def test_unitarity_check_requires_square_matrices_or_stacks_of_them(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        unitarity_check(np.zeros(shape))
+
+
+def test_a_coin_field_takes_one_matrix_not_a_stack():
+    stack = random_su2(np.random.default_rng(1), (3,))
+    with pytest.raises(ValueError, match=re.escape("default coin must be 2x2, got shape (3, 2, 2)")):
+        CoinField(1, stack)
+    with pytest.raises(ValueError, match=re.escape("coin at 0 must be 2x2, got shape (3, 2, 2)")):
+        CoinField(1, hadamard(), {0: stack})
+    with pytest.raises(ValueError, match=re.escape("default coin must be 4x4, got shape (3, 4, 4)")):
+        CoinField(2, tensor(stack, stack))
+    with pytest.raises(ValueError, match=re.escape("must be 4x4, got shape (1, 4, 4)")):
+        as_coin_field(tensor(stack[:1], stack[:1]), 2)

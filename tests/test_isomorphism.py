@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk.analysis import Distribution, distribution
+from qwalk import isomorphism
 from qwalk.coins import (
+    IDENTITY2,
     IDENTITY4,
+    PAULI_Z,
     CoinField,
     as_coin_field,
     fractional_swap,
     hadamard,
     random_su2,
+    su4_compose,
     tensor,
     unitarity_check,
 )
@@ -200,6 +204,88 @@ def test_decomposition_claims_report():
     assert ent["max_deviation_global_phase"] > 0.5
     # at tau = 0 the bracket does not collapse to the identity
     assert not report["tau_zero_bracket"]["equals_identity"]
+
+
+def _claims_by_the_per_trial_loop(trials, seed, tol=1e-12):
+    """The decomposition report as a loop computes it: one trial at a time
+    (sequential random_su2, np.kron, one su4_compose a trial), then one tau
+    at a time, each maximum kept with Python's max."""
+    rng = np.random.default_rng(seed)
+    sep = 0.0
+    for _ in range(trials):
+        u1, u2, v1, v2 = (random_su2(rng) for _ in range(4))
+        composed = su4_compose(u1, u2, v1, v2, 0.0, 0.0, 0.0)
+        sep = max(sep, float(np.abs(composed - np.kron(u1 @ v1, u2 @ v2)).max()))
+    taus = np.concatenate([np.linspace(0.0, 1.0, 11), rng.uniform(0, 1, 5)])
+    zz = -np.kron(PAULI_Z, PAULI_Z)
+    exact = phase = dev_zz = 0.0
+    for tau in taus:
+        composed = su4_compose(IDENTITY2, IDENTITY2, IDENTITY2, IDENTITY2, float(tau), -1.0, -1.0)
+        target = fractional_swap(float(tau))
+        overlap = np.vdot(target, composed)
+        off_phase = (np.abs(composed) if abs(overlap) < 1e-30
+                     else np.abs(composed - overlap / abs(overlap) * target))
+        exact = max(exact, float(np.abs(composed - target).max()))
+        phase = max(phase, float(off_phase.max()))
+        dev_zz = max(dev_zz, float(np.abs(composed - zz @ target).max()))
+    assert exact > tol and phase > tol and dev_zz <= tol  # the finding below
+    bracket = su4_compose(IDENTITY2, IDENTITY2, IDENTITY2, IDENTITY2, 0.0, -1.0, -1.0)
+    dev_identity = float(np.abs(bracket - IDENTITY4).max())
+    return {
+        "separable": {"trials": trials, "max_deviation": sep, "confirmed": sep <= tol},
+        "entangled": {
+            "taus": [float(t) for t in taus],
+            "max_deviation_exact": exact,
+            "max_deviation_global_phase": phase,
+            "max_deviation_zz_factor": dev_zz,
+            "finding": "matches -(Z x Z) @ fractional_swap(tau) exactly",
+        },
+        "tau_zero_bracket": {
+            "deviation_from_identity": dev_identity,
+            "equals_identity": dev_identity <= tol,
+        },
+    }
+
+
+@pytest.mark.parametrize("trials, seed", [(100, 7), (50, 3)])
+def test_the_stacked_claims_give_the_per_trial_loops_report_exactly(trials, seed):
+    # Dict equality compares every float with ==: the stack moves no bit.
+    expected = _claims_by_the_per_trial_loop(trials, seed)
+    assert check_decomposition_claims(trials=trials, seed=seed) == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"trials": 0}, {"trials": -3}, {"taus": np.array([])}, {"taus": np.array([np.nan])},
+     {"taus": np.array([0.5, np.inf])}],
+    ids=["trials-0", "trials-negative", "taus-empty", "taus-nan", "taus-inf"],
+)
+def test_the_decomposition_claims_refuse_a_vacuous_or_undefined_probe(kwargs):
+    # Each gave a confirmed or "exactly" finding from no evidence.
+    with pytest.raises(ValueError, match="need trials >= 1 and non-empty finite taus"):
+        check_decomposition_claims(**kwargs)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_nan_deviation_in_the_claims_is_reported_not_dropped(monkeypatch):
+    # One separable trial and one tau give NaN; Python's max(0.0, nan) is 0.0.
+    compose, swap = isomorphism.su4_compose, isomorphism.fractional_swap
+
+    def spoiled_compose(*args):
+        out = compose(*args)
+        if out.ndim == 3:  # the separable stack
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(isomorphism, "su4_compose", spoiled_compose)
+    monkeypatch.setattr(isomorphism, "fractional_swap", lambda t: swap(t) * (np.nan if t == 0.5 else 1))
+    report = check_decomposition_claims(trials=20, seed=1)
+    assert np.isnan(report["separable"]["max_deviation"])
+    assert not report["separable"]["confirmed"]
+    ent = report["entangled"]
+    for key in ("max_deviation_exact", "max_deviation_global_phase", "max_deviation_zz_factor"):
+        assert np.isnan(ent[key])
+    assert ent["finding"] == "matches none of the three candidates"
 
 
 def test_random_shared_coin_unitary():
@@ -422,6 +508,23 @@ def test_an_entry_only_the_relabeled_side_has_counts_in_full():
     field = CoinField(2, H2, {(0, 0): peaked})
     dense = _dense_deviation(L, field, None, BasisPermutation.build(L, pair_map))
     assert _deviation(L, field, None, pair_map) == dense == 1.0
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_the_cached_site_tables_do_not_hide_a_wrong_pair_map(L):
+    # The default map's tables are cached per halfwidth; a custom map's
+    # deviation is still its own, before and after the cache is filled.
+    coin = COINS["random"]
+    _permutation.cache_clear()
+    dense = {name: _dense_deviation(L, coin, None, BasisPermutation.build(L, pair_map))
+             for name, pair_map in WRONG_PAIR_MAPS.items()}
+    assert _deviation(L, coin, None, WRONG_PAIR_MAPS["rotated"]) == dense["rotated"] > 0.0
+    assert verify_isomorphism(L, coin) == 0.0  # fills the cache
+    for name, pair_map in WRONG_PAIR_MAPS.items():
+        assert _deviation(L, coin, None, pair_map) == dense[name] > 0.0
+        assert check_translation_equivalence(L, pair_map) > 0.0
+    assert _deviation(L, coin, None, coordinate_forward) == verify_isomorphism(L, coin) == 0.0
+    _permutation.cache_clear()
 
 
 def _random_u4(rng):
