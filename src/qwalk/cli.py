@@ -36,13 +36,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .analysis import Distribution, WalkSummary, distribution, l1_distance, summarize
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
-from .evolution import MAX_MATRIX_DIM, STEP_NORM_TOL, DefectMap, StepReport, WalkSpec, evolve
+from .evolution import MAX_MATRIX_DIM, DefectMap, StepReport, WalkSpec, _residual, evolve
 from .statespace import _integer
 from .isomorphism import (
     check_decomposition_claims,
@@ -455,15 +455,6 @@ def _factors(spec: WalkSpec, coin_form: Any) -> tuple[WalkSpec, ...]:
     )
 
 
-def _residual(step: int, norms: Iterable[float]) -> float:
-    """|1 - prod(norms)|, the norm residual after ``step`` of one walk or of the
-    product of two 1D walks (|1 - nx*ny|), checked as a step is."""
-    r = abs(1.0 - math.prod(norms))
-    if not r <= STEP_NORM_TOL:  # a product's; each factor's passed its own step
-        raise RuntimeError(f"norm residual {r:.3e} at step {step} exceeds {STEP_NORM_TOL}")
-    return r
-
-
 def _stepped(walks: tuple[WalkSpec, ...], steps: Callable) -> Iterator[tuple[int, tuple, float]]:
     """The step, the grids and the checked norm residual after each step of ``walks``."""
     for reports in zip(*map(steps, walks)):
@@ -472,12 +463,10 @@ def _stepped(walks: tuple[WalkSpec, ...], steps: Callable) -> Iterator[tuple[int
 
 
 def _summary(summaries: tuple[WalkSummary, ...]) -> WalkSummary:
-    """One walk's summary, or the product's of two 1D walks from theirs:
-    P(origin) px(0) py(0), and each axis's variance from its factor."""
-    if len(summaries) == 1:
-        return summaries[0]
-    sx, sy = summaries
-    return WalkSummary(sx.step, sx.recurrence * sy.recurrence, sx.variance_x, sy.variance_x)
+    """The summary of the product of ``summaries``' walks (one walk is its own
+    product): P(origin) px(0) py(0), and each factor's variances in order."""
+    variances = [v for s in summaries for v in (s.variance_x, s.variance_y) if v is not None]
+    return WalkSummary(summaries[0].step, math.prod(s.recurrence for s in summaries), *variances)
 
 
 def _distribution(grids: tuple) -> Distribution:
@@ -578,10 +567,10 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
 
 def _walked(walk: WalkSpec, steps: Callable, memo: dict) -> tuple[list[float], WalkSummary]:
     """Each step's ``norm_sq`` and the final summary of ``walk``, stepped by
-    ``steps`` unless ``memo`` holds them for a walk of the same checked values."""
-    key = (walk.dimensionality, walk.steps, walk.halfwidth, walk.boundary, walk.initial_position,
-           np.asarray(walk.coin, np.complex128).tobytes(), np.asarray(walk.initial_coin).tobytes(),
-           walk.defect.kind, walk.defect.phi.hex(), repr(walk.defect.table))  # -0.0 is not 0.0
+    ``steps`` unless ``memo`` holds them for a walk of the same init fields."""
+    _, values = walk.__reduce__()  # the spec's init fields; by repr, -0.0 is not 0.0
+    key = tuple(np.asarray(v, np.complex128).tobytes() if isinstance(v, np.ndarray) else repr(v)
+                for v in values)
     if key not in memo:
         norms, grid = [], walk.initial_grid()
         for report in steps(walk):

@@ -50,7 +50,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import Callable, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -431,15 +431,22 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
 
 def _guarded(advance: Callable, state, steps: int) -> Iterator[StepReport]:
     """A report for each of ``steps`` applications of ``advance`` to
-    ``state``; a norm residual above ``STEP_NORM_TOL`` (or NaN) raises."""
+    ``state``, each checked by :func:`_residual`, the one norm check."""
     for i in range(1, steps + 1):
         state = advance(state)
         amps = state.amplitudes.ravel(order="K")  # memory order: no copy
         norm_sq = float(np.vdot(amps, amps).real)
-        residual = abs(1.0 - norm_sq)
-        if not residual <= STEP_NORM_TOL:  # written so that NaN fails too
-            raise RuntimeError(f"norm residual {residual:.3e} at step {i} exceeds {STEP_NORM_TOL}")
-        yield StepReport(i, state, residual, norm_sq)
+        yield StepReport(i, state, _residual(i, (norm_sq,)), norm_sq)
+
+
+def _residual(step: int, norms: Iterable[float]) -> float:
+    """|1 - prod(norms)| after ``step``: one walk's norm, or a product walk's
+    factor norms (|1 - nx*ny|).  The one norm check: above ``STEP_NORM_TOL``
+    (or NaN) it raises; :func:`_guarded` and the CLI's product walks call it."""
+    r = abs(1.0 - math.prod(norms))  # 1 * n is n: one norm keeps its bits
+    if not r <= STEP_NORM_TOL:  # written so that NaN fails too
+        raise RuntimeError(f"norm residual {r:.3e} at step {step} exceeds {STEP_NORM_TOL}")
+    return r
 
 
 def run_walk(spec: WalkSpec) -> WalkerState:

@@ -26,8 +26,10 @@ and read by both operators, carried to the 2D sites through the site
 permutation for the single walker.  The check compares the two operators
 column by column, relabeling the 2D walker's target sites through the
 site permutation: the same number as the dense max |U_two - P^T U_2d P|,
-without building a dense operator.  No command builds one, yet the
-dense builders stay public, for what they are the reference of:
+without building a dense operator.  Under the pair map the blocks read
+back are a bitwise copy, so the site tables decide the result (a custom
+``pair_map`` exercises the block comparison).  No command builds a dense
+operator, yet the dense builders stay public, as the reference of:
 
 * :func:`build_two_walker_matrix`, :func:`transformed_step_matrix` and
   :meth:`BasisPermutation.conjugate` give the dense max |U_two - P^T U_2d
@@ -264,9 +266,10 @@ def verify_isomorphism(
     """Max elementwise deviation between the two-walker step matrix and the
     permutation-conjugated 2D step matrix.
 
-    Exactly 0.0 whenever the relabeling is correct, for any shared coin,
-    per-site ``CoinField`` and defect: both are carried across as the
-    per-site blocks phase * coin.
+    Exactly 0.0 for any shared coin, ``CoinField`` and defect: under the
+    pair map the 2D walker's blocks, carried across and read back, are a
+    bitwise copy of the two walkers', so the site tables decide it; the
+    coin is still checked unitary and decides which entries are nonzero.
     """
     return _deviation(halfwidth, coin4, defect)
 

@@ -8,13 +8,15 @@ extended-precision reference (README "Numerical contracts").
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import qwalk.cli
+import qwalk.evolution
 from qwalk.analysis import distribution, summarize
-from qwalk.cli import _RANK1_TOL, main, write_distribution_csv
+from qwalk.cli import _RANK1_TOL, _walked, main, write_distribution_csv
 from qwalk.coins import hadamard, su2_from_angles, tensor
 from qwalk.evolution import DefectMap, WalkSpec, _Stepper, evolve
 
@@ -157,6 +159,53 @@ def test_a_sweep_steps_each_distinct_walk_once(tmp_path, kernels, name):
     assert (tmp_path / "out" / "sweep.csv").read_bytes() == header + b"".join(lines)
 
 
+# For each init field of WalkSpec, a walk that differs from BASE in it: the
+# defect by the sign of a zero phase.  A 2D walk needs a 4x4 coin, a
+# 4-component start and a 2D position too.
+BASE = {"dimensionality": 1, "steps": 3, "coin": hadamard(), "defect": DefectMap.point(0.0),
+        "initial_position": 0, "initial_coin": [0.6, 0.8j], "boundary": "open", "halfwidth": 5}
+OTHER = {
+    "dimensionality": {"dimensionality": 2, "coin": tensor(hadamard(), hadamard()),
+                       "initial_position": (0, 0), "initial_coin": [0.5, 0.5, 0.5, 0.5]},
+    "steps": {"steps": 2},
+    "coin": {"coin": su2_from_angles(0.4, 1.0, 0.0)},
+    "defect": {"defect": DefectMap.point(-0.0)},
+    "initial_position": {"initial_position": 1},
+    "initial_coin": {"initial_coin": [0.8, 0.6j]},
+    "boundary": {"boundary": "periodic"},
+    "halfwidth": {"halfwidth": 6},
+}
+
+
+def _memo_steps(walks):
+    """The walks that ``_walked`` steps for ``walks`` under one memo, and the keys."""
+    stepped, memo = [], {}
+
+    def steps(walk):
+        stepped.append(walk)
+        return evolve(walk)
+
+    results = [_walked(walk, steps, memo) for walk in walks]
+    return stepped, list(memo), results
+
+
+def test_a_sweep_memo_keys_a_walk_by_every_init_field_of_its_spec():
+    names = [f.name for f in fields(WalkSpec) if f.init]
+    assert sorted(OTHER) == sorted(names)  # a new field needs a case here
+    base = WalkSpec(**BASE)
+    for name in names:
+        other = WalkSpec(**{**BASE, **OTHER[name]})
+        stepped, keys, results = _memo_steps([base, other, base, other])
+        assert stepped == [base, other], name
+        assert len(keys) == 2 and all(len(key) == len(names) for key in keys), name
+        differ = {n for n, a, b in zip(names, *keys) if a != b}
+        assert differ == (set(OTHER[name]) if name == "dimensionality" else {name})
+        assert results[0] is results[2] and results[1] is results[3]
+    # Equal walks built apart, from fresh arrays, are one walk.
+    stepped, keys, results = _memo_steps([WalkSpec(**BASE), WalkSpec(**BASE)])
+    assert len(stepped) == 1 and len(keys) == 1 and results[0] is results[1]
+
+
 def _printed(path):
     return np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
 
@@ -195,12 +244,22 @@ def test_a_factored_start_runs_the_walk_it_names(tmp_path, start):
 
 
 def test_a_product_norm_residual_past_the_tolerance_exits_2(tmp_path, monkeypatch, capsys):
-    # Each factor passes its own step's check; the product's is checked too.
-    monkeypatch.setattr(qwalk.cli, "STEP_NORM_TOL", -1.0)
+    # Each factor passes its own step's check; the product's is checked too,
+    # by the library's check, here given a third factor of norm 2.
+    products = []
+
+    def doubled(step, norms):
+        norms = tuple(norms)
+        products.append(len(norms))
+        return qwalk.evolution._residual(step, (*norms, 2.0))
+
+    monkeypatch.setattr(qwalk.cli, "_residual", doubled)
     _run(tmp_path, steps=0, defect="cross_xy", sweep={"phi": [1.0]})  # writes the config
     for command in ("run", "sweep"):
         assert main([command, "--config", str(tmp_path / "cfg.json"), "--steps", "3"]) == 2
-        assert "norm residual" in capsys.readouterr().err
+        assert "norm residual 1.000e+00 at step 1 exceeds 1e-10" in capsys.readouterr().err
+        assert products == [2]  # the product of the two 1D walks, at its first step
+        products.clear()
 
 
 @pytest.mark.skipif(
