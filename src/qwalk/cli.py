@@ -36,13 +36,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
 from .analysis import Distribution, WalkSummary, distribution, l1_distance, summarize
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
-from .evolution import MAX_MATRIX_DIM, DefectMap, StepReport, WalkSpec, _residual, evolve
+from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, _residual, evolve
 from .statespace import _integer
 from .isomorphism import (
     check_decomposition_claims,
@@ -65,11 +65,6 @@ MAX_TRIALS = 10_000
 # Cap on ``threads``: 64, the MAX_THREADS of numpy's bundled OpenBLAS (which
 # clamps a larger count itself), or the host's CPU count where that is larger.
 MAX_THREADS = max(64, os.cpu_count() or 1)
-# A step on a grid of fewer sites runs OpenBLAS on one thread.  On 2 cores, 2
-# threads lost up to 16 % per step below ~80 sites per axis, were even to ~120
-# and won 10-25 % above: OpenBLAS splits the 4-column coin GEMM only from about
-# 2^14 rows, and below that a second thread only splits the norm, then spins.
-_SPLIT_SITES = 1 << 14
 # A 2D start within this of rank 1 (|det| of its [c, d] table) runs as a product
 # a(x)b, which moves an amplitude by about |det|.  JSON-rounded products: ~1e-17.
 _RANK1_TOL = 1e-15
@@ -267,7 +262,6 @@ def _checked(build, *args, **kwargs) -> WalkSpec:
 def _walk(cfg: dict) -> tuple[WalkSpec, dict]:
     """The walk of a ``run``/``sweep`` config, and its echo: the config
     resolved from the checked values, which runs the same walk again."""
-    threads = _count(cfg.get("threads", 1), "threads", 1, MAX_THREADS)
     dimensionality = _count(cfg.get("dimensionality", 2), "dimensionality", 1, 2)
     cap = _count(cfg.get("max_steps", DEFAULT_STEP_CAP), "max_steps", 0, DEFAULT_STEP_CAP)
     coin, coin_form = _parse_coin(cfg.get("coin"), dimensionality)
@@ -291,7 +285,7 @@ def _walk(cfg: dict) -> tuple[WalkSpec, dict]:
         "coin": coin_form,
         "defect": defect_form,
         "initial": {"position": spec.initial_position, "coin": pairs},
-        "threads": threads,
+        "threads": cfg.get("threads", 1),  # checked by main
     }
     return spec, echo
 
@@ -402,30 +396,15 @@ def _openblas() -> list[tuple[Any, Any]]:
 
 
 @contextmanager
-def _blas_threads(ceiling: int) -> Iterator[Callable[[WalkSpec], Iterator[StepReport]]]:
-    """Yield ``steps(spec)``: ``evolve(spec)``, each step with OpenBLAS on one
-    thread on a grid below ``_SPLIT_SITES`` sites, else on ``ceiling``; then
-    give each OpenBLAS its own count back (none found: the BLAS keeps its own)."""
+def _blas_threads(threads: int) -> Iterator[None]:
+    """Run the block with every OpenBLAS on ``threads`` threads, then give
+    each its own count back (none found: the BLAS keeps its own)."""
     controls = _openblas()
     before = [get() for get, _ in controls]
-    pinned = 0
-
-    def pin(grid: Any) -> None:  # set only on a change: an open walk's grids only grow
-        nonlocal pinned
-        n = ceiling if grid.amplitudes.size >= _SPLIT_SITES * grid.amplitudes.shape[-1] else 1
-        if n != pinned:
-            for _, put in controls:
-                put(n)
-            pinned = n
-
-    def steps(spec: WalkSpec) -> Iterator[StepReport]:
-        pin(spec.initial_grid())
-        for report in evolve(spec):
-            yield report
-            pin(report.grid)  # for the next step, which reads it
-
+    for _, put in controls:
+        put(threads)
     try:
-        yield steps
+        yield
     finally:
         for (_, put), count in zip(controls, before):
             put(count)
@@ -455,9 +434,9 @@ def _factors(spec: WalkSpec, coin_form: Any) -> tuple[WalkSpec, ...]:
     )
 
 
-def _stepped(walks: tuple[WalkSpec, ...], steps: Callable) -> Iterator[tuple[int, tuple, float]]:
+def _stepped(walks: tuple[WalkSpec, ...]) -> Iterator[tuple[int, tuple, float]]:
     """The step, the grids and the checked norm residual after each step of ``walks``."""
-    for reports in zip(*map(steps, walks)):
+    for reports in zip(*map(evolve, walks)):
         step = reports[0].step
         yield step, tuple(r.grid for r in reports), _residual(step, (r.norm_sq for r in reports))
 
@@ -501,12 +480,11 @@ def cmd_run(cfg: dict) -> int:
     per_step: list[dict] = []
     walks = _factors(spec, echo["coin"])
     grids = tuple(walk.initial_grid() for walk in walks)
-    with _blas_threads(echo["threads"]) as steps:
-        for step, grids, residual in _stepped(walks, steps):
-            s = _summary(tuple(summarize(step, grid) for grid in grids))
-            per_step.append({**vars(s), "norm_residual": residual})
-            if emit_per_step and "csv" in formats:
-                write_distribution_csv(out_dir / f"step_{step:04d}.csv", _distribution(grids))
+    for step, grids, residual in _stepped(walks):
+        s = _summary(tuple(summarize(step, grid) for grid in grids))
+        per_step.append({**vars(s), "norm_residual": residual})
+        if emit_per_step and "csv" in formats:
+            write_distribution_csv(out_dir / f"step_{step:04d}.csv", _distribution(grids))
     elapsed = time.perf_counter() - t0
 
     final_dist = _distribution(grids) if "csv" in formats or reference is not None else None
@@ -565,25 +543,25 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["defect"] = base
 
 
-def _walked(walk: WalkSpec, steps: Callable, memo: dict) -> tuple[list[float], WalkSummary]:
-    """Each step's ``norm_sq`` and the final summary of ``walk``, stepped by
-    ``steps`` unless ``memo`` holds them for a walk of the same init fields."""
+def _walked(walk: WalkSpec, memo: dict) -> tuple[list[float], WalkSummary]:
+    """Each step's ``norm_sq`` and the final summary of ``walk``, stepped
+    unless ``memo`` holds them for a walk of the same init fields."""
     _, values = walk.__reduce__()  # the spec's init fields; by repr, -0.0 is not 0.0
     key = tuple(np.asarray(v, np.complex128).tobytes() if isinstance(v, np.ndarray) else repr(v)
                 for v in values)
     if key not in memo:
         norms, grid = [], walk.initial_grid()
-        for report in steps(walk):
+        for report in evolve(walk):
             norms.append(report.norm_sq)
             grid = report.grid
         memo[key] = norms, summarize(walk.steps, grid)
     return memo[key]
 
 
-def _sweep_point(kind: str, phi_token: Any, walks: tuple[WalkSpec, ...], walked: Callable) -> list:
-    """The ``sweep.csv`` row of one grid point, from ``walked(walk)`` of each of
-    its walks: the product's norm checked at each step, and its summary."""
-    norms, summaries = zip(*map(walked, walks))
+def _sweep_point(kind: str, phi_token: Any, walks: tuple[WalkSpec, ...], memo: dict) -> list:
+    """The ``sweep.csv`` row of one grid point, from ``_walked`` of each of its
+    walks: the product's norm checked at each step, and its summary."""
+    norms, summaries = zip(*(_walked(walk, memo) for walk in walks))
     for step, step_norms in enumerate(zip(*norms), start=1):
         _residual(step, step_norms)
     s = _summary(summaries)
@@ -619,9 +597,8 @@ def cmd_sweep(cfg: dict) -> int:
             walk = _checked(replace, spec, defect=defect)
             points.append((kind, token, _factors(walk, echo["coin"])))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
-    with _blas_threads(echo["threads"]) as steps:  # each distinct walk stepped once
-        walked = functools.partial(_walked, steps=steps, memo={})
-        rows = [_sweep_point(*point, walked) for point in points]
+    memo: dict = {}  # each distinct walk stepped once
+    rows = [_sweep_point(*point, memo) for point in points]
 
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -696,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--defect", help="override defect kind")
         p.add_argument("--out", dest="out_dir", help="override output directory")
-        p.add_argument("--threads", type=int, help=f"BLAS threads of the walk, 1..{MAX_THREADS}")
+        p.add_argument("--threads", type=int, help=f"BLAS threads of the command, 1..{MAX_THREADS}")
     run.add_argument("--reference", help="distribution CSV for the 1-norm discrepancy")
 
     iso.add_argument("--config", help="JSON config path")
@@ -717,7 +694,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config_file(args.config)
         _apply_overrides(cfg, args)
-        return command(cfg)
+        threads = _count(cfg.get("threads", 1), "threads", 1, MAX_THREADS)
+        with _blas_threads(threads):
+            return command(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -818,7 +818,7 @@ def test_run_start_off_the_lattice_exits_1_and_creates_nothing(tmp_path, overrid
 
 @pytest.mark.parametrize("threads", [True, False, 2.7, 2.0, "2.7", "two", "2", 0],
                          ids=["true", "false", "2.7", "2.0", "str-2.7", "str-two", "str-2", "0"])
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command", ["run", "sweep", "isocheck"])
 def test_non_integer_threads_exit_1_and_create_nothing(tmp_path, capsys, command, threads):
     # 2.7 used to run as 2 threads and true as 1, echoed as such.
     cfg_path = tmp_path / "cfg.json"
@@ -848,10 +848,10 @@ def test_config_threads_echo_the_integer(tmp_path):
     assert summary["config"]["threads"] == 3
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command, source", [("run", "flag"), ("run", "config"), ("sweep", "flag"),
+                                             ("sweep", "config"), ("isocheck", "config")])
 def test_threads_above_the_cap_exit_1_and_create_nothing(tmp_path, capsys, command, source):
-    # Checked before anything is pinned: no test starts 65 BLAS threads.
+    # Checked before any BLAS count is set: no test starts 65 BLAS threads.
     cfg_path = tmp_path / "cfg.json"
     extra = {"threads": MAX_THREADS + 1} if source == "config" else {}
     write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, **extra)
@@ -876,58 +876,63 @@ requires_openblas = pytest.mark.skipif(not _openblas(), reason="no OpenBLAS thre
 
 
 @requires_openblas
-def test_run_pins_the_blas_threads_and_gives_them_back(tmp_path, monkeypatch):
-    # threads is a ceiling: a step on a grid below _SPLIT_SITES sites runs on
-    # one thread, a larger one on threads; the caller's count comes back after.
-    [(get, put)] = _openblas()[:1]
-    seen = []  # (sites of the grid a step reads, the BLAS count it runs on)
+def test_a_command_holds_every_openblas_at_threads_and_gives_the_counts_back(tmp_path, monkeypatch):
+    # threads is the BLAS thread count of the whole command, from its first
+    # step to its last, whatever the grid; the caller's counts come back after.
+    controls = _openblas()
+    seen = []  # the counts of every OpenBLAS at each step
 
-    def watch(kernel):
-        def watched(self, grid, *args, **kwargs):
-            seen.append((grid.amplitudes[..., 0].size, get()))
-            return kernel(self, grid, *args, **kwargs)
-        return watched
+    def counts():
+        return {get() for get, _ in controls}
 
-    for name in ("cone_step", "step"):  # open and periodic walks
-        monkeypatch.setattr(_Stepper, name, watch(getattr(_Stepper, name)))
-    cross = qwalk.cli._SPLIT_SITES
-    cfg_path = tmp_path / "cfg.json"
+    def watch(owner, name):
+        call = getattr(owner, name)
+
+        def watched(*args, **kwargs):
+            seen.append(counts())
+            return call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, watched)
+
+    for name in ("cone_step", "step"):  # open and periodic walks, 1D and 2D
+        watch(_Stepper, name)
+    for name in ("verify_isomorphism", "check_translation_equivalence",
+                 "check_decomposition_claims"):  # the isocheck's steps
+        watch(qwalk.cli, name)
     swap = {"kind": "fractional_swap", "tau": 0.5}  # not a product: the 2D kernel steps it
-    # It crosses at step 128.
-    write_config(cfg_path, steps=130, coin=swap, sweep={"phi": ["pi:1", "pi:0.5"]})
-    periodic = tmp_path / "periodic.json"
-    write_config(periodic, steps=2, boundary="periodic", halfwidth=64, coin=swap,
-                 sweep={"phi": ["pi:1"]})
-    found = get()
+    walks = [{"steps": 130, "coin": swap},  # its grids grow past 128 sites a side
+             {"steps": 2, "boundary": "periodic", "halfwidth": 64, "coin": swap},
+             {"steps": 20}]  # two 1D walks
+    commands = [(c, walk) for c in ("run", "sweep") for walk in walks] + [("isocheck", {"trials": 3})]
+    cfg_path = tmp_path / "cfg.json"
+
+    def run(command, threads, **cfg):
+        write_config(cfg_path, sweep={"phi": ["pi:1", "pi:0.5"]}, threads=threads, **cfg)
+        seen.clear()
+        return main([command, "--config", str(cfg_path)])
+
+    def put(n):
+        for _, set_count in controls:
+            set_count(n)
+
+    found = [get() for get, _ in controls]
     try:
         for outer, threads in ((2, 1), (1, 2)):
             put(outer)
-            for command in ("run", "sweep"):
-                for cfg in (cfg_path, periodic):
-                    args = [command, "--config", str(cfg), "--threads", str(threads)]
-                    assert main(args) == 0
-                    assert seen and all(n == (threads if sites >= cross else 1)
-                                        for sites, n in seen)
-                    assert {sites >= cross for sites, _ in seen} == (
-                        {False, True} if cfg == cfg_path else {True})
-                    assert get() == outer  # after the walk
-                    seen.clear()
-
-        tol, kernel = qwalk.evolution.STEP_NORM_TOL, _Stepper.cone_step
-
-        def guard_trips(self, grid, *args, **kwargs):  # on the first step past the crossover
-            if grid.amplitudes[..., 0].size >= cross:
-                monkeypatch.setattr(qwalk.evolution, "STEP_NORM_TOL", -1.0)
-            return kernel(self, grid, *args, **kwargs)
-
-        monkeypatch.setattr(_Stepper, "cone_step", guard_trips)
-        put(1)
-        for command in ("run", "sweep"):
-            monkeypatch.setattr(qwalk.evolution, "STEP_NORM_TOL", tol)
-            assert main([command, "--config", str(cfg_path), "--threads", "2"]) == 2
-            assert get() == 1
+            for command, walk in commands:
+                assert run(command, threads, **walk) == 0
+                assert seen and all(n == {threads} for n in seen), command
+                assert counts() == {outer}  # after the command
+        monkeypatch.setattr(qwalk.evolution, "STEP_NORM_TOL", -1.0)  # the first step fails
+        monkeypatch.setattr(qwalk.cli, "ISO_TOL", 0.0)  # fails: every deviation is 0.0
+        for command, walk in commands:
+            assert run(command, 2, **walk) == 2
+            assert seen and all(n == {2} for n in seen), command
+            assert counts() == {1}
+            assert run(command, 2, **{**walk, "halfwidth": 0}) == 1
+            assert counts() == {1}
     finally:
-        put(found)
+        for (_, set_count), n in zip(controls, found):
+            set_count(n)
 
 
 def _summary_without_timing(tmp_path, cfg: dict, openblas_threads: str) -> str:
@@ -958,16 +963,14 @@ def test_summary_bytes_do_not_follow_openblas_num_threads(tmp_path, coin):
 
 
 @requires_openblas
-def test_a_run_past_the_crossover_does_not_follow_openblas_num_threads(tmp_path):
-    assert 140**2 >= qwalk.cli._SPLIT_SITES  # its last steps run on 2 threads
+def test_a_two_thread_run_of_the_2d_kernel_does_not_follow_openblas_num_threads(tmp_path):
     cfg = {"dimensionality": 2, "steps": 140, "threads": 2, "formats": ["json"],
            "coin": {"kind": "fractional_swap", "tau": 0.5},  # the 2D kernel, not two 1D walks
            "defect": {"kind": "cross_xy", "phi": "pi:1"}}
     assert len({_summary_without_timing(tmp_path, cfg, n) for n in ("1", "2")}) == 1
 
 
-def test_sweep_bytes_do_not_follow_threads_past_the_crossover(tmp_path):
-    assert 140**2 >= qwalk.cli._SPLIT_SITES
+def test_a_2d_kernel_sweep_gives_the_same_bytes_at_threads_1_and_2(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, steps=140, coin={"kind": "fractional_swap", "tau": 0.5},
                  sweep={"phi": ["pi:1"], "defect": ["cross_xy", "line_y"]})

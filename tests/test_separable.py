@@ -177,7 +177,7 @@ OTHER = {
 }
 
 
-def _memo_steps(walks):
+def _memo_steps(walks, monkeypatch):
     """The walks that ``_walked`` steps for ``walks`` under one memo, and the keys."""
     stepped, memo = [], {}
 
@@ -185,24 +185,25 @@ def _memo_steps(walks):
         stepped.append(walk)
         return evolve(walk)
 
-    results = [_walked(walk, steps, memo) for walk in walks]
+    monkeypatch.setattr(qwalk.cli, "evolve", steps)
+    results = [_walked(walk, memo) for walk in walks]
     return stepped, list(memo), results
 
 
-def test_a_sweep_memo_keys_a_walk_by_every_init_field_of_its_spec():
+def test_a_sweep_memo_keys_a_walk_by_every_init_field_of_its_spec(monkeypatch):
     names = [f.name for f in fields(WalkSpec) if f.init]
     assert sorted(OTHER) == sorted(names)  # a new field needs a case here
     base = WalkSpec(**BASE)
     for name in names:
         other = WalkSpec(**{**BASE, **OTHER[name]})
-        stepped, keys, results = _memo_steps([base, other, base, other])
+        stepped, keys, results = _memo_steps([base, other, base, other], monkeypatch)
         assert stepped == [base, other], name
         assert len(keys) == 2 and all(len(key) == len(names) for key in keys), name
         differ = {n for n, a, b in zip(names, *keys) if a != b}
         assert differ == (set(OTHER[name]) if name == "dimensionality" else {name})
         assert results[0] is results[2] and results[1] is results[3]
     # Equal walks built apart, from fresh arrays, are one walk.
-    stepped, keys, results = _memo_steps([WalkSpec(**BASE), WalkSpec(**BASE)])
+    stepped, keys, results = _memo_steps([WalkSpec(**BASE), WalkSpec(**BASE)], monkeypatch)
     assert len(stepped) == 1 and len(keys) == 1 and results[0] is results[1]
 
 
