@@ -42,7 +42,8 @@ import numpy as np
 
 from .analysis import Distribution, WalkSummary, distribution, l1_distance, summarize
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
-from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, _residual, evolve
+from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, _residual, _stacks, lockstep
+from .evolution import evolve  # unused here; perfbench/spans.py WRAPPED patches it
 from .statespace import _integer
 from .isomorphism import (
     check_decomposition_claims,
@@ -62,6 +63,8 @@ DEFAULT_STEP_CAP = 2000
 MAX_LATTICE_SITES = 1 << 24
 # Cap on isocheck trials; one takes ~3 ms at L = 31, the largest admitted.
 MAX_TRIALS = 10_000
+# Cap on a sweep's grid points (phases x defect kinds), checked before any is built.
+MAX_SWEEP_POINTS = 10_000
 # Cap on ``threads``: 64, the MAX_THREADS of numpy's bundled OpenBLAS (which
 # clamps a larger count itself), or the host's CPU count where that is larger.
 MAX_THREADS = max(64, os.cpu_count() or 1)
@@ -434,13 +437,6 @@ def _factors(spec: WalkSpec, coin_form: Any) -> tuple[WalkSpec, ...]:
     )
 
 
-def _stepped(walks: tuple[WalkSpec, ...]) -> Iterator[tuple[int, tuple, float]]:
-    """The step, the grids and the checked norm residual after each step of ``walks``."""
-    for reports in zip(*map(evolve, walks)):
-        step = reports[0].step
-        yield step, tuple(r.grid for r in reports), _residual(step, (r.norm_sq for r in reports))
-
-
 def _summary(summaries: tuple[WalkSummary, ...]) -> WalkSummary:
     """The summary of the product of ``summaries``' walks (one walk is its own
     product): P(origin) px(0) py(0), and each factor's variances in order."""
@@ -458,9 +454,7 @@ def _distribution(grids: tuple) -> Distribution:
 def cmd_run(cfg: dict) -> int:
     spec, echo = _walk(cfg)
     formats = cfg.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or not formats or not all(
-        f in ("csv", "json") for f in formats
-    ):
+    if not (isinstance(formats, list) and formats and all(f in ("csv", "json") for f in formats)):
         raise ConfigError(f"formats: expected a nonempty list of csv/json, got {formats!r}")
     emit_per_step = cfg.get("emit_per_step", False)
     if not isinstance(emit_per_step, bool):
@@ -470,19 +464,18 @@ def cmd_run(cfg: dict) -> int:
         raise ConfigError(f"reference: expected a file path, got {ref_path!r}")
     reference = None if ref_path is None else read_distribution_csv(ref_path)
     if reference is not None and reference.dimensionality != spec.dimensionality:
-        raise ConfigError(
-            f"reference: {ref_path} is {reference.dimensionality}D, the walk is "
-            f"{spec.dimensionality}D"
-        )
+        raise ConfigError(f"reference: {ref_path} is {reference.dimensionality}D, "
+                          f"the walk is {spec.dimensionality}D")
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
     walks = _factors(spec, echo["coin"])
     grids = tuple(walk.initial_grid() for walk in walks)
-    for step, grids, residual in _stepped(walks):
+    for reports in lockstep(walks):
+        step, grids = reports[0].step, tuple(r.grid for r in reports)
         s = _summary(tuple(summarize(step, grid) for grid in grids))
-        per_step.append({**vars(s), "norm_residual": residual})
+        per_step.append({**vars(s), "norm_residual": _residual(step, (r.norm_sq for r in reports))})
         if emit_per_step and "csv" in formats:
             write_distribution_csv(out_dir / f"step_{step:04d}.csv", _distribution(grids))
     elapsed = time.perf_counter() - t0
@@ -494,15 +487,8 @@ def cmd_run(cfg: dict) -> int:
     final = {k: last.get(k) for k in ("recurrence", "variance_x", "variance_y")}
     final["s_t"] = None if reference is None else l1_distance(final_dist, reference)
     if "json" in formats:
-        _write_json(
-            out_dir / "summary.json",
-            {
-                "config": echo,
-                "per_step": per_step,
-                "final": final,
-                "timing_seconds": elapsed,
-            },
-        )
+        summary = {"config": echo, "per_step": per_step, "final": final, "timing_seconds": elapsed}
+        _write_json(out_dir / "summary.json", summary)
     if per_step:
         print(f"steps={spec.steps} P(origin)={final['recurrence']:.6f} out={out_dir}")
     else:
@@ -543,26 +529,29 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["defect"] = base
 
 
-def _walked(walk: WalkSpec, memo: dict) -> tuple[list[float], WalkSummary]:
-    """Each step's ``norm_sq`` and the final summary of ``walk``, stepped
-    unless ``memo`` holds them for a walk of the same init fields."""
-    _, values = walk.__reduce__()  # the spec's init fields; by repr, -0.0 is not 0.0
-    key = tuple(np.asarray(v, np.complex128).tobytes() if isinstance(v, np.ndarray) else repr(v)
-                for v in values)
-    if key not in memo:
-        norms, grid = [], walk.initial_grid()
-        for report in evolve(walk):
-            norms.append(report.norm_sq)
-            grid = report.grid
-        memo[key] = norms, summarize(walk.steps, grid)
-    return memo[key]
+def _walked(walks: list[WalkSpec]) -> list[tuple[np.ndarray, WalkSummary]]:
+    """Each step's ``norm_sq`` and the final summary of each of ``walks``.  Equal
+    walks, by every init field of the spec (an array by its bytes, else by repr:
+    -0.0 is not 0.0), step once, a stack at a time."""
+    keys = [tuple(np.asarray(v, np.complex128).tobytes() if isinstance(v, np.ndarray) else repr(v)
+                  for v in walk.__reduce__()[1]) for walk in walks]
+    distinct, walked = dict(zip(keys, walks)), {}
+    order, specs = list(distinct), list(distinct.values())
+    for stack in _stacks(specs):
+        norms, last = np.empty((len(stack), specs[stack[0]].steps)), None
+        for last in lockstep([specs[i] for i in stack]):
+            norms[:, last[0].step - 1] = [r.norm_sq for r in last]
+        for j, i in enumerate(stack):
+            grid = specs[i].initial_grid() if last is None else last[j].grid
+            walked[order[i]] = norms[j], summarize(specs[i].steps, grid)
+    return [walked[key] for key in keys]
 
 
-def _sweep_point(kind: str, phi_token: Any, walks: tuple[WalkSpec, ...], memo: dict) -> list:
+def _sweep_point(kind: str, phi_token: Any, walked: list) -> list:
     """The ``sweep.csv`` row of one grid point, from ``_walked`` of each of its
     walks: the product's norm checked at each step, and its summary."""
-    norms, summaries = zip(*(_walked(walk, memo) for walk in walks))
-    for step, step_norms in enumerate(zip(*norms), start=1):
+    norms, summaries = zip(*walked)
+    for step, step_norms in enumerate(zip(*(n.tolist() for n in norms)), start=1):
         _residual(step, step_norms)
     s = _summary(summaries)
     var_y = "" if s.variance_y is None else f"{s.variance_y:.12g}"
@@ -586,6 +575,9 @@ def cmd_sweep(cfg: dict) -> int:
     if not isinstance(kinds, list) or not kinds:
         raise ConfigError("sweep.defect: expected a nonempty list of defect kinds")
 
+    if len(phis) * len(kinds) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep: {len(phis) * len(kinds)} points, cap {MAX_SWEEP_POINTS}")
+
     # A point's defect is the grid's (kind, phi), read as run reads a
     # defect; every point is checked before anything is written or started.
     angles = [(token, parse_angle(token, "sweep.phi")) for token in phis]
@@ -594,11 +586,11 @@ def cmd_sweep(cfg: dict) -> int:
         for token, phi in angles:
             point = {"kind": kind, "phi": phi} if kind in _PHASED else {"kind": kind}
             defect, _ = _parse_defect(point, "sweep.defect")
-            walk = _checked(replace, spec, defect=defect)
-            points.append((kind, token, _factors(walk, echo["coin"])))
+            walks = _factors(_checked(replace, spec, defect=defect), echo["coin"])
+            points.append((kind, token, walks))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
-    memo: dict = {}  # each distinct walk stepped once
-    rows = [_sweep_point(*point, memo) for point in points]
+    walked = iter(_walked([walk for *_, walks in points for walk in walks]))  # in point order
+    rows = [_sweep_point(k, t, [next(walked) for _ in walks]) for k, t, walks in points]
 
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -18,8 +18,8 @@ reads it: the full-lattice and light-cone kernels and the dense step
 matrix.  The unit-axis walk of :mod:`qwalk.isomorphism` runs the same
 code with its own table.
 
-Boundaries are a property of the walk, and :class:`WalkSpec` alone reads
-them: it checks the boundary and picks the kernel.  An ``"open"`` walk
+Boundaries are a property of the walk: :class:`WalkSpec` checks it, and
+the walk's :class:`_Stack` picks the kernel by it.  An ``"open"`` walk
 needs halfwidth >= max|start| + steps, so its light cone never leaves the
 lattice; :class:`WalkSpec` rejects any other.  ``"periodic"`` identifies
 site L+1 with -L per axis and exists mainly for matrix-level checks at
@@ -32,16 +32,16 @@ can hold amplitude.  Every step moves each coordinate by +-1, so after t
 steps from (x0, y0) amplitude lives only on x = x0 + t, y = y0 + t
 (mod 2) inside the cone: a dense (t+1)^d grid of sites spaced 2 apart (a
 :class:`SublatticeState`, a quarter of the (2t+1)^2 cone window in 2D).
-Each step is one coin GEMM over that grid, the phase on the grid
-rows/columns that lie on the defect, a shift that writes each coin
-component as one block of its own contiguous (t+2)^d plane, at offset 0
-or 1, and one ``vdot`` over the planes in memory order for the norm.  The
-planes go to one of two buffers of the final grid's size, which take
-turns: a buffer is reused once no report, grid or view refers to it, and
-a step whose buffers are both held gets a fresh array.  Cost and memory
-per step are O((t+1)^d), independent of the halfwidth; the dense lattice
-state is built only when a caller asks for ``StepReport.state``.  The
-periodic boundary steps the full lattice.
+Walks step as stacks of such grids (:func:`lockstep`): each step is one
+coin GEMM over the stack, each walk's phase on its rows/columns that lie
+on its defect, a shift that writes each component of each walk as one
+block of its own contiguous (t+2)^d plane, at offset 0 or 1, and one
+``vdot`` a walk, over its planes in memory order.  The planes go to one
+of two buffers of the final stack's size, which take turns: a buffer is
+reused once no report, grid or view refers to it, else a fresh array.
+Cost and memory per step are O(W (t+1)^d) for W walks, independent of
+the halfwidth; a report's grid, and its dense ``state``, are built only
+when asked for.  The periodic boundary steps the full lattice.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ __all__ = [
     "WalkSpec",
     "StepReport",
     "evolve",
+    "lockstep",
     "run_walk",
     "build_step_matrix",
     "MAX_MATRIX_DIM",
@@ -89,6 +90,8 @@ STEP_NORM_TOL = 1e-10
 
 # Dense step matrices are capped at this total dimension.
 MAX_MATRIX_DIM = 16384
+# The most walks a stack holds, three grids of final size each (190 kB at 2000 steps in 1D).
+MAX_STACK = 32
 
 # Coin index -> displacement per axis, by dimensionality; 2D coin indices
 # are k = 2c + d.
@@ -137,9 +140,7 @@ class DefectMap:
         return cls("point", float(phi))
 
     @classmethod
-    def custom(
-        cls, table: Mapping[int, float] | Mapping[tuple[int, int], float]
-    ) -> "DefectMap":
+    def custom(cls, table: Mapping[int, float] | Mapping[tuple[int, int], float]) -> "DefectMap":
         return cls("custom", 0.0, dict(table))
 
     def validate(self, dimensionality: int) -> None:
@@ -148,9 +149,7 @@ class DefectMap:
         for key in self.table or {}:
             _coordinates(key, dimensionality, "custom defect site")
 
-    def phase_grid(
-        self, halfwidth: int, dimensionality: int
-    ) -> NDArray[np.complex128] | None:
+    def phase_grid(self, halfwidth: int, dimensionality: int) -> NDArray[np.complex128] | None:
         """Dense per-site phase factors, or None when trivially 1."""
         applier = _phase_applier(self, halfwidth, dimensionality)
         return _phase_grid(applier, (2 * halfwidth + 1,) * dimensionality)
@@ -227,18 +226,13 @@ class _Stepper:
     Every kernel and dense step matrix is built from one.  ``step(state,
     moves)`` advances a dense state on the full lattice, periodic, coin
     component c moving by ``moves[c]``: the periodic walk and the
-    unit-axis walk.  ``cone_step`` advances an open walk's
-    :class:`SublatticeState` by ``self.moves``, the diagonal walk's table.
+    unit-axis walk.  ``cone_step`` advances a :class:`_Stack` of open
+    walks' light-cone grids by ``self.moves``, the diagonal walk's table.
     Building one checks the lattice, coins and every listed site.
     """
 
-    def __init__(
-        self,
-        dimensionality: int,
-        halfwidth: int,
-        coin: NDArray[np.complex128] | CoinField,
-        defect: DefectMap | None,
-    ):
+    def __init__(self, dimensionality: int, halfwidth: int,
+                 coin: NDArray[np.complex128] | CoinField, defect: DefectMap | None):
         d = self.dim = _dimensionality(dimensionality)
         L = self.halfwidth = _halfwidth(halfwidth)
         self.moves = _DIAGONAL_MOVES[d]
@@ -252,47 +246,52 @@ class _Stepper:
         self.coin_table = np.array(list(self.field.table.values()), dtype=np.complex128)
         self.applier = _phase_applier(defect, L, d)
 
-    def _mixed(
-        self,
-        amps: NDArray[np.complex128],
-        sites: tuple[slice, ...],
-        out: NDArray[np.complex128] | None = None,
-    ) -> NDArray[np.complex128]:
-        """Coin, then source-site phase, on the lattice sites ``sites``."""
-        k = amps.shape[-1]
-        flat = None if out is None else out.reshape(-1, k)
-        mixed = np.matmul(amps.reshape(-1, k), self.coin_t, out=flat)
-        mixed = mixed.reshape(amps.shape)
+    def _mixed(self, amps: NDArray[np.complex128], sites: tuple[slice, ...],
+               appliers: Sequence[_Applier | None], out: NDArray | None = None) -> NDArray:
+        """Coin, then each walk's source-site phase (``appliers``), on the
+        lattice sites ``sites`` of a stack ``amps`` of shape (W, sites..., k)."""
+        w, k = len(amps), amps.shape[-1]
+        flat = None if out is None else out.reshape(w, -1, k)
+        mixed = np.matmul(amps.reshape(w, -1, k), self.coin_t, out=flat).reshape(amps.shape)
         if len(self.coin_table):
             keep, idx = _on_sites(self.coin_index, sites, 2 * self.halfwidth + 1)
-            mixed[idx] = np.einsum("pij,pj->pi", self.coin_table[keep], amps[idx])
-        if self.applier is not None:
-            self.applier(mixed, sites)
+            for a, m in zip(amps, mixed):
+                m[idx] = np.einsum("pij,pj->pi", self.coin_table[keep], a[idx])
+        for m, applier in zip(mixed, appliers):
+            if applier is not None:
+                applier(m, sites)
         return mixed
 
     def step(self, state: WalkerState, moves: _Moves) -> WalkerState:
-        m = self._mixed(state.amplitudes, (slice(None),) * self.dim)
+        m = self._mixed(state.amplitudes[None], (slice(None),) * self.dim, (self.applier,))[0]
         return WalkerState(self.dim, self.halfwidth, self._shift(m, moves))
 
-    def cone_step(self, grid: SublatticeState, buffers: "_Buffers") -> SublatticeState:
-        """One step of a sublattice grid of m sites per axis, giving m + 1.
+    def cone_step(self, stack: "_Stack") -> None:
+        """One step of a stack of sublattice grids of m sites per axis,
+        giving m + 1.
 
-        The output comes from ``buffers``, stored as coin planes.  A
-        move of +1 takes site ``first + 2i`` to ``(first - 1) + 2(i + 1)``,
-        so along each axis a component lands in its plane at offset
-        ``(1 + move) // 2``: 1 for a +1 move, 0 for a -1 move; the one row
-        it leaves empty is zeroed, as a reused buffer holds old amplitudes.
+        The output, each walk's coin planes, goes to a stack buffer that
+        CPython's reference count (numpy's signal for eliding temporaries)
+        says nothing else refers to, else to a fresh array.  A move of +1
+        takes site ``first + 2i`` to ``(first - 1) + 2(i + 1)``, so along
+        each axis a component lands in its plane at offset ``(1 + move) //
+        2``: 1 for a +1 move, 0 for a -1 move; the one row it leaves empty
+        is zeroed, as a reused buffer holds old amplitudes.
         """
-        a = grid.amplitudes
-        m = self._mixed(a, grid.sites(), buffers.scratch[: a.size].reshape(a.shape))
-        n, k = a.shape[0], a.shape[-1]
-        out = buffers.take((n + 1,) * self.dim + (k,))
+        a, d = stack.amplitudes, self.dim
+        grid = stack.grid(a[0])  # the first walk's: the sites of every walk
+        m = self._mixed(a, grid.sites(), stack.appliers, stack.scratch[: a.size].reshape(a.shape))
+        (w, n), k, each = a.shape[:2], a.shape[-1], (slice(None),)
+        free = [i for i in (0, 1) if sys.getrefcount(stack.buffers[i]) == stack.unheld]
+        size = w * k * (n + 1) ** d
+        flat = stack.buffers[free[0]][:size] if free else np.empty(size, np.complex128)
+        out = flat.reshape(w, k, *(n + 1,) * d).transpose(0, *range(2, d + 2), 1)
         for c, offsets in enumerate(self.offsets):
-            out[tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
+            out[each + tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
             for axis, o in enumerate(offsets):
-                out[(slice(None),) * axis + ((1 - o) * n, Ellipsis, c)] = 0
+                out[each * (axis + 1) + ((1 - o) * n, Ellipsis, c)] = 0
         first = tuple(f - 1 for f in grid.first)
-        return SublatticeState(self.dim, self.halfwidth, first, out)
+        stack.grid, stack.amplitudes = partial(SublatticeState, d, self.halfwidth, first), out
 
     def _shift(self, m: NDArray[np.complex128], moves: _Moves) -> NDArray[np.complex128]:
         """Move each coin component of the full lattice by its entry of
@@ -303,23 +302,32 @@ class _Stepper:
         return out
 
 
-class _Buffers(list):
-    """Scratch for the coin mix, and two output buffers, each reused only
-    when CPython's reference count (numpy's signal for eliding temporaries)
-    says nothing else refers to it: a held buffer is never touched."""
+class _Stack:
+    """Walks stepped as one, by the first's coin and each walk's own phase:
+    their amplitudes stacked (W, sites..., k), each walk's one block, and
+    ``grid``, which makes a walk's grid of them.  Open walks share a start;
+    a periodic walk, or one given ``moves``, steps the full lattice alone."""
 
-    def __init__(self, steps: int, d: int):
-        super().__init__(np.empty((steps + 1) ** d * 2 * d, dtype=np.complex128) for _ in range(2))
-        self.scratch = np.empty(max(steps, 1) ** d * 2 * d, dtype=np.complex128)
-        self.unheld = sys.getrefcount(self[0])
-        self.axes = (*range(1, d + 1), 0)  # coin planes -> (positions, coin)
+    def __init__(self, specs: Sequence[WalkSpec], moves: _Moves | None = None):
+        spec, d, L = specs[0], specs[0].dimensionality, specs[0].halfwidth
+        self.stepper, self.appliers = spec._stepper, [s._stepper.applier for s in specs]
+        self.moves = moves or (self.stepper.moves if spec.boundary == "periodic" else None)
+        if self.moves:  # the full lattice
+            self.grid = partial(WalkerState, d, L)
+            self.amplitudes = spec.initial_state().amplitudes[None]
+            return
+        size = len(specs) * 2 * d
+        self.buffers = [np.empty(size * (spec.steps + 1) ** d, np.complex128) for _ in "01"]
+        self.scratch = np.empty(size * max(spec.steps, 1) ** d, np.complex128)  # the coin mix
+        self.unheld = sys.getrefcount(self.buffers[0])
+        self.grid = partial(SublatticeState, d, L, spec.initial_grid().first)
+        self.amplitudes = np.stack([s.initial_grid().amplitudes for s in specs])
 
-    def take(self, shape: tuple[int, ...]) -> NDArray[np.complex128]:
-        # ``shape`` (positions, then coin) as coin planes: a free buffer, else fresh.
-        free = [i for i in (0, 1) if sys.getrefcount(self[i]) == self.unheld]
-        size = math.prod(shape)
-        flat = self[free[0]][:size] if free else np.empty(size, dtype=np.complex128)
-        return flat.reshape(shape[-1:] + shape[:-1]).transpose(self.axes)
+    def advance(self) -> None:
+        if self.moves is None:
+            return self.stepper.cone_step(self)
+        state = self.stepper.step(self.grid(self.amplitudes[0]), self.moves)
+        self.amplitudes = state.amplitudes[None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +335,7 @@ class WalkSpec:
     """Complete walk configuration; an accepted spec runs to its last step.
 
     ``halfwidth`` defaults to ``max(steps, 1)``.  ``boundary`` is
-    ``"open"`` or ``"periodic"``; the spec is the one reader of it.  An
+    ``"open"`` or ``"periodic"``; the spec checks it.  An
     open-boundary walk needs ``max|start| + steps <= halfwidth``, so its
     light cone stays on the lattice; the coins and every coin and defect
     site are checked by building the walk's stepper, which :func:`evolve`
@@ -359,10 +367,8 @@ class WalkSpec:
         if reach > L:
             raise ValueError(f"initial_position {pos!r} outside [-{L}, {L}]^{d}")
         if self.boundary == "open" and reach + steps > L:
-            raise ValueError(
-                f"open boundary needs halfwidth >= max|start| + steps = "
-                f"{reach + steps}, got {L}"
-            )
+            raise ValueError(f"open boundary needs halfwidth >= max|start| + steps = "
+                             f"{reach + steps}, got {L}")
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         coin = symmetric_coin(d) if self.initial_coin is None else self.initial_coin
@@ -393,20 +399,24 @@ class WalkSpec:
 
 @dataclass
 class StepReport:
-    """Post-step snapshot: 1-based step index, amplitudes, |1 - sum|a|^2|,
-    and the sum itself, ``norm_sq``, in the memory order of the amplitudes.
+    """Post-step snapshot: 1-based step index, |1 - sum|a|^2|, the sum
+    itself, ``norm_sq``, in the memory order of the amplitudes, and
+    ``make_grid``, which builds ``grid``.
 
     ``grid`` holds the amplitudes the kernel produced: a
     :class:`SublatticeState` on the open boundary, a dense
     :class:`WalkerState` on the periodic one.  ``state`` is always the dense
-    :class:`WalkerState` of the spec's halfwidth, expanded from ``grid`` on
-    first access and cached.
-    """
+    :class:`WalkerState` of the spec's halfwidth.  Both are built on first
+    access and cached."""
 
     step: int
-    grid: WalkerState | SublatticeState
     norm_residual: float
     norm_sq: float
+    make_grid: Callable[[], WalkerState | SublatticeState] = field(repr=False, compare=False)
+
+    @cached_property
+    def grid(self) -> WalkerState | SublatticeState:
+        return self.make_grid()
 
     @cached_property
     def state(self) -> WalkerState:
@@ -422,21 +432,47 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
     RuntimeError if the per-step norm residual ever exceeds 1e-10 (or is
     NaN), which would indicate a broken step operator.
     """
-    start, stepper = spec.initial_grid(), spec._stepper
-    advance = partial(stepper.step, moves=stepper.moves)
-    if isinstance(start, SublatticeState):
-        advance = partial(stepper.cone_step, buffers=_Buffers(spec.steps, spec.dimensionality))
-    yield from _guarded(advance, start, spec.steps)
+    return (report for (report,) in lockstep((spec,)))
 
 
-def _guarded(advance: Callable, state, steps: int) -> Iterator[StepReport]:
-    """A report for each of ``steps`` applications of ``advance`` to
-    ``state``, each checked by :func:`_residual`, the one norm check."""
+def lockstep(walks: Sequence[WalkSpec]) -> Iterator[tuple[StepReport, ...]]:
+    """Run ``walks``, of one number of steps, side by side: each step, their
+    reports in the order of ``walks``.  Each stack of :func:`_stacks` steps
+    as one; every walk's norm is checked at every step, as in :func:`evolve`."""
+    if len(steps := {walk.steps for walk in walks}) > 1:
+        raise ValueError(f"walks in lockstep must have one number of steps, got {sorted(steps)}")
+    stacks = _stacks(walks)
+    place = np.argsort([i for stack in stacks for i in stack]).tolist()
+    for reports in _guarded([_Stack([walks[i] for i in s]) for s in stacks], max(steps, default=0)):
+        yield tuple(reports[p] for p in place)
+
+
+def _stacks(walks: Sequence[WalkSpec]) -> list[list[int]]:
+    """The indices of ``walks`` by stack, up to ``MAX_STACK`` a stack: open 1D
+    walks that share steps, halfwidth, start and coin (not start coin or
+    defect); every other walk alone."""
+    groups: dict = {}
+    for i, w in enumerate(walks):
+        s = w._stepper
+        shared = (w.steps, w.halfwidth, w.initial_position, s.coin_t.tobytes(),
+                  s.coin_index.tobytes(), s.coin_table.tobytes())
+        stackable = w.dimensionality == 1 and w.boundary == "open"
+        groups.setdefault(shared if stackable else i, []).append(i)
+    return [g[j: j + MAX_STACK] for g in groups.values() for j in range(0, len(g), MAX_STACK)]
+
+
+def _guarded(stacks: list[_Stack], steps: int) -> Iterator[list[StepReport]]:
+    """The reports of the walks of ``stacks``, in order, after each of ``steps``
+    steps: each walk's norm is one ``vdot``, checked by :func:`_residual`."""
     for i in range(1, steps + 1):
-        state = advance(state)
-        amps = state.amplitudes.ravel(order="K")  # memory order: no copy
-        norm_sq = float(np.vdot(amps, amps).real)
-        yield StepReport(i, state, _residual(i, (norm_sq,)), norm_sq)
+        reports = []
+        for stack in stacks:
+            stack.advance()
+            for a in stack.amplitudes:
+                flat = a.ravel(order="K")  # memory order: no copy
+                n = float(np.vdot(flat, flat).real)
+                reports.append(StepReport(i, _residual(i, (n,)), n, partial(stack.grid, a)))
+        yield reports
 
 
 def _residual(step: int, norms: Iterable[float]) -> float:
@@ -457,12 +493,8 @@ def run_walk(spec: WalkSpec) -> WalkerState:
     return grid.expand()
 
 
-def build_step_matrix(
-    dimensionality: int,
-    halfwidth: int,
-    coin: NDArray[np.complex128] | CoinField,
-    defect: DefectMap | None = None,
-) -> NDArray[np.complex128]:
+def build_step_matrix(dimensionality: int, halfwidth: int, coin: NDArray[np.complex128] | CoinField,
+                      defect: DefectMap | None = None) -> NDArray[np.complex128]:
     """Dense unitary matrix of one step on the packed basis, periodic on
     the lattice: truncating shifts at an open edge would not give a
     unitary matrix.  Total dimension is capped at ``MAX_MATRIX_DIM``.
@@ -489,9 +521,7 @@ def _site_blocks(stepper: _Stepper) -> NDArray[np.complex128]:
     a step matrix above ``MAX_MATRIX_DIM`` is refused before allocating."""
     dim_total = state_dimension(stepper.dim, stepper.halfwidth)
     if dim_total > MAX_MATRIX_DIM:
-        raise ValueError(
-            f"step matrix dimension {dim_total} exceeds cap {MAX_MATRIX_DIM}"
-        )
+        raise ValueError(f"step matrix dimension {dim_total} exceeds cap {MAX_MATRIX_DIM}")
     blocks = stepper.field.stacked(stepper.halfwidth)
     grid = _phase_grid(stepper.applier, blocks.shape[: stepper.dim])
     return blocks if grid is None else grid[..., None, None] * blocks

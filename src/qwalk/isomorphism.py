@@ -69,6 +69,7 @@ from .evolution import (
     WalkSpec,
     _guarded,
     _site_blocks,
+    _Stack,
     _step_matrix,
     _Stepper,
     _targets,
@@ -388,9 +389,8 @@ def axis_walk_state(
     the full-lattice step from ever wrapping.
     """
     spec = WalkSpec(2, steps, coin4, initial_coin=initial_coin, halfwidth=halfwidth)
-    advance = functools.partial(spec._stepper.step, moves=_AXIS_MOVES)
     state = spec.initial_state()
-    for report in _guarded(advance, state, spec.steps):
+    for (report,) in _guarded([_Stack([spec], _AXIS_MOVES)], spec.steps):
         state = report.grid
     return state
 

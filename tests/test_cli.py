@@ -16,6 +16,7 @@ from qwalk.cli import (
     DEFAULT_STEP_CAP,
     ConfigError,
     MAX_LATTICE_SITES,
+    MAX_SWEEP_POINTS,
     MAX_THREADS,
     MAX_TRIALS,
     _openblas,
@@ -214,6 +215,28 @@ def test_isocheck_size_cap(tmp_path, capsys):
     assert not out.exists()
     assert main(["isocheck", "-L", "31", "--trials", "1", "--out", str(out)]) == 0
     assert json.loads((out / "isocheck.json").read_text())["halfwidth"] == 31
+
+
+def test_sweep_points_are_capped(tmp_path, capsys, monkeypatch):
+    # An uncapped 2-step sweep of 30,000 points took 9.7 s and 188 MB before
+    # it wrote a row.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    phis = [0.1] * (MAX_SWEEP_POINTS // 2 + 1)
+    write_config(cfg_path, steps=2, sweep={"phi": phis, "defect": ["cross_xy", "line_y"]})
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: sweep: {len(phis) * 2} points, cap {MAX_SWEEP_POINTS}" in err
+    assert not out.exists()
+    monkeypatch.setattr("qwalk.cli.MAX_SWEEP_POINTS", 4)
+    write_config(cfg_path, steps=2, sweep={"phi": [0.1, 0.2], "defect": ["cross_xy", "line_y"]})
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    assert len(read_rows(out / "sweep.csv")) == 4
+    for flags in (["--phi", "0.3"], ["--defect", "none"]):  # a flag sets one axis; 2 x 3 > 4
+        write_config(cfg_path, steps=2, out_dir=str(tmp_path / "over"),
+                     sweep={"phi": [0.1, 0.2, 0.3], "defect": ["cross_xy", "line_y"]})
+        assert main(["sweep", "--config", str(cfg_path)] + flags) == 0
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert "error: sweep: 6 points, cap 4" in capsys.readouterr().err
 
 
 def test_isocheck_trials_are_capped(tmp_path, capsys, monkeypatch):

@@ -2,8 +2,9 @@
 
 ``reference_cone_step`` below is the earlier ``_Stepper.cone_step``, which
 stored the grid interleaved as ``(m, ..., k)`` and allocated a fresh output
-every step, kept verbatim as the reference for the planar kernel: every
-step must give the same amplitudes bit for bit.
+every step, kept as the reference for the planar kernel (its coin mix now
+called as a stack of one): every step must give the same amplitudes bit
+for bit.
 """
 
 import itertools
@@ -22,7 +23,8 @@ H2 = tensor(H, H)
 
 def reference_cone_step(self, grid, scratch):
     a = grid.amplitudes
-    m = self._mixed(a, grid.sites(), scratch[: a.size].reshape(a.shape))
+    out = scratch[: a.size].reshape((1,) + a.shape)
+    m = self._mixed(a[None], grid.sites(), (self.applier,), out)[0]
     n = a.shape[0]
     out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
     for c, move in enumerate(self.moves):

@@ -15,11 +15,14 @@ from qwalk.cli import write_distribution_csv
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor, unitarity_check
 from qwalk.evolution import (
     MAX_MATRIX_DIM,
+    MAX_STACK,
     DefectMap,
     WalkSpec,
+    _stacks,
     _Stepper,
     build_step_matrix,
     evolve,
+    lockstep,
     run_walk,
 )
 from qwalk.isomorphism import (
@@ -860,3 +863,109 @@ def test_cone_walk_holds_no_lattice_sized_tables(coin, defect):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# ------------------------------------------------------- lockstep stacks
+
+
+def _stack_walks(seed, count, steps, position=0):
+    """``count`` open 1D walks that share one random su2 coin, start position
+    and halfwidth, with random start coins and none, point(0.0), point(-0.0)
+    and random point defects in turn."""
+    rng = np.random.default_rng(seed)
+    coin = random_su2(rng)
+    defects = [DefectMap.none(), DefectMap.point(0.0), DefectMap.point(-0.0)]
+    walks = []
+    for i in range(count):
+        start = rng.normal(size=2) + 1j * rng.normal(size=2)
+        defect = defects[i] if i < 3 else DefectMap.point(rng.uniform(-np.pi, np.pi))
+        walks.append(WalkSpec(1, steps, coin, defect, initial_position=position,
+                              initial_coin=start / np.linalg.norm(start),
+                              halfwidth=steps + abs(position) + 2))
+    return walks
+
+
+def _same_report(stacked, alone):
+    assert stacked.step == alone.step
+    assert stacked.norm_sq.hex() == alone.norm_sq.hex()
+    assert stacked.norm_residual.hex() == alone.norm_residual.hex()
+    assert type(stacked.grid) is type(alone.grid)
+    assert getattr(stacked.grid, "first", None) == getattr(alone.grid, "first", None)
+    assert stacked.grid.amplitudes.tobytes() == alone.grid.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 7, 40])
+@pytest.mark.parametrize("count", [1, 2, 9, MAX_STACK + 3], ids=lambda n: f"{n}-walks")
+@pytest.mark.parametrize("position", [0, -3, 4], ids=lambda x: f"from-{x}")
+def test_a_stack_steps_each_walk_bit_for_bit_as_it_steps_alone(steps, count, position):
+    walks = _stack_walks(steps * 100 + count, count, steps, position)
+    sizes = [len(stack) for stack in _stacks(walks)]
+    assert sizes == ([MAX_STACK, 3] if count > MAX_STACK else [count])
+    stepped = 0
+    # Neither side holds its reports, so both reuse their buffers.
+    for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
+        assert len(reports) == count
+        for stacked, solo in zip(reports, alone):
+            _same_report(stacked, solo)
+        stepped += 1
+    assert stepped == steps
+
+
+def test_lockstep_reports_in_the_order_of_its_walks_whatever_their_stacks():
+    # One stack interleaved with a 2D walk and a periodic walk (each a stack
+    # of one), and walks of another coin, start or halfwidth: each report is
+    # its walk's own.
+    steps = 12
+    shared = _stack_walks(1, 3, steps)
+    other = _stack_walks(2, 1, steps)[0]
+    moved = dataclasses.replace(shared[0], initial_position=2)
+    wider = dataclasses.replace(shared[1], halfwidth=20)
+    square = WalkSpec(2, steps, fractional_swap(0.3), DefectMap.cross_xy(1.0))
+    ring = WalkSpec(1, steps, H, DefectMap.point(0.5), boundary="periodic", halfwidth=5)
+    walks = [shared[0], other, square, shared[1], moved, ring, wider, shared[2]]
+    assert sorted(map(len, _stacks(walks))) == [1, 1, 1, 1, 1, 3]
+    for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
+        for stacked, solo in zip(reports, alone, strict=True):
+            _same_report(stacked, solo)
+
+
+def test_held_stack_reports_keep_their_own_amplitudes():
+    walks = _stack_walks(3, 4, 20)
+    held = list(lockstep(walks))
+    for reports, *alone in zip(held, *map(evolve, walks), strict=True):
+        for stacked, solo in zip(reports, alone):
+            _same_report(stacked, solo)
+
+
+def test_lockstep_refuses_walks_of_different_step_counts():
+    walks = [_stack_walks(4, 1, 5)[0], _stack_walks(4, 1, 6)[0]]
+    with pytest.raises(ValueError, match="one number of steps"):
+        next(lockstep(walks))
+    assert list(lockstep([])) == []
+
+
+@pytest.mark.parametrize("drift", ["nan", "scaled"])
+def test_one_walk_drifting_inside_a_stack_fails_at_that_step(drift):
+    walks = _stack_walks(5, 4, 10)
+    steps = lockstep(walks)
+    for _ in range(3):
+        reports = next(steps)
+    amps = reports[2].grid.amplitudes  # a view of the stack's own grids
+    if drift == "nan":
+        amps[0, 0] = np.nan
+    else:
+        amps *= 1.001
+    residual = "nan" if drift == "nan" else "2.001e-03"
+    with pytest.raises(RuntimeError, match=f"norm residual {residual} at step 4 exceeds 1e-10"):
+        next(steps)
+
+
+def test_walks_sharing_a_coin_field_stack_and_keep_their_own_bits():
+    rng = np.random.default_rng(6)
+    field = CoinField(1, random_su2(rng), {1: random_su2(rng), -3: np.eye(2), 0: H})
+    defects = [DefectMap.none(), DefectMap.point(1.1), DefectMap.custom({0: 0.3, -1: 2.0})]
+    walks = [WalkSpec(1, 25, field, defect, initial_coin=[0.6, 0.8j]) for defect in defects]
+    assert [len(stack) for stack in _stacks(walks)] == [3]
+    for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
+        for stacked, solo in zip(reports, alone):
+            _same_report(stacked, solo)

@@ -18,7 +18,7 @@ import qwalk.evolution
 from qwalk.analysis import distribution, summarize
 from qwalk.cli import _RANK1_TOL, _walked, main, write_distribution_csv
 from qwalk.coins import hadamard, su2_from_angles, tensor
-from qwalk.evolution import DefectMap, WalkSpec, _Stepper, evolve
+from qwalk.evolution import DefectMap, WalkSpec, _Stepper, evolve, lockstep
 
 from oracles import extended_hadamard_probs
 
@@ -27,17 +27,19 @@ EPS = np.finfo(np.float64).eps
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """The dimensionality of every stepper that takes a step."""
+    """The dimensionality of every walk that takes a step, once a walk and step:
+    ``cone_step`` steps a stack of open walks, ``step`` one periodic walk."""
     seen = []
 
-    def watch(kernel):
+    def watch(kernel, walks):
         def watched(self, *args, **kwargs):
-            seen.append(self.dim)
+            seen.extend([self.dim] * walks(*args))
             return kernel(self, *args, **kwargs)
         return watched
 
-    for name in ("cone_step", "step"):  # open and periodic walks
-        monkeypatch.setattr(_Stepper, name, watch(getattr(_Stepper, name)))
+    monkeypatch.setattr(_Stepper, "cone_step",
+                        watch(_Stepper.cone_step, lambda stack: len(stack.amplitudes)))
+    monkeypatch.setattr(_Stepper, "step", watch(_Stepper.step, lambda state, moves: 1))
     return seen
 
 
@@ -159,6 +161,26 @@ def test_a_sweep_steps_each_distinct_walk_once(tmp_path, kernels, name):
     assert (tmp_path / "out" / "sweep.csv").read_bytes() == header + b"".join(lines)
 
 
+def test_a_sweep_whose_stacked_walk_drifts_exits_2_and_writes_no_rows(tmp_path, monkeypatch,
+                                                                       capsys):
+    # One walk of a stack takes a NaN at step 3; the stack's own check stops
+    # the sweep there, before any row is written.
+    stepped = _Stepper.cone_step
+
+    def drifting(self, stack):
+        stepped(self, stack)
+        if len(stack.amplitudes) > 1 and stack.amplitudes.shape[1] == 4:  # after step 3
+            stack.amplitudes[1, 0, 0] = np.nan
+
+    monkeypatch.setattr(_Stepper, "cone_step", drifting)
+    cfg = {"dimensionality": 2, "steps": 6, "out_dir": str(tmp_path / "out"),
+           "sweep": {"phi": ["pi:0.5", "pi:1"], "defect": ["cross_xy", "line_y"]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "norm residual nan at step 3 exceeds 1e-10" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 # For each init field of WalkSpec, a walk that differs from BASE in it: the
 # defect by the sign of a zero phase.  A 2D walk needs a 4x4 coin, a
 # 4-component start and a 2D position too.
@@ -178,16 +200,15 @@ OTHER = {
 
 
 def _memo_steps(walks, monkeypatch):
-    """The walks that ``_walked`` steps for ``walks`` under one memo, and the keys."""
-    stepped, memo = [], {}
+    """The walks that ``_walked`` steps for ``walks``, stack by stack, and its results."""
+    stepped = []
 
-    def steps(walk):
-        stepped.append(walk)
-        return evolve(walk)
+    def steps(stack):
+        stepped.extend(stack)
+        return lockstep(stack)
 
-    monkeypatch.setattr(qwalk.cli, "evolve", steps)
-    results = [_walked(walk, memo) for walk in walks]
-    return stepped, list(memo), results
+    monkeypatch.setattr(qwalk.cli, "lockstep", steps)
+    return stepped, _walked(walks)
 
 
 def test_a_sweep_memo_keys_a_walk_by_every_init_field_of_its_spec(monkeypatch):
@@ -196,15 +217,18 @@ def test_a_sweep_memo_keys_a_walk_by_every_init_field_of_its_spec(monkeypatch):
     base = WalkSpec(**BASE)
     for name in names:
         other = WalkSpec(**{**BASE, **OTHER[name]})
-        stepped, keys, results = _memo_steps([base, other, base, other], monkeypatch)
-        assert stepped == [base, other], name
-        assert len(keys) == 2 and all(len(key) == len(names) for key in keys), name
-        differ = {n for n, a, b in zip(names, *keys) if a != b}
-        assert differ == (set(OTHER[name]) if name == "dimensionality" else {name})
-        assert results[0] is results[2] and results[1] is results[3]
+        stepped, results = _memo_steps([base, other, base, other], monkeypatch)
+        assert sorted(map(id, stepped)) == sorted(map(id, (base, other))), name
+        assert results[0] is results[2] and results[1] is results[3], name
+        assert results[0] is not results[1], name
+        # Each walk's results are its own, as if it were stepped alone.
+        for walk, (norms, summary) in zip((base, other), results):
+            alone = list(evolve(walk))
+            assert norms.tolist() == [r.norm_sq for r in alone], name
+            assert summary == summarize(walk.steps, alone[-1].grid), name
     # Equal walks built apart, from fresh arrays, are one walk.
-    stepped, keys, results = _memo_steps([WalkSpec(**BASE), WalkSpec(**BASE)], monkeypatch)
-    assert len(stepped) == 1 and len(keys) == 1 and results[0] is results[1]
+    stepped, results = _memo_steps([WalkSpec(**BASE), WalkSpec(**BASE)], monkeypatch)
+    assert len(stepped) == 1 and results[0] is results[1]
 
 
 def _printed(path):
