@@ -27,19 +27,22 @@ __all__ = [
     "recurrence_probability",
     "classical_rw_distribution",
     "summarize",
+    "summarize_stack",
 ]
 
 _SUM_TOL = 1e-10
 
 
 def _check_probs(p: NDArray[np.float64]) -> None:
-    # Written so that NaN fails both tests; a NaN is not called negative.
-    low = p.min()
-    if not low >= 0.0:
-        raise ValueError("probability is NaN" if np.isnan(low) else f"negative probability {low}")
-    total = p.sum()
-    if not abs(total - 1.0) <= _SUM_TOL:
-        raise ValueError(f"probabilities sum to {total}, not 1")
+    # Per walk of a stack p (W, sites...): its min, then its sum, each test
+    # written so that NaN fails it; a NaN is not called negative.
+    flat = p.reshape(len(p), -1)
+    for low, total in zip(np.minimum.reduce(flat, axis=1), np.add.reduce(flat, axis=1)):
+        if not low >= 0.0:
+            raise ValueError("probability is NaN" if np.isnan(low)
+                             else f"negative probability {low}")
+        if not abs(total - 1.0) <= _SUM_TOL:
+            raise ValueError(f"probabilities sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class Distribution:
         L = _integer(self.halfwidth, "halfwidth")
         if p.shape not in ((2 * L + 1,), (2 * L + 1,) * 2):
             raise ValueError(f"probability table shape {p.shape} does not match halfwidth {L}")
-        _check_probs(p)
+        _check_probs(p[None])
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "halfwidth", L)
 
@@ -82,16 +85,15 @@ class WalkSummary:
     variance_y: float | None = None
 
 
-def _site_probs(state: WalkerState | SublatticeState) -> NDArray[np.float64]:
-    # One coin plane at a time, added as ((p0 + p1) + p2) + p3: the bits of
-    # (abs(a) ** 2).sum(axis=-1), in two site-sized arrays (p and one scratch
-    # plane).  A plane is a contiguous block of a light-cone grid and a
-    # strided view of a dense state; both are read in place.
-    planes = np.moveaxis(state.amplitudes, -1, 0)
-    p = np.square(np.abs(planes[0]))
+def _site_probs(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
+    # One coin plane (the last axis) at a time, added as ((p0 + p1) + p2) +
+    # p3: the bits of (abs(a) ** 2).sum(axis=-1), in two site-sized arrays (p
+    # and one scratch plane).  A plane is a contiguous block of a light-cone
+    # grid and a strided view of a dense state; both are read in place.
+    p = np.square(np.abs(amplitudes[..., 0]))
     tmp = np.empty_like(p)
-    for plane in planes[1:]:
-        p += np.square(np.abs(plane, out=tmp), out=tmp)
+    for c in range(1, amplitudes.shape[-1]):
+        p += np.square(np.abs(amplitudes[..., c], out=tmp), out=tmp)
     return p
 
 
@@ -99,9 +101,9 @@ def distribution(state: WalkerState | SublatticeState) -> Distribution:
     """Position distribution P = sum over coin components of |amplitude|^2,
     over the whole (2L+1)^d lattice."""
     if not isinstance(state, SublatticeState):
-        return Distribution(_site_probs(state), state.halfwidth)
+        return Distribution(_site_probs(state.amplitudes), state.halfwidth)
     full = np.zeros((2 * state.halfwidth + 1,) * state.dimensionality)
-    full[state.sites()] = _site_probs(state)
+    full[state.sites()] = _site_probs(state.amplitudes)
     return Distribution(full, state.halfwidth)
 
 
@@ -141,13 +143,14 @@ def variance(p: Distribution, axis: int | str | None = None) -> float:
         if axis is None:
             raise ValueError("2D distribution requires an axis")
         p = marginal(p, axis)
-    return _variance(p.positions(), p.probs)
+    return _variance(p.positions(), p.probs[None])[0]
 
 
-def _variance(sites: NDArray[np.int64], probs: NDArray[np.float64]) -> float:
+def _variance(sites: NDArray[np.int64], probs: NDArray[np.float64]) -> list[float]:
+    # Per row of probs (W, sites): sums along the row, then float - float**2.
     xs = sites.astype(np.float64)
-    mean = float((xs * probs).sum())
-    return float((xs**2 * probs).sum() - mean**2)
+    means = np.add.reduce(xs * probs, axis=-1).tolist()
+    return [t - mean**2 for t, mean in zip(np.add.reduce(xs**2 * probs, axis=-1).tolist(), means)]
 
 
 def recurrence_probability(p: Distribution) -> float:
@@ -170,21 +173,26 @@ def classical_rw_distribution(t: int) -> Distribution:
     return Distribution(probs, t)
 
 
-def summarize(step: int, state: WalkerState | SublatticeState) -> WalkSummary:
-    """WalkSummary for a state: origin probability and variances.
-
-    Works on the sites the state stores, so a light-cone grid is
-    summarized without building the full lattice.
-    """
-    p = _site_probs(state)
+def summarize_stack(step: int, amplitudes: NDArray[np.complex128],
+                    coordinates: tuple[NDArray[np.int64], ...]) -> list[WalkSummary]:
+    """The WalkSummary of each walk of a stack ``amplitudes`` (W, sites...,
+    k) on the sites of ``coordinates``, the lattice coordinates of each axis,
+    in one pass: each walk gets the bits it gets alone.  A bad walk raises."""
+    p = _site_probs(amplitudes)
     _check_probs(p)
-    d = state.dimensionality
-    axes = [state.coordinates(a) for a in range(d)]
-    origin = tuple(np.flatnonzero(xs == 0) for xs in axes)
-    rec = float(p[tuple(int(i[0]) for i in origin)]) if all(map(len, origin)) else 0.0
-    if d == 1:
-        var_x, var_y = _variance(axes[0], p), None
-    else:
-        var_x = _variance(axes[0], p.sum(axis=1))
-        var_y = _variance(axes[1], p.sum(axis=0))
-    return WalkSummary(step, rec, var_x, var_y)
+    at = [np.nonzero(xs == 0)[0] for xs in coordinates]  # the origin, if a site
+    recs = p[(slice(None), *at)][:, 0].tolist() if all(map(len, at)) else [0.0] * len(p)
+    if len(coordinates) == 1:
+        var_x, var_y = _variance(coordinates[0], p), [None] * len(p)
+    else:  # the marginals: sums along the contiguous last axis, then down the columns
+        var_x = _variance(coordinates[0], p.sum(axis=-1))
+        var_y = _variance(coordinates[1], p.sum(axis=-2))
+    return [WalkSummary(step, *values) for values in zip(recs, var_x, var_y)]
+
+
+def summarize(step: int, state: WalkerState | SublatticeState) -> WalkSummary:
+    """WalkSummary for a state: origin probability and variances; the
+    stack of one of :func:`summarize_stack`, on the sites the state stores,
+    so a light-cone grid is summarized without building the full lattice."""
+    axes = tuple(state.coordinates(a) for a in range(state.dimensionality))
+    return summarize_stack(step, state.amplitudes[None], axes)[0]

@@ -40,17 +40,14 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .analysis import Distribution, WalkSummary, distribution, l1_distance, summarize
+from .analysis import (Distribution, WalkSummary, distribution, l1_distance, summarize,
+                       summarize_stack)
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
 from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, _residual, _stacks, lockstep
 from .evolution import evolve  # unused here; perfbench/spans.py WRAPPED patches it
 from .statespace import _integer
-from .isomorphism import (
-    check_decomposition_claims,
-    check_translation_equivalence,
-    random_shared_coin,
-    verify_isomorphism,
-)
+from .isomorphism import (check_decomposition_claims, check_translation_equivalence,
+                          random_shared_coin, verify_isomorphism)
 
 __all__ = ["main"]
 
@@ -377,9 +374,7 @@ def _make_out_dir(value: Any) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 @functools.cache
@@ -444,7 +439,14 @@ def _summary(summaries: tuple[WalkSummary, ...]) -> WalkSummary:
     return WalkSummary(summaries[0].step, math.prod(s.recurrence for s in summaries), *variances)
 
 
-def _distribution(grids: tuple) -> Distribution:
+def _summaries(reports: tuple) -> tuple[WalkSummary, ...]:
+    """The summary of each walk of ``reports``, one :func:`summarize_stack` a stack."""
+    stacks = {id(r.stack): r for r in reports}  # one report a stack
+    each = {k: summarize_stack(r.step, r.stack, r.coordinates) for k, r in stacks.items()}
+    return tuple(each[id(r.stack)][r.index] for r in reports)
+
+
+def _distribution(grids) -> Distribution:
     """``distribution`` of one grid, or of the product of two 1D grids: the
     outer product of theirs, checked."""
     px, *py = (distribution(grid) for grid in grids)
@@ -470,16 +472,16 @@ def cmd_run(cfg: dict) -> int:
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
-    walks = _factors(spec, echo["coin"])
-    grids = tuple(walk.initial_grid() for walk in walks)
-    for reports in lockstep(walks):
-        step, grids = reports[0].step, tuple(r.grid for r in reports)
-        s = _summary(tuple(summarize(step, grid) for grid in grids))
-        per_step.append({**vars(s), "norm_residual": _residual(step, (r.norm_sq for r in reports))})
+    walks, last = _factors(spec, echo["coin"]), None
+    for last in lockstep(walks):
+        s = _summary(_summaries(last))
+        per_step.append({**vars(s), "norm_residual": _residual(s.step, (r.norm_sq for r in last))})
         if emit_per_step and "csv" in formats:
-            write_distribution_csv(out_dir / f"step_{step:04d}.csv", _distribution(grids))
+            path = out_dir / f"step_{s.step:04d}.csv"
+            write_distribution_csv(path, _distribution(r.grid for r in last))
     elapsed = time.perf_counter() - t0
 
+    grids = [walk.initial_grid() for walk in walks] if last is None else [r.grid for r in last]
     final_dist = _distribution(grids) if "csv" in formats or reference is not None else None
     if "csv" in formats:
         write_distribution_csv(out_dir / "distribution.csv", final_dist)
@@ -538,12 +540,13 @@ def _walked(walks: list[WalkSpec]) -> list[tuple[np.ndarray, WalkSummary]]:
     distinct, walked = dict(zip(keys, walks)), {}
     order, specs = list(distinct), list(distinct.values())
     for stack in _stacks(specs):
-        norms, last = np.empty((len(stack), specs[stack[0]].steps)), None
-        for last in lockstep([specs[i] for i in stack]):
+        walks, last = [specs[i] for i in stack], None
+        norms = np.empty((len(stack), walks[0].steps))
+        for last in lockstep(walks):
             norms[:, last[0].step - 1] = [r.norm_sq for r in last]
+        summaries = _summaries(last) if last else [summarize(0, w.initial_grid()) for w in walks]
         for j, i in enumerate(stack):
-            grid = specs[i].initial_grid() if last is None else last[j].grid
-            walked[order[i]] = norms[j], summarize(specs[i].steps, grid)
+            walked[order[i]] = norms[j], summaries[j]
     return [walked[key] for key in keys]
 
 
@@ -614,41 +617,32 @@ def cmd_isocheck(cfg: dict) -> int:
         "hadamard_pair": verify_isomorphism(halfwidth, h2),
         "fractional_swap_half": verify_isomorphism(halfwidth, fractional_swap(0.5)),
     }
-    trial_devs = [
-        verify_isomorphism(halfwidth, random_shared_coin(rng)) for _ in range(trials)
-    ]
+    trial_devs = [verify_isomorphism(halfwidth, random_shared_coin(rng)) for _ in range(trials)]
     translation = check_translation_equivalence(halfwidth)
     claims = check_decomposition_claims(seed=seed)
     max_dev = max(max(named.values()), max(trial_devs), translation)
     passed = max_dev < ISO_TOL
 
-    _write_json(
-        out_dir / "isocheck.json",
-        {
-            "halfwidth": halfwidth,
-            "trials": trials,
-            "seed": seed,
-            "tolerance": ISO_TOL,
-            "translation_deviation": translation,
-            "named_coin_deviations": named,
-            "max_trial_deviation": max(trial_devs),
-            "max_deviation": max_dev,
-            "passed": passed,
-            "decomposition_claims": claims,
-        },
-    )
-    print(
-        f"isocheck halfwidth={halfwidth} trials={trials} "
-        f"max_deviation={max_dev:.3e} passed={passed}"
-    )
+    _write_json(out_dir / "isocheck.json", {
+        "halfwidth": halfwidth,
+        "trials": trials,
+        "seed": seed,
+        "tolerance": ISO_TOL,
+        "translation_deviation": translation,
+        "named_coin_deviations": named,
+        "max_trial_deviation": max(trial_devs),
+        "max_deviation": max_dev,
+        "passed": passed,
+        "decomposition_claims": claims,
+    })
+    print(f"isocheck halfwidth={halfwidth} trials={trials} "
+          f"max_deviation={max_dev:.3e} passed={passed}")
     return 0 if passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="qwalk",
-        description="Coined quantum walks on 1D/2D lattices with phase defects.",
-    )
+        prog="qwalk", description="Coined quantum walks on 1D/2D lattices with phase defects.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one walk and write its outputs")
@@ -658,11 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (run, sweep):
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--steps", type=int, help="override step count")
-        p.add_argument(
-            "--phi",
-            type=lambda s: s if s.startswith("pi:") else float(s),
-            help="override defect phase (radians or pi:<x>)",
-        )
+        p.add_argument("--phi", type=lambda s: s if s.startswith("pi:") else float(s),
+                       help="override defect phase (radians or pi:<x>)")
         p.add_argument("--defect", help="override defect kind")
         p.add_argument("--out", dest="out_dir", help="override output directory")
         p.add_argument("--threads", type=int, help=f"BLAS threads of the command, 1..{MAX_THREADS}")

@@ -41,7 +41,10 @@ of two buffers of the final stack's size, which take turns: a buffer is
 reused once no report, grid or view refers to it, else a fresh array.
 Cost and memory per step are O(W (t+1)^d) for W walks, independent of
 the halfwidth; a report's grid, and its dense ``state``, are built only
-when asked for.  The periodic boundary steps the full lattice.
+when asked for.  A report gives its stack's amplitudes and coordinates,
+so a stack's summaries take one pass (``analysis.summarize_stack``), each
+walk with the bits it has alone.  The periodic boundary steps the full
+lattice.
 """
 
 from __future__ import annotations
@@ -56,19 +59,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import CoinField, as_coin_field
-from .statespace import (
-    SublatticeState,
-    WalkerState,
-    _coordinates,
-    _dimensionality,
-    _halfwidth,
-    _integer,
-    _sites_index,
-    as_coin_state,
-    localized_state,
-    state_dimension,
-    symmetric_coin,
-)
+from .statespace import (SublatticeState, WalkerState, _coordinates, _dimensionality, _halfwidth,
+                         _integer, _sites_index, as_coin_state, localized_state, state_dimension,
+                         symmetric_coin)
 
 __all__ = [
     "Boundary",
@@ -155,9 +148,8 @@ class DefectMap:
         return _phase_grid(applier, (2 * halfwidth + 1,) * dimensionality)
 
 
-def _on_sites(
-    index: NDArray[np.int64], sites: tuple[slice, ...], n: int
-) -> tuple[NDArray[np.bool_], tuple[NDArray[np.int64], ...]]:
+def _on_sites(index: NDArray[np.int64], sites: tuple[slice, ...],
+              n: int) -> tuple[NDArray[np.bool_], tuple[NDArray[np.int64], ...]]:
     """Which lattice array indices ``index`` (P, d) fall on the array whose
     sites are ``sites``, and their positions in that array."""
     keep = np.ones(len(index), dtype=bool)
@@ -180,9 +172,8 @@ def _on_sites(
 _Applier = Callable[[NDArray[np.complex128], tuple[slice, ...]], None]
 
 
-def _phase_applier(
-    defect: DefectMap | None, halfwidth: int, dimensionality: int
-) -> _Applier | None:
+def _phase_applier(defect: DefectMap | None, halfwidth: int,
+                   dimensionality: int) -> _Applier | None:
     L = _halfwidth(halfwidth)
     if defect is None or defect.kind == "none":
         return None
@@ -264,7 +255,10 @@ class _Stepper:
 
     def step(self, state: WalkerState, moves: _Moves) -> WalkerState:
         m = self._mixed(state.amplitudes[None], (slice(None),) * self.dim, (self.applier,))[0]
-        return WalkerState(self.dim, self.halfwidth, self._shift(m, moves))
+        out = np.empty_like(m)
+        for c, move in enumerate(moves):
+            out[..., c] = np.roll(m[..., c], move, axis=tuple(range(self.dim)))
+        return WalkerState(self.dim, self.halfwidth, out)
 
     def cone_step(self, stack: "_Stack") -> None:
         """One step of a stack of sublattice grids of m sites per axis,
@@ -278,10 +272,10 @@ class _Stepper:
         2``: 1 for a +1 move, 0 for a -1 move; the one row it leaves empty
         is zeroed, as a reused buffer holds old amplitudes.
         """
-        a, d = stack.amplitudes, self.dim
-        grid = stack.grid(a[0])  # the first walk's: the sites of every walk
-        m = self._mixed(a, grid.sites(), stack.appliers, stack.scratch[: a.size].reshape(a.shape))
+        a, d, L = stack.amplitudes, self.dim, self.halfwidth
         (w, n), k, each = a.shape[:2], a.shape[-1], (slice(None),)
+        sites = tuple(slice(f + L, f + L + 2 * n - 1, 2) for f in stack.first)  # of every walk
+        m = self._mixed(a, sites, stack.appliers, stack.scratch[: a.size].reshape(a.shape))
         free = [i for i in (0, 1) if sys.getrefcount(stack.buffers[i]) == stack.unheld]
         size = w * k * (n + 1) ** d
         flat = stack.buffers[free[0]][:size] if free else np.empty(size, np.complex128)
@@ -290,43 +284,34 @@ class _Stepper:
             out[each + tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
             for axis, o in enumerate(offsets):
                 out[each * (axis + 1) + ((1 - o) * n, Ellipsis, c)] = 0
-        first = tuple(f - 1 for f in grid.first)
-        stack.grid, stack.amplitudes = partial(SublatticeState, d, self.halfwidth, first), out
-
-    def _shift(self, m: NDArray[np.complex128], moves: _Moves) -> NDArray[np.complex128]:
-        """Move each coin component of the full lattice by its entry of
-        ``moves``, periodic."""
-        out = np.empty_like(m)
-        for c, move in enumerate(moves):
-            out[..., c] = np.roll(m[..., c], move, axis=tuple(range(self.dim)))
-        return out
+        stack.first, stack.amplitudes = tuple(f - 1 for f in stack.first), out
 
 
 class _Stack:
     """Walks stepped as one, by the first's coin and each walk's own phase:
-    their amplitudes stacked (W, sites..., k), each walk's one block, and
-    ``grid``, which makes a walk's grid of them.  Open walks share a start;
-    a periodic walk, or one given ``moves``, steps the full lattice alone."""
+    their amplitudes stacked (W, sites..., k), each walk's one block, on the
+    light-cone grid from ``first``, shared by open walks of one start; a
+    periodic walk, or one given ``moves``, steps the full lattice alone."""
 
     def __init__(self, specs: Sequence[WalkSpec], moves: _Moves | None = None):
-        spec, d, L = specs[0], specs[0].dimensionality, specs[0].halfwidth
+        spec, d = specs[0], specs[0].dimensionality
         self.stepper, self.appliers = spec._stepper, [s._stepper.applier for s in specs]
         self.moves = moves or (self.stepper.moves if spec.boundary == "periodic" else None)
         if self.moves:  # the full lattice
-            self.grid = partial(WalkerState, d, L)
-            self.amplitudes = spec.initial_state().amplitudes[None]
+            self.first, self.amplitudes = None, spec.initial_state().amplitudes[None]
             return
         size = len(specs) * 2 * d
         self.buffers = [np.empty(size * (spec.steps + 1) ** d, np.complex128) for _ in "01"]
         self.scratch = np.empty(size * max(spec.steps, 1) ** d, np.complex128)  # the coin mix
         self.unheld = sys.getrefcount(self.buffers[0])
-        self.grid = partial(SublatticeState, d, L, spec.initial_grid().first)
+        self.first = spec.initial_grid().first
         self.amplitudes = np.stack([s.initial_grid().amplitudes for s in specs])
 
     def advance(self) -> None:
         if self.moves is None:
             return self.stepper.cone_step(self)
-        state = self.stepper.step(self.grid(self.amplitudes[0]), self.moves)
+        s = self.stepper
+        state = s.step(WalkerState(s.dim, s.halfwidth, self.amplitudes[0]), self.moves)
         self.amplitudes = state.amplitudes[None]
 
 
@@ -400,23 +385,37 @@ class WalkSpec:
 @dataclass
 class StepReport:
     """Post-step snapshot: 1-based step index, |1 - sum|a|^2|, the sum
-    itself, ``norm_sq``, in the memory order of the amplitudes, and
-    ``make_grid``, which builds ``grid``.
+    itself, ``norm_sq``, in the memory order of the amplitudes, and the
+    walk's ``index`` in ``stack``, the amplitudes (W, sites..., k) of the
+    walks stepped as one with it, whose sites' lattice ``coordinates`` (an
+    array an axis) follow from ``halfwidth`` and the grid's ``first`` site.
 
-    ``grid`` holds the amplitudes the kernel produced: a
-    :class:`SublatticeState` on the open boundary, a dense
-    :class:`WalkerState` on the periodic one.  ``state`` is always the dense
+    ``grid`` holds the walk's amplitudes: a :class:`SublatticeState` on the
+    open boundary (from ``first``), a dense :class:`WalkerState` on the
+    periodic one (``first`` None).  ``state`` is always the dense
     :class:`WalkerState` of the spec's halfwidth.  Both are built on first
     access and cached."""
 
     step: int
     norm_residual: float
     norm_sq: float
-    make_grid: Callable[[], WalkerState | SublatticeState] = field(repr=False, compare=False)
+    stack: NDArray[np.complex128] = field(repr=False, compare=False)
+    index: int
+    halfwidth: int
+    first: tuple[int, ...] | None
+
+    @property
+    def coordinates(self) -> tuple[NDArray[np.int64], ...]:
+        if self.first is None:
+            return (np.arange(-self.halfwidth, self.halfwidth + 1),) * (self.stack.ndim - 2)
+        return tuple(np.arange(f, f + 2 * self.stack.shape[1] - 1, 2) for f in self.first)
 
     @cached_property
     def grid(self) -> WalkerState | SublatticeState:
-        return self.make_grid()
+        d, a = self.stack.ndim - 2, self.stack[self.index]
+        if self.first is None:
+            return WalkerState(d, self.halfwidth, a)
+        return SublatticeState(d, self.halfwidth, self.first, a)
 
     @cached_property
     def state(self) -> WalkerState:
@@ -468,10 +467,11 @@ def _guarded(stacks: list[_Stack], steps: int) -> Iterator[list[StepReport]]:
         reports = []
         for stack in stacks:
             stack.advance()
-            for a in stack.amplitudes:
+            for j, a in enumerate(stack.amplitudes):
                 flat = a.ravel(order="K")  # memory order: no copy
                 n = float(np.vdot(flat, flat).real)
-                reports.append(StepReport(i, _residual(i, (n,)), n, partial(stack.grid, a)))
+                reports.append(StepReport(i, _residual(i, (n,)), n, stack.amplitudes, j,
+                                          stack.stepper.halfwidth, stack.first))
         yield reports
 
 

@@ -7,7 +7,9 @@ is held bitwise to the plain ``(np.abs(a) ** 2).sum(axis=-1)``.
 """
 
 import csv
+import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -163,7 +165,7 @@ def test_site_probs_is_bitwise_the_axis_sum_on_random_states(dim):
         amps *= 10.0 ** rng.uniform(-8, 0, size=shape)
         state = WalkerState(dim, halfwidth, amps)
         expected = (np.abs(amps) ** 2).sum(axis=-1)
-        assert _bitwise_equal(_site_probs(state), expected)
+        assert _bitwise_equal(_site_probs(state.amplitudes), expected)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -179,7 +181,7 @@ def test_site_probs_is_bitwise_the_axis_sum_on_coin_field_walks(dim):
         for report in evolve(spec):
             for state in (report.grid, report.state):
                 expected = (np.abs(state.amplitudes) ** 2).sum(axis=-1)
-                assert _bitwise_equal(_site_probs(state), expected)
+                assert _bitwise_equal(_site_probs(state.amplitudes), expected)
 
 
 def _amplitudes(rng, shape):
@@ -207,7 +209,7 @@ def test_site_probs_is_bitwise_the_axis_sum_on_extreme_magnitudes(dim):
         ):
             assert np.moveaxis(state.amplitudes, -1, 0)[1].flags.c_contiguous is contiguous
             before = state.amplitudes.tobytes()
-            got = _site_probs(state)
+            got = _site_probs(state.amplitudes)
             assert _bitwise_equal(got, (np.abs(amps) ** 2).sum(axis=-1))
             assert state.amplitudes.tobytes() == before
         if halfwidth == 20:
@@ -261,3 +263,57 @@ def test_writer_matches_csv_writer_on_zero_full_and_floor_rows(tmp_path, dim, ha
     assert text.count("\r\n") == n**dim + 1
     if fill == "floor":
         assert ",1e-15\r\n" in text and ",0\r\n" in text
+
+
+# Golden bytes: the sha256 of whole output files, pinned from the outputs of
+# the per-walk summaries that the stacked ones replaced, so that any change
+# that moves one byte of them fails here.  summary.json is hashed with its
+# timing_seconds value replaced by 0.  The hashes hold for a BLAS whose
+# complex GEMM rounds as numpy's bundled OpenBLAS does on x86-64; a kernel
+# that rounds otherwise moves them, as "What a kernel change may move" in
+# the README says.
+_PRODUCT_START = [[0.676141407574784, 0.0], [0.14774265090944072, -0.04939443143144383],
+                  [0.6680143649511013, -0.2149013289227512],
+                  [0.1302675493331909, -0.09575849228941713]]
+GOLDEN = {
+    # run2d_cross at 60 steps, from the benchmark's seed-1 product start:
+    # two 1D walks stepped as one stack.
+    "product-run": ("run", {
+        "dimensionality": 2, "steps": 60, "coin": "hadamard",
+        "defect": {"kind": "cross_xy", "phi": "pi:1"},
+        "initial": {"position": [0, 0], "coin": _PRODUCT_START},
+    }, {
+        "distribution.csv": "f61346fc26fa420014e1fc460e0d2940af60764a76565c153975386019ba19fe",
+        "summary.json": "fb891fc83202cb9d2814a0d25cc3192f0b504bfb931710a9eedf80833473f480",
+    }),
+    # A coin that is not a product: the 2D kernel.
+    "kernel-run": ("run", {
+        "dimensionality": 2, "steps": 40, "coin": {"kind": "fractional_swap", "tau": 0.5},
+        "defect": {"kind": "point", "phi": "pi:1"},
+    }, {
+        "distribution.csv": "f748a2d19b36dc932a13438676b68ea9834b4615a2c5739a5e5a19a5b32e3bef",
+        "summary.json": "8278accd6327854343ae1c0f53fb219d9596bfecddae5b215fd7469143aea31a",
+    }),
+    "sweep": ("sweep", {
+        "dimensionality": 2, "steps": 30,
+        "sweep": {"phi": ["pi:0", "pi:0.5", "pi:1", 2.5], "defect": ["cross_xy", "line_y"]},
+    }, {
+        "sweep.csv": "ce48a69d8ad23f5e1ecf2f3c1b23293528d0fc66698028d866701dac2e421a6b",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_outputs_keep_their_pinned_bytes(tmp_path, name):
+    command, cfg, digests = GOLDEN[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "out_dir": str(tmp_path / "out")}))
+    assert main([command, "--config", str(cfg_path)]) == 0
+    got = {}
+    for path in sorted((tmp_path / "out").iterdir()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            data, n = re.subn(rb'"timing_seconds": [^\n]*', b'"timing_seconds": 0', data)
+            assert n == 1
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    assert got == digests
