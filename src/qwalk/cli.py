@@ -620,7 +620,8 @@ def cmd_isocheck(cfg: dict) -> int:
     trial_devs = [verify_isomorphism(halfwidth, random_shared_coin(rng)) for _ in range(trials)]
     translation = check_translation_equivalence(halfwidth)
     claims = check_decomposition_claims(seed=seed)
-    max_dev = max(max(named.values()), max(trial_devs), translation)
+    max_trial = float(np.max(trial_devs))  # np.max, unlike max(), keeps a NaN
+    max_dev = float(np.max([*named.values(), max_trial, translation]))
     passed = max_dev < ISO_TOL
 
     _write_json(out_dir / "isocheck.json", {
@@ -630,7 +631,7 @@ def cmd_isocheck(cfg: dict) -> int:
         "tolerance": ISO_TOL,
         "translation_deviation": translation,
         "named_coin_deviations": named,
-        "max_trial_deviation": max(trial_devs),
+        "max_trial_deviation": max_trial,
         "max_deviation": max_dev,
         "passed": passed,
         "decomposition_claims": claims,

@@ -21,15 +21,14 @@ unit axis moves: coin (0,0) -> x+1, (0,1) -> y+1, (1,0) -> y-1,
 (1,1) -> x-1.  The verification here is numeric and exact.  Each step
 operator is one table of per-site blocks phase * coin and one move-target
 table: column (s, c) holds block column c of site s, its component c'
-on the site that component c' of s moves to.  The blocks are built once
-and read by both operators, carried to the 2D sites through the site
-permutation for the single walker.  The check compares the two operators
-column by column, relabeling the 2D walker's target sites through the
-site permutation: the same number as the dense max |U_two - P^T U_2d P|,
-without building a dense operator.  Under the pair map the blocks read
-back are a bitwise copy, so the site tables decide the result (a custom
-``pair_map`` exercises the block comparison).  No command builds a dense
-operator, yet the dense builders stay public, as the reference of:
+on the site that component c' of s moves to.  The single walker's blocks
+are the two walkers' carried to the 2D sites, so after relabeling the
+two operators hold the same entries and differ only in where they put
+them.  The check is the largest modulus among the entries put on
+different sites: the dense max |U_two - P^T U_2d P|, without building a
+dense operator.  The move tables and the pair map decide where entries
+land, the coin and phases which entries are nonzero.  No command builds
+a dense operator, yet the dense builders stay public, as the reference of:
 
 * :func:`build_two_walker_matrix`, :func:`transformed_step_matrix` and
   :meth:`BasisPermutation.conjugate` give the dense max |U_two - P^T U_2d
@@ -236,27 +235,24 @@ def _deviation(
     defect: DefectMap | None,
     pair_map: PairMap | None = None,
 ) -> float:
-    """max |U_two - P^T U_2d P|, compared column by column; no dense
-    operator is built.
+    """max |U_two - P^T U_2d P|, with U_2d's blocks the two walkers' carried
+    across P; no dense operator is built.
 
-    Both operators scatter the same site blocks (the 2D walker's carried
-    across the pair map) and hold exactly one entry per column (s, c) and
-    output component c'.  It sits at site ``_targets[c', s]`` for the two
-    walkers and, with tau the site map of ``pair_map``, at
-    tau^-1(``_targets[c', tau(s)]``) for the relabeled 2D walker.  Where
-    the two sites agree the entries meet; elsewhere each meets the dense
-    zero and counts at its full modulus.  Where they agree depends on the
-    pair map alone: :attr:`BasisPermutation._meet`, built once per instance.
+    Column (s, c) of either operator holds block column c of site s, one
+    entry per output component c'.  The two walkers put it at site
+    ``_targets[c', s]``; the relabeled 2D walker, with tau the site map of
+    ``pair_map``, at tau^-1(``_targets[c', tau(s)]``).  Where the sites agree
+    the entries cancel, elsewhere each meets a zero: the result is the
+    largest modulus among the entries put on different sites
+    (:attr:`BasisPermutation._meet`, built once per instance).  A NaN or
+    infinite block gives NaN.
     """
     stepper = _Stepper(2, halfwidth, coin4, defect)
     blocks, L = _site_blocks(stepper), stepper.halfwidth
     perm = _permutation(L) if pair_map is None else BasisPermutation.build(L, pair_map)
-    tau = perm.indices[::4] // 4
-    # [s, c', c] -> [c', s, c], beside the [c', s] sites.
-    a = blocks.reshape(tau.size, 4, 4).transpose(1, 0, 2)
-    b = _carried(blocks, L).reshape(tau.size, 4, 4)[tau].transpose(1, 0, 2)
-    apart = np.maximum(np.abs(a), np.abs(b))
-    return float(np.where(perm._meet[..., None], np.abs(a - b), apart).max())
+    # [s, c', c] -> [c', s, c], beside the [c', s] sites; 0 * NaN keeps a NaN.
+    moduli = np.abs(blocks.reshape(-1, 4, 4)).transpose(1, 0, 2)
+    return float((moduli * ~perm._meet[..., None]).max())
 
 
 def verify_isomorphism(
@@ -267,10 +263,10 @@ def verify_isomorphism(
     """Max elementwise deviation between the two-walker step matrix and the
     permutation-conjugated 2D step matrix.
 
-    Exactly 0.0 for any shared coin, ``CoinField`` and defect: under the
-    pair map the 2D walker's blocks, carried across and read back, are a
-    bitwise copy of the two walkers', so the site tables decide it; the
-    coin is still checked unitary and decides which entries are nonzero.
+    Exactly 0.0 for any shared coin, ``CoinField`` and finite defect: under
+    the pair map every entry lands on the same site for both operators.
+    The coin is still checked unitary, and it decides which entries are
+    nonzero, the measure of a misplaced one; a NaN phase gives NaN.
     """
     return _deviation(halfwidth, coin4, defect)
 

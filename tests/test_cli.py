@@ -206,6 +206,26 @@ def test_isocheck_passes_and_is_deterministic(tmp_path):
     assert (out / "isocheck.json").read_bytes() == first
 
 
+@pytest.mark.parametrize("call", [2, 4], ids=["second-named-coin", "second-trial"])
+def test_a_nan_deviation_fails_the_isocheck(tmp_path, monkeypatch, call):
+    # Python's max drops a NaN that does not come first: a NaN second trial
+    # once passed with max_trial_deviation 0.0.
+    calls = []
+    verify = qwalk.cli.verify_isomorphism
+
+    def nan_once(*args):
+        calls.append(args)
+        return float("nan") if len(calls) == call else verify(*args)
+
+    monkeypatch.setattr(qwalk.cli, "verify_isomorphism", nan_once)
+    out = tmp_path / "iso"
+    assert main(["isocheck", "--trials", "5", "--out", str(out)]) == 2
+    report = json.loads((out / "isocheck.json").read_text())
+    assert report["passed"] is False
+    assert np.isnan(report["max_deviation"])
+    assert np.isnan(report["max_trial_deviation"]) == (call == 4)
+
+
 def test_isocheck_size_cap(tmp_path, capsys):
     # 31 is the largest L with 4(2L+1)^2 <= MAX_MATRIX_DIM.
     out = tmp_path / "iso"

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qwalk.analysis import Distribution, distribution
 from qwalk import isomorphism
+from qwalk.cli import main
 from qwalk.coins import (
     IDENTITY2,
     IDENTITY4,
@@ -480,20 +482,34 @@ WRONG_PAIR_MAPS = {
 @pytest.mark.parametrize("coin", COINS)
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_entry_deviation_equals_dense_deviation(L, coin, defect):
+    # The entry check carries the blocks across the map under check, the
+    # dense one across the pair map.  Under a wrong map the two agree only
+    # where every site has the same block; elsewhere both catch the map.
+    uniform = defect == "none" and coin != "coin-field"
     coin, defect = COINS[coin], DEFECTS[defect]
     dense = _dense_deviation(L, coin, defect, BasisPermutation.build(L))
     assert verify_isomorphism(L, coin, defect) == dense == 0.0
     for pair_map in WRONG_PAIR_MAPS.values():
         dense = _dense_deviation(L, coin, defect, BasisPermutation.build(L, pair_map))
-        assert dense > 0.0
-        assert _deviation(L, coin, defect, pair_map) == dense
+        got = _deviation(L, coin, defect, pair_map)
+        assert dense > 0.0 and got > 0.0
+        if uniform:
+            assert got == dense
 
 
-def test_an_entry_only_the_relabeled_side_has_counts_in_full():
+@pytest.mark.parametrize("kind", ["line_y", "cross_xy", "point", "custom"])
+def test_a_nan_phase_gives_a_nan_deviation(kind):
+    defect = DefectMap.custom({(1, -1): np.nan}) if kind == "custom" else DefectMap(kind, np.nan)
+    for coin in COINS.values():
+        assert np.isnan(verify_isomorphism(2, coin, defect))
+
+
+def test_a_map_wrong_on_a_four_cycle_of_sites_is_caught():
     # The pair map is right except on a 4-cycle of sites, and one site of
-    # that cycle has the coin 1 (+) Q.  Its entry 1 lands off the matched
-    # sites only on the 2D side: every two-walker entry off the matched
-    # sites and every matched difference is at most 2/3.
+    # that cycle has the coin 1 (+) Q.  The dense check, its blocks carried
+    # across the pair map, counts Q's entry 1 in full; the entry check
+    # carries the blocks across this map, and every entry it misplaces is
+    # at most 2/3.
     u, _, vh = np.linalg.svd(H2[1:, 1:])
     peaked = np.eye(4, dtype=complex)
     peaked[1:, 1:] = u @ vh
@@ -507,7 +523,8 @@ def test_an_entry_only_the_relabeled_side_has_counts_in_full():
 
     field = CoinField(2, H2, {(0, 0): peaked})
     dense = _dense_deviation(L, field, None, BasisPermutation.build(L, pair_map))
-    assert _deviation(L, field, None, pair_map) == dense == 1.0
+    assert dense == 1.0
+    assert 0.0 < _deviation(L, field, None, pair_map) < dense
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -525,6 +542,24 @@ def test_the_cached_site_tables_do_not_hide_a_wrong_pair_map(L):
         assert check_translation_equivalence(L, pair_map) > 0.0
     assert _deviation(L, coin, None, coordinate_forward) == verify_isomorphism(L, coin) == 0.0
     _permutation.cache_clear()
+
+
+def test_a_swapped_axis_move_fails_every_check(tmp_path, monkeypatch):
+    # A fault in the single walker's move table must show in every coin's
+    # deviation, the translation check and the isocheck's exit code.
+    swapped = (_AXIS_MOVES[1], _AXIS_MOVES[0], *_AXIS_MOVES[2:])
+    monkeypatch.setattr(isomorphism, "_AXIS_MOVES", swapped)
+    _permutation.cache_clear()
+    try:
+        rng = np.random.default_rng(5)
+        for coin in [H2, fractional_swap(0.5)] + [random_shared_coin(rng) for _ in range(5)]:
+            assert verify_isomorphism(3, coin) > 0.0
+        assert check_translation_equivalence(3) == 1.0
+        out = tmp_path / "iso"
+        assert main(["isocheck", "-L", "3", "--trials", "5", "--out", str(out)]) == 2
+        assert json.loads((out / "isocheck.json").read_text())["passed"] is False
+    finally:
+        _permutation.cache_clear()
 
 
 def _random_u4(rng):

@@ -266,12 +266,13 @@ def test_writer_matches_csv_writer_on_zero_full_and_floor_rows(tmp_path, dim, ha
 
 
 # Golden bytes: the sha256 of whole output files, pinned from the outputs of
-# the per-walk summaries that the stacked ones replaced, so that any change
-# that moves one byte of them fails here.  summary.json is hashed with its
-# timing_seconds value replaced by 0.  The hashes hold for a BLAS whose
-# complex GEMM rounds as numpy's bundled OpenBLAS does on x86-64; a kernel
-# that rounds otherwise moves them, as "What a kernel change may move" in
-# the README says.
+# the per-walk summaries that the stacked ones replaced, and for the
+# isochecks from the block comparison that the entry-only deviation
+# replaced, so that any change that moves one byte of them fails here.
+# summary.json is hashed with its timing_seconds value replaced by 0.  The
+# hashes hold for a BLAS whose complex GEMM rounds as numpy's bundled
+# OpenBLAS does on x86-64; a kernel that rounds otherwise moves them, as
+# "What a kernel change may move" in the README says.
 _PRODUCT_START = [[0.676141407574784, 0.0], [0.14774265090944072, -0.04939443143144383],
                   [0.6680143649511013, -0.2149013289227512],
                   [0.1302675493331909, -0.09575849228941713]]
@@ -299,6 +300,13 @@ GOLDEN = {
         "sweep": {"phi": ["pi:0", "pi:0.5", "pi:1", 2.5], "defect": ["cross_xy", "line_y"]},
     }, {
         "sweep.csv": "ce48a69d8ad23f5e1ecf2f3c1b23293528d0fc66698028d866701dac2e421a6b",
+    }),
+    # isocheck_dense: the claims' matrix products round with the BLAS.
+    "isocheck": ("isocheck", {"halfwidth": 8, "trials": 50, "seed": 1}, {
+        "isocheck.json": "5cb9f8c7c46774b77f08efd9d9e019b1a0fe4075bc30d59c419f7cb1a7bc6f21",
+    }),
+    "default-isocheck": ("isocheck", {}, {
+        "isocheck.json": "711b25c00982556086602567ac733d0b5507dd4f21e971657323ccaec60e3b6a",
     }),
 }
 
