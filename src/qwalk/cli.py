@@ -34,7 +34,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -43,8 +43,8 @@ import numpy as np
 from .analysis import (Distribution, WalkSummary, distribution, l1_distance, summarize,
                        summarize_stack)
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
-from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, _residual, _stacks, lockstep
-from .evolution import evolve  # unused here; perfbench/spans.py WRAPPED patches it
+from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, _guarded, _residual, _stacks
+from .evolution import evolve  # unused, as is summarize: perfbench/spans.py WRAPPED patches them
 from .statespace import _integer
 from .isomorphism import (check_decomposition_claims, check_translation_equivalence,
                           random_shared_coin, verify_isomorphism)
@@ -252,11 +252,16 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _checked(build, *args, **kwargs) -> WalkSpec:
-    try:
-        return build(*args, **kwargs)
-    except (ValueError, IndexError, OverflowError) as e:
-        raise ConfigError(f"config: {e}") from None
+def _spec(memo: dict, **values: Any) -> WalkSpec:
+    """``WalkSpec(**values)``, checked, built once in ``memo`` for equal ``values``
+    (an array by its bytes, anything else by its repr: -0.0 is not 0.0)."""
+    key = tuple(v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in values.values())
+    if key not in memo:
+        try:
+            memo[key] = WalkSpec(**values)
+        except (ValueError, IndexError, OverflowError) as e:
+            raise ConfigError(f"config: {e}") from None
+    return memo[key]
 
 
 def _walk(cfg: dict) -> tuple[WalkSpec, dict]:
@@ -273,9 +278,9 @@ def _walk(cfg: dict) -> tuple[WalkSpec, dict]:
     if halfwidth is not None:
         hi = _max_halfwidth(MAX_LATTICE_SITES, dimensionality)
         halfwidth = _count(halfwidth, "halfwidth", 1, hi)
-    spec = _checked(WalkSpec, dimensionality, steps, coin, defect, initial_position=position,
-                    initial_coin=coin_vec, boundary=cfg.get("boundary", "open"),
-                    halfwidth=halfwidth)
+    spec = _spec({}, dimensionality=dimensionality, steps=steps, coin=coin, defect=defect,
+                 initial_position=position, initial_coin=coin_vec,
+                 boundary=cfg.get("boundary", "open"), halfwidth=halfwidth)
     pairs = [[z.real, z.imag] for z in map(complex, spec.initial_coin)]  # type: ignore[arg-type]
     echo = {
         "dimensionality": dimensionality,
@@ -408,27 +413,27 @@ def _blas_threads(threads: int) -> Iterator[None]:
             put(count)
 
 
-def _factors(spec: WalkSpec, coin_form: Any) -> tuple[WalkSpec, ...]:
-    """``(fx, fy)``, 1D walks along x and y whose product is the 2D walk ``spec``
+def _factors(spec: WalkSpec, defect: DefectMap, coin_form: Any, memo: dict) -> tuple[WalkSpec, ...]:
+    """``(fx, fy)``, 1D walks along x and y whose product is ``spec`` with ``defect``
     (a coin A(x)B: hadamard, identity, tensor; a phase g(x)h(y): none, line_y,
-    cross_xy; a start a(x)b), else ``(spec,)``; read from checked values only."""
-    if spec.dimensionality == 1 or spec.defect.kind not in ("none", "line_y", "cross_xy"):
-        return (spec,)
+    cross_xy; a start a(x)b), else that walk; from checked values, each :func:`_spec` once."""
     if coin_form in ("hadamard", "identity"):  # A(x)A
         coin_form = {"kind": "tensor", "first": coin_form, "second": coin_form}
-    m = np.reshape(spec.initial_coin, (2, 2))  # [c, d]: c steers x, d steers y
-    if coin_form["kind"] != "tensor" or not abs(np.linalg.det(m)) <= _RANK1_TOL:
-        return (spec,)
+    m = np.reshape(spec.initial_coin, (2, -1))  # 2D: [c, d], c steers x, d steers y
+    if (spec.dimensionality == 1 or defect.kind not in ("none", "line_y", "cross_xy")
+            or coin_form["kind"] != "tensor" or not abs(np.linalg.det(m)) <= _RANK1_TOL):
+        same = {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
+        return (spec if defect is spec.defect else _spec(memo, **{**same, "defect": defect}),)
     rows = np.linalg.norm(m, axis=1)
     b = m[np.argmax(rows)] / rows.max()  # the longer row is a multiple of b
     coins = [_parse_coin(coin_form[k], 1)[0] for k in ("first", "second")]
-    none, point = DefectMap.none(), DefectMap.point(spec.defect.phi)
+    none, point = DefectMap.none(), DefectMap.point(defect.phi)
     defects = {"none": (none, none), "line_y": (none, point), "cross_xy": (point, point)}
     return tuple(
-        _checked(WalkSpec, 1, spec.steps, coin, defect, initial_position=x0, initial_coin=start,
-                 boundary=spec.boundary, halfwidth=spec.halfwidth)
-        for coin, defect, x0, start in
-        zip(coins, defects[spec.defect.kind], spec.initial_position, (m @ b.conj(), b))
+        _spec(memo, dimensionality=1, steps=spec.steps, coin=coin, defect=d, initial_position=x0,
+               initial_coin=start, boundary=spec.boundary, halfwidth=spec.halfwidth)
+        for coin, d, x0, start in
+        zip(coins, defects[defect.kind], spec.initial_position, (m @ b.conj(), b))
     )
 
 
@@ -439,17 +444,9 @@ def _summary(summaries: tuple[WalkSummary, ...]) -> WalkSummary:
     return WalkSummary(summaries[0].step, math.prod(s.recurrence for s in summaries), *variances)
 
 
-def _summaries(reports: tuple) -> tuple[WalkSummary, ...]:
-    """The summary of each walk of ``reports``, one :func:`summarize_stack` a stack."""
-    stacks = {id(r.stack): r for r in reports}  # one report a stack
-    each = {k: summarize_stack(r.step, r.stack, r.coordinates) for k, r in stacks.items()}
-    return tuple(each[id(r.stack)][r.index] for r in reports)
-
-
-def _distribution(grids) -> Distribution:
-    """``distribution`` of one grid, or of the product of two 1D grids: the
-    outer product of theirs, checked."""
-    px, *py = (distribution(grid) for grid in grids)
+def _distribution(stacks: list) -> Distribution:
+    """``distribution`` of the walk of ``stacks``, or of two 1D walks' product, checked."""
+    px, *py = (distribution(grid) for stack in stacks for grid in stack.grids)
     return Distribution(np.outer(px.probs, py[0].probs), px.halfwidth) if py else px
 
 
@@ -472,17 +469,16 @@ def cmd_run(cfg: dict) -> int:
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
-    walks, last = _factors(spec, echo["coin"]), None
-    for last in lockstep(walks):
-        s = _summary(_summaries(last))
-        per_step.append({**vars(s), "norm_residual": _residual(s.step, (r.norm_sq for r in last))})
+    stacks = list(_stacks(_factors(spec, spec.defect, echo["coin"], {})))  # x, then y
+    for t, norms in enumerate(_guarded(stacks, spec.steps), start=1):
+        s = _summary([w for k in stacks for w in summarize_stack(t, k.amplitudes, k.coordinates)])
+        norm = math.prod(np.concatenate(norms).tolist())  # 1 * n is n: one norm keeps its bits
+        per_step.append({**vars(s), "norm_residual": float(_residual(norm, t))})
         if emit_per_step and "csv" in formats:
-            path = out_dir / f"step_{s.step:04d}.csv"
-            write_distribution_csv(path, _distribution(r.grid for r in last))
+            write_distribution_csv(out_dir / f"step_{t:04d}.csv", _distribution(stacks))
     elapsed = time.perf_counter() - t0
 
-    grids = [walk.initial_grid() for walk in walks] if last is None else [r.grid for r in last]
-    final_dist = _distribution(grids) if "csv" in formats or reference is not None else None
+    final_dist = _distribution(stacks) if "csv" in formats or reference is not None else None
     if "csv" in formats:
         write_distribution_csv(out_dir / "distribution.csv", final_dist)
     last = per_step[-1] if per_step else {}  # a walk of no steps: all null
@@ -531,31 +527,22 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["defect"] = base
 
 
-def _walked(walks: list[WalkSpec]) -> list[tuple[np.ndarray, WalkSummary]]:
-    """Each step's ``norm_sq`` and the final summary of each of ``walks``.  Equal
-    walks, by every init field of the spec (an array by its bytes, else by repr:
-    -0.0 is not 0.0), step once, a stack at a time."""
-    keys = [tuple(np.asarray(v, np.complex128).tobytes() if isinstance(v, np.ndarray) else repr(v)
-                  for v in walk.__reduce__()[1]) for walk in walks]
-    distinct, walked = dict(zip(keys, walks)), {}
-    order, specs = list(distinct), list(distinct.values())
-    for stack in _stacks(specs):
-        walks, last = [specs[i] for i in stack], None
-        norms = np.empty((len(stack), walks[0].steps))
-        for last in lockstep(walks):
-            norms[:, last[0].step - 1] = [r.norm_sq for r in last]
-        summaries = _summaries(last) if last else [summarize(0, w.initial_grid()) for w in walks]
-        for j, i in enumerate(stack):
-            walked[order[i]] = norms[j], summaries[j]
-    return [walked[key] for key in keys]
+def _walked(walks: list[WalkSpec]) -> dict[WalkSpec, tuple[np.ndarray, WalkSummary]]:
+    """Each of ``walks``' ``norm_sq`` at each step, and its final summary: the
+    walks step a stack at a time, each step's norms one row a stack."""
+    walked: dict = {}
+    for stack in _stacks(walks):
+        steps = stack.specs[0].steps
+        norms = np.reshape(list(_guarded([stack], steps)), (-1, len(stack.specs))).T
+        summaries = summarize_stack(steps, stack.amplitudes, stack.coordinates)
+        walked.update(zip(stack.specs, zip(norms, summaries)))
+    return walked
 
 
 def _sweep_point(kind: str, phi_token: Any, walked: list) -> list:
-    """The ``sweep.csv`` row of one grid point, from ``_walked`` of each of its
-    walks: the product's norm checked at each step, and its summary."""
+    """The ``sweep.csv`` row of a point's walks (from ``_walked``): their product, checked."""
     norms, summaries = zip(*walked)
-    for step, step_norms in enumerate(zip(*(n.tolist() for n in norms)), start=1):
-        _residual(step, step_norms)
+    _residual(math.prod(norms), np.arange(1, len(norms[0]) + 1))  # 1 * n is n
     s = _summary(summaries)
     var_y = "" if s.variance_y is None else f"{s.variance_y:.12g}"
     return [kind, phi_token, _format_prob(s.recurrence), f"{s.variance_x:.12g}", var_y]
@@ -584,16 +571,15 @@ def cmd_sweep(cfg: dict) -> int:
     # A point's defect is the grid's (kind, phi), read as run reads a
     # defect; every point is checked before anything is written or started.
     angles = [(token, parse_angle(token, "sweep.phi")) for token in phis]
-    points = []
+    points, memo = [], {}  # memo: each distinct walk of the grid, built once
     for kind in kinds:
         for token, phi in angles:
             point = {"kind": kind, "phi": phi} if kind in _PHASED else {"kind": kind}
             defect, _ = _parse_defect(point, "sweep.defect")
-            walks = _factors(_checked(replace, spec, defect=defect), echo["coin"])
-            points.append((kind, token, walks))
+            points.append((kind, token, _factors(spec, defect, echo["coin"], memo)))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
-    walked = iter(_walked([walk for *_, walks in points for walk in walks]))  # in point order
-    rows = [_sweep_point(k, t, [next(walked) for _ in walks]) for k, t, walks in points]
+    walked = _walked(list(memo.values()))
+    rows = [_sweep_point(k, t, [walked[w] for w in walks]) for k, t, walks in points]
 
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -36,24 +36,23 @@ Walks step as stacks of such grids (:func:`lockstep`): each step is one
 coin GEMM over the stack, each walk's phase on its rows/columns that lie
 on its defect, a shift that writes each component of each walk as one
 block of its own contiguous (t+2)^d plane, at offset 0 or 1, and one
-``vdot`` a walk, over its planes in memory order.  The planes go to one
-of two buffers of the final stack's size, which take turns: a buffer is
-reused once no report, grid or view refers to it, else a fresh array.
-Cost and memory per step are O(W (t+1)^d) for W walks, independent of
-the halfwidth; a report's grid, and its dense ``state``, are built only
-when asked for.  A report gives its stack's amplitudes and coordinates,
-so a stack's summaries take one pass (``analysis.summarize_stack``), each
-walk with the bits it has alone.  The periodic boundary steps the full
-lattice.
+``vecdot`` a stack, over each walk's planes in memory order.  The planes
+go to one of two buffers of the final stack's size, which take turns: a
+buffer is reused once no report, grid or view refers to it, else a fresh
+array.  Cost and memory per step are O(W (t+1)^d) for W walks,
+independent of the halfwidth; a report's grid, and its dense ``state``,
+are built only when asked for.  A report gives its stack's amplitudes
+and coordinates, so a stack's summaries take one pass
+(``analysis.summarize_stack``), each walk with the bits it has alone.
+The periodic boundary steps the full lattice.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -278,41 +277,51 @@ class _Stepper:
         m = self._mixed(a, sites, stack.appliers, stack.scratch[: a.size].reshape(a.shape))
         free = [i for i in (0, 1) if sys.getrefcount(stack.buffers[i]) == stack.unheld]
         size = w * k * (n + 1) ** d
-        flat = stack.buffers[free[0]][:size] if free else np.empty(size, np.complex128)
+        flat = (stack.buffers[free[0]][:size] if free else np.empty(size, complex)).reshape(w, -1)
         out = flat.reshape(w, k, *(n + 1,) * d).transpose(0, *range(2, d + 2), 1)
         for c, offsets in enumerate(self.offsets):
             out[each + tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
             for axis, o in enumerate(offsets):
                 out[each * (axis + 1) + ((1 - o) * n, Ellipsis, c)] = 0
-        stack.first, stack.amplitudes = tuple(f - 1 for f in stack.first), out
+        stack.first, stack.amplitudes, stack.flat = tuple(f - 1 for f in stack.first), out, flat
 
 
 class _Stack:
-    """Walks stepped as one, by the first's coin and each walk's own phase:
-    their amplitudes stacked (W, sites..., k), each walk's one block, on the
-    light-cone grid from ``first``, shared by open walks of one start; a
-    periodic walk, or one given ``moves``, steps the full lattice alone."""
+    """The walks ``members`` of ``walks``, its ``specs``, stepped as one, by the
+    first's coin and each walk's own phase: amplitudes stacked (W, sites..., k)
+    (once stepped, ``flat`` views them as (W, N), in memory order), on the
+    light-cone grid from ``first``, shared by open walks of one start; a periodic
+    walk, or one given ``moves``, steps the full lattice alone."""
 
-    def __init__(self, specs: Sequence[WalkSpec], moves: _Moves | None = None):
-        spec, d = specs[0], specs[0].dimensionality
-        self.stepper, self.appliers = spec._stepper, [s._stepper.applier for s in specs]
+    def __init__(self, walks: Sequence[WalkSpec], members: Sequence[int], moves: _Moves | None = None):
+        self.specs, self.members = [walks[i] for i in members], members
+        spec, d = self.specs[0], self.specs[0].dimensionality
+        self.stepper, self.appliers = spec._stepper, [s._stepper.applier for s in self.specs]
         self.moves = moves or (self.stepper.moves if spec.boundary == "periodic" else None)
         if self.moves:  # the full lattice
             self.first, self.amplitudes = None, spec.initial_state().amplitudes[None]
             return
-        size = len(specs) * 2 * d
+        size = len(self.specs) * 2 * d
         self.buffers = [np.empty(size * (spec.steps + 1) ** d, np.complex128) for _ in "01"]
         self.scratch = np.empty(size * max(spec.steps, 1) ** d, np.complex128)  # the coin mix
         self.unheld = sys.getrefcount(self.buffers[0])
         self.first = spec.initial_grid().first
-        self.amplitudes = np.stack([s.initial_grid().amplitudes for s in specs])
+        self.amplitudes = np.stack([s.initial_grid().amplitudes for s in self.specs])
 
     def advance(self) -> None:
         if self.moves is None:
             return self.stepper.cone_step(self)
         s = self.stepper
         state = s.step(WalkerState(s.dim, s.halfwidth, self.amplitudes[0]), self.moves)
-        self.amplitudes = state.amplitudes[None]
+        self.amplitudes, self.flat = state.amplitudes[None], state.amplitudes.reshape(1, -1)
+
+    @property
+    def coordinates(self) -> tuple[NDArray[np.int64], ...]:
+        return _sites(self.amplitudes, self.stepper.halfwidth, self.first)
+
+    @property
+    def grids(self) -> list[WalkerState | SublatticeState]:
+        return [_grid(a, self.stepper.halfwidth, self.first) for a in self.amplitudes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,20 +415,27 @@ class StepReport:
 
     @property
     def coordinates(self) -> tuple[NDArray[np.int64], ...]:
-        if self.first is None:
-            return (np.arange(-self.halfwidth, self.halfwidth + 1),) * (self.stack.ndim - 2)
-        return tuple(np.arange(f, f + 2 * self.stack.shape[1] - 1, 2) for f in self.first)
+        return _sites(self.stack, self.halfwidth, self.first)
 
     @cached_property
     def grid(self) -> WalkerState | SublatticeState:
-        d, a = self.stack.ndim - 2, self.stack[self.index]
-        if self.first is None:
-            return WalkerState(d, self.halfwidth, a)
-        return SublatticeState(d, self.halfwidth, self.first, a)
+        return _grid(self.stack[self.index], self.halfwidth, self.first)
 
     @cached_property
     def state(self) -> WalkerState:
         return self.grid.expand()
+
+
+def _sites(stack: NDArray, L: int, first: tuple[int, ...] | None) -> tuple[NDArray[np.int64], ...]:
+    """The lattice coordinates of a stack's grid from ``first`` (None: the lattice), by axis."""
+    if first is None:
+        return (np.arange(-L, L + 1),) * (stack.ndim - 2)
+    return tuple(np.arange(f, f + 2 * stack.shape[1] - 1, 2) for f in first)
+
+
+def _grid(a: NDArray, L: int, first: tuple[int, ...] | None) -> WalkerState | SublatticeState:
+    """One walk's amplitudes as its grid from ``first``, or (None) as the dense state."""
+    return SublatticeState(a.ndim - 1, L, first, a) if first else WalkerState(a.ndim - 1, L, a)
 
 
 def evolve(spec: WalkSpec) -> Iterator[StepReport]:
@@ -440,16 +456,18 @@ def lockstep(walks: Sequence[WalkSpec]) -> Iterator[tuple[StepReport, ...]]:
     as one; every walk's norm is checked at every step, as in :func:`evolve`."""
     if len(steps := {walk.steps for walk in walks}) > 1:
         raise ValueError(f"walks in lockstep must have one number of steps, got {sorted(steps)}")
-    stacks = _stacks(walks)
-    place = np.argsort([i for stack in stacks for i in stack]).tolist()
-    for reports in _guarded([_Stack([walks[i] for i in s]) for s in stacks], max(steps, default=0)):
+    stacks = list(_stacks(walks))
+    place = np.argsort([i for s in stacks for i in s.members]).tolist()
+    for i, norms in enumerate(_guarded(stacks, max(steps, default=0)), start=1):
+        reports = [StepReport(i, abs(1.0 - n), n, s.amplitudes, j, s.stepper.halfwidth, s.first)
+                   for s, row in zip(stacks, norms) for j, n in enumerate(row.tolist())]
         yield tuple(reports[p] for p in place)
 
 
-def _stacks(walks: Sequence[WalkSpec]) -> list[list[int]]:
-    """The indices of ``walks`` by stack, up to ``MAX_STACK`` a stack: open 1D
-    walks that share steps, halfwidth, start and coin (not start coin or
-    defect); every other walk alone."""
+def _stacks(walks: Sequence[WalkSpec]) -> Iterator[_Stack]:
+    """``walks`` in :class:`_Stack` form, each built when reached, up to
+    ``MAX_STACK`` walks a stack: open 1D walks that share steps, halfwidth,
+    start and coin (not start coin or defect); every other walk alone."""
     groups: dict = {}
     for i, w in enumerate(walks):
         s = w._stepper
@@ -457,31 +475,31 @@ def _stacks(walks: Sequence[WalkSpec]) -> list[list[int]]:
                   s.coin_index.tobytes(), s.coin_table.tobytes())
         stackable = w.dimensionality == 1 and w.boundary == "open"
         groups.setdefault(shared if stackable else i, []).append(i)
-    return [g[j: j + MAX_STACK] for g in groups.values() for j in range(0, len(g), MAX_STACK)]
+    return (_Stack(walks, g[j: j + MAX_STACK]) for g in groups.values()
+            for j in range(0, len(g), MAX_STACK))
 
 
-def _guarded(stacks: list[_Stack], steps: int) -> Iterator[list[StepReport]]:
-    """The reports of the walks of ``stacks``, in order, after each of ``steps``
-    steps: each walk's norm is one ``vdot``, checked by :func:`_residual`."""
+def _guarded(stacks: list[_Stack], steps: int) -> Iterator[list[NDArray[np.float64]]]:
+    """Step ``stacks`` ``steps`` times; after each, yield each stack's norms: one
+    ``vecdot`` over its ``flat``, each walk's ``vdot`` bits, checked by :func:`_residual`."""
     for i in range(1, steps + 1):
-        reports = []
+        norms = []
         for stack in stacks:
             stack.advance()
-            for j, a in enumerate(stack.amplitudes):
-                flat = a.ravel(order="K")  # memory order: no copy
-                n = float(np.vdot(flat, flat).real)
-                reports.append(StepReport(i, _residual(i, (n,)), n, stack.amplitudes, j,
-                                          stack.stepper.halfwidth, stack.first))
-        yield reports
+            norms.append(np.vecdot(stack.flat, stack.flat).real)
+            _residual(norms[-1], i)
+        yield norms
 
 
-def _residual(step: int, norms: Iterable[float]) -> float:
-    """|1 - prod(norms)| after ``step``: one walk's norm, or a product walk's
-    factor norms (|1 - nx*ny|).  The one norm check: above ``STEP_NORM_TOL``
-    (or NaN) it raises; :func:`_guarded` and the CLI's product walks call it."""
-    r = abs(1.0 - math.prod(norms))  # 1 * n is n: one norm keeps its bits
-    if not r <= STEP_NORM_TOL:  # written so that NaN fails too
-        raise RuntimeError(f"norm residual {r:.3e} at step {step} exceeds {STEP_NORM_TOL}")
+def _residual(norms: NDArray[np.float64] | float, steps: NDArray[np.int64] | int) -> NDArray:
+    """|1 - norms|, each a walk's norm or a product walk's (|1 - nx*ny|) after
+    its step of ``steps``.  The one norm check: the first above ``STEP_NORM_TOL``
+    (or NaN) raises; :func:`_guarded` and the CLI's product walks call it."""
+    r = np.abs(1.0 - np.asarray(norms))
+    if (bad := ~(r <= STEP_NORM_TOL)).any():  # written so that NaN fails too
+        i = np.argmax(bad)
+        step = np.broadcast_to(steps, r.shape).flat[i]
+        raise RuntimeError(f"norm residual {r.flat[i]:.3e} at step {step} exceeds {STEP_NORM_TOL}")
     return r
 
 

@@ -385,10 +385,10 @@ def axis_walk_state(
     the full-lattice step from ever wrapping.
     """
     spec = WalkSpec(2, steps, coin4, initial_coin=initial_coin, halfwidth=halfwidth)
-    state = spec.initial_state()
-    for (report,) in _guarded([_Stack([spec], _AXIS_MOVES)], spec.steps):
-        state = report.grid
-    return state
+    stack = _Stack([spec], [0], _AXIS_MOVES)
+    for _ in _guarded([stack], spec.steps):
+        pass
+    return stack.grids[0]
 
 
 def map_two_walker_distribution(dist: Distribution) -> Distribution:

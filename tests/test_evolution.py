@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.evolution
+import qwalk.isomorphism
 from qwalk.analysis import distribution
-from qwalk.cli import write_distribution_csv
+from qwalk.cli import _blas_threads, write_distribution_csv
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor, unitarity_check
 from qwalk.evolution import (
     MAX_MATRIX_DIM,
@@ -27,6 +29,7 @@ from qwalk.evolution import (
 )
 from qwalk.isomorphism import (
     BasisPermutation,
+    axis_walk_state,
     check_translation_equivalence,
     random_shared_coin,
     transformed_step_matrix,
@@ -899,7 +902,7 @@ def _same_report(stacked, alone):
 @pytest.mark.parametrize("position", [0, -3, 4], ids=lambda x: f"from-{x}")
 def test_a_stack_steps_each_walk_bit_for_bit_as_it_steps_alone(steps, count, position):
     walks = _stack_walks(steps * 100 + count, count, steps, position)
-    sizes = [len(stack) for stack in _stacks(walks)]
+    sizes = [len(stack.specs) for stack in _stacks(walks)]
     assert sizes == ([MAX_STACK, 3] if count > MAX_STACK else [count])
     stepped = 0
     # Neither side holds its reports, so both reuse their buffers.
@@ -923,7 +926,7 @@ def test_lockstep_reports_in_the_order_of_its_walks_whatever_their_stacks():
     square = WalkSpec(2, steps, fractional_swap(0.3), DefectMap.cross_xy(1.0))
     ring = WalkSpec(1, steps, H, DefectMap.point(0.5), boundary="periodic", halfwidth=5)
     walks = [shared[0], other, square, shared[1], moved, ring, wider, shared[2]]
-    assert sorted(map(len, _stacks(walks))) == [1, 1, 1, 1, 1, 3]
+    assert sorted(len(stack.specs) for stack in _stacks(walks)) == [1, 1, 1, 1, 1, 3]
     for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
         for stacked, solo in zip(reports, alone, strict=True):
             _same_report(stacked, solo)
@@ -965,7 +968,52 @@ def test_walks_sharing_a_coin_field_stack_and_keep_their_own_bits():
     field = CoinField(1, random_su2(rng), {1: random_su2(rng), -3: np.eye(2), 0: H})
     defects = [DefectMap.none(), DefectMap.point(1.1), DefectMap.custom({0: 0.3, -1: 2.0})]
     walks = [WalkSpec(1, 25, field, defect, initial_coin=[0.6, 0.8j]) for defect in defects]
-    assert [len(stack) for stack in _stacks(walks)] == [3]
+    assert [len(stack.specs) for stack in _stacks(walks)] == [3]
     for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
         for stacked, solo in zip(reports, alone):
             _same_report(stacked, solo)
+
+
+def _vdot_hex(a):
+    """np.vdot of one walk's amplitudes over themselves, in memory order."""
+    flat = a.ravel(order="K")
+    return float(np.vdot(flat, flat).real).hex()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_stacks_one_vecdot_gives_each_walk_the_bits_of_its_own_vdot(threads, monkeypatch):
+    # The norm guard takes a stack's norms in one np.vecdot over its (W, N)
+    # flat view.  Each walk's norm_sq must be the bits of np.vdot over that
+    # walk alone, at one BLAS thread and two; the 2D walks reach 14,884
+    # amplitudes, past the ~10,000 above which zdotc splits its sum by thread.
+    rng = np.random.default_rng(8)
+    starts = rng.normal(size=(MAX_STACK, 2)) + 1j * rng.normal(size=(MAX_STACK, 2))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    defects = [DefectMap.point(0.7), DefectMap.none(), DefectMap.custom({1: 0.4, -3: 2.0})]
+    groups = [[WalkSpec(1, 40, H, defects[i % 3], initial_coin=starts[i]) for i in range(count)]
+              for count in (1, 2, 19, MAX_STACK)]
+    groups += [[WalkSpec(2, 60, H2, DefectMap.cross_xy(np.pi))],
+               [WalkSpec(1, 30, H, DefectMap.point(1.0), boundary="periodic", halfwidth=7)],
+               [WalkSpec(2, 5, H2, DefectMap.line_y(0.5), boundary="periodic", halfwidth=60)]]
+    rows = []  # per stack and step: its norms, and each walk's own vdot, both as hex
+    guarded = qwalk.evolution._guarded
+
+    def recording(stacks, steps):
+        for norms in guarded(stacks, steps):
+            for stack, row in zip(stacks, norms):
+                assert np.shares_memory(stack.flat, stack.amplitudes)  # a view, not a copy
+                alone = list(map(_vdot_hex, stack.amplitudes))
+                rows.append(([n.hex() for n in row.tolist()], alone))
+            yield norms
+
+    monkeypatch.setattr(qwalk.evolution, "_guarded", recording)
+    monkeypatch.setattr(qwalk.isomorphism, "_guarded", recording)
+    with _blas_threads(threads):
+        for walks in groups:
+            assert len(list(_stacks(walks))) == 1
+            for reports in lockstep(walks):
+                assert [r.norm_sq.hex() for r in reports] == rows[-1][0]
+        axis_walk_state(8, fractional_swap(0.3), [0.5, 0.5j, -0.5, 0.5j])
+    assert len(rows) == 4 * 40 + 60 + 30 + 5 + 8
+    for norms, alone in rows:
+        assert norms == alone

@@ -16,9 +16,9 @@ import pytest
 import qwalk.cli
 import qwalk.evolution
 from qwalk.analysis import distribution, summarize
-from qwalk.cli import _RANK1_TOL, _walked, main, write_distribution_csv
+from qwalk.cli import _RANK1_TOL, _spec, _walked, main, write_distribution_csv
 from qwalk.coins import hadamard, su2_from_angles, tensor
-from qwalk.evolution import DefectMap, WalkSpec, _Stepper, evolve, lockstep
+from qwalk.evolution import DefectMap, WalkSpec, _Stack, _Stepper, evolve
 
 from oracles import extended_hadamard_probs
 
@@ -199,36 +199,67 @@ OTHER = {
 }
 
 
-def _memo_steps(walks, monkeypatch):
-    """The walks that ``_walked`` steps for ``walks``, stack by stack, and its results."""
+def _memo_steps(memo, monkeypatch):
+    """The walks that ``_walked`` steps for the walks of a sweep's ``memo``,
+    stack by stack, and its results."""
     stepped = []
 
-    def steps(stack):
-        stepped.extend(stack)
-        return lockstep(stack)
+    def stack(walks, members):
+        stepped.extend(walks[i] for i in members)
+        return _Stack(walks, members)
 
-    monkeypatch.setattr(qwalk.cli, "lockstep", steps)
-    return stepped, _walked(walks)
+    monkeypatch.setattr(qwalk.evolution, "_Stack", stack)
+    return stepped, _walked(list(memo.values()))
 
 
 def test_a_sweep_memo_keys_a_walk_by_every_init_field_of_its_spec(monkeypatch):
     names = [f.name for f in fields(WalkSpec) if f.init]
     assert sorted(OTHER) == sorted(names)  # a new field needs a case here
-    base = WalkSpec(**BASE)
     for name in names:
-        other = WalkSpec(**{**BASE, **OTHER[name]})
-        stepped, results = _memo_steps([base, other, base, other], monkeypatch)
+        memo = {}
+        walks = [BASE, {**BASE, **OTHER[name]}] * 2
+        base, other, *again = (_spec(memo, **values) for values in walks)
+        assert again == [base, other] and base is not other, name  # specs compare by identity
+        stepped, results = _memo_steps(memo, monkeypatch)
         assert sorted(map(id, stepped)) == sorted(map(id, (base, other))), name
-        assert results[0] is results[2] and results[1] is results[3], name
-        assert results[0] is not results[1], name
         # Each walk's results are its own, as if it were stepped alone.
-        for walk, (norms, summary) in zip((base, other), results):
+        for walk in (base, other):
+            norms, summary = results[walk]
             alone = list(evolve(walk))
             assert norms.tolist() == [r.norm_sq for r in alone], name
             assert summary == summarize(walk.steps, alone[-1].grid), name
-    # Equal walks built apart, from fresh arrays, are one walk.
-    stepped, results = _memo_steps([WalkSpec(**BASE), WalkSpec(**BASE)], monkeypatch)
-    assert len(stepped) == 1 and results[0] is results[1]
+    # Equal walks built apart, from fresh arrays, are one walk, stepped once.
+    memo = {}
+    fresh = [_spec(memo, **{**BASE, "coin": hadamard(), "initial_coin": np.array([0.6, 0.8j])})
+             for _ in range(2)]
+    stepped, results = _memo_steps(memo, monkeypatch)
+    assert fresh[0] is fresh[1] and stepped == fresh[:1] and list(results) == fresh[:1]
+
+
+def test_a_sweep_builds_each_distinct_walk_once(tmp_path, monkeypatch):
+    # The benchmark's grid: 9 phases x {cross_xy, line_y} of a separable walk
+    # is 19 distinct 1D walks (x: 9 point phases and none; y: 9 point phases),
+    # each built once, beside the base spec, and stepped once.
+    built, stepped = [], []
+    init = WalkSpec.__post_init__
+
+    def counted(self):
+        init(self)
+        built.append(self)
+
+    def stack(walks, members):
+        stepped.extend(walks[i] for i in members)
+        return _Stack(walks, members)
+
+    monkeypatch.setattr(WalkSpec, "__post_init__", counted)
+    monkeypatch.setattr(qwalk.evolution, "_Stack", stack)
+    start = [[0.48, 0], [0.36, 0], [0, 0.64], [0, 0.48]]  # a product of two unequal starts
+    _run(tmp_path, "sweep", steps=8, initial={"coin": start},
+         sweep={"phi": [f"pi:{k / 8:g}" for k in range(9)], "defect": ["cross_xy", "line_y"]})
+    assert len(built) == 1 + 19
+    assert [w.dimensionality for w in built] == [2] + [1] * 19
+    assert sorted(map(id, stepped)) == sorted(map(id, built[1:]))
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 1 + 18
 
 
 def _printed(path):
@@ -270,20 +301,26 @@ def test_a_factored_start_runs_the_walk_it_names(tmp_path, start):
 
 def test_a_product_norm_residual_past_the_tolerance_exits_2(tmp_path, monkeypatch, capsys):
     # Each factor passes its own step's check; the product's is checked too,
-    # by the library's check, here given a third factor of norm 2.
+    # by the library's check, here given twice the product's norm.
     products = []
 
-    def doubled(step, norms):
-        norms = tuple(norms)
-        products.append(len(norms))
-        return qwalk.evolution._residual(step, (*norms, 2.0))
+    def doubled(norms, steps):
+        products.append((np.asarray(norms).tolist(), np.asarray(steps).tolist()))
+        return qwalk.evolution._residual(2.0 * np.asarray(norms), steps)
+
+    def product(phi):  # each step's nx * ny of the two 1D walks
+        spec = WalkSpec(2, 3, tensor(hadamard(), hadamard()), DefectMap.cross_xy(phi))
+        fx, fy = (list(evolve(w)) for w in qwalk.cli._factors(spec, spec.defect, "hadamard", {}))
+        return [x.norm_sq * y.norm_sq for x, y in zip(fx, fy, strict=True)]
 
     monkeypatch.setattr(qwalk.cli, "_residual", doubled)
     _run(tmp_path, steps=0, defect="cross_xy", sweep={"phi": [1.0]})  # writes the config
-    for command in ("run", "sweep"):
+    # run checks the product step by step and stops at the first; sweep checks
+    # all of a point's steps at once and names the first.
+    for command, checked in (("run", (product(0.0)[0], 1)), ("sweep", (product(1.0), [1, 2, 3]))):
         assert main([command, "--config", str(tmp_path / "cfg.json"), "--steps", "3"]) == 2
         assert "norm residual 1.000e+00 at step 1 exceeds 1e-10" in capsys.readouterr().err
-        assert products == [2]  # the product of the two 1D walks, at its first step
+        assert products == [checked]
         products.clear()
 
 
@@ -324,7 +361,7 @@ def test_separable_outputs_agree_with_the_kernel_and_are_at_least_as_close_to_ex
 
     x = np.arange(-t, t + 1, dtype=np.longdouble)
     worst = {"cli": [0.0, 0.0], "kernel": [0.0, 0.0]}
-    factors = zip(*map(evolve, qwalk.cli._factors(spec, "hadamard")))
+    factors = zip(*map(evolve, qwalk.cli._factors(spec, spec.defect, "hadamard", {})))
     for step, (s, residual), (fx, fy) in zip(summary, kernel, factors, strict=True):
         assert step["norm_residual"] == abs(1.0 - fx.norm_sq * fy.norm_sq)
         n = step["step"]

@@ -74,7 +74,7 @@ def test_a_stacks_summaries_are_each_walks_own_bits(count, position):
     # even and |x0| <= t; at every other step each recurrence is exactly 0.0.
     steps = 24
     walks = _stack_walks(count * 10 + position, count, steps, position)
-    assert [len(stack) for stack in _stacks(walks)] == [count]
+    assert [len(stack.specs) for stack in _stacks(walks)] == [count]
     zeros = []
     for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
         stacked = _same_as_alone(reports, alone)
