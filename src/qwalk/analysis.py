@@ -34,15 +34,12 @@ _SUM_TOL = 1e-10
 
 
 def _check_probs(p: NDArray[np.float64]) -> None:
-    # Per walk of a stack p (W, sites...): its min, then its sum, each test
-    # written so that NaN fails it; a NaN is not called negative.
-    flat = p.reshape(len(p), -1)
-    for low, total in zip(np.minimum.reduce(flat, axis=1), np.add.reduce(flat, axis=1)):
-        if not low >= 0.0:
-            raise ValueError("probability is NaN" if np.isnan(low)
-                             else f"negative probability {low}")
-        if not abs(total - 1.0) <= _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+    # The min, then the sum, each test written so that NaN fails it; a NaN
+    # is not called negative.
+    if not (low := p.min()) >= 0.0:
+        raise ValueError("probability is NaN" if np.isnan(low) else f"negative probability {low}")
+    if not abs((total := p.sum()) - 1.0) <= _SUM_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class Distribution:
         L = _integer(self.halfwidth, "halfwidth")
         if p.shape not in ((2 * L + 1,), (2 * L + 1,) * 2):
             raise ValueError(f"probability table shape {p.shape} does not match halfwidth {L}")
-        _check_probs(p[None])
+        _check_probs(p)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "halfwidth", L)
 
@@ -85,13 +82,17 @@ class WalkSummary:
     variance_y: float | None = None
 
 
-def _site_probs(amplitudes: NDArray[np.complex128]) -> NDArray[np.float64]:
+def _site_probs(amplitudes: NDArray[np.complex128],
+                scratch: NDArray[np.complex128] | None = None) -> NDArray[np.float64]:
     # One coin plane (the last axis) at a time, added as ((p0 + p1) + p2) +
     # p3: the bits of (abs(a) ** 2).sum(axis=-1), in two site-sized arrays (p
-    # and one scratch plane).  A plane is a contiguous block of a light-cone
-    # grid and a strided view of a dense state; both are read in place.
-    p = np.square(np.abs(amplitudes[..., 0]))
-    tmp = np.empty_like(p)
+    # and a scratch plane), fresh or the head of a free complex ``scratch``.  A
+    # plane is a contiguous block of a light-cone grid and a strided view of
+    # a dense state; both are read in place.
+    shape = amplitudes.shape[:-1]
+    p, tmp = ((np.empty(shape), np.empty(shape)) if scratch is None
+              else scratch.view(np.float64)[: 2 * math.prod(shape)].reshape(2, *shape))
+    np.square(np.abs(amplitudes[..., 0], out=p), out=p)
     for c in range(1, amplitudes.shape[-1]):
         p += np.square(np.abs(amplitudes[..., c], out=tmp), out=tmp)
     return p
@@ -173,26 +174,27 @@ def classical_rw_distribution(t: int) -> Distribution:
     return Distribution(probs, t)
 
 
-def summarize_stack(step: int, amplitudes: NDArray[np.complex128],
+def summarize_stack(step: int, probs: NDArray[np.float64],
                     coordinates: tuple[NDArray[np.int64], ...]) -> list[WalkSummary]:
-    """The WalkSummary of each walk of a stack ``amplitudes`` (W, sites...,
-    k) on the sites of ``coordinates``, the lattice coordinates of each axis,
-    in one pass: each walk gets the bits it gets alone.  A bad walk raises."""
-    p = _site_probs(amplitudes)
-    _check_probs(p)
+    """The WalkSummary of each walk of a stack, from its site probabilities
+    ``probs`` (W, sites...) on the sites of ``coordinates``, the lattice
+    coordinates of each axis, in one pass: each walk gets the bits it gets
+    alone.  ``probs`` are taken as checked: the step guard's norm is their sum."""
     at = [np.nonzero(xs == 0)[0] for xs in coordinates]  # the origin, if a site
-    recs = p[(slice(None), *at)][:, 0].tolist() if all(map(len, at)) else [0.0] * len(p)
+    recs = probs[(slice(None), *at)][:, 0].tolist() if all(map(len, at)) else [0.0] * len(probs)
     if len(coordinates) == 1:
-        var_x, var_y = _variance(coordinates[0], p), [None] * len(p)
+        var_x, var_y = _variance(coordinates[0], probs), [None] * len(probs)
     else:  # the marginals: sums along the contiguous last axis, then down the columns
-        var_x = _variance(coordinates[0], p.sum(axis=-1))
-        var_y = _variance(coordinates[1], p.sum(axis=-2))
+        var_x = _variance(coordinates[0], probs.sum(axis=-1))
+        var_y = _variance(coordinates[1], probs.sum(axis=-2))
     return [WalkSummary(step, *values) for values in zip(recs, var_x, var_y)]
 
 
 def summarize(step: int, state: WalkerState | SublatticeState) -> WalkSummary:
     """WalkSummary for a state: origin probability and variances; the
     stack of one of :func:`summarize_stack`, on the sites the state stores,
-    so a light-cone grid is summarized without building the full lattice."""
+    so a light-cone grid is summarized without building the full lattice.
+    Its probabilities are checked first: a NaN or a sum off 1 raises."""
     axes = tuple(state.coordinates(a) for a in range(state.dimensionality))
-    return summarize_stack(step, state.amplitudes[None], axes)[0]
+    _check_probs(p := _site_probs(state.amplitudes[None]))
+    return summarize_stack(step, p, axes)[0]

@@ -36,7 +36,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -413,28 +413,30 @@ def _blas_threads(threads: int) -> Iterator[None]:
             put(count)
 
 
-def _factors(spec: WalkSpec, defect: DefectMap, coin_form: Any, memo: dict) -> tuple[WalkSpec, ...]:
-    """``(fx, fy)``, 1D walks along x and y whose product is ``spec`` with ``defect``
-    (a coin A(x)B: hadamard, identity, tensor; a phase g(x)h(y): none, line_y,
-    cross_xy; a start a(x)b), else that walk; from checked values, each :func:`_spec` once."""
+def _factors(spec: WalkSpec, coin_form: Any, memo: dict) -> Callable[[DefectMap], tuple]:
+    """The walks of ``spec`` under a defect: ``(fx, fy)``, 1D walks along x and y
+    whose product is the walk (a coin A(x)B: hadamard, identity, tensor; a phase
+    g(x)h(y): none, line_y, cross_xy; a start a(x)b), else that walk; the split is
+    worked out once, from checked values, and each walk is :func:`_spec` once."""
     if coin_form in ("hadamard", "identity"):  # A(x)A
         coin_form = {"kind": "tensor", "first": coin_form, "second": coin_form}
-    m = np.reshape(spec.initial_coin, (2, -1))  # 2D: [c, d], c steers x, d steers y
-    if (spec.dimensionality == 1 or defect.kind not in ("none", "line_y", "cross_xy")
-            or coin_form["kind"] != "tensor" or not abs(np.linalg.det(m)) <= _RANK1_TOL):
-        same = {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
-        return (spec if defect is spec.defect else _spec(memo, **{**same, "defect": defect}),)
-    rows = np.linalg.norm(m, axis=1)
-    b = m[np.argmax(rows)] / rows.max()  # the longer row is a multiple of b
-    coins = [_parse_coin(coin_form[k], 1)[0] for k in ("first", "second")]
-    none, point = DefectMap.none(), DefectMap.point(defect.phi)
-    defects = {"none": (none, none), "line_y": (none, point), "cross_xy": (point, point)}
-    return tuple(
-        _spec(memo, dimensionality=1, steps=spec.steps, coin=coin, defect=d, initial_position=x0,
-               initial_coin=start, boundary=spec.boundary, halfwidth=spec.halfwidth)
-        for coin, d, x0, start in
-        zip(coins, defects[defect.kind], spec.initial_position, (m @ b.conj(), b))
-    )
+    same = {f.name: getattr(spec, f.name) for f in fields(spec) if f.init}
+    m, axes = np.reshape(spec.initial_coin, (2, -1)), []  # 2D: [c, d], c steers x, d steers y
+    if (spec.dimensionality == 2 and coin_form["kind"] == "tensor"
+            and abs(np.linalg.det(m)) <= _RANK1_TOL):
+        rows = np.linalg.norm(m, axis=1)
+        b = m[np.argmax(rows)] / rows.max()  # the longer row is a multiple of b
+        coins = [_parse_coin(coin_form[k], 1)[0] for k in ("first", "second")]
+        axes = [{**same, "dimensionality": 1, "coin": c, "initial_position": x0, "initial_coin": a}
+                for c, x0, a in zip(coins, spec.initial_position, (m @ b.conj(), b))]
+
+    def walks(defect: DefectMap) -> tuple[WalkSpec, ...]:
+        if not axes or defect.kind not in ("none", "line_y", "cross_xy"):
+            return (spec if defect is spec.defect else _spec(memo, **{**same, "defect": defect}),)
+        none, point = DefectMap.none(), DefectMap.point(defect.phi)
+        defects = {"none": (none, none), "line_y": (none, point), "cross_xy": (point, point)}
+        return tuple(_spec(memo, **{**a, "defect": d}) for a, d in zip(axes, defects[defect.kind]))
+    return walks
 
 
 def _summary(summaries: tuple[WalkSummary, ...]) -> WalkSummary:
@@ -469,9 +471,9 @@ def cmd_run(cfg: dict) -> int:
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
-    stacks = list(_stacks(_factors(spec, spec.defect, echo["coin"], {})))  # x, then y
+    stacks = list(_stacks(_factors(spec, echo["coin"], {})(spec.defect)))  # x, then y
     for t, norms in enumerate(_guarded(stacks, spec.steps), start=1):
-        s = _summary([w for k in stacks for w in summarize_stack(t, k.amplitudes, k.coordinates)])
+        s = _summary([w for k in stacks for w in summarize_stack(t, k.probs, k.coordinates)])
         norm = math.prod(np.concatenate(norms).tolist())  # 1 * n is n: one norm keeps its bits
         per_step.append({**vars(s), "norm_residual": float(_residual(norm, t))})
         if emit_per_step and "csv" in formats:
@@ -534,7 +536,7 @@ def _walked(walks: list[WalkSpec]) -> dict[WalkSpec, tuple[np.ndarray, WalkSumma
     for stack in _stacks(walks):
         steps = stack.specs[0].steps
         norms = np.reshape(list(_guarded([stack], steps)), (-1, len(stack.specs))).T
-        summaries = summarize_stack(steps, stack.amplitudes, stack.coordinates)
+        summaries = summarize_stack(steps, stack.probs, stack.coordinates)
         walked.update(zip(stack.specs, zip(norms, summaries)))
     return walked
 
@@ -572,11 +574,12 @@ def cmd_sweep(cfg: dict) -> int:
     # defect; every point is checked before anything is written or started.
     angles = [(token, parse_angle(token, "sweep.phi")) for token in phis]
     points, memo = [], {}  # memo: each distinct walk of the grid, built once
+    walks_of = _factors(spec, echo["coin"], memo)
     for kind in kinds:
         for token, phi in angles:
             point = {"kind": kind, "phi": phi} if kind in _PHASED else {"kind": kind}
             defect, _ = _parse_defect(point, "sweep.defect")
-            points.append((kind, token, _factors(spec, defect, echo["coin"], memo)))
+            points.append((kind, token, walks_of(defect)))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
     walked = _walked(list(memo.values()))
     rows = [_sweep_point(k, t, [walked[w] for w in walks]) for k, t, walks in points]

@@ -209,15 +209,11 @@ def _validated_coin(mat: NDArray, k: int, what: str, stack: bool = False) -> NDA
     return m
 
 
-def as_coin_field(
-    coin: NDArray[np.complex128] | CoinField, dimensionality: int
-) -> CoinField:
+def as_coin_field(coin: NDArray[np.complex128] | CoinField, dimensionality: int) -> CoinField:
     """Accept a bare matrix (treated as uniform) or a CoinField."""
     if isinstance(coin, CoinField):
         if coin.dimensionality != dimensionality:
-            raise ValueError(
-                f"coin field is {coin.dimensionality}D but the walk is "
-                f"{dimensionality}D"
-            )
+            raise ValueError(f"coin field is {coin.dimensionality}D but the walk is "
+                             f"{dimensionality}D")
         return coin
     return CoinField(dimensionality, np.asarray(coin, dtype=np.complex128))

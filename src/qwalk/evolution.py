@@ -34,17 +34,17 @@ steps from (x0, y0) amplitude lives only on x = x0 + t, y = y0 + t
 :class:`SublatticeState`, a quarter of the (2t+1)^2 cone window in 2D).
 Walks step as stacks of such grids (:func:`lockstep`): each step is one
 coin GEMM over the stack, each walk's phase on its rows/columns that lie
-on its defect, a shift that writes each component of each walk as one
-block of its own contiguous (t+2)^d plane, at offset 0 or 1, and one
-``vecdot`` a stack, over each walk's planes in memory order.  The planes
-go to one of two buffers of the final stack's size, which take turns: a
-buffer is reused once no report, grid or view refers to it, else a fresh
-array.  Cost and memory per step are O(W (t+1)^d) for W walks,
-independent of the halfwidth; a report's grid, and its dense ``state``,
-are built only when asked for.  A report gives its stack's amplitudes
-and coordinates, so a stack's summaries take one pass
-(``analysis.summarize_stack``), each walk with the bits it has alone.
-The periodic boundary steps the full lattice.
+on its defect, and a shift that writes each component of each walk as
+one block of its own contiguous (t+2)^d plane, at offset 0 or 1, into
+one of two buffers of the final stack's size that take turns (one is
+reused once no report, grid or view refers to it, else a fresh array).
+The stack's site probabilities then fill the coin mix's scratch, free
+after the shift: each walk's norm is the pairwise sum of its row, which
+no BLAS thread count moves, and the stack's summaries read the same rows
+(``analysis.summarize_stack``).  Cost and memory per step are O(W
+(t+1)^d) for W walks, independent of the halfwidth; a report's grid and
+dense ``state`` are built only when asked for.  The periodic boundary
+steps the full lattice.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from typing import Callable, Iterator, Literal, Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .analysis import _site_probs
 from .coins import CoinField, as_coin_field
 from .statespace import (SublatticeState, WalkerState, _coordinates, _dimensionality, _halfwidth,
                          _integer, _sites_index, as_coin_state, localized_state, state_dimension,
@@ -277,21 +278,21 @@ class _Stepper:
         m = self._mixed(a, sites, stack.appliers, stack.scratch[: a.size].reshape(a.shape))
         free = [i for i in (0, 1) if sys.getrefcount(stack.buffers[i]) == stack.unheld]
         size = w * k * (n + 1) ** d
-        flat = (stack.buffers[free[0]][:size] if free else np.empty(size, complex)).reshape(w, -1)
-        out = flat.reshape(w, k, *(n + 1,) * d).transpose(0, *range(2, d + 2), 1)
+        buf = stack.buffers[free[0]][:size] if free else np.empty(size, complex)
+        out = buf.reshape(w, k, *(n + 1,) * d).transpose(0, *range(2, d + 2), 1)
         for c, offsets in enumerate(self.offsets):
             out[each + tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
             for axis, o in enumerate(offsets):
                 out[each * (axis + 1) + ((1 - o) * n, Ellipsis, c)] = 0
-        stack.first, stack.amplitudes, stack.flat = tuple(f - 1 for f in stack.first), out, flat
+        stack.first, stack.amplitudes = tuple(f - 1 for f in stack.first), out
 
 
 class _Stack:
     """The walks ``members`` of ``walks``, its ``specs``, stepped as one, by the
     first's coin and each walk's own phase: amplitudes stacked (W, sites..., k)
-    (once stepped, ``flat`` views them as (W, N), in memory order), on the
-    light-cone grid from ``first``, shared by open walks of one start; a periodic
-    walk, or one given ``moves``, steps the full lattice alone."""
+    on the light-cone grid from ``first``, shared by open walks of one start; a
+    periodic walk, or one given ``moves``, steps the full lattice alone.  ``probs``
+    (W, sites...) weigh the grids as they stand, in ``scratch`` if not None."""
 
     def __init__(self, walks: Sequence[WalkSpec], members: Sequence[int], moves: _Moves | None = None):
         self.specs, self.members = [walks[i] for i in members], members
@@ -299,21 +300,23 @@ class _Stack:
         self.stepper, self.appliers = spec._stepper, [s._stepper.applier for s in self.specs]
         self.moves = moves or (self.stepper.moves if spec.boundary == "periodic" else None)
         if self.moves:  # the full lattice
-            self.first, self.amplitudes = None, spec.initial_state().amplitudes[None]
-            return
-        size = len(self.specs) * 2 * d
-        self.buffers = [np.empty(size * (spec.steps + 1) ** d, np.complex128) for _ in "01"]
-        self.scratch = np.empty(size * max(spec.steps, 1) ** d, np.complex128)  # the coin mix
-        self.unheld = sys.getrefcount(self.buffers[0])
-        self.first = spec.initial_grid().first
-        self.amplitudes = np.stack([s.initial_grid().amplitudes for s in self.specs])
+            self.first, self.scratch = None, None
+            self.amplitudes = spec.initial_state().amplitudes[None]
+        else:  # the scratch's k t^d complex a walk hold two planes of (t+1)^d floats
+            size = len(self.specs) * 2 * d
+            self.buffers = [np.empty(size * (spec.steps + 1) ** d, np.complex128) for _ in "01"]
+            self.scratch = np.empty(size * max(spec.steps, 1) ** d, np.complex128)  # the coin mix
+            self.unheld = sys.getrefcount(self.buffers[0])
+            self.first = spec.initial_grid().first
+            self.amplitudes = np.stack([s.initial_grid().amplitudes for s in self.specs])
+        self.probs = _site_probs(self.amplitudes, self.scratch)  # what a sweep of 0 steps reads
 
     def advance(self) -> None:
         if self.moves is None:
             return self.stepper.cone_step(self)
         s = self.stepper
         state = s.step(WalkerState(s.dim, s.halfwidth, self.amplitudes[0]), self.moves)
-        self.amplitudes, self.flat = state.amplitudes[None], state.amplitudes.reshape(1, -1)
+        self.amplitudes = state.amplitudes[None]
 
     @property
     def coordinates(self) -> tuple[NDArray[np.int64], ...]:
@@ -394,10 +397,11 @@ class WalkSpec:
 @dataclass
 class StepReport:
     """Post-step snapshot: 1-based step index, |1 - sum|a|^2|, the sum
-    itself, ``norm_sq``, in the memory order of the amplitudes, and the
-    walk's ``index`` in ``stack``, the amplitudes (W, sites..., k) of the
-    walks stepped as one with it, whose sites' lattice ``coordinates`` (an
-    array an axis) follow from ``halfwidth`` and the grid's ``first`` site.
+    itself, ``norm_sq``, the pairwise sum of the walk's site probabilities
+    (its row of its stack's ``probs``), and the walk's ``index`` in
+    ``stack``, the amplitudes (W, sites..., k) of the walks stepped as one
+    with it, whose sites' lattice ``coordinates`` (an array an axis) follow
+    from ``halfwidth`` and the grid's ``first`` site.
 
     ``grid`` holds the walk's amplitudes: a :class:`SublatticeState` on the
     open boundary (from ``first``), a dense :class:`WalkerState` on the
@@ -480,13 +484,14 @@ def _stacks(walks: Sequence[WalkSpec]) -> Iterator[_Stack]:
 
 
 def _guarded(stacks: list[_Stack], steps: int) -> Iterator[list[NDArray[np.float64]]]:
-    """Step ``stacks`` ``steps`` times; after each, yield each stack's norms: one
-    ``vecdot`` over its ``flat``, each walk's ``vdot`` bits, checked by :func:`_residual`."""
+    """Step ``stacks`` ``steps`` times; after each, set each stack's ``probs`` and yield
+    its norms, each walk's pairwise row sum of them, checked by :func:`_residual`."""
     for i in range(1, steps + 1):
         norms = []
         for stack in stacks:
             stack.advance()
-            norms.append(np.vecdot(stack.flat, stack.flat).real)
+            stack.probs = _site_probs(stack.amplitudes, stack.scratch)
+            norms.append(np.add.reduce(stack.probs.reshape(len(stack.probs), -1), axis=1))
             _residual(norms[-1], i)
         yield norms
 

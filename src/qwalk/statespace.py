@@ -122,9 +122,7 @@ class WalkerState:
         expected = (2 * self.halfwidth + 1,) * d + (2 * d,)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != expected:
-            raise ValueError(
-                f"amplitude table has shape {amps.shape}, expected {expected}"
-            )
+            raise ValueError(f"amplitude table has shape {amps.shape}, expected {expected}")
         self.amplitudes = amps
 
     def packed(self) -> NDArray[np.complex128]:
@@ -162,15 +160,12 @@ class SublatticeState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         m = amps.shape[0] if amps.ndim else 0
         if m < 1 or amps.shape != (m,) * d + (2 * d,):
-            raise ValueError(
-                f"sublattice table has shape {amps.shape}, expected {(m,) * d + (2 * d,)}"
-            )
+            raise ValueError(f"sublattice table has shape {amps.shape}, "
+                             f"expected {(m,) * d + (2 * d,)}")
         self.first = _coordinates(self.first, d, "first")
         if any(f < -L or f + 2 * (m - 1) > L for f in self.first):
-            raise IndexError(
-                f"sublattice from {self.first} with {m} sites per axis "
-                f"leaves [-{L}, {L}]^{d}"
-            )
+            raise IndexError(f"sublattice from {self.first} with {m} sites per axis "
+                             f"leaves [-{L}, {L}]^{d}")
         self.amplitudes = amps
 
     def coordinates(self, axis: int) -> NDArray[np.int64]:
@@ -197,10 +192,8 @@ def as_coin_state(coin: Sequence[complex], dimensionality: int) -> NDArray[np.co
     vec = np.asarray(coin, dtype=np.complex128).reshape(-1)
     want = 2 * _dimensionality(dimensionality)
     if vec.shape != (want,):
-        raise ValueError(
-            f"coin state must have {want} components for a "
-            f"{dimensionality}D walk, got shape {vec.shape}"
-        )
+        raise ValueError(f"coin state must have {want} components for a "
+                         f"{dimensionality}D walk, got shape {vec.shape}")
     # Written so that a NaN norm fails the test.
     if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:
         raise ValueError(f"coin state is not unit-norm: |coin| = {np.linalg.norm(vec)}")

@@ -105,6 +105,35 @@ def extended_walk_1d(t, coin, coin0, phases=None):
     return a
 
 
+def extended_walk_2d(t, coin4, coin0, phases=None):
+    """Amplitudes, shape (2t + 1, 2t + 1, 4) over the sites -t..t per axis,
+    of the 2D walk from the origin after t steps, computed in
+    ``np.clongdouble``; coin index k = 2c + d moves (x, y) by
+    ``DIAGONAL_MOVES[k]``.
+
+    ``coin4`` is a 4x4 matrix and ``coin0`` the start's coin state, both
+    best given in clongdouble; ``phases`` maps a site (x, y) to its phase
+    factor (source-site convention).  Each step works only on the square
+    that the walk can have reached, so t = 100 takes about a second.
+    """
+    u = np.asarray(coin4, dtype=np.clongdouble)
+    a = np.zeros((2 * t + 1, 2 * t + 1, 4), dtype=np.clongdouble)
+    a[t, t] = coin0
+    for s in range(t):
+        # Sites within s of the origin hold the amplitude; they move to within s + 1.
+        near = slice(t - s, t + s + 1)
+        m = np.zeros_like(a)
+        for k in range(4):
+            m[near, near, k] = sum(u[k, j] * a[near, near, j] for j in range(4))
+        for (x, y), f in (phases or {}).items():
+            m[x + t, y + t] *= f
+        a = np.zeros_like(a)
+        for k, (dx, dy) in enumerate(DIAGONAL_MOVES):
+            to = tuple(slice(t - s + d, t + s + 1 + d) for d in (dx, dy))
+            a[to + (k,)] = m[near, near, k]
+    return a
+
+
 def extended_hadamard_probs(t, phi=None):
     """Site probabilities over -t..t, in long double, of the 1D Hadamard
     walk from the symmetric start after t steps, under ``point(phi)`` or

@@ -1024,6 +1024,24 @@ def test_a_2d_kernel_sweep_gives_the_same_bytes_at_threads_1_and_2(tmp_path):
     assert rows[0] == rows[1]
 
 
+def test_a_2d_kernel_run_gives_the_same_summary_at_threads_1_and_2(tmp_path):
+    # The step guard's norm is each walk's pairwise sum of its site
+    # probabilities, which no thread count splits, so no summary byte but the
+    # echoed threads follows --threads.  A norm through BLAS zdotc, which
+    # splits its sum by thread, moves norm_residual on 47 of these 140 steps.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=140, coin={"kind": "fractional_swap", "tau": 0.5},
+                 formats=["json"])
+    summaries = []
+    for threads in (1, 2):
+        assert main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary.pop("timing_seconds")
+        assert summary["config"].pop("threads") == threads
+        summaries.append(json.dumps(summary))
+    assert summaries[0] == summaries[1]
+
+
 def test_defect_flag_of_the_config_kind_keeps_its_table(tmp_path):
     # --defect custom used to drop the config's table: exit 1.
     cfg_path = tmp_path / "cfg.json"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qwalk.evolution
 import qwalk.isomorphism
-from qwalk.analysis import distribution
+from qwalk.analysis import _site_probs, distribution
 from qwalk.cli import _blas_threads, write_distribution_csv
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor, unitarity_check
 from qwalk.evolution import (
@@ -43,6 +43,7 @@ from oracles import (
     distribution_1d,
     extended_hadamard_probs,
     extended_walk_1d,
+    extended_walk_2d,
 )
 
 H = hadamard()
@@ -770,6 +771,42 @@ def test_2d_rounding_error_stays_inside_the_budget(t):
     assert residual <= 4 * t * EPS
 
 
+_CUSTOM_TABLE = {(0, 0): 1.0, (1, -1): 0.5, (-3, 2): 2.0, (2, 2): -1.2, (0, 1): 0.3}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double here"
+)
+@pytest.mark.parametrize("t", [10, 50, 100])
+@pytest.mark.parametrize("walk", ["swap-point-pi", "pair-custom"])
+def test_2d_kernel_rounding_error_stays_inside_the_budget(t, walk):
+    # Walks that only the 2D kernel runs: a coin that is not a product, and
+    # a phase table that is not one.  Against the same walk in extended
+    # precision, with the exact coin and phases, the largest amplitude error
+    # stays below t*eps and every norm residual below 4*t*eps.  Measured at
+    # t = 10..100: errors 0.11-0.31*t*eps; residuals 0.18-0.35*t*eps under
+    # the fractional swap and 2.0-2.1*t*eps under the Hadamard pair.
+    i, half = np.clongdouble(1j), np.longdouble(1) / 2
+    start = half * np.array([1, i, i, -1], dtype=np.clongdouble)  # the symmetric start
+    if walk == "swap-point-pi":
+        spec = WalkSpec(2, t, fractional_swap(0.5), DefectMap.point(np.pi))
+        coin = half * np.array([[2, 0, 0, 0], [0, 1 + i, 1 - i, 0], [0, 1 - i, 1 + i, 0],
+                                [0, 0, 0, 2]], dtype=np.clongdouble)
+        phases = {(0, 0): np.clongdouble(-1)}
+    else:
+        spec = WalkSpec(2, t, H2, DefectMap.custom(_CUSTOM_TABLE))
+        h = np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / np.sqrt(np.longdouble(2))
+        coin = np.kron(h, h)
+        phases = {site: np.exp(i * np.longdouble(theta)) for site, theta in _CUSTOM_TABLE.items()}
+    exact = extended_walk_2d(t, coin, start, phases)
+    residual = 0.0
+    for report in evolve(spec):
+        residual = max(residual, report.norm_residual)
+    error = np.abs(report.state.amplitudes.astype(np.clongdouble) - exact).max()
+    assert error <= t * EPS
+    assert residual <= 4 * t * EPS
+
+
 def _printed_error_in_12th_digits(path, exact):
     """|printed - exact| of each probability a distribution CSV prints
     (not as 0), in units of the exact value's 12th significant digit, and
@@ -974,35 +1011,38 @@ def test_walks_sharing_a_coin_field_stack_and_keep_their_own_bits():
             _same_report(stacked, solo)
 
 
-def _vdot_hex(a):
-    """np.vdot of one walk's amplitudes over themselves, in memory order."""
-    flat = a.ravel(order="K")
-    return float(np.vdot(flat, flat).real).hex()
+def _alone_hex(a):
+    """The sum of one walk's site probabilities, taken alone, in memory order."""
+    return float(np.add.reduce(_site_probs(a).ravel())).hex()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_stacks_one_vecdot_gives_each_walk_the_bits_of_its_own_vdot(threads, monkeypatch):
-    # The norm guard takes a stack's norms in one np.vecdot over its (W, N)
-    # flat view.  Each walk's norm_sq must be the bits of np.vdot over that
-    # walk alone, at one BLAS thread and two; the 2D walks reach 14,884
-    # amplitudes, past the ~10,000 above which zdotc splits its sum by thread.
+def test_each_walks_norm_is_the_sum_of_its_own_site_probabilities(threads, monkeypatch):
+    # The norm guard takes a stack's site probabilities once a step, into its
+    # coin-mix scratch on the light cone, and each walk's norm_sq is the sum
+    # of its row of them.  That must be the bits of the sum of the walk's own
+    # probabilities, taken alone, at one BLAS thread and two; the 2D walks
+    # reach 14,884 amplitudes, past the ~10,000 above which BLAS zdotc splits
+    # its sum by thread.
     rng = np.random.default_rng(8)
     starts = rng.normal(size=(MAX_STACK, 2)) + 1j * rng.normal(size=(MAX_STACK, 2))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     defects = [DefectMap.point(0.7), DefectMap.none(), DefectMap.custom({1: 0.4, -3: 2.0})]
     groups = [[WalkSpec(1, 40, H, defects[i % 3], initial_coin=starts[i]) for i in range(count)]
               for count in (1, 2, 19, MAX_STACK)]
-    groups += [[WalkSpec(2, 60, H2, DefectMap.cross_xy(np.pi))],
+    groups += [[WalkSpec(2, 60, fractional_swap(0.5), DefectMap.cross_xy(np.pi))],
                [WalkSpec(1, 30, H, DefectMap.point(1.0), boundary="periodic", halfwidth=7)],
                [WalkSpec(2, 5, H2, DefectMap.line_y(0.5), boundary="periodic", halfwidth=60)]]
-    rows = []  # per stack and step: its norms, and each walk's own vdot, both as hex
+    rows = []  # per stack and step: its norms, and each walk's own sum, both as hex
     guarded = qwalk.evolution._guarded
 
     def recording(stacks, steps):
         for norms in guarded(stacks, steps):
             for stack, row in zip(stacks, norms):
-                assert np.shares_memory(stack.flat, stack.amplitudes)  # a view, not a copy
-                alone = list(map(_vdot_hex, stack.amplitudes))
+                fresh = _site_probs(stack.amplitudes)
+                assert np.array_equal(stack.probs.view(np.int64), fresh.view(np.int64))
+                assert stack.scratch is None or np.shares_memory(stack.probs, stack.scratch)
+                alone = list(map(_alone_hex, stack.amplitudes))
                 rows.append(([n.hex() for n in row.tolist()], alone))
             yield norms
 

@@ -269,7 +269,10 @@ def test_writer_matches_csv_writer_on_zero_full_and_floor_rows(tmp_path, dim, ha
 # the per-walk summaries that the stacked ones replaced, and for the
 # isochecks from the block comparison that the entry-only deviation
 # replaced, so that any change that moves one byte of them fails here.
-# summary.json is hashed with its timing_seconds value replaced by 0.  The
+# summary.json is hashed with its timing_seconds value replaced by 0; the two
+# run summaries were pinned again when the step guard's norm became each
+# walk's sum of its site probabilities, which moved only norm_residual bits
+# (every CSV and every other summary field kept its bytes).  The
 # hashes hold for a BLAS whose complex GEMM rounds as numpy's bundled
 # OpenBLAS does on x86-64; a kernel that rounds otherwise moves them, as
 # "What a kernel change may move" in the README says.
@@ -285,7 +288,7 @@ GOLDEN = {
         "initial": {"position": [0, 0], "coin": _PRODUCT_START},
     }, {
         "distribution.csv": "f61346fc26fa420014e1fc460e0d2940af60764a76565c153975386019ba19fe",
-        "summary.json": "fb891fc83202cb9d2814a0d25cc3192f0b504bfb931710a9eedf80833473f480",
+        "summary.json": "b33b831d8fa62428224202fb0638282fcd689fe4e65ab93fce1ba885d621a9a5",
     }),
     # A coin that is not a product: the 2D kernel.
     "kernel-run": ("run", {
@@ -293,7 +296,7 @@ GOLDEN = {
         "defect": {"kind": "point", "phi": "pi:1"},
     }, {
         "distribution.csv": "f748a2d19b36dc932a13438676b68ea9834b4615a2c5739a5e5a19a5b32e3bef",
-        "summary.json": "8278accd6327854343ae1c0f53fb219d9596bfecddae5b215fd7469143aea31a",
+        "summary.json": "7f9dc3cb063e237e2fd4bed69bc96fdebeff7850dca735c84a61dbbf8a6fae0d",
     }),
     "sweep": ("sweep", {
         "dimensionality": 2, "steps": 30,

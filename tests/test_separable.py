@@ -310,7 +310,7 @@ def test_a_product_norm_residual_past_the_tolerance_exits_2(tmp_path, monkeypatc
 
     def product(phi):  # each step's nx * ny of the two 1D walks
         spec = WalkSpec(2, 3, tensor(hadamard(), hadamard()), DefectMap.cross_xy(phi))
-        fx, fy = (list(evolve(w)) for w in qwalk.cli._factors(spec, spec.defect, "hadamard", {}))
+        fx, fy = (list(evolve(w)) for w in qwalk.cli._factors(spec, "hadamard", {})(spec.defect))
         return [x.norm_sq * y.norm_sq for x, y in zip(fx, fy, strict=True)]
 
     monkeypatch.setattr(qwalk.cli, "_residual", doubled)
@@ -361,7 +361,7 @@ def test_separable_outputs_agree_with_the_kernel_and_are_at_least_as_close_to_ex
 
     x = np.arange(-t, t + 1, dtype=np.longdouble)
     worst = {"cli": [0.0, 0.0], "kernel": [0.0, 0.0]}
-    factors = zip(*map(evolve, qwalk.cli._factors(spec, spec.defect, "hadamard", {})))
+    factors = zip(*map(evolve, qwalk.cli._factors(spec, "hadamard", {})(spec.defect)))
     for step, (s, residual), (fx, fy) in zip(summary, kernel, factors, strict=True):
         assert step["norm_residual"] == abs(1.0 - fx.norm_sq * fy.norm_sq)
         n = step["step"]

@@ -1,5 +1,6 @@
 """Differential tests of ``summarize_stack``: the summaries of a stack of
-walks, taken in one pass, are bit for bit those of each walk alone.
+walks, taken in one pass from the stack's site probabilities, are bit for
+bit those of each walk alone.
 
 ``reference_summarize`` is the per-walk summary as it was computed before
 summaries were stacked, kept verbatim (with ``_site_probs`` inlined) as the
@@ -9,7 +10,7 @@ reference; ``summarize``, the stack of one, is held to it too.
 import numpy as np
 import pytest
 
-from qwalk.analysis import WalkSummary, _variance, summarize, summarize_stack
+from qwalk.analysis import WalkSummary, _site_probs, _variance, summarize, summarize_stack
 from qwalk.coins import fractional_swap, hadamard, random_su2, tensor
 from qwalk.evolution import MAX_STACK, DefectMap, WalkSpec, _stacks, evolve, lockstep
 
@@ -59,7 +60,8 @@ def _stack_walks(seed, count, steps, position=0):
 
 def _same_as_alone(reports, alone):
     """The stack's summaries against each walk's, summarized alone."""
-    stacked = summarize_stack(reports[0].step, reports[0].stack, reports[0].coordinates)
+    probs = _site_probs(reports[0].stack)
+    stacked = summarize_stack(reports[0].step, probs, reports[0].coordinates)
     assert len(stacked) == len(reports) == len(alone)
     for got, report in zip(stacked, alone):
         assert _bits(got) == _bits(reference_summarize(report.step, report.grid))
@@ -119,21 +121,28 @@ def test_the_coordinates_of_a_dense_stack_are_the_whole_lattice():
 
 @pytest.mark.parametrize("count, bad", [(1, 0), (5, 3), (MAX_STACK, MAX_STACK - 1)])
 def test_a_nan_in_one_walk_of_a_stack_is_refused(count, bad):
-    walks = _stack_walks(7, count, 6)
-    *_, last = lockstep(walks)
-    stack = last[0].stack.copy()
-    stack[bad, 2, 1] = np.nan
+    # A stack's summaries read the site probabilities whose row sums are the
+    # step guard's norms, so the guard refuses a NaN in any one walk at the
+    # next step; summarize, on a state from outside, checks its own.
+    steps = lockstep(_stack_walks(7, count, 6))
+    for _ in range(5):
+        reports = next(steps)
+    reports[0].stack[bad, 2, 1] = np.nan
     with pytest.raises(ValueError, match=r"^probability is NaN$"):
-        summarize_stack(6, stack, last[0].coordinates)
+        summarize(5, reports[bad].grid)
+    with pytest.raises(RuntimeError, match=r"^norm residual nan at step 6 exceeds 1e-10$"):
+        next(steps)
 
 
-def test_a_walk_that_lost_norm_is_refused_with_its_sum():
-    walks = _stack_walks(8, 4, 6)
-    *_, last = lockstep(walks)
-    stack = last[0].stack.copy()
-    stack[2] *= 0.5
+def test_a_walk_that_lost_norm_is_refused_with_its_residual():
+    steps = lockstep(_stack_walks(8, 4, 6))
+    for _ in range(5):
+        reports = next(steps)
+    reports[0].stack[2] *= 0.5
     with pytest.raises(ValueError, match=r"^probabilities sum to 0\.2[45]\d*, not 1$"):
-        summarize_stack(6, stack, last[0].coordinates)
+        summarize(5, reports[2].grid)
+    with pytest.raises(RuntimeError, match=r"^norm residual 7\.50\de-01 at step 6 exceeds 1e-10$"):
+        next(steps)
 
 
 def test_stacked_variances_are_each_rows_own():
