@@ -101,10 +101,15 @@ def _site_probs(amplitudes: NDArray[np.complex128],
 def distribution(state: WalkerState | SublatticeState) -> Distribution:
     """Position distribution P = sum over coin components of |amplitude|^2,
     over the whole (2L+1)^d lattice."""
+    return _placed(_site_probs(state.amplitudes), state)
+
+
+def _placed(p: NDArray[np.float64], state: WalkerState | SublatticeState) -> Distribution:
+    """The site probabilities ``p`` of ``state``'s sites on its whole lattice, checked."""
     if not isinstance(state, SublatticeState):
-        return Distribution(_site_probs(state.amplitudes), state.halfwidth)
+        return Distribution(p, state.halfwidth)
     full = np.zeros((2 * state.halfwidth + 1,) * state.dimensionality)
-    full[state.sites()] = _site_probs(state.amplitudes)
+    full[state.sites()] = p
     return Distribution(full, state.halfwidth)
 
 

@@ -40,11 +40,12 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .analysis import (Distribution, WalkSummary, distribution, l1_distance, summarize,
+from .analysis import (Distribution, WalkSummary, _placed, distribution, l1_distance, summarize,
                        summarize_stack)
 from .coins import fractional_swap, hadamard, su2_from_angles, tensor
 from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, _guarded, _residual, _stacks
-from .evolution import evolve  # unused, as is summarize: perfbench/spans.py WRAPPED patches them
+# Unused here, as are distribution and summarize: perfbench/spans.py WRAPPED patches them.
+from .evolution import evolve
 from .statespace import _integer
 from .isomorphism import (check_decomposition_claims, check_translation_equivalence,
                           random_shared_coin, verify_isomorphism)
@@ -447,8 +448,9 @@ def _summary(summaries: tuple[WalkSummary, ...]) -> WalkSummary:
 
 
 def _distribution(stacks: list) -> Distribution:
-    """``distribution`` of the walk of ``stacks``, or of two 1D walks' product, checked."""
-    px, *py = (distribution(grid) for stack in stacks for grid in stack.grids)
+    """The distribution of the walk of ``stacks``, or of two 1D walks' product, checked:
+    each walk's row of its stack's ``probs``, which the step guard has summed, placed."""
+    px, *py = (_placed(p, grid) for stack in stacks for p, grid in zip(stack.probs, stack.grids))
     return Distribution(np.outer(px.probs, py[0].probs), px.halfwidth) if py else px
 
 

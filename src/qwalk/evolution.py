@@ -32,7 +32,8 @@ can hold amplitude.  Every step moves each coordinate by +-1, so after t
 steps from (x0, y0) amplitude lives only on x = x0 + t, y = y0 + t
 (mod 2) inside the cone: a dense (t+1)^d grid of sites spaced 2 apart (a
 :class:`SublatticeState`, a quarter of the (2t+1)^2 cone window in 2D).
-Walks step as stacks of such grids (:func:`lockstep`): each step is one
+Walks step as stacks of such grids (:class:`_Stack`, driven by
+:func:`_guarded`; :func:`evolve` steps a stack of one): each step is one
 coin GEMM over the stack, each walk's phase on its rows/columns that lie
 on its defect, and a shift that writes each component of each walk as
 one block of its own contiguous (t+2)^d plane, at offset 0 or 1, into
@@ -69,7 +70,6 @@ __all__ = [
     "WalkSpec",
     "StepReport",
     "evolve",
-    "lockstep",
     "run_walk",
     "build_step_matrix",
     "MAX_MATRIX_DIM",
@@ -288,15 +288,15 @@ class _Stepper:
 
 
 class _Stack:
-    """The walks ``members`` of ``walks``, its ``specs``, stepped as one, by the
-    first's coin and each walk's own phase: amplitudes stacked (W, sites..., k)
-    on the light-cone grid from ``first``, shared by open walks of one start; a
-    periodic walk, or one given ``moves``, steps the full lattice alone.  ``probs``
-    (W, sites...) weigh the grids as they stand, in ``scratch`` if not None."""
+    """The walks ``specs`` stepped as one, by the first's coin and each walk's
+    own phase: amplitudes stacked (W, sites..., k) on the light-cone grid from
+    ``first``, shared by open walks of one start; a periodic walk, or one given
+    ``moves``, steps the full lattice alone.  ``probs`` (W, sites...) weigh the
+    grids as they stand, in ``scratch`` if not None."""
 
-    def __init__(self, walks: Sequence[WalkSpec], members: Sequence[int], moves: _Moves | None = None):
-        self.specs, self.members = [walks[i] for i in members], members
-        spec, d = self.specs[0], self.specs[0].dimensionality
+    def __init__(self, specs: Sequence[WalkSpec], moves: _Moves | None = None):
+        self.specs = specs
+        spec, d = specs[0], specs[0].dimensionality
         self.stepper, self.appliers = spec._stepper, [s._stepper.applier for s in self.specs]
         self.moves = moves or (self.stepper.moves if spec.boundary == "periodic" else None)
         if self.moves:  # the full lattice
@@ -320,7 +320,11 @@ class _Stack:
 
     @property
     def coordinates(self) -> tuple[NDArray[np.int64], ...]:
-        return _sites(self.amplitudes, self.stepper.halfwidth, self.first)
+        """The lattice coordinates of the grids' sites by axis: the lattice's if ``first`` is None."""
+        a, L = self.amplitudes, self.stepper.halfwidth
+        if self.first is None:
+            return (np.arange(-L, L + 1),) * (a.ndim - 2)
+        return tuple(np.arange(f, f + 2 * a.shape[1] - 1, 2) for f in self.first)
 
     @property
     def grids(self) -> list[WalkerState | SublatticeState]:
@@ -397,44 +401,30 @@ class WalkSpec:
 @dataclass
 class StepReport:
     """Post-step snapshot: 1-based step index, |1 - sum|a|^2|, the sum
-    itself, ``norm_sq``, the pairwise sum of the walk's site probabilities
-    (its row of its stack's ``probs``), and the walk's ``index`` in
-    ``stack``, the amplitudes (W, sites..., k) of the walks stepped as one
-    with it, whose sites' lattice ``coordinates`` (an array an axis) follow
-    from ``halfwidth`` and the grid's ``first`` site.
+    itself, ``norm_sq``, the pairwise sum of the walk's site probabilities,
+    and the walk's ``amplitudes`` (sites..., k) as the kernel keeps them, on
+    the grid from ``first`` of the lattice of ``halfwidth``.
 
-    ``grid`` holds the walk's amplitudes: a :class:`SublatticeState` on the
-    open boundary (from ``first``), a dense :class:`WalkerState` on the
-    periodic one (``first`` None).  ``state`` is always the dense
-    :class:`WalkerState` of the spec's halfwidth.  Both are built on first
-    access and cached."""
+    ``grid`` holds those amplitudes: a :class:`SublatticeState` on the open
+    boundary (from ``first``), a dense :class:`WalkerState` on the periodic
+    one (``first`` None); ``grid.coordinates(axis)`` are its sites' lattice
+    coordinates.  ``state`` is always the dense :class:`WalkerState` of the
+    spec's halfwidth.  Both are built on first access and cached."""
 
     step: int
     norm_residual: float
     norm_sq: float
-    stack: NDArray[np.complex128] = field(repr=False, compare=False)
-    index: int
+    amplitudes: NDArray[np.complex128] = field(repr=False, compare=False)
     halfwidth: int
     first: tuple[int, ...] | None
 
-    @property
-    def coordinates(self) -> tuple[NDArray[np.int64], ...]:
-        return _sites(self.stack, self.halfwidth, self.first)
-
     @cached_property
     def grid(self) -> WalkerState | SublatticeState:
-        return _grid(self.stack[self.index], self.halfwidth, self.first)
+        return _grid(self.amplitudes, self.halfwidth, self.first)
 
     @cached_property
     def state(self) -> WalkerState:
         return self.grid.expand()
-
-
-def _sites(stack: NDArray, L: int, first: tuple[int, ...] | None) -> tuple[NDArray[np.int64], ...]:
-    """The lattice coordinates of a stack's grid from ``first`` (None: the lattice), by axis."""
-    if first is None:
-        return (np.arange(-L, L + 1),) * (stack.ndim - 2)
-    return tuple(np.arange(f, f + 2 * stack.shape[1] - 1, 2) for f in first)
 
 
 def _grid(a: NDArray, L: int, first: tuple[int, ...] | None) -> WalkerState | SublatticeState:
@@ -451,21 +441,10 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
     RuntimeError if the per-step norm residual ever exceeds 1e-10 (or is
     NaN), which would indicate a broken step operator.
     """
-    return (report for (report,) in lockstep((spec,)))
-
-
-def lockstep(walks: Sequence[WalkSpec]) -> Iterator[tuple[StepReport, ...]]:
-    """Run ``walks``, of one number of steps, side by side: each step, their
-    reports in the order of ``walks``.  Each stack of :func:`_stacks` steps
-    as one; every walk's norm is checked at every step, as in :func:`evolve`."""
-    if len(steps := {walk.steps for walk in walks}) > 1:
-        raise ValueError(f"walks in lockstep must have one number of steps, got {sorted(steps)}")
-    stacks = list(_stacks(walks))
-    place = np.argsort([i for s in stacks for i in s.members]).tolist()
-    for i, norms in enumerate(_guarded(stacks, max(steps, default=0)), start=1):
-        reports = [StepReport(i, abs(1.0 - n), n, s.amplitudes, j, s.stepper.halfwidth, s.first)
-                   for s, row in zip(stacks, norms) for j, n in enumerate(row.tolist())]
-        yield tuple(reports[p] for p in place)
+    stack = _Stack([spec])  # a stack of one, stepped as the commands step theirs
+    for i, (norms,) in enumerate(_guarded([stack], spec.steps), start=1):
+        (n,) = norms.tolist()
+        yield StepReport(i, abs(1.0 - n), n, stack.amplitudes[0], spec.halfwidth, stack.first)
 
 
 def _stacks(walks: Sequence[WalkSpec]) -> Iterator[_Stack]:
@@ -478,8 +457,8 @@ def _stacks(walks: Sequence[WalkSpec]) -> Iterator[_Stack]:
         shared = (w.steps, w.halfwidth, w.initial_position, s.coin_t.tobytes(),
                   s.coin_index.tobytes(), s.coin_table.tobytes())
         stackable = w.dimensionality == 1 and w.boundary == "open"
-        groups.setdefault(shared if stackable else i, []).append(i)
-    return (_Stack(walks, g[j: j + MAX_STACK]) for g in groups.values()
+        groups.setdefault(shared if stackable else i, []).append(w)
+    return (_Stack(g[j: j + MAX_STACK]) for g in groups.values()
             for j in range(0, len(g), MAX_STACK))
 
 

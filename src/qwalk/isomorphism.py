@@ -385,7 +385,7 @@ def axis_walk_state(
     the full-lattice step from ever wrapping.
     """
     spec = WalkSpec(2, steps, coin4, initial_coin=initial_coin, halfwidth=halfwidth)
-    stack = _Stack([spec], [0], _AXIS_MOVES)
+    stack = _Stack([spec], _AXIS_MOVES)
     for _ in _guarded([stack], spec.steps):
         pass
     return stack.grids[0]

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qwalk.analysis
 import qwalk.cli
+import qwalk.evolution
 from qwalk.analysis import distribution, marginal, variance
 from qwalk.cli import (
     DEFAULT_STEP_CAP,
@@ -83,6 +85,32 @@ def test_run_emit_per_step_and_factorization(tmp_path):
     px = marginal(p, "x").probs
     py = marginal(p, "y").probs
     assert np.abs(p.probs - np.outer(px, py)).max() < 1e-9
+
+
+@pytest.mark.parametrize("coin, defect", [({"kind": "fractional_swap", "tau": 0.5}, "point"),
+                                          ("hadamard", "cross_xy")],
+                         ids=["2d-kernel", "two-1d-walks"])
+def test_a_run_takes_each_steps_site_probabilities_once(tmp_path, monkeypatch, coin, defect):
+    # The step guard takes a stack's site probabilities once a step, for its
+    # norms; the summaries and every CSV read those.  The Hadamard pair's two
+    # 1D walks share one stack, so both runs take them steps + 1 times.
+    calls = []
+    site_probs = qwalk.analysis._site_probs
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)  # the failure message lists them
+        return site_probs(*args, **kwargs)
+
+    monkeypatch.setattr(qwalk.analysis, "_site_probs", counted)
+    monkeypatch.setattr(qwalk.evolution, "_site_probs", counted)
+    steps, cfg_path = 20, tmp_path / "cfg.json"
+    write_config(cfg_path, steps=steps, coin=coin, defect={"kind": defect, "phi": "pi:1"},
+                 emit_per_step=True)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    assert len(list(out.glob("step_*.csv"))) == steps
+    assert (out / f"step_{steps:04d}.csv").read_bytes() == (out / "distribution.csv").read_bytes()
+    assert len(calls) == steps + 1
 
 
 def test_run_validation_errors(tmp_path, capsys):

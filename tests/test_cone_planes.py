@@ -148,9 +148,9 @@ def test_a_loop_that_drops_its_reports_reuses_the_output_buffers():
 
 def _own_bytes(report):
     """A report's own objects: itself, its fields' values (but the small ints
-    the interpreter shares) and the headers, not the data, of its stack's
+    the interpreter shares) and the headers, not the data, of its amplitudes'
     array and of the array that owns the data."""
-    owner = report.stack if report.stack.base is None else report.stack.base
+    owner = report.amplitudes if report.amplitudes.base is None else report.amplitudes.base
     fields = [v for v in vars(report).values() if not isinstance(v, int)]
     objects = [report, vars(report), *fields, *report.first]
     return sum(map(sys.getsizeof, objects)) + sys.getsizeof(owner) - owner.nbytes

@@ -24,7 +24,6 @@ from qwalk.evolution import (
     _Stepper,
     build_step_matrix,
     evolve,
-    lockstep,
     run_walk,
 )
 from qwalk.isomorphism import (
@@ -905,7 +904,7 @@ def test_cone_walk_holds_no_lattice_sized_tables(coin, defect):
     assert peak < 1_000_000
 
 
-# ------------------------------------------------------- lockstep stacks
+# ---------------------------------------------------------------- stacks
 
 
 def _stack_walks(seed, count, steps, position=0):
@@ -925,13 +924,35 @@ def _stack_walks(seed, count, steps, position=0):
     return walks
 
 
-def _same_report(stacked, alone):
-    assert stacked.step == alone.step
-    assert stacked.norm_sq.hex() == alone.norm_sq.hex()
-    assert stacked.norm_residual.hex() == alone.norm_residual.hex()
-    assert type(stacked.grid) is type(alone.grid)
-    assert getattr(stacked.grid, "first", None) == getattr(alone.grid, "first", None)
-    assert stacked.grid.amplitudes.tobytes() == alone.grid.amplitudes.tobytes()
+def _stepped(walks):
+    """``walks``, of one number of steps, stepped as the commands step them:
+    each stack of ``_stacks`` through ``_guarded`` (looked up when called, so a
+    patched guard runs).  Per step, each walk's grid and norm_sq, by spec."""
+    stacks = list(_stacks(walks))
+    for norms in qwalk.evolution._guarded(stacks, walks[0].steps):
+        yield {spec: (grid, n) for stack, row in zip(stacks, norms)
+               for spec, grid, n in zip(stack.specs, stack.grids, row.tolist())}
+
+
+def _same_walk(stacked, alone):
+    grid, norm_sq = stacked
+    assert norm_sq.hex() == alone.norm_sq.hex()
+    assert type(grid) is type(alone.grid)
+    assert getattr(grid, "first", None) == getattr(alone.grid, "first", None)
+    assert grid.amplitudes.tobytes() == alone.grid.amplitudes.tobytes()
+
+
+def _same_as_alone(walks, steps):
+    """Each step of ``steps`` (from :func:`_stepped`) against each walk's own
+    report from ``evolve``; the number of steps."""
+    stepped = 0
+    for step, *alone in zip(steps, *map(evolve, walks), strict=True):
+        assert len(step) == len(walks)
+        for walk, solo in zip(walks, alone):
+            assert solo.step == stepped + 1
+            _same_walk(step[walk], solo)
+        stepped += 1
+    return stepped
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 7, 40])
@@ -939,22 +960,16 @@ def _same_report(stacked, alone):
 @pytest.mark.parametrize("position", [0, -3, 4], ids=lambda x: f"from-{x}")
 def test_a_stack_steps_each_walk_bit_for_bit_as_it_steps_alone(steps, count, position):
     walks = _stack_walks(steps * 100 + count, count, steps, position)
-    sizes = [len(stack.specs) for stack in _stacks(walks)]
-    assert sizes == ([MAX_STACK, 3] if count > MAX_STACK else [count])
-    stepped = 0
-    # Neither side holds its reports, so both reuse their buffers.
-    for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
-        assert len(reports) == count
-        for stacked, solo in zip(reports, alone):
-            _same_report(stacked, solo)
-        stepped += 1
-    assert stepped == steps
+    stacks = [stack.specs for stack in _stacks(walks)]
+    assert stacks == ([walks[:MAX_STACK], walks[MAX_STACK:]] if count > MAX_STACK else [walks])
+    # Neither side holds its grids, so both reuse their buffers.
+    assert _same_as_alone(walks, _stepped(walks)) == steps
 
 
-def test_lockstep_reports_in_the_order_of_its_walks_whatever_their_stacks():
+def test_only_open_1d_walks_of_one_coin_start_and_halfwidth_share_a_stack():
     # One stack interleaved with a 2D walk and a periodic walk (each a stack
-    # of one), and walks of another coin, start or halfwidth: each report is
-    # its walk's own.
+    # of one), and walks of another coin, start or halfwidth: each walk gets
+    # its own bits.
     steps = 12
     shared = _stack_walks(1, 3, steps)
     other = _stack_walks(2, 1, steps)[0]
@@ -963,34 +978,23 @@ def test_lockstep_reports_in_the_order_of_its_walks_whatever_their_stacks():
     square = WalkSpec(2, steps, fractional_swap(0.3), DefectMap.cross_xy(1.0))
     ring = WalkSpec(1, steps, H, DefectMap.point(0.5), boundary="periodic", halfwidth=5)
     walks = [shared[0], other, square, shared[1], moved, ring, wider, shared[2]]
-    assert sorted(len(stack.specs) for stack in _stacks(walks)) == [1, 1, 1, 1, 1, 3]
-    for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
-        for stacked, solo in zip(reports, alone, strict=True):
-            _same_report(stacked, solo)
+    assert [stack.specs for stack in _stacks(walks)] == [
+        shared, [other], [square], [moved], [ring], [wider]]
+    assert _same_as_alone(walks, _stepped(walks)) == steps
 
 
-def test_held_stack_reports_keep_their_own_amplitudes():
+def test_held_stack_grids_keep_their_own_amplitudes():
     walks = _stack_walks(3, 4, 20)
-    held = list(lockstep(walks))
-    for reports, *alone in zip(held, *map(evolve, walks), strict=True):
-        for stacked, solo in zip(reports, alone):
-            _same_report(stacked, solo)
-
-
-def test_lockstep_refuses_walks_of_different_step_counts():
-    walks = [_stack_walks(4, 1, 5)[0], _stack_walks(4, 1, 6)[0]]
-    with pytest.raises(ValueError, match="one number of steps"):
-        next(lockstep(walks))
-    assert list(lockstep([])) == []
+    assert _same_as_alone(walks, list(_stepped(walks))) == 20
 
 
 @pytest.mark.parametrize("drift", ["nan", "scaled"])
 def test_one_walk_drifting_inside_a_stack_fails_at_that_step(drift):
     walks = _stack_walks(5, 4, 10)
-    steps = lockstep(walks)
+    steps = _stepped(walks)
     for _ in range(3):
-        reports = next(steps)
-    amps = reports[2].grid.amplitudes  # a view of the stack's own grids
+        step = next(steps)
+    amps = step[walks[2]][0].amplitudes  # a view of the stack's own grids
     if drift == "nan":
         amps[0, 0] = np.nan
     else:
@@ -1005,10 +1009,8 @@ def test_walks_sharing_a_coin_field_stack_and_keep_their_own_bits():
     field = CoinField(1, random_su2(rng), {1: random_su2(rng), -3: np.eye(2), 0: H})
     defects = [DefectMap.none(), DefectMap.point(1.1), DefectMap.custom({0: 0.3, -1: 2.0})]
     walks = [WalkSpec(1, 25, field, defect, initial_coin=[0.6, 0.8j]) for defect in defects]
-    assert [len(stack.specs) for stack in _stacks(walks)] == [3]
-    for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
-        for stacked, solo in zip(reports, alone):
-            _same_report(stacked, solo)
+    assert [stack.specs for stack in _stacks(walks)] == [walks]
+    assert _same_as_alone(walks, _stepped(walks)) == 25
 
 
 def _alone_hex(a):
@@ -1051,8 +1053,8 @@ def test_each_walks_norm_is_the_sum_of_its_own_site_probabilities(threads, monke
     with _blas_threads(threads):
         for walks in groups:
             assert len(list(_stacks(walks))) == 1
-            for reports in lockstep(walks):
-                assert [r.norm_sq.hex() for r in reports] == rows[-1][0]
+            for step in _stepped(walks):
+                assert [step[w][1].hex() for w in walks] == rows[-1][0]
         axis_walk_state(8, fractional_swap(0.3), [0.5, 0.5j, -0.5, 0.5j])
     assert len(rows) == 4 * 40 + 60 + 30 + 5 + 8
     for norms, alone in rows:

@@ -204,9 +204,9 @@ def _memo_steps(memo, monkeypatch):
     stack by stack, and its results."""
     stepped = []
 
-    def stack(walks, members):
-        stepped.extend(walks[i] for i in members)
-        return _Stack(walks, members)
+    def stack(specs):
+        stepped.extend(specs)
+        return _Stack(specs)
 
     monkeypatch.setattr(qwalk.evolution, "_Stack", stack)
     return stepped, _walked(list(memo.values()))
@@ -247,9 +247,9 @@ def test_a_sweep_builds_each_distinct_walk_once(tmp_path, monkeypatch):
         init(self)
         built.append(self)
 
-    def stack(walks, members):
-        stepped.extend(walks[i] for i in members)
-        return _Stack(walks, members)
+    def stack(specs):
+        stepped.extend(specs)
+        return _Stack(specs)
 
     monkeypatch.setattr(WalkSpec, "__post_init__", counted)
     monkeypatch.setattr(qwalk.evolution, "_Stack", stack)

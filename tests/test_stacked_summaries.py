@@ -10,9 +10,9 @@ reference; ``summarize``, the stack of one, is held to it too.
 import numpy as np
 import pytest
 
-from qwalk.analysis import WalkSummary, _site_probs, _variance, summarize, summarize_stack
+from qwalk.analysis import WalkSummary, _variance, summarize, summarize_stack
 from qwalk.coins import fractional_swap, hadamard, random_su2, tensor
-from qwalk.evolution import MAX_STACK, DefectMap, WalkSpec, _stacks, evolve, lockstep
+from qwalk.evolution import MAX_STACK, DefectMap, WalkSpec, _guarded, _stacks, evolve
 
 
 def _old_variance(sites, probs):
@@ -58,12 +58,22 @@ def _stack_walks(seed, count, steps, position=0):
     return walks
 
 
-def _same_as_alone(reports, alone):
-    """The stack's summaries against each walk's, summarized alone."""
-    probs = _site_probs(reports[0].stack)
-    stacked = summarize_stack(reports[0].step, probs, reports[0].coordinates)
-    assert len(stacked) == len(reports) == len(alone)
+def _stepped(walks):
+    """``walks``, of one number of steps, stepped as the commands step them:
+    each stack of ``_stacks`` through ``_guarded``.  Per step, its number and
+    the stacks, each with the site probabilities its norms were summed from."""
+    stacks = list(_stacks(walks))
+    for t, _ in enumerate(_guarded(stacks, walks[0].steps), start=1):
+        yield t, stacks
+
+
+def _same_as_alone(t, stack, alone):
+    """The stack's summaries at step ``t``, from its ``probs``, as the commands
+    take them, against each walk's report ``alone``, summarized alone."""
+    stacked = summarize_stack(t, stack.probs, stack.coordinates)
+    assert len(stacked) == len(stack.specs) == len(alone)
     for got, report in zip(stacked, alone):
+        assert report.step == t
         assert _bits(got) == _bits(reference_summarize(report.step, report.grid))
         assert _bits(got) == _bits(summarize(report.step, report.grid))
     return stacked
@@ -78,18 +88,18 @@ def test_a_stacks_summaries_are_each_walks_own_bits(count, position):
     walks = _stack_walks(count * 10 + position, count, steps, position)
     assert [len(stack.specs) for stack in _stacks(walks)] == [count]
     zeros = []
-    for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
-        stacked = _same_as_alone(reports, alone)
+    for (t, (stack,)), *alone in zip(_stepped(walks), *map(evolve, walks), strict=True):
+        stacked = _same_as_alone(t, stack, alone)
         if all(s.recurrence == 0.0 for s in stacked):
-            zeros.append(reports[0].step)
+            zeros.append(t)
     absent = [t for t in range(1, steps + 1) if (position - t) % 2 or abs(position) > t]
     assert zeros == absent
 
 
 def test_a_stack_whose_grid_never_holds_the_origin_recurs_with_zero():
     walks = _stack_walks(1, 3, 5, position=-9)
-    for reports, *alone in zip(lockstep(walks), *map(evolve, walks), strict=True):
-        assert [s.recurrence for s in _same_as_alone(reports, alone)] == [0.0] * 3
+    for (t, (stack,)), *alone in zip(_stepped(walks), *map(evolve, walks), strict=True):
+        assert [s.recurrence for s in _same_as_alone(t, stack, alone)] == [0.0] * 3
 
 
 @pytest.mark.parametrize("spec", [
@@ -105,18 +115,20 @@ def test_a_stack_whose_grid_never_holds_the_origin_recurs_with_zero():
 ], ids=["kernel-2d", "kernel-2d-off-origin", "periodic-2d", "periodic-1d"])
 def test_a_stack_of_one_is_the_walks_own_summary(spec):
     steps = 0
-    for report in evolve(spec):
-        assert report.stack.shape[0] == 1
-        _same_as_alone((report,), (report,))
+    for (t, (stack,)), report in zip(_stepped([spec]), evolve(spec), strict=True):
+        assert stack.amplitudes.shape[0] == 1
+        _same_as_alone(t, stack, (report,))
         steps += 1
     assert steps == spec.steps
 
 
 def test_the_coordinates_of_a_dense_stack_are_the_whole_lattice():
     spec = WalkSpec(2, 3, tensor(hadamard(), hadamard()), boundary="periodic", halfwidth=2)
+    _, (stack,) = next(_stepped([spec]))
     report = next(evolve(spec))
-    assert report.first is None
-    assert [xs.tolist() for xs in report.coordinates] == [[-2, -1, 0, 1, 2]] * 2
+    assert stack.first is None and report.first is None
+    assert [xs.tolist() for xs in stack.coordinates] == [[-2, -1, 0, 1, 2]] * 2
+    assert [report.grid.coordinates(a).tolist() for a in (0, 1)] == [[-2, -1, 0, 1, 2]] * 2
 
 
 @pytest.mark.parametrize("count, bad", [(1, 0), (5, 3), (MAX_STACK, MAX_STACK - 1)])
@@ -124,23 +136,23 @@ def test_a_nan_in_one_walk_of_a_stack_is_refused(count, bad):
     # A stack's summaries read the site probabilities whose row sums are the
     # step guard's norms, so the guard refuses a NaN in any one walk at the
     # next step; summarize, on a state from outside, checks its own.
-    steps = lockstep(_stack_walks(7, count, 6))
+    steps = _stepped(_stack_walks(7, count, 6))
     for _ in range(5):
-        reports = next(steps)
-    reports[0].stack[bad, 2, 1] = np.nan
+        _, (stack,) = next(steps)
+    stack.amplitudes[bad, 2, 1] = np.nan
     with pytest.raises(ValueError, match=r"^probability is NaN$"):
-        summarize(5, reports[bad].grid)
+        summarize(5, stack.grids[bad])
     with pytest.raises(RuntimeError, match=r"^norm residual nan at step 6 exceeds 1e-10$"):
         next(steps)
 
 
 def test_a_walk_that_lost_norm_is_refused_with_its_residual():
-    steps = lockstep(_stack_walks(8, 4, 6))
+    steps = _stepped(_stack_walks(8, 4, 6))
     for _ in range(5):
-        reports = next(steps)
-    reports[0].stack[2] *= 0.5
+        _, (stack,) = next(steps)
+    stack.amplitudes[2] *= 0.5
     with pytest.raises(ValueError, match=r"^probabilities sum to 0\.2[45]\d*, not 1$"):
-        summarize(5, reports[2].grid)
+        summarize(5, stack.grids[2])
     with pytest.raises(RuntimeError, match=r"^norm residual 7\.50\de-01 at step 6 exceeds 1e-10$"):
         next(steps)
 
