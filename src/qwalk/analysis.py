@@ -153,8 +153,9 @@ def variance(p: Distribution, axis: int | str | None = None) -> float:
 
 
 def _variance(sites: NDArray[np.int64], probs: NDArray[np.float64]) -> list[float]:
-    # Per row of probs (W, sites): sums along the row, then float - float**2.
-    xs = sites.astype(np.float64)
+    # Per row of probs (W, sites): sums along the row, then float - float**2, in
+    # coordinates from the middle site (a cone grid's start): far walks keep their digits.
+    xs = (sites - (sites[0] + sites[-1]) // 2).astype(np.float64)
     means = np.add.reduce(xs * probs, axis=-1).tolist()
     return [t - mean**2 for t, mean in zip(np.add.reduce(xs**2 * probs, axis=-1).tolist(), means)]
 

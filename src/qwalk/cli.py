@@ -59,7 +59,7 @@ DEFAULT_STEP_CAP = 2000
 # anything is allocated.  2^24 admits a 2D walk of DEFAULT_STEP_CAP steps
 # at its default halfwidth (4001^2 sites).
 MAX_LATTICE_SITES = 1 << 24
-# Cap on isocheck trials; one takes ~3 ms at L = 31, the largest admitted.
+# Cap on isocheck trials; one takes ~1.7 ms at L = 31, the largest admitted.
 MAX_TRIALS = 10_000
 # Cap on a sweep's grid points (phases x defect kinds), checked before any is built.
 MAX_SWEEP_POINTS = 10_000
@@ -375,7 +375,10 @@ def _make_out_dir(value: Any) -> Path:
     if not isinstance(value, str):
         raise ConfigError(f"out_dir: expected a directory path, got {value!r}")
     out_dir = Path(value)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out_dir: cannot create {value}: {e}") from None
     return out_dir
 
 

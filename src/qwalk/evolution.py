@@ -13,19 +13,19 @@ does not, and the source-site choice is part of the contract.
 
 Shift convention: coin bit 0 moves its axis by +1, coin bit 1 by -1; the
 first coin bit steers x, the second steers y.  ``_DIAGONAL_MOVES`` writes
-this down once, as the displacement of each coin index, and every shift
-reads it: the full-lattice and light-cone kernels and the dense step
-matrix.  The unit-axis walk of :mod:`qwalk.isomorphism` runs the same
-code with its own table.
+this down once, as the displacement of each coin index, and both shifts
+read it: :meth:`_Stack.advance`, which steps every walk, on the full
+lattice or the light cone, and the dense step matrix.  The unit-axis
+walk of :mod:`qwalk.isomorphism` runs the same code with its own table.
 
 Boundaries are a property of the walk: :class:`WalkSpec` checks it, and
-the walk's :class:`_Stack` picks the kernel by it.  An ``"open"`` walk
-needs halfwidth >= max|start| + steps, so its light cone never leaves the
-lattice; :class:`WalkSpec` rejects any other.  ``"periodic"`` identifies
-site L+1 with -L per axis and exists mainly for matrix-level checks at
-small halfwidth.  The operator itself knows no boundary: the full-lattice
-shift and the dense step matrix wrap periodically, which an open walk
-never reaches.
+the walk's :class:`_Stack` picks the lattice it steps by it.  An
+``"open"`` walk needs halfwidth >= max|start| + steps, so its light cone
+never leaves the lattice; :class:`WalkSpec` rejects any other.
+``"periodic"`` identifies site L+1 with -L per axis and exists mainly for
+matrix-level checks at small halfwidth.  The operator itself knows no
+boundary: the full-lattice shift and the dense step matrix wrap
+periodically, which an open walk never reaches.
 
 Multi-step evolution of an open-boundary walk steps only the sites that
 can hold amplitude.  Every step moves each coordinate by +-1, so after t
@@ -214,11 +214,8 @@ def _phase_grid(applier: _Applier | None, shape: tuple[int, ...]) -> NDArray[np.
 class _Stepper:
     """One walk operator, checked once: coin field, defect phase, lattice.
 
-    Every kernel and dense step matrix is built from one.  ``step(state,
-    moves)`` advances a dense state on the full lattice, periodic, coin
-    component c moving by ``moves[c]``: the periodic walk and the
-    unit-axis walk.  ``cone_step`` advances a :class:`_Stack` of open
-    walks' light-cone grids by ``self.moves``, the diagonal walk's table.
+    ``_mixed`` is every step's coin and phase, which :meth:`_Stack.advance`
+    shifts; the dense step matrices take the same coins and applier.
     Building one checks the lattice, coins and every listed site.
     """
 
@@ -226,9 +223,6 @@ class _Stepper:
                  coin: NDArray[np.complex128] | CoinField, defect: DefectMap | None):
         d = self.dim = _dimensionality(dimensionality)
         L = self.halfwidth = _halfwidth(halfwidth)
-        self.moves = _DIAGONAL_MOVES[d]
-        # Per coin component, its offset along each axis in a cone_step plane.
-        self.offsets = [[(1 + s) // 2 for s in move] for move in self.moves]
         self.field = as_coin_field(coin, d)
         # Every site is mixed by the default coin in one GEMM; the sites a
         # per-site field lists are then mixed again with their own coins.
@@ -253,39 +247,6 @@ class _Stepper:
                 applier(m, sites)
         return mixed
 
-    def step(self, state: WalkerState, moves: _Moves) -> WalkerState:
-        m = self._mixed(state.amplitudes[None], (slice(None),) * self.dim, (self.applier,))[0]
-        out = np.empty_like(m)
-        for c, move in enumerate(moves):
-            out[..., c] = np.roll(m[..., c], move, axis=tuple(range(self.dim)))
-        return WalkerState(self.dim, self.halfwidth, out)
-
-    def cone_step(self, stack: "_Stack") -> None:
-        """One step of a stack of sublattice grids of m sites per axis,
-        giving m + 1.
-
-        The output, each walk's coin planes, goes to a stack buffer that
-        CPython's reference count (numpy's signal for eliding temporaries)
-        says nothing else refers to, else to a fresh array.  A move of +1
-        takes site ``first + 2i`` to ``(first - 1) + 2(i + 1)``, so along
-        each axis a component lands in its plane at offset ``(1 + move) //
-        2``: 1 for a +1 move, 0 for a -1 move; the one row it leaves empty
-        is zeroed, as a reused buffer holds old amplitudes.
-        """
-        a, d, L = stack.amplitudes, self.dim, self.halfwidth
-        (w, n), k, each = a.shape[:2], a.shape[-1], (slice(None),)
-        sites = tuple(slice(f + L, f + L + 2 * n - 1, 2) for f in stack.first)  # of every walk
-        m = self._mixed(a, sites, stack.appliers, stack.scratch[: a.size].reshape(a.shape))
-        free = [i for i in (0, 1) if sys.getrefcount(stack.buffers[i]) == stack.unheld]
-        size = w * k * (n + 1) ** d
-        buf = stack.buffers[free[0]][:size] if free else np.empty(size, complex)
-        out = buf.reshape(w, k, *(n + 1,) * d).transpose(0, *range(2, d + 2), 1)
-        for c, offsets in enumerate(self.offsets):
-            out[each + tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
-            for axis, o in enumerate(offsets):
-                out[each * (axis + 1) + ((1 - o) * n, Ellipsis, c)] = 0
-        stack.first, stack.amplitudes = tuple(f - 1 for f in stack.first), out
-
 
 class _Stack:
     """The walks ``specs`` stepped as one, by the first's coin and each walk's
@@ -298,7 +259,7 @@ class _Stack:
         self.specs = specs
         spec, d = specs[0], specs[0].dimensionality
         self.stepper, self.appliers = spec._stepper, [s._stepper.applier for s in self.specs]
-        self.moves = moves or (self.stepper.moves if spec.boundary == "periodic" else None)
+        self.moves = moves or (_DIAGONAL_MOVES[d] if spec.boundary == "periodic" else None)
         if self.moves:  # the full lattice
             self.first, self.scratch = None, None
             self.amplitudes = spec.initial_state().amplitudes[None]
@@ -307,16 +268,41 @@ class _Stack:
             self.buffers = [np.empty(size * (spec.steps + 1) ** d, np.complex128) for _ in "01"]
             self.scratch = np.empty(size * max(spec.steps, 1) ** d, np.complex128)  # the coin mix
             self.unheld = sys.getrefcount(self.buffers[0])
+            # Per coin component, its offset along each axis in a plane.
+            self.offsets = [[(1 + s) // 2 for s in move] for move in _DIAGONAL_MOVES[d]]
             self.first = spec.initial_grid().first
             self.amplitudes = np.stack([s.initial_grid().amplitudes for s in self.specs])
         self.probs = _site_probs(self.amplitudes, self.scratch)  # what a sweep of 0 steps reads
 
     def advance(self) -> None:
-        if self.moves is None:
-            return self.stepper.cone_step(self)
-        s = self.stepper
-        state = s.step(WalkerState(s.dim, s.halfwidth, self.amplitudes[0]), self.moves)
-        self.amplitudes = state.amplitudes[None]
+        """One step of every walk: the stepper's coin and phase, then the
+        shift.  On the full lattice component c rolls by ``moves[c]``.  On
+        the light cone grids of n sites per axis give n + 1, each walk's
+        coin planes written to a stack buffer that CPython's reference count
+        (numpy's signal for eliding temporaries) says nothing else refers
+        to, else to a fresh array.  A move of +1 takes site ``first + 2i``
+        to ``(first - 1) + 2(i + 1)``, so along each axis a component lands
+        in its plane at offset ``(1 + move) // 2``: 1 for a +1 move, 0 for
+        -1; the one row it leaves empty is zeroed, as a reused buffer holds
+        old amplitudes."""
+        a, s, each = self.amplitudes, self.stepper, (slice(None),)
+        d, L, (w, n), k = s.dim, s.halfwidth, a.shape[:2], a.shape[-1]
+        if self.moves:
+            m = s._mixed(a, each * d, self.appliers)
+            self.amplitudes = np.stack([np.roll(m[..., c], move, axis=tuple(range(1, d + 1)))
+                                        for c, move in enumerate(self.moves)], axis=-1)
+            return
+        sites = tuple(slice(f + L, f + L + 2 * n - 1, 2) for f in self.first)  # of every walk
+        m = s._mixed(a, sites, self.appliers, self.scratch[: a.size].reshape(a.shape))
+        free = [i for i in (0, 1) if sys.getrefcount(self.buffers[i]) == self.unheld]
+        size = w * k * (n + 1) ** d
+        buf = self.buffers[free[0]][:size] if free else np.empty(size, complex)
+        out = buf.reshape(w, k, *(n + 1,) * d).transpose(0, *range(2, d + 2), 1)
+        for c, offsets in enumerate(self.offsets):
+            out[each + tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
+            for axis, o in enumerate(offsets):
+                out[each * (axis + 1) + ((1 - o) * n, Ellipsis, c)] = 0
+        self.first, self.amplitudes = tuple(f - 1 for f in self.first), out
 
     @property
     def coordinates(self) -> tuple[NDArray[np.int64], ...]:
@@ -502,7 +488,7 @@ def build_step_matrix(dimensionality: int, halfwidth: int, coin: NDArray[np.comp
     unitary matrix.  Total dimension is capped at ``MAX_MATRIX_DIM``.
     """
     stepper = _Stepper(dimensionality, halfwidth, coin, defect)
-    return _step_matrix(stepper, stepper.moves)
+    return _step_matrix(stepper, _DIAGONAL_MOVES[stepper.dim])
 
 
 def _step_matrix(stepper: _Stepper, moves: _Moves) -> NDArray[np.complex128]:

@@ -13,7 +13,7 @@ from qwalk.analysis import (
     summarize,
     variance,
 )
-from qwalk.coins import hadamard, tensor
+from qwalk.coins import fractional_swap, hadamard, tensor
 from qwalk.evolution import DefectMap, WalkSpec, evolve, run_walk
 from qwalk.statespace import localized_state, symmetric_coin
 
@@ -275,6 +275,20 @@ def test_summaries_of_the_cone_grid_match_the_dense_state(spec):
         if b.variance_y is not None:
             assert a.variance_y == pytest.approx(b.variance_y, rel=1e-12, abs=1e-13)
     assert l1_distance(distribution(grid), distribution(dense)) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("x0", [10**3, 10**5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_cone_grid_of_an_off_origin_walk_has_the_origin_walks_variances(dim, x0):
+    # Variances are taken from the grid's middle site, the walk's start: in
+    # lattice coordinates x0^2 cancelled against them, losing 2.3e-10 of a
+    # 50-step variance at x0 = 1e3 and 3.8e-6 at 1e5.
+    coin = H if dim == 1 else fractional_swap(0.3)
+    here, there = ([summarize(r.step, r.grid) for r in evolve(WalkSpec(
+        dim, 50, coin, initial_position=start, halfwidth=x0 + 50))]
+        for start in ((0, x0) if dim == 1 else ((0, 0), (x0, -x0))))
+    assert [(s.variance_x, s.variance_y) for s in there] == [
+        (s.variance_x, s.variance_y) for s in here]
 
 
 def test_nan_probabilities_are_rejected():

@@ -28,7 +28,7 @@ from qwalk.cli import (
     write_distribution_csv,
 )
 from qwalk.coins import hadamard, tensor
-from qwalk.evolution import WalkSpec, _Stepper, evolve, run_walk
+from qwalk.evolution import WalkSpec, _Stack, evolve, run_walk
 
 
 def write_config(path, **overrides):
@@ -853,6 +853,42 @@ def test_non_string_out_dir_exits_1_and_creates_nothing(
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("dim, x0, coin", [(1, 10**3, "hadamard"), (1, 10**5, "hadamard"),
+                                           (2, 10**3, "hadamard"),
+                                           (2, 10**3, {"kind": "fractional_swap", "tau": 0.5})],
+                         ids=["1d-1e3", "1d-1e5", "2d-1e3-product", "2d-1e3-kernel"])
+def test_a_run_off_the_origin_writes_the_origin_runs_variances(tmp_path, dim, x0, coin):
+    # The 2D lattice cap (halfwidth 2047) admits no start at 1e5.  A product
+    # walk's variances are its 1D factors', the kernel's its grid's.
+    variances = []
+    for start in (0, x0):
+        cfg_path = tmp_path / f"{start}.json"
+        position = start if dim == 1 else [start, -start]
+        write_config(cfg_path, dimensionality=dim, steps=50, coin=coin, defect="none",
+                     halfwidth=x0 + 50, initial={"position": position}, formats=["json"],
+                     out_dir=str(tmp_path / str(start)))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / str(start) / "summary.json").read_text())
+        variances.append([(s["variance_x"], s["variance_y"])
+                          for s in summary["per_step"] + [summary["final"]]])
+    assert variances[1] == variances[0]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["run", "sweep", "isocheck"])
+def test_an_out_dir_that_cannot_be_a_directory_exits_1(tmp_path, capsys, command, under):
+    # Bad input, not a runtime error: mkdir's FileExistsError and
+    # NotADirectoryError used to exit 2.
+    (tmp_path / "file").write_text("kept")
+    out_dir = tmp_path / "file" / "out" if under else tmp_path / "file"
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, steps=2, sweep={"phi": ["pi:1"]}, out_dir=str(out_dir))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert "error: out_dir: cannot create" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -964,8 +1000,13 @@ def test_a_command_holds_every_openblas_at_threads_and_gives_the_counts_back(tmp
             return call(*args, **kwargs)
         monkeypatch.setattr(owner, name, watched)
 
-    for name in ("cone_step", "step"):  # open and periodic walks, 1D and 2D
-        watch(_Stepper, name)
+    kinds = set()  # (dimensionality, on the light cone) of every stack stepped
+
+    def noted(stack, advance=_Stack.advance):
+        kinds.add((stack.stepper.dim, stack.moves is None))
+        advance(stack)
+    monkeypatch.setattr(_Stack, "advance", noted)
+    watch(_Stack, "advance")  # open and periodic walks, 1D and 2D
     for name in ("verify_isomorphism", "check_translation_equivalence",
                  "check_decomposition_claims"):  # the isocheck's steps
         watch(qwalk.cli, name)
@@ -993,6 +1034,7 @@ def test_a_command_holds_every_openblas_at_threads_and_gives_the_counts_back(tmp
                 assert run(command, threads, **walk) == 0
                 assert seen and all(n == {threads} for n in seen), command
                 assert counts() == {outer}  # after the command
+        assert kinds == {(1, True), (2, True), (2, False)}
         monkeypatch.setattr(qwalk.evolution, "STEP_NORM_TOL", -1.0)  # the first step fails
         monkeypatch.setattr(qwalk.cli, "ISO_TOL", 0.0)  # fails: every deviation is 0.0
         for command, walk in commands:

@@ -1,6 +1,6 @@
 """The light-cone kernel's coin planes and reused output buffers.
 
-``reference_cone_step`` below is the earlier ``_Stepper.cone_step``, which
+``reference_cone_step`` below is the earlier light-cone step, which
 stored the grid interleaved as ``(m, ..., k)`` and allocated a fresh output
 every step, kept as the reference for the planar kernel (its coin mix now
 called as a stack of one): every step must give the same amplitudes bit
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor
-from qwalk.evolution import DefectMap, WalkSpec, _Stepper, evolve
+from qwalk.evolution import _DIAGONAL_MOVES, DefectMap, WalkSpec, _Stepper, evolve
 from qwalk.statespace import SublatticeState
 
 H = hadamard()
@@ -28,7 +28,7 @@ def reference_cone_step(self, grid, scratch):
     m = self._mixed(a[None], grid.sites(), (self.applier,), out)[0]
     n = a.shape[0]
     out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
-    for c, move in enumerate(self.moves):
+    for c, move in enumerate(_DIAGONAL_MOVES[self.dim]):
         offsets = [(1 + s) // 2 for s in move]
         out[tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
         for axis, o in enumerate(offsets):

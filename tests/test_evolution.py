@@ -20,6 +20,7 @@ from qwalk.evolution import (
     MAX_STACK,
     DefectMap,
     WalkSpec,
+    _Stack,
     _stacks,
     _Stepper,
     build_step_matrix,
@@ -53,23 +54,29 @@ def probs(state):
     return (np.abs(state.amplitudes) ** 2).sum(axis=-1)
 
 
+def stepped(state, coin, defect=DefectMap.none(), steps=1):
+    """``state`` after ``steps`` steps of the periodic walk of ``coin`` and
+    ``defect`` on its lattice, each taken by ``_Stack.advance``."""
+    d, L = state.dimensionality, state.halfwidth
+    stack = _Stack([WalkSpec(d, steps, coin, defect, boundary="periodic", halfwidth=L)])
+    stack.amplitudes = state.amplitudes[None]
+    for _ in range(steps):
+        stack.advance()
+    return WalkerState(d, L, stack.amplitudes[0])
+
+
 # ---------------------------------------------------------------- 1D steps
 
 
 def test_one_step_hadamard():
-    s = localized_state(1, 2, 0, [1, 0])
-    stepper = _Stepper(1, 2, H, None)
-    s = stepper.step(s, stepper.moves)
+    s = stepped(localized_state(1, 2, 0, [1, 0]), H)
     p = probs(s)
     assert p[3] == pytest.approx(0.5)  # x = +1
     assert p[1] == pytest.approx(0.5)  # x = -1
 
 
 def test_two_step_hadamard_distribution():
-    s = localized_state(1, 2, 0, [1, 0])
-    stepper = _Stepper(1, 2, H, None)
-    for _ in range(2):
-        s = stepper.step(s, stepper.moves)
+    s = stepped(localized_state(1, 2, 0, [1, 0]), H, steps=2)
     p = probs(s)
     np.testing.assert_allclose(p, [0.25, 0, 0.5, 0, 0.25], atol=1e-12)
 
@@ -77,10 +84,7 @@ def test_two_step_hadamard_distribution():
 def test_two_step_matches_brute_force_oracle():
     amps = brute_force_walk_1d(2, hadamard(), [1, 0])
     oracle = distribution_1d(amps, 2)
-    s = localized_state(1, 2, 0, [1, 0])
-    stepper = _Stepper(1, 2, H, None)
-    for _ in range(2):
-        s = stepper.step(s, stepper.moves)
+    s = stepped(localized_state(1, 2, 0, [1, 0]), H, steps=2)
     np.testing.assert_allclose(probs(s), oracle, atol=1e-13)
 
 
@@ -95,9 +99,7 @@ def test_zero_steps_identity():
 
 
 def test_one_step_2d_uniform_quarter():
-    s = localized_state(2, 1, (0, 0), symmetric_coin(2))
-    stepper = _Stepper(2, 1, H2, None)
-    s = stepper.step(s, stepper.moves)
+    s = stepped(localized_state(2, 1, (0, 0), symmetric_coin(2)), H2)
     p = probs(s)
     for xi, yi in [(0, 0), (0, 2), (2, 0), (2, 2)]:
         assert p[xi, yi] == pytest.approx(0.25, abs=1e-12)
@@ -106,10 +108,7 @@ def test_one_step_2d_uniform_quarter():
 
 def test_first_step_cross_defect_phase_is_global():
     a = localized_state(2, 1, (0, 0), symmetric_coin(2))
-    plain, defected = (
-        stepper.step(a, stepper.moves)
-        for stepper in (_Stepper(2, 1, H2, None), _Stepper(2, 1, H2, DefectMap.cross_xy(1.234)))
-    )
+    plain, defected = (stepped(a, H2, defect) for defect in (DefectMap.none(), DefectMap.cross_xy(1.234)))
     np.testing.assert_allclose(probs(plain), probs(defected), atol=1e-14)
 
 
@@ -480,8 +479,7 @@ def test_site_dependent_coin_field():
     # first step from the origin uses the special coin
     manual = localized_state(2, 3, (0, 0), symmetric_coin(2))
     for coin in (special, fld, fld):
-        stepper = _Stepper(2, 3, coin, None)
-        manual = stepper.step(manual, stepper.moves)
+        manual = stepped(manual, coin)
     np.testing.assert_allclose(final.amplitudes, manual.amplitudes, atol=1e-13)
 
 
@@ -520,8 +518,7 @@ def test_step_matrix_matches_apply_step(dim, L):
         amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         amps = (amps / np.linalg.norm(amps)).astype(complex)
         state = WalkerState(dim, L, amps)
-        stepper = _Stepper(dim, L, coin, defect)
-        direct = stepper.step(state, stepper.moves)
+        direct = stepped(state, coin, defect)
         via_matrix = U @ state.packed()
         np.testing.assert_allclose(
             via_matrix, direct.packed(), atol=1e-13

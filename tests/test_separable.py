@@ -18,7 +18,7 @@ import qwalk.evolution
 from qwalk.analysis import distribution, summarize
 from qwalk.cli import _RANK1_TOL, _spec, _walked, main, write_distribution_csv
 from qwalk.coins import hadamard, su2_from_angles, tensor
-from qwalk.evolution import DefectMap, WalkSpec, _Stack, _Stepper, evolve
+from qwalk.evolution import DefectMap, WalkSpec, _Stack, evolve
 
 from oracles import extended_hadamard_probs
 
@@ -28,18 +28,15 @@ EPS = np.finfo(np.float64).eps
 @pytest.fixture
 def kernels(monkeypatch):
     """The dimensionality of every walk that takes a step, once a walk and step:
-    ``cone_step`` steps a stack of open walks, ``step`` one periodic walk."""
+    ``_Stack.advance`` steps a stack of open walks, or one periodic walk."""
     seen = []
+    advance = _Stack.advance
 
-    def watch(kernel, walks):
-        def watched(self, *args, **kwargs):
-            seen.extend([self.dim] * walks(*args))
-            return kernel(self, *args, **kwargs)
-        return watched
+    def watched(stack):
+        seen.extend([stack.stepper.dim] * len(stack.amplitudes))
+        return advance(stack)
 
-    monkeypatch.setattr(_Stepper, "cone_step",
-                        watch(_Stepper.cone_step, lambda stack: len(stack.amplitudes)))
-    monkeypatch.setattr(_Stepper, "step", watch(_Stepper.step, lambda state, moves: 1))
+    monkeypatch.setattr(_Stack, "advance", watched)
     return seen
 
 
@@ -165,14 +162,14 @@ def test_a_sweep_whose_stacked_walk_drifts_exits_2_and_writes_no_rows(tmp_path, 
                                                                        capsys):
     # One walk of a stack takes a NaN at step 3; the stack's own check stops
     # the sweep there, before any row is written.
-    stepped = _Stepper.cone_step
+    advance = _Stack.advance
 
-    def drifting(self, stack):
-        stepped(self, stack)
+    def drifting(stack):
+        advance(stack)
         if len(stack.amplitudes) > 1 and stack.amplitudes.shape[1] == 4:  # after step 3
             stack.amplitudes[1, 0, 0] = np.nan
 
-    monkeypatch.setattr(_Stepper, "cone_step", drifting)
+    monkeypatch.setattr(_Stack, "advance", drifting)
     cfg = {"dimensionality": 2, "steps": 6, "out_dir": str(tmp_path / "out"),
            "sweep": {"phi": ["pi:0.5", "pi:1"], "defect": ["cross_xy", "line_y"]}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))

@@ -3,8 +3,9 @@ walks, taken in one pass from the stack's site probabilities, are bit for
 bit those of each walk alone.
 
 ``reference_summarize`` is the per-walk summary as it was computed before
-summaries were stacked, kept verbatim (with ``_site_probs`` inlined) as the
-reference; ``summarize``, the stack of one, is held to it too.
+summaries were stacked, kept verbatim (with ``_site_probs`` inlined, and
+its variances taken from the middle site, as ``_variance`` now takes them)
+as the reference; ``summarize``, the stack of one, is held to it too.
 """
 
 import numpy as np
@@ -15,8 +16,8 @@ from qwalk.coins import fractional_swap, hadamard, random_su2, tensor
 from qwalk.evolution import MAX_STACK, DefectMap, WalkSpec, _guarded, _stacks, evolve
 
 
-def _old_variance(sites, probs):
-    xs = sites.astype(np.float64)
+def _reference_variance(sites, probs):
+    xs = (sites - (sites[0] + sites[-1]) // 2).astype(np.float64)
     mean = float((xs * probs).sum())
     return float((xs**2 * probs).sum() - mean**2)
 
@@ -32,10 +33,10 @@ def reference_summarize(step, state):
     origin = tuple(np.flatnonzero(xs == 0) for xs in axes)
     rec = float(p[tuple(int(i[0]) for i in origin)]) if all(map(len, origin)) else 0.0
     if d == 1:
-        var_x, var_y = _old_variance(axes[0], p), None
+        var_x, var_y = _reference_variance(axes[0], p), None
     else:
-        var_x = _old_variance(axes[0], p.sum(axis=1))
-        var_y = _old_variance(axes[1], p.sum(axis=0))
+        var_x = _reference_variance(axes[0], p.sum(axis=1))
+        var_y = _reference_variance(axes[1], p.sum(axis=0))
     return WalkSummary(step, rec, var_x, var_y)
 
 
@@ -164,4 +165,4 @@ def test_stacked_variances_are_each_rows_own():
     probs = rng.random((7, sites.size))
     probs /= probs.sum(axis=1, keepdims=True)
     got = _variance(sites, probs)
-    assert [v.hex() for v in got] == [_old_variance(sites, row).hex() for row in probs]
+    assert [v.hex() for v in got] == [_reference_variance(sites, row).hex() for row in probs]
