@@ -38,6 +38,18 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+# Loading numpy starts OpenBLAS's pool at the host's core count, and an idle
+# worker spins for 60-80 ms of CPU, although `threads` defaults to 1 and
+# _blas_threads grows the pool when asked.  So, unless numpy is loaded or a
+# variable OpenBLAS reads names a count, start it at one thread, then give the
+# environment back.
+if "numpy" not in sys.modules and not {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 import numpy as np
 
 from .analysis import (Distribution, WalkSummary, _placed, distribution, l1_distance, summarize,

@@ -1048,20 +1048,76 @@ def test_a_command_holds_every_openblas_at_threads_and_gives_the_counts_back(tmp
             set_count(n)
 
 
-def _summary_without_timing(tmp_path, cfg: dict, openblas_threads: str) -> str:
-    """``summary.json`` of a fresh ``qwalk run`` process, minus its timing."""
+# The variables OpenBLAS sizes its pool from when numpy loads, first set wins.
+POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _child_env(**variables: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this tree's ``qwalk``:
+    the caller's, with ``variables`` as the only ones of :data:`POOL_VARIABLES`."""
+    src = str(Path(qwalk.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES}
+    return {**env, **variables, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def _summary_without_timing(tmp_path, cfg: dict, openblas_threads: str | None) -> str:
+    """``summary.json`` of a fresh ``qwalk run`` process, minus its timing;
+    ``openblas_threads`` None sets none of :data:`POOL_VARIABLES`."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / f"out{openblas_threads}"
-    src = str(Path(qwalk.__file__).resolve().parents[1])
-    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": openblas_threads,
-           "PYTHONPATH": os.pathsep.join(path)}
+    variables = {} if openblas_threads is None else {"OPENBLAS_NUM_THREADS": openblas_threads}
+    env = _child_env(**variables)
     subprocess.run([sys.executable, "-m", "qwalk.cli", "run", "--config", str(cfg_path),
                     "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
     summary = json.loads((out / "summary.json").read_text())
     summary.pop("timing_seconds")
     return json.dumps(summary)
+
+
+@requires_openblas
+@pytest.mark.parametrize("variables, numpy_first, count", [
+    ({}, False, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False, min(2, CORES)),  # OpenBLAS caps a start at the cores
+    ({"GOTO_NUM_THREADS": "2"}, False, min(2, CORES)),
+    ({"OMP_NUM_THREADS": "2"}, False, min(2, CORES)),
+    ({}, True, min(CORES, 64)),  # numpy's own start: the cores, to its OpenBLAS's cap
+], ids=["no-variable", *POOL_VARIABLES, "numpy-first"])
+def test_importing_qwalk_cli_starts_openblas_at_one_thread_unless_a_count_is_set(
+        variables, numpy_first, count):
+    # Only a qwalk.cli that loads numpy itself, with no count set, starts the
+    # pool at 1; every case leaves the environment as the process began it.
+    code = ("import json, os\n" + "import numpy\n" * numpy_first + "import qwalk.cli\n"
+            "counts = sorted({get() for get, _ in qwalk.cli._openblas()})\n"
+            "print(json.dumps([counts, dict(os.environ)]))")
+    env = _child_env(**variables)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    counts, environ = json.loads(out)
+    assert counts == [count]
+    assert environ == env
+
+
+def test_import_qwalk_loads_no_numpy():
+    code = "import sys, qwalk; sys.exit('numpy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True, timeout=120)
+
+
+def test_the_lazy_package_gives_every_public_name_and_submodule():
+    for name in qwalk.__all__:
+        value = qwalk.__getattr__(name)
+        assert getattr(sys.modules[value.__module__], name) is value is getattr(qwalk, name)
+    submodules = [p.stem for p in Path(qwalk.__file__).parent.glob("*.py") if p.stem != "__init__"]
+    for module in submodules:
+        assert qwalk.__getattr__(module) is sys.modules[f"qwalk.{module}"] is getattr(qwalk, module)
+    names: dict = {}
+    exec("from qwalk import *", names)
+    assert sorted(names.keys() - {"__builtins__"}) == sorted(qwalk.__all__)
+    assert {*qwalk.__all__, *submodules} <= set(dir(qwalk))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qwalk.no_such_name
 
 
 @requires_openblas
@@ -1080,7 +1136,8 @@ def test_a_two_thread_run_of_the_2d_kernel_does_not_follow_openblas_num_threads(
     cfg = {"dimensionality": 2, "steps": 140, "threads": 2, "formats": ["json"],
            "coin": {"kind": "fractional_swap", "tau": 0.5},  # the 2D kernel, not two 1D walks
            "defect": {"kind": "cross_xy", "phi": "pi:1"}}
-    assert len({_summary_without_timing(tmp_path, cfg, n) for n in ("1", "2")}) == 1
+    # None: a pool started at one thread, grown to two by the command.
+    assert len({_summary_without_timing(tmp_path, cfg, n) for n in ("1", "2", None)}) == 1
 
 
 def test_a_2d_kernel_sweep_gives_the_same_bytes_at_threads_1_and_2(tmp_path):
