@@ -154,8 +154,12 @@ def variance(p: Distribution, axis: int | str | None = None) -> float:
 
 def _variance(sites: NDArray[np.int64], probs: NDArray[np.float64]) -> list[float]:
     # Per row of probs (W, sites): sums along the row, then float - float**2, in
-    # coordinates from the middle site (a cone grid's start): far walks keep their digits.
-    xs = (sites - (sites[0] + sites[-1]) // 2).astype(np.float64)
+    # coordinates from the middle of the row's own nonzero sites (an open walk's
+    # start, until its cone's edge probabilities underflow to 0): far walks keep
+    # their digits, and a stacked walk the bits it gets alone.
+    on = probs != 0
+    lo, hi = on.argmax(axis=-1), on.shape[-1] - 1 - on[:, ::-1].argmax(axis=-1)
+    xs = (sites - (sites[lo] + sites[hi])[:, None] // 2).astype(np.float64)
     means = np.add.reduce(xs * probs, axis=-1).tolist()
     return [t - mean**2 for t, mean in zip(np.add.reduce(xs**2 * probs, axis=-1).tolist(), means)]
 

@@ -34,9 +34,10 @@ steps from (x0, y0) amplitude lives only on x = x0 + t, y = y0 + t
 :class:`SublatticeState`, a quarter of the (2t+1)^2 cone window in 2D).
 Walks step as stacks of such grids (:class:`_Stack`, driven by
 :func:`_guarded`; :func:`evolve` steps a stack of one): each step is one
-coin GEMM over the stack, each walk's phase on its rows/columns that lie
-on its defect, and a shift that writes each component of each walk as
-one block of its own contiguous (t+2)^d plane, at offset 0 or 1, into
+GEMM of every walk by its own coin, each walk's listed coin sites and its
+phase on its rows/columns that lie on its defect, and a shift that writes
+each component of each walk as one block of its own contiguous (t+2)^d
+plane, at offset 0 or 1, into
 one of two buffers of the final stack's size that take turns (one is
 reused once no report, grid or view refers to it, else a fresh array).
 The stack's site probabilities then fill the coin mix's scratch, free
@@ -44,8 +45,9 @@ after the shift: each walk's norm is the pairwise sum of its row, which
 no BLAS thread count moves, and the stack's summaries read the same rows
 (``analysis.summarize_stack``).  Cost and memory per step are O(W
 (t+1)^d) for W walks, independent of the halfwidth; a report's grid and
-dense ``state`` are built only when asked for.  The periodic boundary
-steps the full lattice.
+dense ``state`` are built only when asked for.  Periodic walks, and walks
+given a move table, step the full lattice, each walk by its own coin too;
+the commands step such a walk alone.
 """
 
 from __future__ import annotations
@@ -214,9 +216,10 @@ def _phase_grid(applier: _Applier | None, shape: tuple[int, ...]) -> NDArray[np.
 class _Stepper:
     """One walk operator, checked once: coin field, defect phase, lattice.
 
-    ``_mixed`` is every step's coin and phase, which :meth:`_Stack.advance`
-    shifts; the dense step matrices take the same coins and applier.
-    Building one checks the lattice, coins and every listed site.
+    :meth:`_Stack.advance` mixes by the field's default coin, then its
+    listed sites by their own, then applies ``applier``; the dense step
+    matrices take the same coins and applier.  Building one checks the
+    lattice, coins and every listed site.
     """
 
     def __init__(self, dimensionality: int, halfwidth: int,
@@ -224,76 +227,68 @@ class _Stepper:
         d = self.dim = _dimensionality(dimensionality)
         L = self.halfwidth = _halfwidth(halfwidth)
         self.field = as_coin_field(coin, d)
-        # Every site is mixed by the default coin in one GEMM; the sites a
-        # per-site field lists are then mixed again with their own coins.
-        self.coin_t = self.field.default.T.copy()
         self.coin_index = _sites_index(self.field.table, L, d, "coin site")
         self.coin_table = np.array(list(self.field.table.values()), dtype=np.complex128)
         self.applier = _phase_applier(defect, L, d)
 
-    def _mixed(self, amps: NDArray[np.complex128], sites: tuple[slice, ...],
-               appliers: Sequence[_Applier | None], out: NDArray | None = None) -> NDArray:
-        """Coin, then each walk's source-site phase (``appliers``), on the
-        lattice sites ``sites`` of a stack ``amps`` of shape (W, sites..., k)."""
-        w, k = len(amps), amps.shape[-1]
-        flat = None if out is None else out.reshape(w, -1, k)
-        mixed = np.matmul(amps.reshape(w, -1, k), self.coin_t, out=flat).reshape(amps.shape)
-        if len(self.coin_table):
-            keep, idx = _on_sites(self.coin_index, sites, 2 * self.halfwidth + 1)
-            for a, m in zip(amps, mixed):
-                m[idx] = np.einsum("pij,pj->pi", self.coin_table[keep], a[idx])
-        for m, applier in zip(mixed, appliers):
-            if applier is not None:
-                applier(m, sites)
-        return mixed
-
 
 class _Stack:
-    """The walks ``specs`` stepped as one, by the first's coin and each walk's
-    own phase: amplitudes stacked (W, sites..., k) on the light-cone grid from
-    ``first``, shared by open walks of one start; a periodic walk, or one given
-    ``moves``, steps the full lattice alone.  ``probs`` (W, sites...) weigh the
-    grids as they stand, in ``scratch`` if not None."""
+    """The walks ``specs``, of one boundary, steps, halfwidth and start,
+    stepped as one, each by its own coin and phase: amplitudes stacked (W,
+    sites..., k) on the full lattice if the walks are periodic or ``moves``
+    is given, else on the light-cone grid from ``first``.  ``probs`` (W,
+    sites...) weigh the grids as they stand, in ``scratch`` if not None."""
 
     def __init__(self, specs: Sequence[WalkSpec], moves: _Moves | None = None):
         self.specs = specs
         spec, d = specs[0], specs[0].dimensionality
-        self.stepper, self.appliers = spec._stepper, [s._stepper.applier for s in self.specs]
+        # Every site of each walk is mixed by its default coin, one GEMM a step for the stack.
+        self.coins = np.stack([s._stepper.field.default.T for s in specs])
         self.moves = moves or (_DIAGONAL_MOVES[d] if spec.boundary == "periodic" else None)
         if self.moves:  # the full lattice
             self.first, self.scratch = None, None
-            self.amplitudes = spec.initial_state().amplitudes[None]
+            self.amplitudes = np.stack([s.initial_state().amplitudes for s in specs])
         else:  # the scratch's k t^d complex a walk hold two planes of (t+1)^d floats
-            size = len(self.specs) * 2 * d
+            size = len(specs) * 2 * d
             self.buffers = [np.empty(size * (spec.steps + 1) ** d, np.complex128) for _ in "01"]
             self.scratch = np.empty(size * max(spec.steps, 1) ** d, np.complex128)  # the coin mix
             self.unheld = sys.getrefcount(self.buffers[0])
             # Per coin component, its offset along each axis in a plane.
             self.offsets = [[(1 + s) // 2 for s in move] for move in _DIAGONAL_MOVES[d]]
             self.first = spec.initial_grid().first
-            self.amplitudes = np.stack([s.initial_grid().amplitudes for s in self.specs])
+            self.amplitudes = np.stack([s.initial_grid().amplitudes for s in specs])
         self.probs = _site_probs(self.amplitudes, self.scratch)  # what a sweep of 0 steps reads
 
     def advance(self) -> None:
-        """One step of every walk: the stepper's coin and phase, then the
-        shift.  On the full lattice component c rolls by ``moves[c]``.  On
-        the light cone grids of n sites per axis give n + 1, each walk's
-        coin planes written to a stack buffer that CPython's reference count
-        (numpy's signal for eliding temporaries) says nothing else refers
-        to, else to a fresh array.  A move of +1 takes site ``first + 2i``
-        to ``(first - 1) + 2(i + 1)``, so along each axis a component lands
-        in its plane at offset ``(1 + move) // 2``: 1 for a +1 move, 0 for
-        -1; the one row it leaves empty is zeroed, as a reused buffer holds
-        old amplitudes."""
-        a, s, each = self.amplitudes, self.stepper, (slice(None),)
-        d, L, (w, n), k = s.dim, s.halfwidth, a.shape[:2], a.shape[-1]
+        """One step of every walk: its coins, then its source-site phase,
+        then the shift.  On the full lattice component c rolls by
+        ``moves[c]``.  On the light cone grids of n sites per axis give n +
+        1, each walk's coin planes written to a stack buffer that CPython's
+        reference count (numpy's signal for eliding temporaries) says
+        nothing else refers to, else to a fresh array.  A move of +1 takes
+        site ``first + 2i`` to ``(first - 1) + 2(i + 1)``, so along each axis
+        a component lands in its plane at offset ``(1 + move) // 2``: 1 for
+        a +1 move, 0 for -1; the one row it leaves empty is zeroed, as a
+        reused buffer holds old amplitudes."""
+        a, each, L = self.amplitudes, (slice(None),), self.specs[0].halfwidth
+        d, (w, n), k = a.ndim - 2, a.shape[:2], a.shape[-1]
         if self.moves:
-            m = s._mixed(a, each * d, self.appliers)
+            sites, flat = each * d, None
+        else:
+            sites = tuple(slice(f + L, f + L + 2 * n - 1, 2) for f in self.first)  # of every walk
+            flat = self.scratch[: a.size].reshape(w, -1, k)
+        m = np.matmul(a.reshape(w, -1, k), self.coins, out=flat).reshape(a.shape)
+        for i, spec in enumerate(self.specs):  # each walk's own coin sites and phase
+            s = spec._stepper
+            if len(s.coin_table):
+                keep, idx = _on_sites(s.coin_index, sites, 2 * L + 1)
+                m[i][idx] = np.einsum("pij,pj->pi", s.coin_table[keep], a[i][idx])
+            if s.applier is not None:
+                s.applier(m[i], sites)
+        if self.moves:
             self.amplitudes = np.stack([np.roll(m[..., c], move, axis=tuple(range(1, d + 1)))
                                         for c, move in enumerate(self.moves)], axis=-1)
             return
-        sites = tuple(slice(f + L, f + L + 2 * n - 1, 2) for f in self.first)  # of every walk
-        m = s._mixed(a, sites, self.appliers, self.scratch[: a.size].reshape(a.shape))
         free = [i for i in (0, 1) if sys.getrefcount(self.buffers[i]) == self.unheld]
         size = w * k * (n + 1) ** d
         buf = self.buffers[free[0]][:size] if free else np.empty(size, complex)
@@ -307,14 +302,14 @@ class _Stack:
     @property
     def coordinates(self) -> tuple[NDArray[np.int64], ...]:
         """The lattice coordinates of the grids' sites by axis: the lattice's if ``first`` is None."""
-        a, L = self.amplitudes, self.stepper.halfwidth
+        a, L = self.amplitudes, self.specs[0].halfwidth
         if self.first is None:
             return (np.arange(-L, L + 1),) * (a.ndim - 2)
         return tuple(np.arange(f, f + 2 * a.shape[1] - 1, 2) for f in self.first)
 
     @property
     def grids(self) -> list[WalkerState | SublatticeState]:
-        return [_grid(a, self.stepper.halfwidth, self.first) for a in self.amplitudes]
+        return [_grid(a, self.specs[0].halfwidth, self.first) for a in self.amplitudes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,13 +430,12 @@ def evolve(spec: WalkSpec) -> Iterator[StepReport]:
 
 def _stacks(walks: Sequence[WalkSpec]) -> Iterator[_Stack]:
     """``walks`` in :class:`_Stack` form, each built when reached, up to
-    ``MAX_STACK`` walks a stack: open 1D walks that share steps, halfwidth,
-    start and coin (not start coin or defect); every other walk alone."""
+    ``MAX_STACK`` walks a stack: open 1D walks that share steps, halfwidth
+    and start (whatever their coins, start coins and defects); every other
+    walk alone."""
     groups: dict = {}
     for i, w in enumerate(walks):
-        s = w._stepper
-        shared = (w.steps, w.halfwidth, w.initial_position, s.coin_t.tobytes(),
-                  s.coin_index.tobytes(), s.coin_table.tobytes())
+        shared = (w.steps, w.halfwidth, w.initial_position)
         stackable = w.dimensionality == 1 and w.boundary == "open"
         groups.setdefault(shared if stackable else i, []).append(w)
     return (_Stack(g[j: j + MAX_STACK]) for g in groups.values()

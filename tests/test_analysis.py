@@ -291,6 +291,25 @@ def test_the_cone_grid_of_an_off_origin_walk_has_the_origin_walks_variances(dim,
         (s.variance_x, s.variance_y) for s in here]
 
 
+@pytest.mark.parametrize("x0", [10**3, 10**5])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_a_dense_off_origin_walk_has_the_origin_walks_variances(boundary, x0):
+    # Dense variances are taken from the middle of the walk's nonzero sites.
+    # From the lattice's middle site, 0, this walk's variance read 1e6 eps
+    # (relative) off at x0 = 1e3 and 1.7e10 eps off at 1e5.  The sums still
+    # run over the whole lattice row, so where the walk sits in it can move a
+    # last bit (measured: at most 1.23 eps, at x0 = 1e3).
+    def variances(start):
+        spec = WalkSpec(1, 50, H, initial_position=start, initial_coin=[0.6, 0.8j],
+                        boundary=boundary, halfwidth=start + 100)
+        summaries = [summarize(r.step, r.state).variance_x for r in evolve(spec)]
+        return summaries + [variance(distribution(run_walk(spec)))]
+
+    ulp = np.finfo(np.float64).eps
+    for far, here in zip(variances(x0), variances(0), strict=True):
+        assert abs(far - here) <= 2 * ulp * here
+
+
 def test_nan_probabilities_are_rejected():
     # A NaN used to be reported as "negative probability nan".
     with pytest.raises(ValueError, match=r"^probability is NaN$"):

@@ -1003,7 +1003,7 @@ def test_a_command_holds_every_openblas_at_threads_and_gives_the_counts_back(tmp
     kinds = set()  # (dimensionality, on the light cone) of every stack stepped
 
     def noted(stack, advance=_Stack.advance):
-        kinds.add((stack.stepper.dim, stack.moves is None))
+        kinds.add((stack.specs[0].dimensionality, stack.moves is None))
         advance(stack)
     monkeypatch.setattr(_Stack, "advance", noted)
     watch(_Stack, "advance")  # open and periodic walks, 1D and 2D

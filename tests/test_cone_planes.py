@@ -2,9 +2,9 @@
 
 ``reference_cone_step`` below is the earlier light-cone step, which
 stored the grid interleaved as ``(m, ..., k)`` and allocated a fresh output
-every step, kept as the reference for the planar kernel (its coin mix now
-called as a stack of one): every step must give the same amplitudes bit
-for bit.
+every step, kept as the reference for the planar kernel, with its own
+coin mix from the stepper's checked coins and phase: every step must give
+the same amplitudes bit for bit.
 """
 
 import itertools
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor
-from qwalk.evolution import _DIAGONAL_MOVES, DefectMap, WalkSpec, _Stepper, evolve
+from qwalk.evolution import _DIAGONAL_MOVES, DefectMap, WalkSpec, _on_sites, _Stepper, evolve
 from qwalk.statespace import SublatticeState
 
 H = hadamard()
@@ -23,9 +23,14 @@ H2 = tensor(H, H)
 
 
 def reference_cone_step(self, grid, scratch):
-    a = grid.amplitudes
-    out = scratch[: a.size].reshape((1,) + a.shape)
-    m = self._mixed(a[None], grid.sites(), (self.applier,), out)[0]
+    a, k = grid.amplitudes, grid.amplitudes.shape[-1]
+    m = scratch[: a.size].reshape(a.shape)
+    np.matmul(a.reshape(-1, k), self.field.default.T, out=m.reshape(-1, k))
+    if len(self.coin_table):
+        keep, idx = _on_sites(self.coin_index, grid.sites(), 2 * self.halfwidth + 1)
+        m[idx] = np.einsum("pij,pj->pi", self.coin_table[keep], a[idx])
+    if self.applier is not None:
+        self.applier(m, grid.sites())
     n = a.shape[0]
     out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
     for c, move in enumerate(_DIAGONAL_MOVES[self.dim]):

@@ -28,6 +28,7 @@ from qwalk.evolution import (
     run_walk,
 )
 from qwalk.isomorphism import (
+    _AXIS_MOVES,
     BasisPermutation,
     axis_walk_state,
     check_translation_equivalence,
@@ -717,11 +718,12 @@ EPS = np.finfo(np.float64).eps
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double here"
 )
-@pytest.mark.parametrize("t", [10, 100, 500])
+@pytest.mark.parametrize("t", [10, 100, 500, 1000, 2000])
 def test_1d_rounding_error_stays_inside_the_budget(t):
     # Against the same walk in extended precision, the largest amplitude
-    # error stays below t*eps and every norm residual below 2*t*eps.  At
-    # t = 10..500 the worst measured were about 0.3*t*eps and 1.0*t*eps.
+    # error stays below t*eps and every norm residual below 2*t*eps, up to
+    # the command line's step cap.  At t = 10..2000 the worst measured were
+    # about 0.3*t*eps and 1.0*t*eps.
     phi = np.pi / 3
     root2 = np.sqrt(np.longdouble(2))
     exact = extended_walk_1d(
@@ -921,11 +923,12 @@ def _stack_walks(seed, count, steps, position=0):
     return walks
 
 
-def _stepped(walks):
+def _stepped(walks, stacks=None):
     """``walks``, of one number of steps, stepped as the commands step them:
-    each stack of ``_stacks`` through ``_guarded`` (looked up when called, so a
-    patched guard runs).  Per step, each walk's grid and norm_sq, by spec."""
-    stacks = list(_stacks(walks))
+    each stack of ``_stacks`` (or of ``stacks``) through ``_guarded`` (looked
+    up when called, so a patched guard runs).  Per step, each walk's grid and
+    norm_sq, by spec."""
+    stacks = list(_stacks(walks)) if stacks is None else stacks
     for norms in qwalk.evolution._guarded(stacks, walks[0].steps):
         yield {spec: (grid, n) for stack, row in zip(stacks, norms)
                for spec, grid, n in zip(stack.specs, stack.grids, row.tolist())}
@@ -963,10 +966,10 @@ def test_a_stack_steps_each_walk_bit_for_bit_as_it_steps_alone(steps, count, pos
     assert _same_as_alone(walks, _stepped(walks)) == steps
 
 
-def test_only_open_1d_walks_of_one_coin_start_and_halfwidth_share_a_stack():
-    # One stack interleaved with a 2D walk and a periodic walk (each a stack
-    # of one), and walks of another coin, start or halfwidth: each walk gets
-    # its own bits.
+def test_only_open_1d_walks_of_one_start_and_halfwidth_share_a_stack():
+    # One stack, with a walk of another coin, interleaved with a 2D walk and
+    # a periodic walk (each a stack of one), and walks of another start or
+    # halfwidth: each walk gets its own bits.
     steps = 12
     shared = _stack_walks(1, 3, steps)
     other = _stack_walks(2, 1, steps)[0]
@@ -976,7 +979,7 @@ def test_only_open_1d_walks_of_one_coin_start_and_halfwidth_share_a_stack():
     ring = WalkSpec(1, steps, H, DefectMap.point(0.5), boundary="periodic", halfwidth=5)
     walks = [shared[0], other, square, shared[1], moved, ring, wider, shared[2]]
     assert [stack.specs for stack in _stacks(walks)] == [
-        shared, [other], [square], [moved], [ring], [wider]]
+        [shared[0], other, *shared[1:]], [square], [moved], [ring], [wider]]
     assert _same_as_alone(walks, _stepped(walks)) == steps
 
 
@@ -1008,6 +1011,58 @@ def test_walks_sharing_a_coin_field_stack_and_keep_their_own_bits():
     walks = [WalkSpec(1, 25, field, defect, initial_coin=[0.6, 0.8j]) for defect in defects]
     assert [stack.specs for stack in _stacks(walks)] == [walks]
     assert _same_as_alone(walks, _stepped(walks)) == 25
+
+
+def test_one_light_cone_stack_steps_walks_of_different_coins_each_as_alone():
+    # Each walk of a stack takes its own default coin, its own coin field's
+    # sites and its own phase, whatever the first walk's.
+    rng = np.random.default_rng(12)
+    fields = [CoinField(1, random_su2(rng), {1: random_su2(rng), -3: np.eye(2)}),
+              CoinField(1, H, {0: random_su2(rng), 2: H, -5: random_su2(rng)})]
+    coins = [H, random_su2(rng), *fields, H]
+    defects = [DefectMap.point(0.7), DefectMap.none(), DefectMap.custom({0: 0.3, -1: 2.0}),
+               DefectMap.point(-1.9), DefectMap.custom({-4: 1.1, 3: -0.5})]
+    walks = [WalkSpec(1, 30, coin, defect, initial_position=-2, initial_coin=[0.6, 0.8j],
+                      halfwidth=40) for coin, defect in zip(coins, defects)]
+    assert [stack.specs for stack in _stacks(walks)] == [walks]
+    assert _same_as_alone(walks, _stepped(walks)) == 30
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_periodic_stack_steps_every_walk_each_as_alone(dim):
+    # Built directly: the commands step each periodic walk alone.
+    rng = np.random.default_rng(13 + dim)
+    coin = (lambda: random_su2(rng)) if dim == 1 else (lambda: random_shared_coin(rng))
+    field = CoinField(dim, coin(), {(1,) * dim: coin(), (-2,) * dim: np.eye(2 * dim)})
+    defects = [DefectMap.point(0.9), DefectMap.none(),
+               DefectMap.custom({(0,) * dim: 0.4, (3,) * dim: -1.0})]
+    starts = rng.normal(size=(3, 2 * dim)) + 1j * rng.normal(size=(3, 2 * dim))
+    walks = [WalkSpec(dim, 14, c, defect, initial_position=(1,) * dim,
+                      initial_coin=start / np.linalg.norm(start), boundary="periodic", halfwidth=5)
+             for c, defect, start in zip([coin(), field, coin()], defects, starts)]
+    assert [stack.specs for stack in _stacks(walks)] == [[w] for w in walks]
+    assert _same_as_alone(walks, _stepped(walks, [_Stack(walks)])) == 14
+
+
+def test_one_stack_steps_axis_move_walks_each_as_alone():
+    # The single 2D walker's move table on the full lattice, as axis_walk_state steps it.
+    rng = np.random.default_rng(15)
+    walks = [WalkSpec(2, 9, c, defect, initial_coin=start / np.linalg.norm(start), halfwidth=10)
+             for c, defect, start in zip(
+                 [random_shared_coin(rng), H2, CoinField(2, H2, {(1, 0): random_shared_coin(rng)})],
+                 [DefectMap.line_y(np.pi), DefectMap.none(), DefectMap.point(0.6)],
+                 rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))]
+    together = _stepped(walks, [_Stack(walks, _AXIS_MOVES)])
+    alone = _stepped(walks, [_Stack([w], _AXIS_MOVES) for w in walks])
+    stepped = 0
+    for step, solo in zip(together, alone, strict=True):
+        assert len(step) == len(walks)
+        for walk in walks:
+            (grid, norm_sq), (solo_grid, solo_norm_sq) = step[walk], solo[walk]
+            assert norm_sq.hex() == solo_norm_sq.hex()
+            assert grid.amplitudes.tobytes() == solo_grid.amplitudes.tobytes()
+        stepped += 1
+    assert stepped == 9
 
 
 def _alone_hex(a):

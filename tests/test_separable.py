@@ -28,12 +28,12 @@ EPS = np.finfo(np.float64).eps
 @pytest.fixture
 def kernels(monkeypatch):
     """The dimensionality of every walk that takes a step, once a walk and step:
-    ``_Stack.advance`` steps a stack of open walks, or one periodic walk."""
+    ``_Stack.advance`` steps a stack of 1D walks, or one 2D walk."""
     seen = []
     advance = _Stack.advance
 
     def watched(stack):
-        seen.extend([stack.stepper.dim] * len(stack.amplitudes))
+        seen.extend([stack.specs[0].dimensionality] * len(stack.amplitudes))
         return advance(stack)
 
     monkeypatch.setattr(_Stack, "advance", watched)
