@@ -33,16 +33,16 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 # Loading numpy starts OpenBLAS's pool at the host's core count, and an idle
 # worker spins for 60-80 ms of CPU, although `threads` defaults to 1 and
-# _blas_threads grows the pool when asked.  So, unless numpy is loaded or a
-# variable OpenBLAS reads names a count, start it at one thread, then give the
-# environment back.
+# _pool grows the pool only for a walk whose GEMMs OpenBLAS can split.  So,
+# unless numpy is loaded or a variable OpenBLAS reads names a count, start it
+# at one thread, then give the environment back.
 if "numpy" not in sys.modules and not {
         "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -429,6 +429,16 @@ def _blas_threads(threads: int) -> Iterator[None]:
             put(count)
 
 
+def _pool(cfg: dict, walks: Iterable[WalkSpec]) -> AbstractContextManager[None]:
+    """``_blas_threads`` of ``cfg``'s ``threads`` (checked by main) if one of ``walks``
+    steps alone (the 2D kernel, or a periodic walk), else a block that leaves every
+    OpenBLAS as it is: an open 1D walk's GEMM, (t+1) x 2 @ 2 x 2, is below the
+    size OpenBLAS splits, so a thread could only spin through it."""
+    if any(w.dimensionality == 2 or w.boundary == "periodic" for w in walks):
+        return _blas_threads(cfg.get("threads", 1))
+    return nullcontext()
+
+
 def _factors(spec: WalkSpec, coin_form: Any, memo: dict) -> Callable[[DefectMap], tuple]:
     """The walks of ``spec`` under a defect: ``(fx, fy)``, 1D walks along x and y
     whose product is the walk (a coin A(x)B: hadamard, identity, tensor; a phase
@@ -488,13 +498,15 @@ def cmd_run(cfg: dict) -> int:
 
     t0 = time.perf_counter()
     per_step: list[dict] = []
-    stacks = list(_stacks(_factors(spec, echo["coin"], {})(spec.defect)))  # x, then y
-    for t, norms in enumerate(_guarded(stacks, spec.steps), start=1):
-        s = _summary([w for k in stacks for w in summarize_stack(t, k.probs, k.coordinates)])
-        norm = math.prod(np.concatenate(norms).tolist())  # 1 * n is n: one norm keeps its bits
-        per_step.append({**vars(s), "norm_residual": float(_residual(norm, t))})
-        if emit_per_step and "csv" in formats:
-            write_distribution_csv(out_dir / f"step_{t:04d}.csv", _distribution(stacks))
+    walks = _factors(spec, echo["coin"], {})(spec.defect)
+    stacks = list(_stacks(walks))  # x, then y
+    with _pool(cfg, walks):
+        for t, norms in enumerate(_guarded(stacks, spec.steps), start=1):
+            s = _summary([w for k in stacks for w in summarize_stack(t, k.probs, k.coordinates)])
+            norm = math.prod(np.concatenate(norms).tolist())  # 1 * n is n: one norm keeps its bits
+            per_step.append({**vars(s), "norm_residual": float(_residual(norm, t))})
+            if emit_per_step and "csv" in formats:
+                write_distribution_csv(out_dir / f"step_{t:04d}.csv", _distribution(stacks))
     elapsed = time.perf_counter() - t0
 
     final_dist = _distribution(stacks) if "csv" in formats or reference is not None else None
@@ -598,7 +610,8 @@ def cmd_sweep(cfg: dict) -> int:
             defect, _ = _parse_defect(point, "sweep.defect")
             points.append((kind, token, walks_of(defect)))
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
-    walked = _walked(list(memo.values()))
+    with _pool(cfg, memo.values()):
+        walked = _walked(list(memo.values()))
     rows = [_sweep_point(k, t, [walked[w] for w in walks]) for k, t, walks in points]
 
     path = out_dir / "sweep.csv"
@@ -663,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override defect phase (radians or pi:<x>)")
         p.add_argument("--defect", help="override defect kind")
         p.add_argument("--out", dest="out_dir", help="override output directory")
-        p.add_argument("--threads", type=int, help=f"BLAS threads of the command, 1..{MAX_THREADS}")
+        p.add_argument("--threads", type=int,
+                       help=f"BLAS threads of the 2D-kernel and periodic walks, 1..{MAX_THREADS}")
     run.add_argument("--reference", help="distribution CSV for the 1-norm discrepancy")
 
     iso.add_argument("--config", help="JSON config path")
@@ -684,9 +698,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config_file(args.config)
         _apply_overrides(cfg, args)
-        threads = _count(cfg.get("threads", 1), "threads", 1, MAX_THREADS)
-        with _blas_threads(threads):
-            return command(cfg)
+        _count(cfg.get("threads", 1), "threads", 1, MAX_THREADS)  # _pool reads it
+        return command(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -983,43 +983,53 @@ requires_openblas = pytest.mark.skipif(not _openblas(), reason="no OpenBLAS thre
 
 
 @requires_openblas
-def test_a_command_holds_every_openblas_at_threads_and_gives_the_counts_back(tmp_path, monkeypatch):
-    # threads is the BLAS thread count of the whole command, from its first
-    # step to its last, whatever the grid; the caller's counts come back after.
+def test_a_command_holds_openblas_at_threads_only_for_walks_it_can_split(tmp_path, monkeypatch):
+    # threads is the BLAS thread count of a command's 2D-kernel and periodic
+    # walks, from their first step to their last, whatever the grid.  An open
+    # 1D walk's GEMM is below the size OpenBLAS splits: a command whose walks
+    # are all open 1D (and the isocheck) leaves every OpenBLAS as it found it,
+    # and never looks for one.  The caller's counts come back after exit 0, 1, 2.
     controls = _openblas()
-    seen = []  # the counts of every OpenBLAS at each step
+    seen = []  # (reads the caller's counts, the counts of every OpenBLAS) a step or check
+    looked = []  # one entry a call of _openblas
 
     def counts():
         return {get() for get, _ in controls}
 
-    def watch(owner, name):
-        call = getattr(owner, name)
-
-        def watched(*args, **kwargs):
-            seen.append(counts())
-            return call(*args, **kwargs)
-        monkeypatch.setattr(owner, name, watched)
-
-    kinds = set()  # (dimensionality, on the light cone) of every stack stepped
-
     def noted(stack, advance=_Stack.advance):
+        seen.append((stack.specs[0].dimensionality == 1 and stack.moves is None, counts()))
         kinds.add((stack.specs[0].dimensionality, stack.moves is None))
         advance(stack)
     monkeypatch.setattr(_Stack, "advance", noted)
-    watch(_Stack, "advance")  # open and periodic walks, 1D and 2D
     for name in ("verify_isomorphism", "check_translation_equivalence",
-                 "check_decomposition_claims"):  # the isocheck's steps
-        watch(qwalk.cli, name)
+                 "check_decomposition_claims"):  # the isocheck's checks
+
+        def checked(*args, call=getattr(qwalk.cli, name), **kwargs):
+            seen.append((True, counts()))
+            return call(*args, **kwargs)
+        monkeypatch.setattr(qwalk.cli, name, checked)
+
+    def spy():
+        looked.append(True)
+        return controls
+    monkeypatch.setattr(qwalk.cli, "_openblas", spy)
+    kinds = set()  # (dimensionality, on the light cone) of every stack stepped
     swap = {"kind": "fractional_swap", "tau": 0.5}  # not a product: the 2D kernel steps it
-    walks = [{"steps": 130, "coin": swap},  # its grids grow past 128 sites a side
-             {"steps": 2, "boundary": "periodic", "halfwidth": 64, "coin": swap},
-             {"steps": 20}]  # two 1D walks
-    commands = [(c, walk) for c in ("run", "sweep") for walk in walks] + [("isocheck", {"trials": 3})]
+    line = {"dimensionality": 1, "defect": {"kind": "point", "phi": "pi:1"},
+            "initial": {"position": 0}}
+    walks = [({"steps": 130, "coin": swap}, False),  # its grids grow past 128 sites a side
+             ({"steps": 2, "boundary": "periodic", "halfwidth": 64, "coin": swap}, False),
+             ({**line, "steps": 2, "boundary": "periodic", "halfwidth": 64}, False),
+             ({"steps": 20}, True),  # two 1D walks
+             ({**line, "steps": 20}, True)]
+    commands = [(c, walk, open_1d) for c in ("run", "sweep") for walk, open_1d in walks]
+    commands.append(("isocheck", {"trials": 3}, True))
     cfg_path = tmp_path / "cfg.json"
 
     def run(command, threads, **cfg):
         write_config(cfg_path, sweep={"phi": ["pi:1", "pi:0.5"]}, threads=threads, **cfg)
         seen.clear()
+        looked.clear()
         return main([command, "--config", str(cfg_path)])
 
     def put(n):
@@ -1030,19 +1040,21 @@ def test_a_command_holds_every_openblas_at_threads_and_gives_the_counts_back(tmp
     try:
         for outer, threads in ((2, 1), (1, 2)):
             put(outer)
-            for command, walk in commands:
+            for command, walk, open_1d in commands:
                 assert run(command, threads, **walk) == 0
-                assert seen and all(n == {threads} for n in seen), command
+                assert seen and all(n == {outer if caller else threads} for caller, n in seen)
+                assert bool(looked) is not open_1d, (command, walk)
                 assert counts() == {outer}  # after the command
-        assert kinds == {(1, True), (2, True), (2, False)}
+        assert kinds == {(1, True), (1, False), (2, True), (2, False)}
         monkeypatch.setattr(qwalk.evolution, "STEP_NORM_TOL", -1.0)  # the first step fails
         monkeypatch.setattr(qwalk.cli, "ISO_TOL", 0.0)  # fails: every deviation is 0.0
-        for command, walk in commands:
+        for command, walk, open_1d in commands:
             assert run(command, 2, **walk) == 2
-            assert seen and all(n == {2} for n in seen), command
+            assert seen and all(n == {1 if caller else 2} for caller, n in seen)
+            assert bool(looked) is not open_1d, (command, walk)
             assert counts() == {1}
             assert run(command, 2, **{**walk, "halfwidth": 0}) == 1
-            assert counts() == {1}
+            assert not seen and not looked and counts() == {1}
     finally:
         for (_, set_count), n in zip(controls, found):
             set_count(n)
@@ -1140,15 +1152,51 @@ def test_a_two_thread_run_of_the_2d_kernel_does_not_follow_openblas_num_threads(
     assert len({_summary_without_timing(tmp_path, cfg, n) for n in ("1", "2", None)}) == 1
 
 
-def test_a_2d_kernel_sweep_gives_the_same_bytes_at_threads_1_and_2(tmp_path):
+@pytest.mark.parametrize("cfg", [
+    {"coin": {"kind": "fractional_swap", "tau": 0.5}, "steps": 140,
+     "sweep": {"phi": ["pi:1"], "defect": ["cross_xy", "line_y"]}},
+    {"coin": "hadamard", "steps": 90,  # separable: two 1D walks a point
+     "sweep": {"phi": [f"pi:{k / 8:g}" for k in range(9)], "defect": ["cross_xy", "line_y"]}},
+    {"dimensionality": 1, "steps": 140, "defect": "point", "initial": {"position": 0},
+     "sweep": {"phi": ["pi:0.5", "pi:1"]}},
+], ids=["2d-kernel", "hadamard-pair", "1d-point"])
+def test_a_sweep_gives_the_same_bytes_at_threads_1_and_2(tmp_path, cfg):
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, steps=140, coin={"kind": "fractional_swap", "tau": 0.5},
-                 sweep={"phi": ["pi:1"], "defect": ["cross_xy", "line_y"]})
+    write_config(cfg_path, **cfg)
     rows = []
     for threads in ("1", "2"):
         assert main(["sweep", "--config", str(cfg_path), "--threads", threads]) == 0
         rows.append((tmp_path / "out" / "sweep.csv").read_bytes())
     assert rows[0] == rows[1]
+
+
+@requires_openblas
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.parametrize("command, cfg, started", [
+    ("sweep", {"steps": 90, "threads": 2,  # shaped like perfbench's sweep2d_phases
+               "sweep": {"phi": [f"pi:{k / 8:g}" for k in range(9)],
+                         "defect": ["cross_xy", "line_y"]}}, 0),
+    ("run", {"dimensionality": 1, "steps": 20, "threads": 2, "defect": "none",
+             "initial": {"position": 0}}, 0),
+    ("isocheck", {"threads": 2, "trials": 3}, 0),
+    ("run", {"steps": 10, "threads": 2, "coin": {"kind": "fractional_swap", "tau": 0.5}}, 1),
+    ("run", {"dimensionality": 1, "steps": 4, "halfwidth": 8, "boundary": "periodic",
+             "threads": 2, "defect": "none", "initial": {"position": 0}}, 1),
+], ids=["separable-sweep", "1d-run", "isocheck", "2d-kernel-run", "1d-periodic-run"])
+def test_only_a_walk_openblas_can_split_starts_a_thread(tmp_path, command, cfg, started):
+    # A fresh process, its pool started at one thread: growing it to two
+    # starts an OS thread, which then idles and spins for the rest of the process.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **cfg)
+    code = ("import json, os, sys\n"
+            "import qwalk.cli\n"
+            "before = len(os.listdir('/proc/self/task'))\n"
+            "rc = qwalk.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, len(os.listdir('/proc/self/task')) - before]))")
+    out = subprocess.run([sys.executable, "-c", code, command, "--config", str(cfg_path)],
+                         env=_child_env(), check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, started]
 
 
 def test_a_2d_kernel_run_gives_the_same_summary_at_threads_1_and_2(tmp_path):
