@@ -54,13 +54,13 @@ import numpy as np
 
 from .analysis import (Distribution, WalkSummary, _placed, distribution, l1_distance, summarize,
                        summarize_stack)
-from .coins import fractional_swap, hadamard, su2_from_angles, tensor
+from .coins import fractional_swap, hadamard, random_shared_coin, su2_from_angles, tensor
 from .evolution import MAX_MATRIX_DIM, DefectMap, WalkSpec, _guarded, _residual, _stacks
 # Unused here, as are distribution and summarize: perfbench/spans.py WRAPPED patches them.
 from .evolution import evolve
 from .statespace import _integer
 from .isomorphism import (check_decomposition_claims, check_translation_equivalence,
-                          random_shared_coin, verify_isomorphism)
+                          verify_isomorphism)
 
 __all__ = ["main"]
 
@@ -71,13 +71,20 @@ DEFAULT_STEP_CAP = 2000
 # anything is allocated.  2^24 admits a 2D walk of DEFAULT_STEP_CAP steps
 # at its default halfwidth (4001^2 sites).
 MAX_LATTICE_SITES = 1 << 24
-# Cap on isocheck trials; one takes ~1.7 ms at L = 31, the largest admitted.
+# Cap on isocheck trials, one coin stack: ~8 us a trial at L = 31, the largest admitted.
 MAX_TRIALS = 10_000
 # Cap on a sweep's grid points (phases x defect kinds), checked before any is built.
 MAX_SWEEP_POINTS = 10_000
 # Cap on ``threads``: 64, the MAX_THREADS of numpy's bundled OpenBLAS (which
 # clamps a larger count itself), or the host's CPU count where that is larger.
 MAX_THREADS = max(64, os.cpu_count() or 1)
+# The smallest m*n*k of a complex GEMM that OpenBLAS runs on more than one thread.
+# OpenBLAS decides in interface/gemm.c, from m*n*k against its SMP_THRESHOLD_MIN times
+# GEMM_MULTITHREAD_THRESHOLD.  For numpy 2.4.6's OpenBLAS 0.3.31 a CPU-time probe puts
+# it at 2^16, in 1D and 2D shapes: a grown pool's worker wakes (and then spins for
+# ~130 ms) after one (4096, 4) @ (4, 4) or (16384, 2) @ (2, 2) GEMM, and not after
+# one row fewer.
+BLAS_SPLIT_MNK = 1 << 16
 # A 2D start within this of rank 1 (|det| of its [c, d] table) runs as a product
 # a(x)b, which moves an amplitude by about |det|.  JSON-rounded products: ~1e-17.
 _RANK1_TOL = 1e-15
@@ -431,10 +438,14 @@ def _blas_threads(threads: int) -> Iterator[None]:
 
 def _pool(cfg: dict, walks: Iterable[WalkSpec]) -> AbstractContextManager[None]:
     """``_blas_threads`` of ``cfg``'s ``threads`` (checked by main) if one of ``walks``
-    steps alone (the 2D kernel, or a periodic walk), else a block that leaves every
-    OpenBLAS as it is: an open 1D walk's GEMM, (t+1) x 2 @ 2 x 2, is below the
-    size OpenBLAS splits, so a thread could only spin through it."""
-    if any(w.dimensionality == 2 or w.boundary == "periodic" for w in walks):
+    reaches a coin GEMM that OpenBLAS splits, else a block that leaves every OpenBLAS
+    as it is, as a thread could only spin.  A walk's largest GEMM, sites x k @ k x k,
+    mixes its last light-cone grid before the last step (steps^d sites), or the lattice
+    if periodic: an open 1D walk's, 2000 x 2 @ 2 x 2 at the step cap, is never split."""
+    def mnk(w: WalkSpec) -> int:
+        side = 2 * w.halfwidth + 1 if w.boundary == "periodic" else w.steps
+        return side ** w.dimensionality * (2 * w.dimensionality) ** 2
+    if any(mnk(w) >= BLAS_SPLIT_MNK for w in walks):
         return _blas_threads(cfg.get("threads", 1))
     return nullcontext()
 
@@ -630,16 +641,14 @@ def cmd_isocheck(cfg: dict) -> int:
     seed = _count(cfg.get("seed", DEFAULT_SEED), "seed", 0)
     out_dir = _make_out_dir(cfg.get("out_dir", "."))
 
-    rng = np.random.default_rng(seed)
-    h2 = tensor(hadamard(), hadamard())
-    named = {
-        "hadamard_pair": verify_isomorphism(halfwidth, h2),
-        "fractional_swap_half": verify_isomorphism(halfwidth, fractional_swap(0.5)),
-    }
-    trial_devs = [verify_isomorphism(halfwidth, random_shared_coin(rng)) for _ in range(trials)]
+    # One stack of every coin: the two named ones, then the trials in the RNG's order.
+    coins = np.concatenate([[tensor(hadamard(), hadamard()), fractional_swap(0.5)],
+                            random_shared_coin(np.random.default_rng(seed), trials)])
+    devs = verify_isomorphism(halfwidth, coins)
+    named = dict(zip(("hadamard_pair", "fractional_swap_half"), devs[:2].tolist()))
     translation = check_translation_equivalence(halfwidth)
     claims = check_decomposition_claims(seed=seed)
-    max_trial = float(np.max(trial_devs))  # np.max, unlike max(), keeps a NaN
+    max_trial = float(np.max(devs[2:]))  # np.max, unlike max(), keeps a NaN
     max_dev = float(np.max([*named.values(), max_trial, translation]))
     passed = max_dev < ISO_TOL
 
@@ -677,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--defect", help="override defect kind")
         p.add_argument("--out", dest="out_dir", help="override output directory")
         p.add_argument("--threads", type=int,
-                       help=f"BLAS threads of the 2D-kernel and periodic walks, 1..{MAX_THREADS}")
+                       help=f"BLAS threads of walks whose GEMMs OpenBLAS splits, 1..{MAX_THREADS}")
     run.add_argument("--reference", help="distribution CSV for the 1-norm discrepancy")
 
     iso.add_argument("--config", help="JSON config path")

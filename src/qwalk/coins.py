@@ -9,6 +9,7 @@ a global phase anyway.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "unitarity_check",
     "is_unitary",
     "random_su2",
+    "random_shared_coin",
     "CoinField",
 ]
 
@@ -86,7 +88,7 @@ def tensor(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.c
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def fractional_swap(tau: float) -> NDArray[np.complex128]:
+def fractional_swap(tau: float | NDArray[np.float64]) -> NDArray[np.complex128]:
     """The fractional swap gate, a one-parameter unitary group in tau.
 
     Identity at tau=0, the full swap at tau=1, sqrt-swap at tau=1/2.  The
@@ -94,18 +96,15 @@ def fractional_swap(tau: float) -> NDArray[np.complex128]:
     [0,0,0,2]] with w = e^{i pi tau}; the principal branch makes the
     family continuous and satisfies
     ``fractional_swap(a) @ fractional_swap(b) == fractional_swap(a + b)``.
-    Any real tau is accepted.
+    Any real tau is accepted; an array of them gives the stack, shape
+    ``tau.shape + (4, 4)``, bit for bit the one-tau calls.
     """
-    w = np.exp(1j * np.pi * tau)
-    return 0.5 * np.array(
-        [
-            [2, 0, 0, 0],
-            [0, 1 + w, 1 - w, 0],
-            [0, 1 - w, 1 + w, 0],
-            [0, 0, 0, 2],
-        ],
-        dtype=np.complex128,
-    )
+    w = np.exp(1j * np.pi * np.asarray(tau, dtype=np.float64))
+    out = np.zeros(w.shape + (4, 4), dtype=np.complex128)
+    out[..., 0, 0] = out[..., 3, 3] = 2
+    out[..., 1, 1] = out[..., 2, 2] = 1 + w
+    out[..., 1, 2] = out[..., 2, 1] = 1 - w
+    return 0.5 * out
 
 
 def su4_compose(
@@ -113,9 +112,9 @@ def su4_compose(
     u2: NDArray[np.complex128],
     v1: NDArray[np.complex128],
     v2: NDArray[np.complex128],
-    alpha: float,
-    beta: float,
-    gamma: float,
+    alpha: float | NDArray[np.float64],
+    beta: float | NDArray[np.float64],
+    gamma: float | NDArray[np.float64],
 ) -> NDArray[np.complex128]:
     """Compose a 4x4 coin from single-qubit factors and three swap powers.
 
@@ -128,7 +127,8 @@ def su4_compose(
     points can be observed rather than assumed.  With
     alpha = beta = gamma = 0 the bracket collapses to the identity and the
     result is the separable coin (u1 v1) (x) (u2 v2).  Stacks (..., 2, 2)
-    of factors broadcast, giving the stack of compositions.
+    of factors and arrays of swap powers broadcast, giving the stack of
+    compositions.
 
     Raises
     ------
@@ -144,11 +144,16 @@ def su4_compose(
 
 def unitarity_check(matrix: NDArray[np.complex128]) -> float:
     """Max elementwise deviation of M M^dagger from the identity, over a stack (..., k, k)."""
+    return float(_unitarity(matrix).max())
+
+
+def _unitarity(matrix: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Each member's max elementwise deviation of M M^dagger from the identity, shape (...)."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     eye = np.eye(m.shape[-1])
-    return float(np.abs(m @ np.swapaxes(m.conj(), -1, -2) - eye).max())
+    return np.abs(m @ np.swapaxes(m.conj(), -1, -2) - eye).max(axis=(-2, -1))
 
 
 def is_unitary(matrix: NDArray[np.complex128], tol: float = UNITARY_TOL) -> bool:
@@ -162,11 +167,41 @@ def random_su2(rng: np.random.Generator, size: tuple[int, ...] = ()) -> NDArray[
     Haar unitary; dividing out the determinant phase lands it in SU(2).  A
     stack is, bit for bit and in ``rng``'s end state, one-matrix calls in C order.
     """
-    g = rng.normal(size=tuple(size) + (2, 2, 2))
+    return _haar_su2(rng.normal(size=tuple(size) + (2, 2, 2)))
+
+
+def _haar_su2(g: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """The SU(2) coins of normals ``g`` (..., 2, 2, 2): real parts, then imaginary."""
     q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     q = q * np.exp(-1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))[..., None, :]
     det = np.linalg.det(q)
     return q * det[..., None, None] ** (-0.5)
+
+
+def random_shared_coin(rng: np.random.Generator,
+                       size: int | tuple[int, ...] = ()) -> NDArray[np.complex128]:
+    """Random shared coins, shape ``size + (4, 4)``: each, by a uniform draw of
+    0, 1 or 2, a tensor product of two :func:`random_su2` coins, a fractional
+    swap of uniform tau in [0, 1), or the product of both.  Each coin's numbers
+    are drawn in turn and the math is done once for the stack, so a stack is,
+    bit for bit and in ``rng``'s end state, one-coin calls in C order."""
+    shape = np.broadcast_shapes(size)
+    kinds, g, taus = np.empty(math.prod(shape), np.int64), [], []
+    for i in range(len(kinds)):
+        kinds[i] = kind = rng.integers(3)
+        if kind != 1:
+            g.append(rng.normal(size=(2, 2, 2, 2)))
+        if kind != 0:
+            taus.append(rng.uniform(0.0, 1.0))
+    coins = np.empty((len(kinds), 4, 4), dtype=np.complex128)
+    swaps = fractional_swap(taus)
+    coins[kinds == 1] = swaps[kinds[kinds != 0] == 1]
+    su2 = _haar_su2(np.reshape(g, (-1, 2, 2, 2, 2)))
+    products = tensor(su2[:, 0], su2[:, 1])
+    both = kinds[kinds != 1] == 2
+    products[both] = products[both] @ swaps[kinds[kinds != 0] == 2]
+    coins[kinds != 1] = products
+    return coins.reshape(shape + (4, 4))
 
 
 class CoinField:
@@ -201,11 +236,17 @@ class CoinField:
 
 
 def _validated_coin(mat: NDArray, k: int, what: str, stack: bool = False) -> NDArray:
+    """``mat`` as a complex array, checked to be a k x k unitary, or with
+    ``stack`` a stack (..., k, k) of them; a stack's error names the first
+    member that is not."""
     m = np.asarray(mat, dtype=np.complex128)
     if m.shape[-2:] != (k, k) or (m.ndim > 2 and not stack):
         raise ValueError(f"{what} must be {k}x{k}, got shape {m.shape}")
-    if not is_unitary(m):
-        raise ValueError(f"{what} is not unitary within {UNITARY_TOL}")
+    bad = ~(_unitarity(m) <= UNITARY_TOL)
+    if bad.any():  # written so that NaN fails too
+        first = ",".join(map(str, np.argwhere(bad)[0]))
+        at = f" (first at stack index {first})" if m.ndim > 2 else ""
+        raise ValueError(f"{what} is not unitary within {UNITARY_TOL}{at}")
     return m
 
 

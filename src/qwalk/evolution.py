@@ -501,12 +501,17 @@ def _step_matrix(stepper: _Stepper, moves: _Moves) -> NDArray[np.complex128]:
 def _site_blocks(stepper: _Stepper) -> NDArray[np.complex128]:
     """phase(site) * coin(site) for every site, shape (2L+1,)*d + (k, k);
     a step matrix above ``MAX_MATRIX_DIM`` is refused before allocating."""
-    dim_total = state_dimension(stepper.dim, stepper.halfwidth)
-    if dim_total > MAX_MATRIX_DIM:
-        raise ValueError(f"step matrix dimension {dim_total} exceeds cap {MAX_MATRIX_DIM}")
-    blocks = stepper.field.stacked(stepper.halfwidth)
+    blocks = stepper.field.stacked(_capped(stepper.dim, stepper.halfwidth))
     grid = _phase_grid(stepper.applier, blocks.shape[: stepper.dim])
     return blocks if grid is None else grid[..., None, None] * blocks
+
+
+def _capped(dimensionality: int, halfwidth: int) -> int:
+    """``halfwidth``, checked, if its step matrix fits ``MAX_MATRIX_DIM``, else ValueError."""
+    dim_total = state_dimension(dimensionality, L := _halfwidth(halfwidth))
+    if dim_total > MAX_MATRIX_DIM:
+        raise ValueError(f"step matrix dimension {dim_total} exceeds cap {MAX_MATRIX_DIM}")
+    return L
 
 
 def _targets(shape: tuple[int, ...], moves: _Moves) -> NDArray[np.int64]:

@@ -51,29 +51,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .analysis import Distribution
-from .coins import (
-    IDENTITY2,
-    IDENTITY4,
-    PAULI_Z,
-    CoinField,
-    as_coin_field,  # unused here; perfbench/spans.py WRAPPED patches it
-    fractional_swap,
-    random_su2,
-    su4_compose,
-    tensor,
-)
-from .evolution import (
-    _DIAGONAL_MOVES,
-    DefectMap,
-    WalkSpec,
-    _guarded,
-    _site_blocks,
-    _Stack,
-    _step_matrix,
-    _Stepper,
-    _targets,
-    build_step_matrix,
-)
+from .coins import (IDENTITY2, IDENTITY4, PAULI_Z, CoinField, _validated_coin, as_coin_field,
+                    fractional_swap, random_shared_coin, random_su2, su4_compose, tensor)
+from .evolution import (_DIAGONAL_MOVES, DefectMap, WalkSpec, _capped, _guarded, _phase_applier,
+                        _phase_grid, _Stack, _step_matrix, _Stepper, _targets, build_step_matrix)
 from .statespace import WalkerState, _halfwidth, _site_index
 
 __all__ = [
@@ -231,12 +212,13 @@ def _carried(table: NDArray, halfwidth: int) -> NDArray:
 
 def _deviation(
     halfwidth: int,
-    coin4: NDArray[np.complex128] | CoinField,
+    coins: NDArray[np.complex128] | CoinField,
     defect: DefectMap | None,
     pair_map: PairMap | None = None,
-) -> float:
-    """max |U_two - P^T U_2d P|, with U_2d's blocks the two walkers' carried
-    across P; no dense operator is built.
+) -> float | NDArray[np.float64]:
+    """max |U_two - P^T U_2d P| of each coin of ``coins`` (one, a stack
+    (..., 4, 4), or a ``CoinField``), with U_2d's blocks the two walkers'
+    carried across P; no dense operator is built.
 
     Column (s, c) of either operator holds block column c of site s, one
     entry per output component c'.  The two walkers put it at site
@@ -244,29 +226,42 @@ def _deviation(
     ``pair_map``, at tau^-1(``_targets[c', tau(s)]``).  Where the sites agree
     the entries cancel, elsewhere each meets a zero: the result is the
     largest modulus among the entries put on different sites
-    (:attr:`BasisPermutation._meet`, built once per instance).  A NaN or
-    infinite block gives NaN.
+    (:attr:`BasisPermutation._meet`, built once per instance).  A uniform
+    coin without a defect has one block at every site, so it is read once,
+    against the rows c' misplaced at any site.  A NaN or infinite block
+    gives NaN.
     """
-    stepper = _Stepper(2, halfwidth, coin4, defect)
-    blocks, L = _site_blocks(stepper), stepper.halfwidth
+    L = _capped(2, halfwidth)
+    if isinstance(coins, CoinField):
+        blocks, shape = as_coin_field(coins, 2).stacked(L)[None], ()
+    else:  # (C, 1, 1, 4, 4): one block of each coin, at every site
+        blocks = _validated_coin(coins, 4, "shared coin", stack=True)
+        blocks, shape = blocks.reshape(-1, 1, 1, 4, 4), blocks.shape[:-2]
+    grid = _phase_grid(_phase_applier(defect, L, 2), (2 * L + 1,) * 2)
+    if grid is not None:
+        blocks = grid[..., None, None] * blocks
     perm = _permutation(L) if pair_map is None else BasisPermutation.build(L, pair_map)
-    # [s, c', c] -> [c', s, c], beside the [c', s] sites; 0 * NaN keeps a NaN.
-    moduli = np.abs(blocks.reshape(-1, 4, 4)).transpose(1, 0, 2)
-    return float((moduli * ~perm._meet[..., None]).max())
+    miss = ~perm._meet if blocks.shape[1] > 1 else ~perm._meet.all(axis=1, keepdims=True)
+    # [C, s, c', c] -> [C, c', s, c], beside the [c', s] sites; 0 * NaN keeps a NaN.
+    moduli = np.abs(blocks.reshape(len(blocks), -1, 4, 4)).transpose(0, 2, 1, 3)
+    devs = (moduli * miss[..., None]).max(axis=(1, 2, 3))
+    return float(devs[0]) if shape == () else devs.reshape(shape)
 
 
 def verify_isomorphism(
     halfwidth: int,
     coin4: NDArray[np.complex128] | CoinField,
     defect: DefectMap | None = None,
-) -> float:
+) -> float | NDArray[np.float64]:
     """Max elementwise deviation between the two-walker step matrix and the
-    permutation-conjugated 2D step matrix.
+    permutation-conjugated 2D step matrix: a float for one coin or a
+    ``CoinField``, an array of shape (...) for a stack (..., 4, 4) of coins.
 
     Exactly 0.0 for any shared coin, ``CoinField`` and finite defect: under
     the pair map every entry lands on the same site for both operators.
-    The coin is still checked unitary, and it decides which entries are
-    nonzero, the measure of a misplaced one; a NaN phase gives NaN.
+    The coins are still checked unitary (the error names the first member
+    of a stack that is not), and each decides which entries are nonzero,
+    the measure of a misplaced one; a NaN phase gives NaN.
     """
     return _deviation(halfwidth, coin4, defect)
 
@@ -277,16 +272,6 @@ def check_translation_equivalence(
     """Compare the two shift operators (identity coin) as permutation
     matrices after relabeling; 0.0 means exact equality."""
     return _deviation(halfwidth, IDENTITY4, None, pair_map)
-
-
-def random_shared_coin(rng: np.random.Generator) -> NDArray[np.complex128]:
-    """Random shared coin: a tensor product, a fractional swap, or a
-    product of both."""
-    kind = rng.integers(3)
-    if kind == 1:
-        return fractional_swap(float(rng.uniform(0.0, 1.0)))
-    product = tensor(*random_su2(rng, (2,)))
-    return product if kind == 0 else product @ fractional_swap(float(rng.uniform(0.0, 1.0)))
 
 
 def _best_global_phase_deviation(
@@ -317,7 +302,8 @@ def check_decomposition_claims(
     -(Z (x) Z) fractional_swap(tau); the check reports, it does not
     assume.)  The report is informational: findings, not pass/fail.
 
-    The separable trials are one stack, bit for bit a per-trial loop's.
+    The separable trials are one stack, and so are the taus, each bit for
+    bit a one-at-a-time loop's.
     ``trials`` < 1 and empty or non-finite ``taus`` raise ValueError.
     """
     if trials < 1 or (taus is not None and not (np.size(taus) and np.isfinite(taus).all())):
@@ -330,8 +316,9 @@ def check_decomposition_claims(
     if taus is None:
         taus = np.concatenate([np.linspace(0.0, 1.0, 11), rng.uniform(0, 1, 5)])
     zz, ones = -tensor(PAULI_Z, PAULI_Z), (IDENTITY2,) * 4
-    composed = np.array([su4_compose(*ones, float(t), -1.0, -1.0) for t in taus])
-    target = np.array([fractional_swap(float(t)) for t in taus])
+    taus = np.asarray(taus, dtype=np.float64).ravel()
+    composed = su4_compose(*ones, taus, -1.0, -1.0)
+    target = fractional_swap(taus)
     dev_exact = float(np.abs(composed - target).max())  # np.max, unlike max(), keeps a NaN
     dev_phase = float(np.max([_best_global_phase_deviation(*ct) for ct in zip(composed, target)]))
     dev_zz = float(np.abs(composed - zz @ target).max())

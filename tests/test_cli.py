@@ -15,6 +15,7 @@ import qwalk.cli
 import qwalk.evolution
 from qwalk.analysis import distribution, marginal, variance
 from qwalk.cli import (
+    BLAS_SPLIT_MNK,
     DEFAULT_STEP_CAP,
     ConfigError,
     MAX_LATTICE_SITES,
@@ -237,17 +238,21 @@ def test_isocheck_passes_and_is_deterministic(tmp_path):
 @pytest.mark.parametrize("call", [2, 4], ids=["second-named-coin", "second-trial"])
 def test_a_nan_deviation_fails_the_isocheck(tmp_path, monkeypatch, call):
     # Python's max drops a NaN that does not come first: a NaN second trial
-    # once passed with max_trial_deviation 0.0.
+    # once passed with max_trial_deviation 0.0.  The isocheck checks its coins
+    # as one stack, the two named ones first: the NaN is the stack's row call - 1.
     calls = []
     verify = qwalk.cli.verify_isomorphism
 
-    def nan_once(*args):
+    def nan_in_a_row(*args):
         calls.append(args)
-        return float("nan") if len(calls) == call else verify(*args)
+        devs = verify(*args)
+        devs[call - 1] = np.nan
+        return devs
 
-    monkeypatch.setattr(qwalk.cli, "verify_isomorphism", nan_once)
+    monkeypatch.setattr(qwalk.cli, "verify_isomorphism", nan_in_a_row)
     out = tmp_path / "iso"
     assert main(["isocheck", "--trials", "5", "--out", str(out)]) == 2
+    assert len(calls) == 1 and calls[0][1].shape == (7, 4, 4)
     report = json.loads((out / "isocheck.json").read_text())
     assert report["passed"] is False
     assert np.isnan(report["max_deviation"])
@@ -263,6 +268,28 @@ def test_isocheck_size_cap(tmp_path, capsys):
     assert not out.exists()
     assert main(["isocheck", "-L", "31", "--trials", "1", "--out", str(out)]) == 0
     assert json.loads((out / "isocheck.json").read_text())["halfwidth"] == 31
+
+
+def test_a_capped_isocheck_holds_its_coins_as_one_stack(tmp_path):
+    # The most trials at the largest halfwidth.  Its memory is the coin stack
+    # and the lattice's site tables: an intermediate of trials x sites (one
+    # float each would be 318 MB here) or a per-site block table of each coin
+    # (4 GB) would show.  Measured: 11.2 MB, 4.4 stacks.
+    from qwalk.isomorphism import _permutation
+    _permutation.cache_clear()  # the site tables are built, and counted, here
+    out = tmp_path / "iso"
+    tracemalloc.start()
+    try:
+        assert main(["isocheck", "-L", "31", "--trials", str(MAX_TRIALS), "--seed", "9",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = (MAX_TRIALS + 2) * 16 * 16  # complex 4 x 4 coins, the two named ones first
+    sites = (2 * 31 + 1) ** 2
+    assert peak < 6 * stack + 256 * sites + (1 << 20), peak / 2 ** 20
+    report = json.loads((out / "isocheck.json").read_text())
+    assert report["passed"] is True and report["trials"] == MAX_TRIALS
 
 
 def test_sweep_points_are_capped(tmp_path, capsys, monkeypatch):
@@ -984,20 +1011,21 @@ requires_openblas = pytest.mark.skipif(not _openblas(), reason="no OpenBLAS thre
 
 @requires_openblas
 def test_a_command_holds_openblas_at_threads_only_for_walks_it_can_split(tmp_path, monkeypatch):
-    # threads is the BLAS thread count of a command's 2D-kernel and periodic
-    # walks, from their first step to their last, whatever the grid.  An open
-    # 1D walk's GEMM is below the size OpenBLAS splits: a command whose walks
-    # are all open 1D (and the isocheck) leaves every OpenBLAS as it found it,
-    # and never looks for one.  The caller's counts come back after exit 0, 1, 2.
+    # threads is the BLAS thread count of a command whose walks reach a coin
+    # GEMM OpenBLAS splits (m*n*k >= BLAS_SPLIT_MNK), from their first step to
+    # their last, whatever the grid.  A command whose every GEMM is smaller
+    # (every open 1D walk, a short 2D-kernel walk, a small periodic one, and
+    # the isocheck) leaves every OpenBLAS as it found it, and never looks for
+    # one.  The caller's counts come back after exit 0, 1, 2.
     controls = _openblas()
-    seen = []  # (reads the caller's counts, the counts of every OpenBLAS) a step or check
+    seen = []  # the counts of every OpenBLAS, a step or check
     looked = []  # one entry a call of _openblas
 
     def counts():
         return {get() for get, _ in controls}
 
     def noted(stack, advance=_Stack.advance):
-        seen.append((stack.specs[0].dimensionality == 1 and stack.moves is None, counts()))
+        seen.append(counts())
         kinds.add((stack.specs[0].dimensionality, stack.moves is None))
         advance(stack)
     monkeypatch.setattr(_Stack, "advance", noted)
@@ -1005,7 +1033,7 @@ def test_a_command_holds_openblas_at_threads_only_for_walks_it_can_split(tmp_pat
                  "check_decomposition_claims"):  # the isocheck's checks
 
         def checked(*args, call=getattr(qwalk.cli, name), **kwargs):
-            seen.append((True, counts()))
+            seen.append(counts())
             return call(*args, **kwargs)
         monkeypatch.setattr(qwalk.cli, name, checked)
 
@@ -1017,12 +1045,19 @@ def test_a_command_holds_openblas_at_threads_only_for_walks_it_can_split(tmp_pat
     swap = {"kind": "fractional_swap", "tau": 0.5}  # not a product: the 2D kernel steps it
     line = {"dimensionality": 1, "defect": {"kind": "point", "phi": "pi:1"},
             "initial": {"position": 0}}
-    walks = [({"steps": 130, "coin": swap}, False),  # its grids grow past 128 sites a side
-             ({"steps": 2, "boundary": "periodic", "halfwidth": 64, "coin": swap}, False),
-             ({**line, "steps": 2, "boundary": "periodic", "halfwidth": 64}, False),
+    # (walk, leaves OpenBLAS alone).  Each pair's largest GEMMs straddle
+    # BLAS_SPLIT_MNK = 64^2 * 16, m*n*k: 64^2 * 16 and 63^2 * 16 (open 2D),
+    # 65^2 * 16 and 63^2 * 16 (periodic 2D), 16385 * 4 and 16383 * 4 (periodic 1D).
+    assert BLAS_SPLIT_MNK == 64 ** 2 * 16
+    walks = [({"steps": 64, "coin": swap}, False),  # the last step mixes 64^2 sites
+             ({"steps": 63, "coin": swap}, True),
+             ({"steps": 2, "boundary": "periodic", "halfwidth": 32, "coin": swap}, False),
+             ({"steps": 2, "boundary": "periodic", "halfwidth": 31, "coin": swap}, True),
+             ({**line, "steps": 2, "boundary": "periodic", "halfwidth": 8192}, False),
+             ({**line, "steps": 2, "boundary": "periodic", "halfwidth": 8191}, True),
              ({"steps": 20}, True),  # two 1D walks
              ({**line, "steps": 20}, True)]
-    commands = [(c, walk, open_1d) for c in ("run", "sweep") for walk, open_1d in walks]
+    commands = [(c, walk, alone) for c in ("run", "sweep") for walk, alone in walks]
     commands.append(("isocheck", {"trials": 3}, True))
     cfg_path = tmp_path / "cfg.json"
 
@@ -1040,18 +1075,18 @@ def test_a_command_holds_openblas_at_threads_only_for_walks_it_can_split(tmp_pat
     try:
         for outer, threads in ((2, 1), (1, 2)):
             put(outer)
-            for command, walk, open_1d in commands:
+            for command, walk, alone in commands:
                 assert run(command, threads, **walk) == 0
-                assert seen and all(n == {outer if caller else threads} for caller, n in seen)
-                assert bool(looked) is not open_1d, (command, walk)
+                assert seen and all(n == {outer if alone else threads} for n in seen)
+                assert bool(looked) is not alone, (command, walk)
                 assert counts() == {outer}  # after the command
         assert kinds == {(1, True), (1, False), (2, True), (2, False)}
         monkeypatch.setattr(qwalk.evolution, "STEP_NORM_TOL", -1.0)  # the first step fails
         monkeypatch.setattr(qwalk.cli, "ISO_TOL", 0.0)  # fails: every deviation is 0.0
-        for command, walk, open_1d in commands:
+        for command, walk, alone in commands:
             assert run(command, 2, **walk) == 2
-            assert seen and all(n == {1 if caller else 2} for caller, n in seen)
-            assert bool(looked) is not open_1d, (command, walk)
+            assert seen and all(n == {1 if alone else 2} for n in seen)
+            assert bool(looked) is not alone, (command, walk)
             assert counts() == {1}
             assert run(command, 2, **{**walk, "halfwidth": 0}) == 1
             assert not seen and not looked and counts() == {1}
@@ -1179,13 +1214,17 @@ def test_a_sweep_gives_the_same_bytes_at_threads_1_and_2(tmp_path, cfg):
     ("run", {"dimensionality": 1, "steps": 20, "threads": 2, "defect": "none",
              "initial": {"position": 0}}, 0),
     ("isocheck", {"threads": 2, "trials": 3}, 0),
-    ("run", {"steps": 10, "threads": 2, "coin": {"kind": "fractional_swap", "tau": 0.5}}, 1),
+    ("run", {"steps": 10, "threads": 2, "coin": {"kind": "fractional_swap", "tau": 0.5}}, 0),
     ("run", {"dimensionality": 1, "steps": 4, "halfwidth": 8, "boundary": "periodic",
-             "threads": 2, "defect": "none", "initial": {"position": 0}}, 1),
-], ids=["separable-sweep", "1d-run", "isocheck", "2d-kernel-run", "1d-periodic-run"])
+             "threads": 2, "defect": "none", "initial": {"position": 0}}, 0),
+    ("run", {"steps": 140, "threads": 2, "coin": {"kind": "fractional_swap", "tau": 0.5},
+             "formats": ["json"]}, 1),
+], ids=["separable-sweep", "1d-run", "isocheck", "short-2d-kernel-run", "small-1d-periodic-run",
+        "2d-kernel-run"])
 def test_only_a_walk_openblas_can_split_starts_a_thread(tmp_path, command, cfg, started):
     # A fresh process, its pool started at one thread: growing it to two
     # starts an OS thread, which then idles and spins for the rest of the process.
+    # Only the 140-step walk reaches a GEMM that OpenBLAS splits: 140^2 * 16 m*n*k.
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **cfg)
     code = ("import json, os, sys\n"
@@ -1197,6 +1236,31 @@ def test_only_a_walk_openblas_can_split_starts_a_thread(tmp_path, command, cfg, 
                          env=_child_env(), check=True, capture_output=True, text=True,
                          timeout=120).stdout
     assert json.loads(out.splitlines()[-1]) == [0, started]
+
+
+@requires_openblas
+def test_openblas_splits_a_complex_gemm_from_blas_split_mnk():
+    # The probe behind BLAS_SPLIT_MNK, in a fresh process at two threads: a GEMM
+    # that OpenBLAS splits wakes the sleeping worker, which then spins for about
+    # 0.1 s of CPU time (measured: 130 ms); one it runs alone costs well under 1 ms.
+    code = ("import json, time\n"
+            "import numpy as np\n"
+            "from qwalk.cli import BLAS_SPLIT_MNK, _blas_threads\n"
+            "cpu = []\n"
+            "with _blas_threads(2):\n"
+            "    for k in (4, 2):\n"
+            "        for rows in (BLAS_SPLIT_MNK // k ** 2 - 1, BLAS_SPLIT_MNK // k ** 2):\n"
+            "            a, b = np.ones((rows, k), complex), np.ones((k, k), complex)\n"
+            "            time.sleep(0.4)  # the worker goes back to sleep\n"
+            "            start = time.process_time()\n"
+            "            a @ b\n"
+            "            time.sleep(0.2)\n"
+            "            cpu.append(time.process_time() - start)\n"
+            "print(json.dumps(cpu))")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    below_4, at_4, below_2, at_2 = json.loads(out.splitlines()[-1])
+    assert max(below_4, below_2) < 0.01 < min(at_4, at_2), (below_4, at_4, below_2, at_2)
 
 
 def test_a_2d_kernel_run_gives_the_same_summary_at_threads_1_and_2(tmp_path):

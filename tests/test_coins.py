@@ -16,6 +16,7 @@ from qwalk.coins import (
     fractional_swap,
     hadamard,
     is_unitary,
+    random_shared_coin,
     random_su2,
     su2_from_angles,
     su4_compose,
@@ -308,6 +309,53 @@ def test_one_nonunitary_member_of_a_stack_is_caught(spoil):
         args[i] = stack
         with pytest.raises(ValueError, match=f"{name} is not unitary"):
             su4_compose(*args, 0.0, 0.0, 0.0)
+
+
+def _one_shared_coin(rng):
+    """One random shared coin by the documented recipe, one draw after another:
+    kind 0, 1 or 2, then two SU(2) factors unless 1, then tau unless 0."""
+    kind = rng.integers(3)
+    if kind == 1:
+        return fractional_swap(rng.uniform(0.0, 1.0))
+    product = tensor(*random_su2(rng, (2,)))
+    return product if kind == 0 else product @ fractional_swap(rng.uniform(0.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9])
+def test_a_random_shared_coin_stack_is_its_one_coin_draws_bit_for_bit(seed):
+    one, stacked, single = (np.random.default_rng(seed) for _ in range(3))
+    calls = np.array([_one_shared_coin(one) for _ in range(200)])
+    assert _same_bits(random_shared_coin(stacked, 200), calls)
+    assert stacked.bit_generator.state == one.bit_generator.state
+    assert _same_bits(random_shared_coin(stacked, (2, 3)), [[_one_shared_coin(one) for _ in range(3)]
+                                                            for _ in range(2)])
+    assert stacked.bit_generator.state == one.bit_generator.state
+    # One coin a call, the shape of one matrix, is the same draw too.
+    assert _same_bits([random_shared_coin(single) for _ in range(200)], calls)
+    assert _same_bits(random_shared_coin(stacked, 0), np.empty((0, 4, 4), complex))
+    assert stacked.bit_generator.state == one.bit_generator.state
+
+
+def test_a_fractional_swap_stack_is_its_one_tau_calls_bit_for_bit():
+    taus = np.concatenate([np.random.default_rng(5).uniform(-3.0, 3.0, 300),
+                           [0.0, -0.0, 0.5, 1.0, 2.0, 1e-300]])
+    stack = fractional_swap(taus)
+    assert _same_bits(stack, [fractional_swap(float(t)) for t in taus])
+    assert _same_bits(fractional_swap(taus.reshape(2, -1)), stack.reshape(2, -1, 4, 4))
+    assert unitarity_check(stack) < 1e-12
+
+
+@pytest.mark.parametrize("shape, k, named", [((10,), 7, "7"), ((3, 4), (2, 1), "2,1")])
+def test_a_nonunitary_coin_of_a_stack_is_named_by_its_index(shape, k, named):
+    coins = random_shared_coin(np.random.default_rng(3), shape)
+    verify_isomorphism(2, coins)
+    coins[k] *= 1.001
+    with pytest.raises(ValueError, match=re.escape(f"not unitary within 1e-12 (first at stack "
+                                                   f"index {named})")):
+        verify_isomorphism(2, coins)
+    coins[k] = np.nan
+    with pytest.raises(ValueError, match=re.escape(f"(first at stack index {named})")):
+        verify_isomorphism(2, coins)
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 2, 3), (2, 2, 1)])

@@ -271,16 +271,22 @@ def test_the_decomposition_claims_refuse_a_vacuous_or_undefined_probe(kwargs):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_nan_deviation_in_the_claims_is_reported_not_dropped(monkeypatch):
     # One separable trial and one tau give NaN; Python's max(0.0, nan) is 0.0.
+    # The trials are one stack, and so are the 16 taus, each one call.
     compose, swap = isomorphism.su4_compose, isomorphism.fractional_swap
 
     def spoiled_compose(*args):
         out = compose(*args)
-        if out.ndim == 3:  # the separable stack
+        if out.shape == (20, 4, 4):  # the separable stack
             out[7] = np.nan
         return out
 
+    def spoiled_swap(taus):
+        out = swap(taus)
+        out[taus == 0.5] = np.nan
+        return out
+
     monkeypatch.setattr(isomorphism, "su4_compose", spoiled_compose)
-    monkeypatch.setattr(isomorphism, "fractional_swap", lambda t: swap(t) * (np.nan if t == 0.5 else 1))
+    monkeypatch.setattr(isomorphism, "fractional_swap", spoiled_swap)
     report = check_decomposition_claims(trials=20, seed=1)
     assert np.isnan(report["separable"]["max_deviation"])
     assert not report["separable"]["confirmed"]
@@ -525,6 +531,13 @@ def test_a_map_wrong_on_a_four_cycle_of_sites_is_caught():
     dense = _dense_deviation(L, field, None, BasisPermutation.build(L, pair_map))
     assert dense == 1.0
     assert 0.0 < _deviation(L, field, None, pair_map) < dense
+    # A uniform coin is read once, against the components misplaced at any
+    # site: those of the four sites count, though every other site places them.
+    for coin in (H2, peaked, np.stack([H2, peaked])):
+        dense = [_dense_deviation(L, c, None, BasisPermutation.build(L, pair_map))
+                 for c in np.reshape(coin, (-1, 4, 4))]
+        assert np.array_equal(_deviation(L, coin, None, pair_map), np.squeeze(dense))
+        assert min(dense) > 0.0
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -558,6 +571,31 @@ def test_a_swapped_axis_move_fails_every_check(tmp_path, monkeypatch):
         out = tmp_path / "iso"
         assert main(["isocheck", "-L", "3", "--trials", "5", "--out", str(out)]) == 2
         assert json.loads((out / "isocheck.json").read_text())["passed"] is False
+    finally:
+        _permutation.cache_clear()
+
+
+@pytest.mark.parametrize("defect", [None, DefectMap.line_y(np.pi), DefectMap.custom({(1, -1): 0.3})])
+@pytest.mark.parametrize("swap_moves", [False, True], ids=["axis-moves", "swapped-moves"])
+def test_a_stack_of_coins_reads_each_coins_deviation(monkeypatch, swap_moves, defect):
+    # One pass over the stack gives each coin its own deviation, bit for bit
+    # the one-coin call's: 0.0 under the module's tables, and above 0.0 for
+    # every coin once two axis moves are swapped.
+    if swap_moves:
+        monkeypatch.setattr(isomorphism, "_AXIS_MOVES", (_AXIS_MOVES[1], _AXIS_MOVES[0],
+                                                         *_AXIS_MOVES[2:]))
+    _permutation.cache_clear()
+    try:
+        rng = np.random.default_rng(21)
+        coins = np.concatenate([[H2, fractional_swap(0.5)], random_shared_coin(rng, 30)])
+        devs = verify_isomorphism(3, coins, defect)
+        assert devs.shape == (32,) and devs.dtype == np.float64
+        one = [verify_isomorphism(3, coin, defect) for coin in coins]
+        assert all(isinstance(d, float) for d in one)
+        assert devs.tobytes() == np.array(one).tobytes()
+        assert (devs > 0.0).all() if swap_moves else (devs == 0.0).all()
+        grid = verify_isomorphism(3, coins.reshape(4, 8, 4, 4), defect)
+        assert grid.tobytes() == devs.tobytes() and grid.shape == (4, 8)
     finally:
         _permutation.cache_clear()
 
