@@ -17,18 +17,8 @@ from numpy.typing import NDArray
 
 from .statespace import SublatticeState, WalkerState, _integer, _site_index
 
-__all__ = [
-    "Distribution",
-    "WalkSummary",
-    "distribution",
-    "l1_distance",
-    "marginal",
-    "variance",
-    "recurrence_probability",
-    "classical_rw_distribution",
-    "summarize",
-    "summarize_stack",
-]
+__all__ = ["Distribution", "WalkSummary", "distribution", "l1_distance", "marginal", "variance",
+           "recurrence_probability", "classical_rw_distribution", "summarize", "summarize_stack"]
 
 _SUM_TOL = 1e-10
 
@@ -84,16 +74,21 @@ class WalkSummary:
 
 def _site_probs(amplitudes: NDArray[np.complex128],
                 scratch: NDArray[np.complex128] | None = None) -> NDArray[np.float64]:
-    # One coin plane (the last axis) at a time, added as ((p0 + p1) + p2) +
-    # p3: the bits of (abs(a) ** 2).sum(axis=-1), in two site-sized arrays (p
-    # and a scratch plane), fresh or the head of a free complex ``scratch``.  A
-    # plane is a contiguous block of a light-cone grid and a strided view of
-    # a dense state; both are read in place.
-    shape = amplitudes.shape[:-1]
-    p, tmp = ((np.empty(shape), np.empty(shape)) if scratch is None
-              else scratch.view(np.float64)[: 2 * math.prod(shape)].reshape(2, *shape))
+    # |a|^2 of each coin plane (the last axis), added as ((p0 + p1) + p2) + p3,
+    # not as a pairwise reduce's inner loop adds them, p0 + ((p1 + p2) + p3).
+    # In a free complex ``scratch`` all k planes at once, else in two
+    # site-sized arrays (p and a scratch plane), one plane at a time.
+    shape, k = amplitudes.shape[:-1], amplitudes.shape[-1]
+    if scratch is not None:
+        planes = scratch.view(np.float64)[: amplitudes.size].reshape(k, *shape)
+        np.abs(amplitudes, out=planes.transpose(*range(1, amplitudes.ndim), 0))
+        p = np.square(planes, out=planes)[0]
+        for c in range(1, k):
+            p += planes[c]
+        return p
+    p, tmp = np.empty(shape), np.empty(shape)
     np.square(np.abs(amplitudes[..., 0], out=p), out=p)
-    for c in range(1, amplitudes.shape[-1]):
+    for c in range(1, k):
         p += np.square(np.abs(amplitudes[..., c], out=tmp), out=tmp)
     return p
 

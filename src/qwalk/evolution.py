@@ -33,20 +33,22 @@ steps from (x0, y0) amplitude lives only on x = x0 + t, y = y0 + t
 (mod 2) inside the cone: a dense (t+1)^d grid of sites spaced 2 apart (a
 :class:`SublatticeState`, a quarter of the (2t+1)^2 cone window in 2D).
 Walks step as stacks of such grids (:class:`_Stack`, driven by
-:func:`_guarded`; :func:`evolve` steps a stack of one): each step is one
-GEMM of every walk by its own coin, each walk's listed coin sites and its
-phase on its rows/columns that lie on its defect, and a shift that writes
-each component of each walk as one block of its own contiguous (t+2)^d
-plane, at offset 0 or 1, into
-one of two buffers of the final stack's size that take turns (one is
+:func:`_guarded`; :func:`evolve` steps a stack of one) in a fixed number
+of numpy calls, whatever the walk count: one GEMM of every walk by its own
+coin; one multiply per defect line (x = 0, y = 0) of the walks that carry
+it, gathered once as a factor column (each walk's listed coin sites and
+site-table phases still take a call each); and a shift that writes each
+component as one block of its contiguous (t+2)^d plane, at offset 0 or 1,
+into one of two buffers of the final stack's size that take turns (one is
 reused once no report, grid or view refers to it, else a fresh array).
-The stack's site probabilities then fill the coin mix's scratch, free
-after the shift: each walk's norm is the pairwise sum of its row, which
-no BLAS thread count moves, and the stack's summaries read the same rows
-(``analysis.summarize_stack``).  Cost and memory per step are O(W
-(t+1)^d) for W walks, independent of the halfwidth; a report's grid and
-dense ``state`` are built only when asked for.  Periodic walks, and walks
-given a move table, step the full lattice, each walk by its own coin too;
+The site probabilities then fill the coin mix's scratch, free after the
+shift, in one abs, one square and k - 1 plane adds: each walk's norm is
+the pairwise sum of its row, which no BLAS thread count moves, and the
+summaries read the same rows (``analysis.summarize_stack``).  Cost and
+memory per step are O(W (t+1)^d) for W walks, independent of the
+halfwidth; a report's grid and dense ``state`` are built only when asked
+for.  Periodic walks, and walks given a move table, step the full
+lattice, each walk by its own coin and phase too;
 the commands step such a walk alone.
 """
 
@@ -55,7 +57,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import Callable, Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -66,17 +68,8 @@ from .statespace import (SublatticeState, WalkerState, _coordinates, _dimensiona
                          _integer, _sites_index, as_coin_state, localized_state, state_dimension,
                          symmetric_coin)
 
-__all__ = [
-    "Boundary",
-    "DefectMap",
-    "WalkSpec",
-    "StepReport",
-    "evolve",
-    "run_walk",
-    "build_step_matrix",
-    "MAX_MATRIX_DIM",
-    "STEP_NORM_TOL",
-]
+__all__ = ["Boundary", "DefectMap", "WalkSpec", "StepReport", "evolve", "run_walk",
+           "build_step_matrix", "MAX_MATRIX_DIM", "STEP_NORM_TOL"]
 
 Boundary = Literal["open", "periodic"]
 
@@ -146,8 +139,7 @@ class DefectMap:
 
     def phase_grid(self, halfwidth: int, dimensionality: int) -> NDArray[np.complex128] | None:
         """Dense per-site phase factors, or None when trivially 1."""
-        applier = _phase_applier(self, halfwidth, dimensionality)
-        return _phase_grid(applier, (2 * halfwidth + 1,) * dimensionality)
+        return _phase_grid(_walk_phase(self, halfwidth, dimensionality), halfwidth, dimensionality)
 
 
 def _on_sites(index: NDArray[np.int64], sites: tuple[slice, ...],
@@ -164,61 +156,69 @@ def _on_sites(index: NDArray[np.int64], sites: tuple[slice, ...],
     return keep, tuple(q[keep] for q in pos)
 
 
-# A phase applier multiplies the post-coin array in place by the phase of
-# each source site.  ``sites`` indexes the array's sites in a dense
-# (2L+1)^d lattice array (all of it, or the light-cone sublattice), so one
-# applier serves both kernels and, applied to ones, gives the dense
-# ``phase_grid``.  Each defect touches only its own lines or sites, keeping
-# everything else bitwise untouched, and no applier holds a table of the
-# whole lattice.
-_Applier = Callable[[NDArray[np.complex128], tuple[slice, ...]], None]
+def _walk_phase(defect: DefectMap | None, halfwidth: int, dimensionality: int) -> tuple:
+    """A walk's defect as phase data: (axis, factor) of each line where coordinate
+    ``axis`` is 0 (line_y: y = 0; cross_xy: x = 0, then y = 0; a 1D point: x = 0),
+    then a site table (custom, a 2D point): lattice array indices (P, d), factors."""
+    L, table, lines = _halfwidth(halfwidth), {}, ()
+    if defect is not None and defect.kind != "none":
+        defect.validate(dimensionality)
+        if defect.kind == "custom" or defect.kind == "point" and dimensionality == 2:
+            table = (defect.table or {}) if defect.kind == "custom" else {(0, 0): defect.phi}
+        else:
+            axes = {"line_y": (1,), "cross_xy": (0, 1), "point": (0,)}[defect.kind]
+            lines = tuple((axis, np.exp(1j * defect.phi)) for axis in axes)
+    index = _sites_index(table, L, dimensionality, "custom defect site")
+    return lines, index, np.array([np.exp(1j * t) for t in table.values()], np.complex128)
 
 
-def _phase_applier(defect: DefectMap | None, halfwidth: int,
-                   dimensionality: int) -> _Applier | None:
-    L = _halfwidth(halfwidth)
-    if defect is None or defect.kind == "none":
+def _phases(phases: Sequence[tuple], dimensionality: int) -> tuple[list, list]:
+    """A stack's phases, gathered once: per axis with a line, the walks' factors
+    as a column and which walks carry it (True if all; a walk without it is never
+    multiplied, as 1 * z can flip a zero's sign); then each walk's site table."""
+    lines, shape = [], (-1,) + (1,) * dimensionality
+    for axis in range(dimensionality):
+        carried = {i: f for i, phase in enumerate(phases) for a, f in phase[0] if a == axis}
+        if carried:
+            rows = [i in carried for i in range(len(phases))]
+            column = np.reshape([carried.get(i, 1) for i in range(len(phases))], shape)
+            lines.append((axis, column, all(rows) or np.reshape(rows, shape)))
+    return lines, [(i, index, f) for i, (_, index, f) in enumerate(phases) if len(f)]
+
+
+def _phase(m: NDArray[np.complex128], sites: tuple[slice, ...], halfwidth: int,
+           lines: list, tables: list) -> None:
+    """Multiply a stack ``m`` (W, sites..., k) on ``sites`` of the dense
+    lattice array in place by its :func:`_phases`: each walk's site table,
+    then one multiply of a view per line through coordinate 0 (x, then y: the
+    origin takes f * f in that order).  Everything else is bitwise untouched."""
+    n = 2 * halfwidth + 1
+    for i, index, factors in tables:
+        keep, idx = _on_sites(index, sites, n)
+        m[i][idx] *= factors[keep, None]
+    for axis, column, where in lines:
+        start, _, stride = sites[axis].indices(n)
+        q, r = divmod(halfwidth - start, stride)  # the array index of coordinate 0
+        if r == 0 and 0 <= q < m.shape[axis + 1]:
+            line = m[(slice(None),) * (axis + 1) + (q,)]
+            np.multiply(line, column, out=line, where=where)
+
+
+def _phase_grid(phase: tuple, halfwidth: int, dimensionality: int) -> NDArray[np.complex128] | None:
+    """``phase`` at every site of the dense lattice array (ones, a stack of one), or None."""
+    if not (phase[0] or len(phase[2])):
         return None
-    defect.validate(dimensionality)
-    n = 2 * L + 1
-    if defect.kind == "custom" or defect.kind == "point" and dimensionality == 2:
-        table = (defect.table or {}) if defect.kind == "custom" else {(0, 0): defect.phi}
-        index = _sites_index(table, L, dimensionality, "custom defect site")
-        factors = np.array([np.exp(1j * t) for t in table.values()], dtype=np.complex128)
-
-        def apply_sites(m, sites):
-            keep, idx = _on_sites(index, sites, n)
-            m[idx] *= factors[keep, None]
-        return apply_sites
-
-    f = np.exp(1j * defect.phi)
-    # line_y: the line y = 0; cross_xy: x = 0, then y = 0; a 1D point: "line" x = 0.
-    axes = {"line_y": (1,), "cross_xy": (0, 1), "point": (0,)}[defect.kind]
-
-    def apply_lines(m, sites):
-        for axis in axes:
-            # Array index of the lattice coordinate 0 along ``axis``, if present.
-            rows = range(n)[sites[axis]]
-            if L in rows:
-                m[(slice(None),) * axis + (rows.index(L),)] *= f
-    return apply_lines
-
-
-def _phase_grid(applier: _Applier | None, shape: tuple[int, ...]) -> NDArray[np.complex128] | None:
-    """The applier's factor at every site of a lattice array: ones, multiplied."""
-    if applier is None:
-        return None
-    grid = np.ones(shape + (1,), dtype=np.complex128)
-    applier(grid, (slice(None),) * len(shape))
-    return grid[..., 0]
+    grid = np.ones((1,) + (2 * halfwidth + 1,) * dimensionality + (1,), dtype=np.complex128)
+    _phase(grid, (slice(None),) * dimensionality, halfwidth, *_phases([phase], dimensionality))
+    return grid[0, ..., 0]
 
 
 class _Stepper:
     """One walk operator, checked once: coin field, defect phase, lattice.
 
     :meth:`_Stack.advance` mixes by the field's default coin, then its
-    listed sites by their own, then applies ``applier``; the dense step
-    matrices take the same coins and applier.  Building one checks the
+    listed sites by their own, then multiplies by ``phase``; the dense step
+    matrices take the same coins and phase.  Building one checks the
     lattice, coins and every listed site.
     """
 
@@ -229,7 +229,7 @@ class _Stepper:
         self.field = as_coin_field(coin, d)
         self.coin_index = _sites_index(self.field.table, L, d, "coin site")
         self.coin_table = np.array(list(self.field.table.values()), dtype=np.complex128)
-        self.applier = _phase_applier(defect, L, d)
+        self.phase = _walk_phase(defect, L, d)
 
 
 class _Stack:
@@ -242,19 +242,26 @@ class _Stack:
     def __init__(self, specs: Sequence[WalkSpec], moves: _Moves | None = None):
         self.specs = specs
         spec, d = specs[0], specs[0].dimensionality
+        steppers = [s._stepper for s in specs]
         # Every site of each walk is mixed by its default coin, one GEMM a step for the stack.
-        self.coins = np.stack([s._stepper.field.default.T for s in specs])
+        self.coins = np.stack([s.field.default.T for s in steppers])
+        self.sited = [(i, s) for i, s in enumerate(steppers) if len(s.coin_table)]
+        self.lines, self.tables = _phases([s.phase for s in steppers], d)
         self.moves = moves or (_DIAGONAL_MOVES[d] if spec.boundary == "periodic" else None)
         if self.moves:  # the full lattice
             self.first, self.scratch = None, None
             self.amplitudes = np.stack([s.initial_state().amplitudes for s in specs])
-        else:  # the scratch's k t^d complex a walk hold two planes of (t+1)^d floats
-            size = len(specs) * 2 * d
-            self.buffers = [np.empty(size * (spec.steps + 1) ** d, np.complex128) for _ in "01"]
-            self.scratch = np.empty(size * max(spec.steps, 1) ** d, np.complex128)  # the coin mix
+        else:  # the scratch holds the coin mix's 2d t^d complex a walk, then 2d (t+1)^d floats
+            t, w, each = spec.steps, len(specs), slice(None)
+            self.buffers = [np.empty(w * 2 * d * (t + 1) ** d, np.complex128) for _ in "01"]
+            self.scratch = np.empty(w * d * max(2 * max(t, 1) ** d, (t + 1) ** d), np.complex128)
             self.unheld = sys.getrefcount(self.buffers[0])
-            # Per coin component, its offset along each axis in a plane.
-            self.offsets = [[(1 + s) // 2 for s in move] for move in _DIAGONAL_MOVES[d]]
+            # Per coin component: its plane in the (W, k, sites...) stack one site longer per
+            # axis, at offset (1 + move) // 2 along each, and the rows it leaves empty.
+            self.puts = [((each, c, *(slice(o, None if o else -1) for o in offsets)),
+                          [(each, c, *[each] * axis, o - 1) for axis, o in enumerate(offsets)])
+                         for c, offsets in enumerate((np.add(_DIAGONAL_MOVES[d], 1) // 2).tolist())]
+            self.order = (0, *range(2, d + 2), 1)  # (W, k, sites...) as (W, sites..., k)
             self.first = spec.initial_grid().first
             self.amplitudes = np.stack([s.initial_grid().amplitudes for s in specs])
         self.probs = _site_probs(self.amplitudes, self.scratch)  # what a sweep of 0 steps reads
@@ -270,21 +277,18 @@ class _Stack:
         a component lands in its plane at offset ``(1 + move) // 2``: 1 for
         a +1 move, 0 for -1; the one row it leaves empty is zeroed, as a
         reused buffer holds old amplitudes."""
-        a, each, L = self.amplitudes, (slice(None),), self.specs[0].halfwidth
+        a, L = self.amplitudes, self.specs[0].halfwidth
         d, (w, n), k = a.ndim - 2, a.shape[:2], a.shape[-1]
         if self.moves:
-            sites, flat = each * d, None
+            sites, flat = (slice(None),) * d, None
         else:
             sites = tuple(slice(f + L, f + L + 2 * n - 1, 2) for f in self.first)  # of every walk
             flat = self.scratch[: a.size].reshape(w, -1, k)
         m = np.matmul(a.reshape(w, -1, k), self.coins, out=flat).reshape(a.shape)
-        for i, spec in enumerate(self.specs):  # each walk's own coin sites and phase
-            s = spec._stepper
-            if len(s.coin_table):
-                keep, idx = _on_sites(s.coin_index, sites, 2 * L + 1)
-                m[i][idx] = np.einsum("pij,pj->pi", s.coin_table[keep], a[i][idx])
-            if s.applier is not None:
-                s.applier(m[i], sites)
+        for i, s in self.sited:  # each walk's own coin sites
+            keep, idx = _on_sites(s.coin_index, sites, 2 * L + 1)
+            m[i][idx] = np.einsum("pij,pj->pi", s.coin_table[keep], a[i][idx])
+        _phase(m, sites, L, self.lines, self.tables)
         if self.moves:
             self.amplitudes = np.stack([np.roll(m[..., c], move, axis=tuple(range(1, d + 1)))
                                         for c, move in enumerate(self.moves)], axis=-1)
@@ -292,12 +296,13 @@ class _Stack:
         free = [i for i in (0, 1) if sys.getrefcount(self.buffers[i]) == self.unheld]
         size = w * k * (n + 1) ** d
         buf = self.buffers[free[0]][:size] if free else np.empty(size, complex)
-        out = buf.reshape(w, k, *(n + 1,) * d).transpose(0, *range(2, d + 2), 1)
-        for c, offsets in enumerate(self.offsets):
-            out[each + tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
-            for axis, o in enumerate(offsets):
-                out[each * (axis + 1) + ((1 - o) * n, Ellipsis, c)] = 0
-        self.first, self.amplitudes = tuple(f - 1 for f in self.first), out
+        out = buf.reshape(w, k, *(n + 1,) * d)
+        for c, (put, empty) in enumerate(self.puts):
+            out[put] = m[..., c]
+            for row in empty:
+                out[row] = 0
+        self.first = tuple(f - 1 for f in self.first)
+        self.amplitudes = out.transpose(self.order)
 
     @property
     def coordinates(self) -> tuple[NDArray[np.int64], ...]:
@@ -460,8 +465,8 @@ def _residual(norms: NDArray[np.float64] | float, steps: NDArray[np.int64] | int
     its step of ``steps``.  The one norm check: the first above ``STEP_NORM_TOL``
     (or NaN) raises; :func:`_guarded` and the CLI's product walks call it."""
     r = np.abs(1.0 - np.asarray(norms))
-    if (bad := ~(r <= STEP_NORM_TOL)).any():  # written so that NaN fails too
-        i = np.argmax(bad)
+    if not r.max(initial=0.0) <= STEP_NORM_TOL:  # written so that NaN fails too
+        i = np.argmax(~(r <= STEP_NORM_TOL))
         step = np.broadcast_to(steps, r.shape).flat[i]
         raise RuntimeError(f"norm residual {r.flat[i]:.3e} at step {step} exceeds {STEP_NORM_TOL}")
     return r
@@ -502,7 +507,7 @@ def _site_blocks(stepper: _Stepper) -> NDArray[np.complex128]:
     """phase(site) * coin(site) for every site, shape (2L+1,)*d + (k, k);
     a step matrix above ``MAX_MATRIX_DIM`` is refused before allocating."""
     blocks = stepper.field.stacked(_capped(stepper.dim, stepper.halfwidth))
-    grid = _phase_grid(stepper.applier, blocks.shape[: stepper.dim])
+    grid = _phase_grid(stepper.phase, stepper.halfwidth, stepper.dim)
     return blocks if grid is None else grid[..., None, None] * blocks
 
 

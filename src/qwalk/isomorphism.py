@@ -53,8 +53,8 @@ from numpy.typing import NDArray
 from .analysis import Distribution
 from .coins import (IDENTITY2, IDENTITY4, PAULI_Z, CoinField, _validated_coin, as_coin_field,
                     fractional_swap, random_shared_coin, random_su2, su4_compose, tensor)
-from .evolution import (_DIAGONAL_MOVES, DefectMap, WalkSpec, _capped, _guarded, _phase_applier,
-                        _phase_grid, _Stack, _step_matrix, _Stepper, _targets, build_step_matrix)
+from .evolution import (_DIAGONAL_MOVES, DefectMap, WalkSpec, _capped, _guarded, _Stack,
+                        _step_matrix, _Stepper, _targets, build_step_matrix)
 from .statespace import WalkerState, _halfwidth, _site_index
 
 __all__ = [
@@ -237,7 +237,7 @@ def _deviation(
     else:  # (C, 1, 1, 4, 4): one block of each coin, at every site
         blocks = _validated_coin(coins, 4, "shared coin", stack=True)
         blocks, shape = blocks.reshape(-1, 1, 1, 4, 4), blocks.shape[:-2]
-    grid = _phase_grid(_phase_applier(defect, L, 2), (2 * L + 1,) * 2)
+    grid = None if defect is None else defect.phase_grid(L, 2)
     if grid is not None:
         blocks = grid[..., None, None] * blocks
     perm = _permutation(L) if pair_map is None else BasisPermutation.build(L, pair_map)

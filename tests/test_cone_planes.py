@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor
-from qwalk.evolution import _DIAGONAL_MOVES, DefectMap, WalkSpec, _on_sites, _Stepper, evolve
+from qwalk.evolution import (_DIAGONAL_MOVES, DefectMap, WalkSpec, _guarded, _on_sites, _phase,
+                             _phases, _Stack, _Stepper, evolve)
 from qwalk.statespace import SublatticeState
 
 H = hadamard()
@@ -29,8 +30,7 @@ def reference_cone_step(self, grid, scratch):
     if len(self.coin_table):
         keep, idx = _on_sites(self.coin_index, grid.sites(), 2 * self.halfwidth + 1)
         m[idx] = np.einsum("pij,pj->pi", self.coin_table[keep], a[idx])
-    if self.applier is not None:
-        self.applier(m, grid.sites())
+    _phase(m[None], grid.sites(), self.halfwidth, *_phases([self.phase], self.dim))
     n = a.shape[0]
     out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
     for c, move in enumerate(_DIAGONAL_MOVES[self.dim]):
@@ -183,3 +183,89 @@ def test_holding_every_report_costs_at_most_two_final_grids_more():
         tracemalloc.stop()
     assert len(reports) == steps and grids == 38_263_040
     assert peak <= grids + 2 * final_grid + scratch + sum(map(_own_bytes, reports)) + slack
+
+
+# ------------------------------------------------ stacked defect phases
+
+
+def _stack_steps(walks):
+    """Per step of ``walks`` stepped as one stack: each walk's amplitudes,
+    site probabilities and norm_sq, as bytes and hex."""
+    stack = _Stack(walks)
+    for (norms,) in _guarded([stack], walks[0].steps):
+        yield stack, [(a.tobytes(), p.tobytes(), n.hex())
+                      for a, p, n in zip(stack.amplitudes, stack.probs, norms.tolist())]
+
+
+FIELD_1D = CoinField(1, H, {-2: random_su2(np.random.default_rng(3)), 1: np.eye(2)})
+POINTS = [DefectMap.point(phi) for phi in (0.0, -0.0, np.pi, 2.5)]
+
+
+def _from_minus_3(coin, defect):
+    return WalkSpec(1, 24, coin, defect, initial_position=-3, halfwidth=27)
+
+
+STACKS_1D = {
+    # Every walk carries the line x = 0: one multiply of a view, unmasked.
+    "all-rows": [_from_minus_3(H, d) for d in POINTS] + [_from_minus_3(FIELD_1D, POINTS[3])],
+    # Walks without the line beside it: the multiply is masked to the carriers.
+    "subset-rows": [_from_minus_3(H, d) for d in POINTS] + [
+        _from_minus_3(H, DefectMap.none()),
+        _from_minus_3(H, DefectMap.custom({0: 0.4, -1: -2.0, 3: 1.0})),
+        _from_minus_3(FIELD_1D, POINTS[3]),
+        _from_minus_3(FIELD_1D, DefectMap.none()),
+    ],
+}
+
+
+@pytest.mark.parametrize("walks", STACKS_1D.values(), ids=STACKS_1D.keys())
+def test_a_mixed_defect_stack_steps_each_walk_as_it_steps_alone(walks):
+    # From x0 = -3 the origin enters the cone at step 3, then sits on the
+    # grid every other step: the next step's line multiply fires only then.
+    alone = [[row for _, (row,) in _stack_steps([w])] for w in walks]
+    fired = []
+    for t, (stack, rows) in enumerate(_stack_steps(walks), start=1):
+        ((_, column, where),) = stack.lines
+        assert (where is True) == (walks is STACKS_1D["all-rows"])
+        fired.append(0 in stack.coordinates[0])
+        for w, row in enumerate(rows):
+            assert row == alone[w][t - 1], (t, walks[w].defect)
+    assert fired == [t >= 3 and t % 2 == 1 for t in range(1, 25)]  # on the grid after step t
+    assert alone[0][-1][0] != alone[2][-1][0]  # point(0.0) and point(pi) part
+
+
+def line_phase_cone_step(self, grid, scratch, phi, axes):
+    """The light-cone step with the line phase written out: the coin mix of
+    ``reference_cone_step``, then each line of ``axes`` through coordinate 0
+    multiplied by e^{i phi} in turn (the origin takes f * f, x then y), as
+    the per-walk line applier did; the shift as there."""
+    a, k = grid.amplitudes, grid.amplitudes.shape[-1]
+    m = scratch[: a.size].reshape(a.shape)
+    np.matmul(a.reshape(-1, k), self.field.default.T, out=m.reshape(-1, k))
+    f = np.exp(1j * phi)
+    for axis in axes:
+        at = np.flatnonzero(grid.coordinates(axis) == 0)
+        if len(at):
+            m[(slice(None),) * axis + (at[0],)] *= f
+    n = a.shape[0]
+    out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
+    for c, move in enumerate(_DIAGONAL_MOVES[self.dim]):
+        offsets = [(1 + s) // 2 for s in move]
+        out[tuple(slice(o, n + o) for o in offsets) + (c,)] = m[..., c]
+        for axis, o in enumerate(offsets):
+            out[(slice(None),) * axis + ((1 - o) * n, Ellipsis, c)] = 0
+    return SublatticeState(self.dim, self.halfwidth, tuple(f - 1 for f in grid.first), out)
+
+
+@pytest.mark.parametrize("coin", [H2, fractional_swap(0.4)], ids=["hadamard-pair", "swap"])
+@pytest.mark.parametrize("kind, axes", [("cross_xy", (0, 1)), ("line_y", (1,))])
+@pytest.mark.parametrize("phi", [np.pi, 2.5, -0.0])
+def test_2d_line_defects_step_as_the_line_reference(coin, kind, axes, phi):
+    spec = WalkSpec(2, 30, coin, DefectMap(kind, phi), initial_position=(1, -2), halfwidth=32)
+    stepper = _Stepper(2, spec.halfwidth, coin, None)
+    grid, scratch = spec.initial_grid(), np.empty(30**2 * 4, dtype=np.complex128)
+    for report, ref in zip(evolve(spec), reference_grids(spec), strict=True):
+        grid = line_phase_cone_step(stepper, grid, scratch, phi, axes)
+        assert report.grid.first == grid.first == ref.first
+        assert report.grid.amplitudes.tobytes() == grid.amplitudes.tobytes()
+        assert ref.amplitudes.tobytes() == grid.amplitudes.tobytes()

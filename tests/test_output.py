@@ -217,6 +217,27 @@ def test_site_probs_is_bitwise_the_axis_sum_on_extreme_magnitudes(dim):
             assert ((got > 0.0) & (got < np.finfo(float).tiny)).any()
 
 
+def test_site_probs_adds_the_coin_planes_in_order_not_as_a_reduce():
+    # p = (1, e/4, e/4, e/4) with e = 2^-52, the spacing of floats at 1: ((p0 +
+    # p1) + p2) + p3 stays 1.0, each quarter spacing rounding away, while p0 +
+    # ((p1 + p2) + p3), the association of a pairwise reduce's short inner
+    # loop, is 1 + 3e/4, which rounds up.  Both forms of _site_probs, the plane
+    # loop and the whole array in a complex scratch (on coin-major planes, as
+    # the light cone stores them), must give the first.
+    amps = np.zeros((1, 3, 3, 4), dtype=np.complex128)
+    amps[0, 1, 2] = [1.0, 2.0**-27, 1j * 2.0**-27, -(2.0**-27)]
+    p = np.abs(amps) ** 2
+    assert (p[..., 0] + ((p[..., 1] + p[..., 2]) + p[..., 3]))[0, 1, 2] == 1.0 + 2.0**-52
+    expected = ((p[..., 0] + p[..., 1]) + p[..., 2]) + p[..., 3]
+    assert expected[0, 1, 2] == 1.0
+    planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(amps, -1, 1)), 1, -1)
+    scratch = np.full(amps.size, np.nan, dtype=np.complex128)
+    for a in (amps, planar):
+        assert _bitwise_equal(_site_probs(a), expected)
+        assert _bitwise_equal(_site_probs(a, scratch), expected)
+        assert np.shares_memory(_site_probs(a, scratch), scratch)
+
+
 def test_summarize_peaks_at_two_site_arrays():
     # The final grid of a 200-step 2D walk has N = 201^2 sites; summarize
     # holds at most the site probabilities and one scratch plane (2N floats),
