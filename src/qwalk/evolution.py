@@ -35,9 +35,9 @@ steps from (x0, y0) amplitude lives only on x = x0 + t, y = y0 + t
 Walks step as stacks of such grids (:class:`_Stack`, driven by
 :func:`_guarded`; :func:`evolve` steps a stack of one) in a fixed number
 of numpy calls, whatever the walk count: one GEMM of every walk by its own
-coin; one multiply per defect line (x = 0, y = 0) of the walks that carry
-it, gathered once as a factor column (each walk's listed coin sites and
-site-table phases still take a call each); and a shift that writes each
+coin; one ``einsum`` of every walk's listed coin sites and one multiply of
+its site-table phases, gathered once as (walk, site) rows, and one per defect
+line (x = 0, y = 0) of the walks that carry it; and a shift that writes each
 component as one block of its contiguous (t+2)^d plane, at offset 0 or 1,
 into one of two buffers of the final stack's size that take turns (one is
 reused once no report, grid or view refers to it, else a fresh array).
@@ -48,8 +48,7 @@ summaries read the same rows (``analysis.summarize_stack``).  Cost and
 memory per step are O(W (t+1)^d) for W walks, independent of the
 halfwidth; a report's grid and dense ``state`` are built only when asked
 for.  Periodic walks, and walks given a move table, step the full
-lattice, each walk by its own coin and phase too;
-the commands step such a walk alone.
+lattice, each by its own coin and phase; the commands step such a walk alone.
 """
 
 from __future__ import annotations
@@ -142,18 +141,25 @@ class DefectMap:
         return _phase_grid(_walk_phase(self, halfwidth, dimensionality), halfwidth, dimensionality)
 
 
-def _on_sites(index: NDArray[np.int64], sites: tuple[slice, ...],
-              n: int) -> tuple[NDArray[np.bool_], tuple[NDArray[np.int64], ...]]:
-    """Which lattice array indices ``index`` (P, d) fall on the array whose
-    sites are ``sites``, and their positions in that array."""
-    keep = np.ones(len(index), dtype=bool)
-    pos = []
+def _gathered(parts: Sequence[tuple]) -> tuple:
+    """Each walk's site data, lattice array indices (P, d) and values (P, ...) with
+    no site listed twice, as one table: a walk column, the indices, the values."""
+    walk = np.repeat(np.arange(len(parts)), [len(values) for _, values in parts])
+    return (walk, *map(np.concatenate, zip(*parts)))
+
+
+def _on_sites(table: tuple, sites: tuple[slice, ...], n: int) -> tuple[tuple, NDArray]:
+    """The rows of a :func:`_gathered` table on the array of ``sites``: their index
+    (walk, positions...) into a stack (W, sites..., k) of such arrays, and values."""
+    walk, index, values = table
+    keep, pos = True, []
     for i, s in zip(index.T, sites):
         start, stop, stride = s.indices(n)
         q, r = np.divmod(i - start, stride)
-        keep &= (r == 0) & (i >= start) & (i < stop)
+        keep = keep & (r == 0) & (i >= start) & (i < stop)
         pos.append(q)
-    return keep, tuple(q[keep] for q in pos)
+    keep = np.flatnonzero(keep)
+    return (walk[keep], *(q[keep] for q in pos)), values[keep]
 
 
 def _walk_phase(defect: DefectMap | None, halfwidth: int, dimensionality: int) -> tuple:
@@ -172,10 +178,10 @@ def _walk_phase(defect: DefectMap | None, halfwidth: int, dimensionality: int) -
     return lines, index, np.array([np.exp(1j * t) for t in table.values()], np.complex128)
 
 
-def _phases(phases: Sequence[tuple], dimensionality: int) -> tuple[list, list]:
+def _phases(phases: Sequence[tuple], dimensionality: int) -> tuple[list, tuple]:
     """A stack's phases, gathered once: per axis with a line, the walks' factors
     as a column and which walks carry it (True if all; a walk without it is never
-    multiplied, as 1 * z can flip a zero's sign); then each walk's site table."""
+    multiplied, as 1 * z can flip a zero's sign); then the :func:`_gathered` site tables."""
     lines, shape = [], (-1,) + (1,) * dimensionality
     for axis in range(dimensionality):
         carried = {i: f for i, phase in enumerate(phases) for a, f in phase[0] if a == axis}
@@ -183,19 +189,18 @@ def _phases(phases: Sequence[tuple], dimensionality: int) -> tuple[list, list]:
             rows = [i in carried for i in range(len(phases))]
             column = np.reshape([carried.get(i, 1) for i in range(len(phases))], shape)
             lines.append((axis, column, all(rows) or np.reshape(rows, shape)))
-    return lines, [(i, index, f) for i, (_, index, f) in enumerate(phases) if len(f)]
+    return lines, _gathered([phase[1:] for phase in phases])
 
 
 def _phase(m: NDArray[np.complex128], sites: tuple[slice, ...], halfwidth: int,
-           lines: list, tables: list) -> None:
-    """Multiply a stack ``m`` (W, sites..., k) on ``sites`` of the dense
-    lattice array in place by its :func:`_phases`: each walk's site table,
-    then one multiply of a view per line through coordinate 0 (x, then y: the
-    origin takes f * f in that order).  Everything else is bitwise untouched."""
+           lines: list, table: tuple) -> None:
+    """Multiply a stack ``m`` (W, sites..., k) on ``sites`` of the lattice array in place by its
+    :func:`_phases`, one multiply each: the site table's rows on ``sites``, then a view per line
+    through coordinate 0 (x, then y: the origin takes f * f).  Everything else is bitwise untouched."""
     n = 2 * halfwidth + 1
-    for i, index, factors in tables:
-        keep, idx = _on_sites(index, sites, n)
-        m[i][idx] *= factors[keep, None]
+    if len(table[0]):
+        idx, factors = _on_sites(table, sites, n)
+        m[idx] *= factors[:, None]
     for axis, column, where in lines:
         start, _, stride = sites[axis].indices(n)
         q, r = divmod(halfwidth - start, stride)  # the array index of coordinate 0
@@ -227,16 +232,16 @@ class _Stepper:
         d = self.dim = _dimensionality(dimensionality)
         L = self.halfwidth = _halfwidth(halfwidth)
         self.field = as_coin_field(coin, d)
-        self.coin_index = _sites_index(self.field.table, L, d, "coin site")
-        self.coin_table = np.array(list(self.field.table.values()), dtype=np.complex128)
+        coins = np.array(list(self.field.table.values()), np.complex128).reshape(-1, 2 * d, 2 * d)
+        self.coin_sites = _sites_index(self.field.table, L, d, "coin site"), coins
         self.phase = _walk_phase(defect, L, d)
 
 
 class _Stack:
-    """The walks ``specs``, of one boundary, steps, halfwidth and start,
-    stepped as one, each by its own coin and phase: amplitudes stacked (W,
-    sites..., k) on the full lattice if the walks are periodic or ``moves``
-    is given, else on the light-cone grid from ``first``.  ``probs`` (W,
+    """The walks ``specs``, of one boundary, steps, halfwidth and start, stepped as one, each
+    by its own coin and phase (all their coin sites, and site phases, one :func:`_gathered`
+    table each): amplitudes stacked (W, sites..., k) on the full lattice if the walks are
+    periodic or ``moves`` is given, else on the light-cone grid from ``first``.  ``probs`` (W,
     sites...) weigh the grids as they stand, in ``scratch`` if not None."""
 
     def __init__(self, specs: Sequence[WalkSpec], moves: _Moves | None = None):
@@ -245,8 +250,8 @@ class _Stack:
         steppers = [s._stepper for s in specs]
         # Every site of each walk is mixed by its default coin, one GEMM a step for the stack.
         self.coins = np.stack([s.field.default.T for s in steppers])
-        self.sited = [(i, s) for i, s in enumerate(steppers) if len(s.coin_table)]
-        self.lines, self.tables = _phases([s.phase for s in steppers], d)
+        self.sited = _gathered([s.coin_sites for s in steppers])
+        self.lines, self.table = _phases([s.phase for s in steppers], d)
         self.moves = moves or (_DIAGONAL_MOVES[d] if spec.boundary == "periodic" else None)
         if self.moves:  # the full lattice
             self.first, self.scratch = None, None
@@ -285,10 +290,10 @@ class _Stack:
             sites = tuple(slice(f + L, f + L + 2 * n - 1, 2) for f in self.first)  # of every walk
             flat = self.scratch[: a.size].reshape(w, -1, k)
         m = np.matmul(a.reshape(w, -1, k), self.coins, out=flat).reshape(a.shape)
-        for i, s in self.sited:  # each walk's own coin sites
-            keep, idx = _on_sites(s.coin_index, sites, 2 * L + 1)
-            m[i][idx] = np.einsum("pij,pj->pi", s.coin_table[keep], a[i][idx])
-        _phase(m, sites, L, self.lines, self.tables)
+        if len(self.sited[0]):  # each walk's own coin sites, from the amplitudes before the mix
+            idx, coins = _on_sites(self.sited, sites, 2 * L + 1)
+            m[idx] = np.einsum("pij,pj->pi", coins, a[idx])
+        _phase(m, sites, L, self.lines, self.table)
         if self.moves:
             self.amplitudes = np.stack([np.roll(m[..., c], move, axis=tuple(range(1, d + 1)))
                                         for c, move in enumerate(self.moves)], axis=-1)

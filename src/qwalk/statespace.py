@@ -24,7 +24,7 @@ stored compactly as a :class:`SublatticeState`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -85,14 +85,14 @@ def _site_index(site: object, halfwidth: int, dimensionality: int, what: str) ->
     return tuple(v + halfwidth for v in coords)
 
 
-def _sites_index(
-    sites: Iterable, halfwidth: int, dimensionality: int, what: str
-) -> NDArray[np.int64]:
+def _sites_index(sites: Collection, halfwidth: int, dimensionality: int, what: str) -> NDArray:
     """:func:`_site_index` of each site, shape (P, d); a halfwidth too large
-    for int64 indices raises ValueError."""
+    for int64 indices, or a site listed twice (in 1D as x and as (x,)), raises ValueError."""
     if 2 * halfwidth + 1 > np.iinfo(np.int64).max:
         raise ValueError(f"halfwidth {halfwidth} is too large: lattice indices must fit int64")
     rows = [_site_index(s, halfwidth, dimensionality, what) for s in sites]
+    if len(set(rows)) < len(rows):
+        raise ValueError(f"{what} repeated: {[s for s, r in zip(sites, rows) if rows.count(r) > 1]}")
     return np.array(rows, dtype=np.int64).reshape(len(rows), dimensionality)
 
 

@@ -3,8 +3,9 @@
 ``reference_cone_step`` below is the earlier light-cone step, which
 stored the grid interleaved as ``(m, ..., k)`` and allocated a fresh output
 every step, kept as the reference for the planar kernel, with its own
-coin mix from the stepper's checked coins and phase: every step must give
-the same amplitudes bit for bit.
+coin mix from the stepper's checked coins and its own phase: a loop over
+the listed coin sites and defect sites, one site at a time, and a multiply
+per defect line.  Every step must give the same amplitudes bit for bit.
 """
 
 import itertools
@@ -15,22 +16,41 @@ import numpy as np
 import pytest
 
 from qwalk.coins import CoinField, fractional_swap, hadamard, random_su2, tensor
-from qwalk.evolution import (_DIAGONAL_MOVES, DefectMap, WalkSpec, _guarded, _on_sites, _phase,
-                             _phases, _Stack, _Stepper, evolve)
+from qwalk.evolution import _DIAGONAL_MOVES, DefectMap, WalkSpec, _guarded, _Stack, _Stepper, evolve
 from qwalk.statespace import SublatticeState
 
 H = hadamard()
 H2 = tensor(H, H)
 
 
-def reference_cone_step(self, grid, scratch):
+def _on_grid(grid, site):
+    """The index in ``grid`` of a lattice site (an int or a tuple), or None if it is off the grid."""
+    at = [np.flatnonzero(grid.coordinates(axis) == x) for axis, x in enumerate(np.atleast_1d(site))]
+    return tuple(int(i[0]) for i in at) if all(len(i) for i in at) else None
+
+
+def _line_phase(m, grid, phi, axes):
+    """Each line of ``axes`` through coordinate 0 multiplied by e^{i phi} in turn:
+    the origin takes f * f, x then y."""
+    f = np.exp(1j * phi)
+    for axis in axes:
+        at = np.flatnonzero(grid.coordinates(axis) == 0)
+        if len(at):
+            m[(slice(None),) * axis + (at[0],)] *= f
+
+
+def reference_cone_step(self, defect, grid, scratch):
     a, k = grid.amplitudes, grid.amplitudes.shape[-1]
     m = scratch[: a.size].reshape(a.shape)
     np.matmul(a.reshape(-1, k), self.field.default.T, out=m.reshape(-1, k))
-    if len(self.coin_table):
-        keep, idx = _on_sites(self.coin_index, grid.sites(), 2 * self.halfwidth + 1)
-        m[idx] = np.einsum("pij,pj->pi", self.coin_table[keep], a[idx])
-    _phase(m[None], grid.sites(), self.halfwidth, *_phases([self.phase], self.dim))
+    for site, coin in self.field.table.items():  # from the amplitudes before the default mix
+        if (i := _on_grid(grid, site)) is not None:
+            m[i] = np.einsum("pij,pj->pi", coin[None], a[i][None])[0]
+    table = {(0,) * self.dim: defect.phi} if defect.kind == "point" else defect.table or {}
+    for site, phase in table.items():
+        if (i := _on_grid(grid, site)) is not None:
+            m[i] *= np.exp(1j * phase)
+    _line_phase(m, grid, defect.phi, {"line_y": (1,), "cross_xy": (0, 1)}.get(defect.kind, ()))
     n = a.shape[0]
     out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
     for c, move in enumerate(_DIAGONAL_MOVES[self.dim]):
@@ -48,7 +68,7 @@ def reference_grids(spec):
     grid = spec.initial_grid()
     scratch = np.empty(max(spec.steps, 1) ** d * 2 * d, dtype=np.complex128)
     for _ in range(spec.steps):
-        grid = reference_cone_step(stepper, grid, scratch)
+        grid = reference_cone_step(stepper, spec.defect, grid, scratch)
         yield grid
 
 
@@ -242,11 +262,7 @@ def line_phase_cone_step(self, grid, scratch, phi, axes):
     a, k = grid.amplitudes, grid.amplitudes.shape[-1]
     m = scratch[: a.size].reshape(a.shape)
     np.matmul(a.reshape(-1, k), self.field.default.T, out=m.reshape(-1, k))
-    f = np.exp(1j * phi)
-    for axis in axes:
-        at = np.flatnonzero(grid.coordinates(axis) == 0)
-        if len(at):
-            m[(slice(None),) * axis + (at[0],)] *= f
+    _line_phase(m, grid, phi, axes)
     n = a.shape[0]
     out = np.empty((n + 1,) * self.dim + a.shape[-1:], dtype=np.complex128)
     for c, move in enumerate(_DIAGONAL_MOVES[self.dim]):

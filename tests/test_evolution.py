@@ -328,6 +328,20 @@ def test_spec_rejects_a_coin_or_defect_site_off_the_lattice(dim, coin, defect, b
         WalkSpec(dim, 2, coin, defect, boundary=boundary, halfwidth=3)
 
 
+def test_a_coin_or_defect_site_listed_twice_is_refused():
+    # In 1D a site is x or (x,): two entries on one site must not leave the last one standing.
+    twice = {0: 0.5, (0,): 2.0}
+    with pytest.raises(ValueError, match=r"custom defect site repeated: \[0, \(0,\)\]"):
+        WalkSpec(1, 6, H, DefectMap.custom(twice))
+    with pytest.raises(ValueError, match="custom defect site repeated"):
+        DefectMap.custom(twice).phase_grid(3, 1)
+    field = CoinField(1, H, {0: np.eye(2), 2: H, (0,): H})
+    with pytest.raises(ValueError, match=r"coin site repeated: \[0, \(0,\)\]"):
+        WalkSpec(1, 6, field)
+    with pytest.raises(ValueError, match="coin site repeated"):
+        field.stacked(3)
+
+
 @pytest.mark.parametrize(
     "name, value", [("steps", 50), ("halfwidth", 1), ("coin", np.eye(4)), ("_stepper", None)]
 )
@@ -1022,6 +1036,9 @@ def test_one_light_cone_stack_steps_walks_of_different_coins_each_as_alone():
     coins = [H, random_su2(rng), *fields, H]
     defects = [DefectMap.point(0.7), DefectMap.none(), DefectMap.custom({0: 0.3, -1: 2.0}),
                DefectMap.point(-1.9), DefectMap.custom({-4: 1.1, 3: -0.5})]
+    # Coin sites and site phases on one site, of one walk and across walks.
+    coins += [CoinField(1, H, {0: random_su2(rng), -1: random_su2(rng), 3: H}), fields[1]]
+    defects += [DefectMap.custom({0: -0.8, -1: 2.0, 3: 0.25}), DefectMap.custom({0: 1.2, 2: -0.4})]
     walks = [WalkSpec(1, 30, coin, defect, initial_position=-2, initial_coin=[0.6, 0.8j],
                       halfwidth=40) for coin, defect in zip(coins, defects)]
     assert [stack.specs for stack in _stacks(walks)] == [walks]
@@ -1035,11 +1052,15 @@ def test_one_periodic_stack_steps_every_walk_each_as_alone(dim):
     coin = (lambda: random_su2(rng)) if dim == 1 else (lambda: random_shared_coin(rng))
     field = CoinField(dim, coin(), {(1,) * dim: coin(), (-2,) * dim: np.eye(2 * dim)})
     defects = [DefectMap.point(0.9), DefectMap.none(),
-               DefectMap.custom({(0,) * dim: 0.4, (3,) * dim: -1.0})]
-    starts = rng.normal(size=(3, 2 * dim)) + 1j * rng.normal(size=(3, 2 * dim))
+               DefectMap.custom({(0,) * dim: 0.4, (3,) * dim: -1.0}),
+               # on the coin sites of its own field and on another walk's phase sites
+               DefectMap.custom({(1,) * dim: -2.2, (-2,) * dim: 0.6, (3,) * dim: 1.0}),
+               DefectMap.point(-0.3)]
+    starts = rng.normal(size=(5, 2 * dim)) + 1j * rng.normal(size=(5, 2 * dim))
+    overlapping = CoinField(dim, coin(), {(0,) * dim: coin(), (3,) * dim: coin()})
     walks = [WalkSpec(dim, 14, c, defect, initial_position=(1,) * dim,
                       initial_coin=start / np.linalg.norm(start), boundary="periodic", halfwidth=5)
-             for c, defect, start in zip([coin(), field, coin()], defects, starts)]
+             for c, defect, start in zip([coin(), field, coin(), field, overlapping], defects, starts)]
     assert [stack.specs for stack in _stacks(walks)] == [[w] for w in walks]
     assert _same_as_alone(walks, _stepped(walks, [_Stack(walks)])) == 14
 
@@ -1047,11 +1068,16 @@ def test_one_periodic_stack_steps_every_walk_each_as_alone(dim):
 def test_one_stack_steps_axis_move_walks_each_as_alone():
     # The single 2D walker's move table on the full lattice, as axis_walk_state steps it.
     rng = np.random.default_rng(15)
+    sited = {(0, 0): random_shared_coin(rng), (1, 0): random_shared_coin(rng), (2, -1): H2}
     walks = [WalkSpec(2, 9, c, defect, initial_coin=start / np.linalg.norm(start), halfwidth=10)
              for c, defect, start in zip(
-                 [random_shared_coin(rng), H2, CoinField(2, H2, {(1, 0): random_shared_coin(rng)})],
-                 [DefectMap.line_y(np.pi), DefectMap.none(), DefectMap.point(0.6)],
-                 rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))]
+                 [random_shared_coin(rng), H2, CoinField(2, H2, {(1, 0): random_shared_coin(rng)}),
+                  CoinField(2, random_shared_coin(rng), sited), H2],
+                 # the last two on their own coin sites and on another walk's
+                 [DefectMap.line_y(np.pi), DefectMap.none(), DefectMap.point(0.6),
+                  DefectMap.custom({(0, 0): 0.5, (1, 0): -1.5, (2, -1): 2.5}),
+                  DefectMap.custom({(1, 0): 0.9, (0, 0): -0.1})],
+                 rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4)))]
     together = _stepped(walks, [_Stack(walks, _AXIS_MOVES)])
     alone = _stepped(walks, [_Stack([w], _AXIS_MOVES) for w in walks])
     stepped = 0
@@ -1063,6 +1089,42 @@ def test_one_stack_steps_axis_move_walks_each_as_alone():
             assert grid.amplitudes.tobytes() == solo_grid.amplitudes.tobytes()
         stepped += 1
     assert stepped == 9
+
+
+SITED = {  # walk i of a kind that carries site data, and the move table of its stack
+    "1d-custom-cone": (None, lambda i: WalkSpec(
+        1, 5, H, DefectMap.custom({0: 0.1 * i, 1: -0.3, -2: 1.0}))),
+    "2d-custom-periodic": (None, lambda i: WalkSpec(
+        2, 5, H2, DefectMap.custom({(0, 0): 0.1 * i, (1, -1): 2.0}), boundary="periodic", halfwidth=4)),
+    "2d-point-periodic": (None, lambda i: WalkSpec(
+        2, 5, H2, DefectMap.point(0.1 * i), boundary="periodic", halfwidth=4)),
+    "2d-custom-axis-moves": (_AXIS_MOVES, lambda i: WalkSpec(
+        2, 5, H2, DefectMap.custom({(0, 0): 0.1 * i, (2, 1): 1.0}))),
+    "2d-point-axis-moves": (_AXIS_MOVES, lambda i: WalkSpec(2, 5, H2, DefectMap.point(0.1 * i))),
+    "1d-coin-field": (None, lambda i: WalkSpec(
+        1, 5, CoinField(1, H, {0: np.eye(2), 1: random_su2(np.random.default_rng(i))}))),
+    "2d-coin-field": (None, lambda i: WalkSpec(
+        2, 5, CoinField(2, H2, {(0, 0): np.eye(4), (1, 1): fractional_swap(0.1 * i)}))),
+}
+
+
+@pytest.mark.parametrize("moves, walk", SITED.values(), ids=SITED.keys())
+def test_a_stack_resolves_every_walks_site_data_in_one_call_a_step(moves, walk, monkeypatch):
+    # A stack gathers its walks' coin sites and site phases into one table
+    # each, so a step places them with one call, whatever the walk count.
+    rows = []
+    on_sites = qwalk.evolution._on_sites
+    monkeypatch.setattr(qwalk.evolution, "_on_sites",
+                        lambda table, *args: rows.append(len(table[0])) or on_sites(table, *args))
+    calls = {}
+    for count in (1, MAX_STACK):
+        stack, calls[count] = _Stack([walk(i) for i in range(count)], moves), []
+        for _ in range(walk(0).steps):
+            rows.clear()
+            stack.advance()
+            calls[count].append(list(rows))
+    assert all(len(step) == 1 for step in calls[1])
+    assert calls[MAX_STACK] == [[MAX_STACK * n for n in step] for step in calls[1]]
 
 
 def _alone_hex(a):
